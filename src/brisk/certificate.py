@@ -212,13 +212,16 @@ def search_at_degree(
         for mono, c in terms.items():
             rows[row_index[mono]][ci] = c
     rhs = [nf_phi.terms.get(mono, Fraction(0)) for mono in row_list]
+    # the rows hold every entry now; keep only the labels of the columns
+    labels = [(index, alpha) for index, alpha, _ in columns]
+    del columns
 
-    solution = solve_sparse(rows, rhs, len(columns), budget.max_matrix_entries)
+    solution = solve_sparse(rows, rhs, len(labels), budget.max_matrix_entries)
     if solution is None:
         return None
 
     cof_terms: dict[tuple[int, ...], dict] = {}
-    for ci, (index, alpha, _) in enumerate(columns):
+    for ci, (index, alpha) in enumerate(labels):
         c = solution[ci]
         if c:
             cof_terms.setdefault(index, {})[alpha] = c

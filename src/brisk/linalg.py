@@ -3,13 +3,28 @@
 Rows are dicts {column index: coefficient}.  Rows are scaled to integers
 with their content divided out, and elimination uses integer cross
 multiplication, so no fractions appear until the final back substitution.
-Pivot columns are chosen sparsest-first with lowest-index tie-breaks, so
-the computation (and the returned solution) is deterministic.
+
+Pivoting follows Markowitz's rule in its simplest form: the next pivot
+column is one held by the fewest live (not yet pivot) rows, lowest index
+first; within it the pivot row is the shortest, lowest index first.  So
+the computation, and the returned solution, is deterministic.
+
+The counts are kept incrementally instead of being recounted at every
+pivot.  ``where[c]`` lists the rows that hold column c, ``live[c]`` says
+how many of them are live, and a heap holds the keys
+``live[c] * ncols + c``; a key whose count no longer matches ``live[c]``
+is stale and skipped when popped.  Eliminating column ``col`` from a row
+replaces it by ``row * a - t * pivot`` with ``a = pivot[col] != 0``, so
+every column outside the pivot row keeps a nonzero entry: only the
+pivot row's columns can appear in a row (fill-in) or cancel out of it.
+A pivot therefore updates the bookkeeping, and pushes a fresh heap key,
+for the pivot row's columns alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import BudgetExceededError
@@ -78,38 +93,56 @@ def solve_sparse(
         irow, ib = _integerize(dict(row), b)
         work.append((irow, ib))
 
+    where: list[list[int]] = [[] for _ in range(ncols)]
+    for ri, (row, _) in enumerate(work):
+        for c in row:
+            where[c].append(ri)
+    live = [len(holders) for holders in where]
+    heap = [n * ncols + c for c, n in enumerate(live) if n]
+    heapify(heap)
+
     pivots: list[tuple[int, int]] = []  # (column, row index)
-    assigned = set()
-    while True:
-        counts: dict[int, int] = {}
-        for ri, (row, _) in enumerate(work):
-            if ri in assigned:
-                continue
-            for c in row:
-                counts[c] = counts.get(c, 0) + 1
-        if not counts:
-            break
-        col = min(counts, key=lambda c: (counts[c], c))
-        candidates = [
-            ri
-            for ri, (row, _) in enumerate(work)
-            if ri not in assigned and col in row
-        ]
-        prow = min(candidates, key=lambda ri: (len(work[ri][0]), ri))
+    assigned = [False] * len(work)
+    while heap:
+        n, col = divmod(heappop(heap), ncols)
+        if n != live[col]:
+            continue  # stale key; the column was pivoted or recounted
+        holders = where[col]
+        prow = min(
+            (ri for ri in holders if not assigned[ri]),
+            key=lambda ri: (len(work[ri][0]), ri),
+        )
         pivots.append((col, prow))
-        assigned.add(prow)
+        assigned[prow] = True
         pr, pb = work[prow]
-        for ri in range(len(work)):
+        others = [c for c in pr if c != col]
+        for c in others:
+            live[c] -= 1
+        for ri in holders:
             if ri == prow:
                 continue
             row, b = work[ri]
-            if col in row:
-                work[ri] = _combine(row, b, pr, pb, col)
+            work[ri] = _combine(row, b, pr, pb, col)
+            out = work[ri][0]
+            step = 0 if assigned[ri] else 1  # pivot rows are not live
+            for c in others:
+                if c in row:
+                    if c not in out:
+                        where[c].remove(ri)
+                        live[c] -= step
+                elif c in out:
+                    where[c].append(ri)
+                    live[c] += step
+        where[col] = [prow]
+        live[col] = 0
+        for c in others:
+            if live[c]:
+                heappush(heap, live[c] * ncols + c)
 
     for ri, (row, b) in enumerate(work):
-        if ri not in assigned and not row and b != 0:
+        if not assigned[ri] and not row and b != 0:
             return None
-        if ri not in assigned and row:
+        if not assigned[ri] and row:
             raise AssertionError("elimination left an unassigned nonzero row")
 
     solution = [Fraction(0)] * ncols
@@ -120,7 +153,8 @@ def solve_sparse(
 
 
 def rank_dense(rows: list[list[Fraction]]) -> int:
-    """Plain dense row-echelon rank; an independent cross-check path."""
+    """Plain dense row-echelon rank, the one dense rank of the package
+    (``resolution.generic_rank`` evaluates its matrices at points)."""
     mat = [list(r) for r in rows]
     rank = 0
     col = 0

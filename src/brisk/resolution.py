@@ -21,6 +21,7 @@ from fractions import Fraction
 from . import invariants, modules
 from .errors import BudgetExceededError
 from .groebner import DEFAULT_BUDGET, Budget, Ideal, buchberger
+from .linalg import rank_dense
 from .orders import MonomialOrder, grevlex
 from .polyring import MultiPoly, PolyRing
 
@@ -392,30 +393,7 @@ def _eval_entry(p: MultiPoly, point: list[int]):
 
 
 def _rank_at_point(matrix, point) -> int:
-    rows = [[_eval_entry(p, point) for p in row] for row in matrix]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivval = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col] / pivval
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
+    return rank_dense([[_eval_entry(p, point) for p in row] for row in matrix])
 
 
 def determinant(matrix, ring: PolyRing) -> MultiPoly:

@@ -19,6 +19,7 @@ from brisk.certificate import (
     verify,
 )
 from brisk.errors import BudgetExceededError
+from brisk.families import kollar
 from brisk.groebner import Budget, Ideal, buchberger
 from brisk.polyring import NEG_INF, PolyRing
 
@@ -122,6 +123,16 @@ class TestMinimalDegree:
         rho, cert = minimal_degree(kollar_instance(d=3), 12)
         assert rho == 9
         assert cert.verified
+
+    def test_kollar_333_sharp(self):
+        # the sharp example: rho_min = d^m = 27; the rho = 27 system is
+        # 4057x8775, past the default rows x cols cap
+        inst = kollar(3, 3, 3).instance
+        found = minimal_degree(inst, 27, budget=Budget(max_matrix_entries=10**9))
+        assert found is not None
+        rho, cert = found
+        assert rho == 27 and cert.rho == 27
+        assert cert.verified and verify(inst, cert)
 
     def test_cusp_never_found(self):
         assert minimal_degree(cusp_instance(), 12) is None

@@ -59,12 +59,62 @@ class TestSparseSolverAgainstDenseOracle:
             sparse_rows = [
                 {j: v for j, v in enumerate(row) if v} for row in dense
             ]
-            got = solve_sparse(sparse_rows, list(rhs), ncols)
-            want = dense_solve(dense, list(rhs))
-            assert (got is None) == (want is None)
-            if got is not None:
-                for row, b in zip(dense, rhs):
-                    assert sum(a * v for a, v in zip(row, got)) == b
+            self._check(sparse_rows, rhs, ncols)
+
+    def test_sparse_systems_with_fill_and_cancellation(self):
+        # up to 40x50 with 2-4 entries per row, plus duplicated rows and
+        # combinations of two rows that cancel a shared column: pivots
+        # fill rows in, counts go stale, and earlier pivot rows lose
+        # columns during the Gauss-Jordan sweeps
+        rng = random.Random(4150)
+        for trial in range(60):
+            nrows, ncols = rng.randint(2, 40), rng.randint(2, 50)
+            rows: list[dict[int, Fraction]] = []
+            while len(rows) < nrows:
+                kind = rng.random() if rows else 1.0
+                if kind < 0.15:
+                    rows.append(dict(rng.choice(rows)))
+                elif kind < 0.35:
+                    rows.append(self._combination(rng, rows))
+                else:
+                    cols = rng.sample(range(ncols), min(ncols, rng.randint(2, 4)))
+                    rows.append({
+                        c: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))
+                        for c in cols
+                    })
+            if trial % 2 == 0:
+                x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+                rhs = [sum(v * x[c] for c, v in row.items()) for row in rows]
+            else:
+                rhs = [Fraction(rng.randint(-4, 4)) for _ in range(nrows)]
+            self._check(rows, rhs, ncols)
+
+    @staticmethod
+    def _combination(rng, rows):
+        """a*r + b*s for two earlier rows, with b chosen so that a column
+        the two share cancels when there is one."""
+        r, s = rng.choice(rows), rng.choice(rows)
+        a = Fraction(rng.choice([-2, -1, 1, 3]))
+        shared = sorted(set(r) & set(s))
+        if shared:
+            c = rng.choice(shared)
+            b = -a * r[c] / s[c]
+        else:
+            b = Fraction(rng.choice([-1, 1, 2]))
+        out = {c: a * v for c, v in r.items()}
+        for c, v in s.items():
+            out[c] = out.get(c, 0) + b * v
+        return {c: v for c, v in out.items() if v}
+
+    @staticmethod
+    def _check(sparse_rows, rhs, ncols):
+        dense = [[row.get(j, Fraction(0)) for j in range(ncols)] for row in sparse_rows]
+        got = solve_sparse(sparse_rows, list(rhs), ncols)
+        want = dense_solve(dense, list(rhs))
+        assert (got is None) == (want is None)
+        if got is not None:
+            for row, b in zip(dense, rhs):
+                assert sum(a * v for a, v in zip(row, got)) == b
 
 
 class TestEliminationAgainstLex:
