@@ -9,7 +9,6 @@ bit-reproducible.  See the README for the CLI and file formats.
 from .bounds import BoundInputs, BoundReport, CInf
 from .certificate import Certificate, MembershipInstance
 from .groebner import Budget, GroebnerBasis, Ideal, buchberger, membership, normal_form
-from .kernel import KERNEL_NAME
 from .localorder import BranchParam, NewtonRegion
 from .orders import MonomialOrder, elim, grevlex, lex
 from .polyring import NEG_INF, MultiPoly, PolyRing, dehomogenize, homogenize
@@ -25,7 +24,6 @@ __all__ = [
     "CInf",
     "GroebnerBasis",
     "Ideal",
-    "KERNEL_NAME",
     "MembershipInstance",
     "MonomialOrder",
     "MultiPoly",

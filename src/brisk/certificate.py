@@ -124,23 +124,6 @@ def _gen_power(inst: MembershipInstance, index: tuple[int, ...]) -> MultiPoly:
     return out
 
 
-def _monomials_up_to(ring: PolyRing, cap: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree <= cap, sorted ascending in grevlex."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(prefix)
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), cap, ring.nvars)
-    order = grevlex()
-    out.sort(key=order.key)
-    return out
-
-
 def _normalize_caps(per_gen_caps, m: int, ell: int) -> dict[tuple[int, ...], int]:
     caps: dict[tuple[int, ...], int] = {}
     if not per_gen_caps:
@@ -195,7 +178,8 @@ def search_at_degree(
     columns: list[tuple[tuple[int, ...], tuple[int, ...], dict]] = []
     for index, _, cap in admissible:
         base = gb.normal_form(_gen_power(inst, index))
-        for alpha in _monomials_up_to(inst.ring, cap):
+        # ascending grevlex fixes the column order the solver pivots on
+        for alpha in sorted(inst.ring.exponents_up_to(cap), key=grevlex().key):
             shifted = MultiPoly(inst.ring, {alpha: Fraction(1)}) * base
             col = gb.normal_form(shifted)
             columns.append((index, alpha, col.terms))

@@ -83,17 +83,7 @@ def _random_poly(ring: PolyRing, d: int, rng: random.Random) -> MultiPoly:
     """Random polynomial of degree exactly d with small integer
     coefficients and full quota of degree-d monomials likely present."""
     terms: dict = {}
-    exps: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            exps.append(prefix)
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), d, ring.nvars)
-    for e in exps:
+    for e in ring.exponents_up_to(d):
         c = rng.randint(-3, 3)
         if c:
             terms[e] = Fraction(c)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from . import kernel
 from .errors import BudgetExceededError, RingMismatchError
-from .orders import MonomialOrder, elim, grevlex
+from .orders import MonomialOrder, elim, grevlex, key_of
 from .polyring import MultiPoly, PolyRing
 
 
@@ -214,7 +214,7 @@ def _reduce_basis(ring: PolyRing, basis_terms: list[dict], order: MonomialOrder)
     """Minimalize and tail-reduce a monic basis into the reduced GB."""
     spec = order.spec()
     entries = [(kernel.leading_exponent(t, spec), t) for t in basis_terms if t]
-    entries.sort(key=lambda it: kernel.key_of(it[0], spec))
+    entries.sort(key=lambda it: key_of(it[0], spec))
     minimal = []
     for lead, t in entries:
         if any(kernel.mono_divides(l2, lead) for l2, _ in minimal):

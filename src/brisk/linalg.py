@@ -34,7 +34,7 @@ def _integerize(row: dict[int, Fraction], rhs: Fraction):
     denom = rhs.denominator
     for v in row.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
-    irow = {c: int(v * denom) for c, v in row.items()}
+    irow = {c: int(v * denom) for c, v in row.items() if v}
     irhs = int(rhs * denom)
     content = abs(irhs)
     for v in irow.values():

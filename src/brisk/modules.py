@@ -36,7 +36,6 @@ ModMono = tuple[int, tuple[int, ...]]
 class FreeModule:
     """⊕_i S(-twists[i]): generator i in degree twists[i]."""
 
-    ring: PolyRing
     twists: tuple[int, ...]
 
     @property

@@ -11,9 +11,11 @@ with monomial multiplication:
 An optional variable permutation is applied before comparison, so any
 subset of variables can be moved to the front of an elimination block.
 
-Orders are exposed in two forms: as key functions (for max()/sorted() in
-Python code) and as a small ``spec`` tuple ``(kind, block, perm)`` consumed
-by the polynomial kernels, which reimplement the same comparisons.
+An order is described by a small ``spec`` tuple ``(kind, block, perm)``.
+``key_of(exp, spec)`` is the one sort key (max() gives the leading
+monomial); ``neg_key_of`` is its elementwise negation, which lets the
+kernel's heapq act as a max-heap.  ``MonomialOrder.key`` delegates to
+``key_of``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,32 @@ LEX = 1
 ELIM = 2
 
 _KIND_NAMES = {GREVLEX: "grevlex", LEX: "lex", ELIM: "elim"}
+
+
+def key_of(exp: tuple[int, ...], spec):
+    """Sort key of ``exp`` under the order ``spec``; max(key) leads."""
+    kind, block, perm = spec
+    if perm is not None:
+        exp = tuple(exp[i] for i in perm)
+    if kind == GREVLEX:
+        return (sum(exp), tuple(-x for x in reversed(exp)))
+    if kind == LEX:
+        return exp
+    a, b = exp[:block], exp[block:]
+    return (sum(a), tuple(-x for x in reversed(a)), sum(b), tuple(-x for x in reversed(b)))
+
+
+def neg_key_of(exp: tuple[int, ...], spec):
+    """Elementwise negation of key_of; turns heapq into a max-heap."""
+    kind, block, perm = spec
+    if perm is not None:
+        exp = tuple(exp[i] for i in perm)
+    if kind == GREVLEX:
+        return (-sum(exp), tuple(reversed(exp)))
+    if kind == LEX:
+        return tuple(-x for x in exp)
+    a, b = exp[:block], exp[block:]
+    return (-sum(a), tuple(reversed(a)), -sum(b), tuple(reversed(b)))
 
 
 @dataclass(frozen=True)
@@ -54,28 +82,9 @@ class MonomialOrder:
         """Kernel-facing description of this order."""
         return (self.kind, self.block, self.perm)
 
-    def _permuted(self, exp: tuple[int, ...]) -> tuple[int, ...]:
-        if self.perm is None:
-            return exp
-        return tuple(exp[i] for i in self.perm)
-
     def key(self, exp: tuple[int, ...]):
         """Sort key; max(key) is the leading monomial."""
-        e = self._permuted(exp)
-        if self.kind == GREVLEX:
-            return (sum(e), tuple(-x for x in reversed(e)))
-        if self.kind == LEX:
-            return e
-        a, b = e[: self.block], e[self.block :]
-        return (
-            sum(a),
-            tuple(-x for x in reversed(a)),
-            sum(b),
-            tuple(-x for x in reversed(b)),
-        )
-
-    def greater(self, e1: tuple[int, ...], e2: tuple[int, ...]) -> bool:
-        return self.key(e1) > self.key(e2)
+        return key_of(exp, (self.kind, self.block, self.perm))
 
     def sorted_exponents(self, exps, reverse: bool = True) -> list:
         """Exponents sorted descending (leading monomial first) by default."""

@@ -75,6 +75,14 @@ class PolyRing:
             return MultiPoly(self, {})
         return MultiPoly(self, {tuple(exp): c})
 
+    def exponents_up_to(self, cap: int) -> list[tuple[int, ...]]:
+        """Exponent tuples of total degree <= cap, in ascending lex order
+        (callers that draw random coefficients rely on this order)."""
+        out: list[tuple[int, ...]] = [()]
+        for _ in range(self.nvars):
+            out = [e + (v,) for e in out for v in range(cap - sum(e) + 1)]
+        return out
+
     def extend_front(self, name: str) -> "PolyRing":
         """New ring with ``name`` prepended (used for homogenizing and for
         the Rabinowitsch variable)."""

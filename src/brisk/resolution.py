@@ -22,19 +22,9 @@ from . import invariants, modules
 from .errors import BudgetExceededError
 from .groebner import DEFAULT_BUDGET, Budget, Ideal, buchberger
 from .linalg import rank_dense
+from .modules import FreeModule
 from .orders import MonomialOrder, grevlex
 from .polyring import MultiPoly, PolyRing
-
-
-@dataclass(frozen=True)
-class GradedFreeModule:
-    """⊕_i S(-twists[i]); the i-th generator sits in degree twists[i]."""
-
-    twists: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.twists)
 
 
 @dataclass(frozen=True)
@@ -45,15 +35,9 @@ class ResolutionStep:
     source.twists[j] - target.twists[i].
     """
 
-    source: GradedFreeModule
-    target: GradedFreeModule
+    source: FreeModule
+    target: FreeModule
     matrix: tuple[tuple[MultiPoly, ...], ...]
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.matrix[i][j]
-
-    def columns(self) -> list[dict]:
-        return modules.columns_to_elements([list(r) for r in self.matrix])
 
     def is_graded(self) -> bool:
         for i, row in enumerate(self.matrix):
@@ -80,11 +64,6 @@ class FreeResolution:
     @property
     def length(self) -> int:
         return len(self.steps)
-
-    def module(self, k: int) -> GradedFreeModule:
-        if k == 0:
-            return GradedFreeModule((0,))
-        return self.steps[k - 1].source
 
     def validate(self, check_ranks: bool = False) -> None:
         """Assert gradedness, composition zero and (optionally) that the
@@ -149,7 +128,7 @@ def syzygies(
         ring = source.matrix[0][0].ring
         ambient_twists = source.target.twists   # where the columns live
         column_twists = source.source.twists    # where the relations live
-        elems = source.columns()
+        elems = modules.columns_to_elements([list(r) for r in source.matrix])
     else:
         polys = list(source)
         if not polys:
@@ -158,7 +137,7 @@ def syzygies(
         ambient_twists = (0,)
         elems = modules.columns_to_elements([polys])
         column_twists = None
-    ambient = modules.FreeModule(ring, ambient_twists)
+    ambient = FreeModule(ambient_twists)
     for e in elems:
         if not ambient.is_homogeneous(e):
             raise ValueError("input matrix is not homogeneous")
@@ -173,19 +152,19 @@ def syzygies(
     for j, e in enumerate(elems):
         if not e:
             syz.append({(j, (0,) * zero_len): Fraction(1)})
-    syz_module = modules.FreeModule(ring, column_twists)
+    syz_module = FreeModule(column_twists)
     syz_order = modules.BaseModuleOrder(order, column_twists)
     syz = _canonical_elements(syz, syz_order, syz_module)
-    src = GradedFreeModule(tuple(syz_module.degree_of(s) for s in syz))
+    src = FreeModule(tuple(syz_module.degree_of(s) for s in syz))
     cols = modules.elements_to_columns(syz, ring, syz_module.rank)
     return ResolutionStep(
         source=src,
-        target=GradedFreeModule(column_twists),
+        target=FreeModule(column_twists),
         matrix=tuple(tuple(row) for row in cols),
     )
 
 
-def _canonical_elements(elems: list[dict], order, mod: modules.FreeModule):
+def _canonical_elements(elems: list[dict], order, mod: FreeModule):
     """Monic, deduplicated, sorted by (degree, leading monomial)."""
     seen = set()
     out = []
@@ -237,7 +216,8 @@ def minimal_resolution(
     while current:
         cols = modules.elements_to_columns(current, ring, len(twists))
         matrices.append(cols)
-        step_twists = [modules.FreeModule(ring, tuple(twists)).degree_of(e) for e in current]
+        module = FreeModule(tuple(twists))
+        step_twists = [module.degree_of(e) for e in current]
         twist_lists.append(list(step_twists))
         if len(matrices) > cap:
             raise BudgetExceededError(
@@ -245,7 +225,7 @@ def minimal_resolution(
             )
         syz = modules.syzygies_of_groebner(current, leads, current_order)
         next_order = modules.SchreyerOrder(current_order, tuple(leads))
-        next_mod = modules.FreeModule(ring, tuple(step_twists))
+        next_mod = FreeModule(tuple(step_twists))
         syz = _canonical_elements(syz, next_order, next_mod)
         twists = step_twists
         current_order = next_order
@@ -260,8 +240,8 @@ def minimal_resolution(
 def _assemble_steps(ring, twist_lists, matrices) -> list[ResolutionStep]:
     steps = []
     for k, mat in enumerate(matrices):
-        target = GradedFreeModule(tuple(twist_lists[k]))
-        source = GradedFreeModule(tuple(twist_lists[k + 1]))
+        target = FreeModule(tuple(twist_lists[k]))
+        source = FreeModule(tuple(twist_lists[k + 1]))
         steps.append(
             ResolutionStep(source=source, target=target, matrix=tuple(tuple(r) for r in mat))
         )
@@ -322,8 +302,8 @@ def _minimalize(ring: PolyRing, steps: list[ResolutionStep]) -> list[ResolutionS
     for k, mat in enumerate(mats):
         out.append(
             ResolutionStep(
-                source=GradedFreeModule(tuple(twists[k + 1])),
-                target=GradedFreeModule(tuple(twists[k])),
+                source=FreeModule(tuple(twists[k + 1])),
+                target=FreeModule(tuple(twists[k])),
                 matrix=tuple(tuple(row) for row in mat),
             )
         )
