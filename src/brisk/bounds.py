@@ -213,10 +213,6 @@ class BoundEntry:
     value: int | None
     note: str = ""
 
-    @property
-    def applicable(self) -> bool:
-        return self.value is not None
-
 
 @dataclass(frozen=True)
 class BoundReport:

@@ -256,13 +256,15 @@ def _poly_in_t(coeffs) -> str:
 CSV_HEADER = "family,params,rho_min,hickel_i,macaulay,jelonek,hermann,slack,ms"
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str, odd: bool = False) -> list[int]:
+    """Comma-separated values and A:B ranges; with ``odd`` a range keeps
+    only its odd members (a listed value is kept as given)."""
     out = []
     for piece in text.split(","):
         piece = piece.strip()
         if ":" in piece:
             lo, hi = piece.split(":")
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(v for v in range(int(lo), int(hi) + 1) if v % 2 or not odd)
         elif piece:
             out.append(int(piece))
     if not out:
@@ -285,7 +287,7 @@ def _bench_rows(args, budget: Budget):
             for _ in range(count):
                 rows.append(families.macaulay_generic(d, n, rng, budget))
     elif args.family == "cusp":
-        for p in _parse_range(args.p or "3,5,7"):
+        for p in _parse_range(args.p or "3,5,7", odd=True):
             rows.append(families.cusp(p))
     else:
         raise ParseError(f"unknown family {args.family!r}")
@@ -405,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", help="degree or range (e.g. 2:3)")
     p.add_argument("--m", help="generator count or range")
     p.add_argument("--n", help="ambient dimension")
-    p.add_argument("--p", help="cusp exponents (e.g. 3,5,7)")
+    p.add_argument("--p", help="cusp exponents (e.g. 3,5,7; a range A:B means its odd p)")
     p.add_argument("--count", type=int, default=5, help="samples per parameter point")
     p.add_argument("--rho-cap", type=int, default=40, help="certificate scan cap")
     p.add_argument("--csv", help="write rows to this CSV file")

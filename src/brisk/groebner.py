@@ -12,7 +12,7 @@ raises BudgetExceededError rather than ever returning a wrong basis.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import kernel
 from .errors import BudgetExceededError, RingMismatchError
@@ -27,9 +27,6 @@ class Budget:
     max_pairs: int = 200_000
     max_degree: int | None = None
     max_matrix_entries: int = 200_000
-
-    def with_pairs(self, n: int) -> "Budget":
-        return replace(self, max_pairs=n)
 
 
 DEFAULT_BUDGET = Budget()
@@ -65,13 +62,12 @@ class Ideal:
 class GroebnerBasis:
     """A reduced, monic Groebner basis (canonical for the given order)."""
 
-    __slots__ = ("ring", "order", "basis", "reduced", "_reducers")
+    __slots__ = ("ring", "order", "basis", "_reducers")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, basis):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "reduced", True)
         spec = order.spec()
         reducers = []
         for g in self.basis:

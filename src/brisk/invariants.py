@@ -22,15 +22,6 @@ from .orders import grevlex
 from .polyring import MultiPoly
 
 
-def _minimalize(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    gens = sorted(set(gens), key=lambda e: (sum(e), e))
-    out: list[tuple[int, ...]] = []
-    for g in gens:
-        if not any(kernel.mono_divides(h, g) for h in out):
-            out.append(g)
-    return out
-
-
 def _poly_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out = dict(a)
     for k, v in b.items():
@@ -57,9 +48,9 @@ def _numerator(gens: tuple[tuple[int, ...], ...], memo: dict) -> dict[int, int]:
     else:
         # split on the last (largest) generator
         rest, m = gens[:-1], gens[-1]
-        rest_min = tuple(_minimalize(list(rest)))
+        rest_min = tuple(kernel.minimal_generators(rest))
         colon = tuple(
-            _minimalize([kernel.mono_div(kernel.mono_lcm(g, m), m) for g in rest])
+            kernel.minimal_generators([kernel.mono_div(kernel.mono_lcm(g, m), m) for g in rest])
         )
         out = _poly_sub(
             _numerator(rest_min, memo),
@@ -73,7 +64,7 @@ def hilbert_numerator(gb: GroebnerBasis) -> tuple[int, ...]:
     """Coefficients of the Hilbert-series numerator of S/J, from the
     leading-term ideal of any Groebner basis of J (coefficient list,
     index = power of t)."""
-    gens = _minimalize(gb.leading_exponents())
+    gens = kernel.minimal_generators(gb.leading_exponents())
     num = _numerator(tuple(gens), {})
     if not num:
         return ()
@@ -160,20 +151,6 @@ def hilbert_data(gb: GroebnerBasis) -> HilbertData:
         reduced=tuple(reduced),
         cone_dim=gb.ring.nvars - e if num else 0,
     )
-
-
-def hilbert_data_of_ideal(
-    ideal: Ideal, budget: Budget = DEFAULT_BUDGET
-) -> HilbertData:
-    return hilbert_data(buchberger(ideal, grevlex(), budget))
-
-
-def proj_dimension(h: HilbertData) -> int:
-    return h.proj_dimension()
-
-
-def proj_degree(h: HilbertData) -> int:
-    return h.proj_degree()
 
 
 def empty_at_infinity(

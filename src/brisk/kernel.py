@@ -43,6 +43,17 @@ def mono_deg(a):
     return sum(a)
 
 
+def minimal_generators(gens):
+    """Minimal generators of the monomial ideal spanned by ``gens``,
+    without repeats, sorted by (degree, exponent)."""
+    gens = sorted(set(gens), key=lambda e: (sum(e), e))
+    out = []
+    for g in gens:
+        if not any(mono_divides(h, g) for h in out):
+            out.append(g)
+    return out
+
+
 # ---------------------------------------------------------- leading term
 
 

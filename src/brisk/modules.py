@@ -8,15 +8,16 @@ element degree is |exponent| + twist[pos].  Two module orders are used:
   * the Schreyer order induced by the leading monomials of a Groebner
     basis one step down the resolution.
 
-Syzygies come from S-pair divisions: for a Groebner basis g_1..g_t, each
-same-position pair (i, j) contributes
+Syzygies come from S-pair divisions: for a Groebner basis g_1..g_t, a
+same-position pair (i, j), i < j, contributes
 
     sigma_ij = (lcm/lt_i) e_i - (lcm/lt_j) e_j - sum_k q_k e_k,
 
-where the q_k track the division of the S-element to zero.  These
-generate the syzygy module and form a Groebner basis of it with respect
-to the induced Schreyer order, which is what makes iterated resolution
-steps cheap.
+where the q_k track the division of the S-element to zero.  Over all
+pairs these form a Groebner basis of the syzygy module with respect to
+the induced Schreyer order (Schreyer's theorem); only the pairs whose
+leading terms (lcm/lt_i) e_i minimally generate that leading module are
+kept, which is what makes iterated resolution steps cheap.
 """
 
 from __future__ import annotations
@@ -111,16 +112,15 @@ def mod_sub_shifted(work: dict, c, shift: tuple[int, ...], g: dict):
                 del work[m]
 
 
-def mod_reduce(elem: dict, gb: list[dict], leads: list[ModMono], order, track: bool = False):
+def mod_reduce(elem: dict, gb: list[dict], leads: list[ModMono], order):
     """Full division of ``elem`` by the monic family ``gb``.
 
     Returns (remainder, quotients); ``quotients`` maps (k, shift) -> coeff
-    such that  elem = sum_k quotients * g_k + remainder  (only when
-    ``track`` is set; otherwise None).
+    such that  elem = sum_k quotients * g_k + remainder.
     """
     work = dict(elem)
     out: dict = {}
-    quot: dict | None = {} if track else None
+    quot: dict = {}
     while work:
         m = max(work, key=order.key)
         c = work.pop(m)
@@ -136,10 +136,8 @@ def mod_reduce(elem: dict, gb: list[dict], leads: list[ModMono], order, track: b
         shift = kernel.mono_div(e, leads[hit][1])
         work[m] = c  # reinstate, the subtraction cancels it
         mod_sub_shifted(work, c, shift, gb[hit])
-        if track:
-            key = (hit, shift)
-            s = quot.get(key)
-            quot[key] = c if s is None else s + c
+        # the leading monomial strictly decreases, so no key repeats
+        quot[(hit, shift)] = c
     return out, quot
 
 
@@ -150,17 +148,26 @@ def _pairs(leads: list[ModMono]):
                 yield i, j
 
 
-def module_groebner(
-    inputs: list[dict],
-    order,
-    budget: Budget = DEFAULT_BUDGET,
-    track: bool = True,
-):
+def _minimal_pairs(leads: list[ModMono]):
+    """The pairs (i, j), i < j in the same position, whose quotient
+    lcm(lt_i, lt_j)/lt_i minimally generates the monomial ideal of those
+    quotients over all such j (the smallest j on ties)."""
+    for i, (pos, ei) in enumerate(leads):
+        first: dict = {}
+        for j in range(i + 1, len(leads)):
+            if leads[j][0] == pos:
+                q = kernel.mono_div(kernel.mono_lcm(ei, leads[j][1]), ei)
+                first.setdefault(q, j)
+        for q in kernel.minimal_generators(first):
+            yield i, first[q]
+
+
+def module_groebner(inputs: list[dict], order, budget: Budget = DEFAULT_BUDGET):
     """Groebner basis of the submodule generated by ``inputs``.
 
     Returns (gb, leads, reps): monic basis elements, their leading module
-    monomials, and (if ``track``) for each basis element its expression as
-    a combination of the inputs (a dict (j, exp) -> coeff over input j).
+    monomials, and for each basis element its expression as a combination
+    of the inputs (a dict (j, exp) -> coeff over input j).
     """
     gb: list[dict] = []
     leads: list[ModMono] = []
@@ -168,7 +175,7 @@ def module_groebner(
     for j, elem in enumerate(inputs):
         if not elem:
             continue
-        rep = {(j, _zero_exp(elem)): _one_of(elem)} if track else None
+        rep = {(j, _zero_exp(elem)): _one_of(elem)}
         _push_monic(gb, leads, reps, elem, rep, order)
 
     pending = list(_pairs(leads))
@@ -181,19 +188,19 @@ def module_groebner(
                 f"budget exhausted: module basis needed more than "
                 f"{budget.max_pairs} S-pairs"
             )
-        spair, srep = _s_element(gb, leads, reps if track else None, i, j)
-        rem, quot = mod_reduce(spair, gb, leads, order, track=track)
+        di, dj = _s_shifts(leads, i, j)
+        rem, quot = mod_reduce(_s_element(gb, i, j, di, dj), gb, leads, order)
         if not rem:
             continue
-        if track:
-            for (k, shift), c in quot.items():
-                _rep_sub_shifted(srep, c, shift, reps[k])
+        srep = _s_element(reps, i, j, di, dj)
+        for (k, shift), c in quot.items():
+            mod_sub_shifted(srep, c, shift, reps[k])
         old = len(gb)
         _push_monic(gb, leads, reps, rem, srep, order)
         for t in range(old):
             if leads[t][0] == leads[old][0]:
                 pending.append((t, old))
-    return gb, leads, (reps if track else None)
+    return gb, leads, reps
 
 
 def _zero_exp(elem: dict) -> tuple[int, ...]:
@@ -212,71 +219,47 @@ def _push_monic(gb, leads, reps, elem, rep, order):
     one = c / c
     if c != one:
         elem = {m: v / c for m, v in elem.items()}
-        if rep is not None:
-            rep = {m: v / c for m, v in rep.items()}
+        rep = {m: v / c for m, v in rep.items()}
     gb.append(dict(elem))
     leads.append(lead)
     reps.append(rep)
 
 
-def _s_element(gb, leads, reps, i, j):
-    (pos, ei), (_, ej) = leads[i], leads[j]
+def _s_shifts(leads, i, j):
+    """(lcm/lt_i, lcm/lt_j) for the leading monomials of pair (i, j)."""
+    ei, ej = leads[i][1], leads[j][1]
     lcm = kernel.mono_lcm(ei, ej)
-    di = kernel.mono_div(lcm, ei)
-    dj = kernel.mono_div(lcm, ej)
-    one = _one_of(gb[i])
-    spair: dict = {}
-    mod_sub_shifted(spair, -one, di, gb[i])
-    mod_sub_shifted(spair, one, dj, gb[j])
-    srep: dict = {}
-    if reps is not None:
-        _rep_sub_shifted(srep, -one, di, reps[i])
-        _rep_sub_shifted(srep, one, dj, reps[j])
-    return spair, srep
+    return kernel.mono_div(lcm, ei), kernel.mono_div(lcm, ej)
 
 
-def _rep_sub_shifted(rep: dict, c, shift, other: dict):
-    for (j, e), q in other.items():
-        m = (j, kernel.mono_mul(e, shift))
-        s = rep.get(m)
-        if s is None:
-            rep[m] = -(c * q)
-        else:
-            s = s - c * q
-            if s:
-                rep[m] = s
-            else:
-                del rep[m]
+def _s_element(elems, i, j, di, dj) -> dict:
+    """x^di * elems[i] - x^dj * elems[j]."""
+    one = _one_of(elems[i])
+    out: dict = {}
+    mod_sub_shifted(out, -one, di, elems[i])
+    mod_sub_shifted(out, one, dj, elems[j])
+    return out
 
 
 def syzygies_of_groebner(gb: list[dict], leads: list[ModMono], order):
-    """Syzygies sigma_ij of a monic Groebner basis, one per same-position
-    S-pair; a Groebner basis for the induced Schreyer order."""
+    """Syzygies sigma_ij of a monic Groebner basis, one per pair of
+    ``_minimal_pairs``; a Groebner basis for the induced Schreyer order.
+
+    The Schreyer order breaks ties by the lower index, so sigma_ij leads
+    with (lcm/lt_i) e_i.  The pairs kept have the same leading monomials
+    up to divisibility as all same-position pairs, whose syzygies form a
+    Groebner basis by Schreyer's theorem, so the kept ones do too.
+    """
     syz = []
-    for i, j in _pairs(leads):
-        spair, _ = _s_element(gb, leads, None, i, j)
-        rem, quot = mod_reduce(spair, gb, leads, order, track=True)
+    for i, j in _minimal_pairs(leads):
+        di, dj = _s_shifts(leads, i, j)
+        rem, quot = mod_reduce(_s_element(gb, i, j, di, dj), gb, leads, order)
         if rem:
             raise AssertionError("S-element of a Groebner basis did not reduce to zero")
-        (_, ei), (_, ej) = leads[i], leads[j]
-        lcm = kernel.mono_lcm(ei, ej)
-        sigma: dict = {}
         one = _one_of(gb[i])
-        sigma[(i, kernel.mono_div(lcm, ei))] = one
-        sigma[(j, kernel.mono_div(lcm, ej))] = -one
-        for (k, shift), c in quot.items():
-            m = (k, shift)
-            s = sigma.get(m)
-            if s is None:
-                sigma[m] = -c
-            else:
-                s = s - c
-                if s:
-                    sigma[m] = s
-                else:
-                    del sigma[m]
-        if sigma:
-            syz.append(sigma)
+        sigma = {(i, di): one, (j, dj): -one}
+        mod_sub_shifted(sigma, one, _zero_exp(gb[i]), quot)
+        syz.append(sigma)
     return syz
 
 
@@ -294,21 +277,21 @@ def syzygies_of_columns(
     live = [(j, e) for j, e in enumerate(inputs) if e]
     if not live:
         return []
-    gb, leads, reps = module_groebner([e for _, e in live], order, budget, track=True)
+    gb, leads, reps = module_groebner([e for _, e in live], order, budget)
     out: list[dict] = []
     for sigma in syzygies_of_groebner(gb, leads, order):
         mapped: dict = {}
         for (i, u), c in sigma.items():
-            _rep_sub_shifted(mapped, -c, u, reps[i])
+            mod_sub_shifted(mapped, -c, u, reps[i])
         if mapped:
             out.append(_relabel(mapped, live))
     for idx, (j, elem) in enumerate(live):
-        rem, quot = mod_reduce(elem, gb, leads, order, track=True)
+        rem, quot = mod_reduce(elem, gb, leads, order)
         if rem:
             raise AssertionError("input column did not reduce to zero modulo its basis")
         rel: dict = {(idx, _zero_exp(elem)): _one_of(elem)}
         for (k, shift), c in quot.items():
-            _rep_sub_shifted(rel, c, shift, reps[k])
+            mod_sub_shifted(rel, c, shift, reps[k])
         if rel:
             out.append(_relabel(rel, live))
     return out

@@ -227,14 +227,6 @@ class MultiPoly:
     def coefficient(self, exp: tuple[int, ...]):
         return self.terms.get(exp, Fraction(0))
 
-    def used_vars(self) -> set[int]:
-        used = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    used.add(i)
-        return used
-
     def map_coefficients(self, fn) -> "MultiPoly":
         return MultiPoly(self.ring, {e: fn(c) for e, c in self.terms.items()})
 

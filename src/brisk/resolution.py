@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import invariants, modules
 from .errors import BudgetExceededError
@@ -172,11 +173,10 @@ def _canonical_elements(elems: list[dict], order, mod: FreeModule):
         if not e:
             continue
         m = modules.mod_monic(e, order)
-        key = frozenset((mm, str(c)) for mm, c in m.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(m)
+        key = frozenset(m.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(m)
     out.sort(key=lambda e: (mod.degree_of(e), order.key(modules.mod_leading(e, order))))
     return out
 
@@ -204,48 +204,27 @@ def minimal_resolution(
 
     # Schreyer chain: step 1 is the Groebner basis, each further step the
     # syzygies of the previous one (already a basis in the induced order).
-    gb_elems = [{(0, e): c for e, c in g.terms.items()} for g in gb]
-    twists = [0]
     current_order = modules.BaseModuleOrder(order, (0,))
-    current = [modules.mod_monic(e, current_order) for e in gb_elems]
-    leads = [modules.mod_leading(e, current_order) for e in current]
-
-    twist_lists: list[list[int]] = [[0]]
-    matrices: list[list[list[MultiPoly]]] = []
-
+    current = [
+        modules.mod_monic({(0, e): c for e, c in g.terms.items()}, current_order) for g in gb
+    ]
+    target = FreeModule((0,))
+    steps: list[ResolutionStep] = []
     while current:
-        cols = modules.elements_to_columns(current, ring, len(twists))
-        matrices.append(cols)
-        module = FreeModule(tuple(twists))
-        step_twists = [module.degree_of(e) for e in current]
-        twist_lists.append(list(step_twists))
-        if len(matrices) > cap:
+        if len(steps) == cap:
             raise BudgetExceededError(
                 f"budget exhausted: resolution exceeded {cap} steps"
             )
-        syz = modules.syzygies_of_groebner(current, leads, current_order)
-        next_order = modules.SchreyerOrder(current_order, tuple(leads))
-        next_mod = FreeModule(tuple(step_twists))
-        syz = _canonical_elements(syz, next_order, next_mod)
-        twists = step_twists
-        current_order = next_order
-        current = syz
+        source = FreeModule(tuple(target.degree_of(e) for e in current))
+        cols = modules.elements_to_columns(current, ring, target.rank)
+        steps.append(ResolutionStep(source, target, tuple(tuple(r) for r in cols)))
         leads = [modules.mod_leading(e, current_order) for e in current]
+        syz = modules.syzygies_of_groebner(current, leads, current_order)
+        current_order = modules.SchreyerOrder(current_order, tuple(leads))
+        current = _canonical_elements(syz, current_order, source)
+        target = source
 
-    steps = _assemble_steps(ring, twist_lists, matrices)
-    steps = _minimalize(ring, steps)
-    return FreeResolution(ring, ideal, tuple(steps), True)
-
-
-def _assemble_steps(ring, twist_lists, matrices) -> list[ResolutionStep]:
-    steps = []
-    for k, mat in enumerate(matrices):
-        target = FreeModule(tuple(twist_lists[k]))
-        source = FreeModule(tuple(twist_lists[k + 1]))
-        steps.append(
-            ResolutionStep(source=source, target=target, matrix=tuple(tuple(r) for r in mat))
-        )
-    return steps
+    return FreeResolution(ring, ideal, tuple(_minimalize(ring, steps)), True)
 
 
 def _minimalize(ring: PolyRing, steps: list[ResolutionStep]) -> list[ResolutionStep]:
@@ -376,11 +355,10 @@ def _rank_at_point(matrix, point) -> int:
     return rank_dense([[_eval_entry(p, point) for p in row] for row in matrix])
 
 
-def determinant(matrix, ring: PolyRing) -> MultiPoly:
-    """Exact determinant of a square MultiPoly matrix (Laplace with memo)."""
-    n = len(matrix)
-    if n == 0:
-        return ring.one()
+def _minors(matrix, ring: PolyRing, size: int):
+    """Every size x size minor, row sets then column sets in lexicographic
+    order, by Laplace expansion along the first row with one memo shared
+    by all of them."""
     memo: dict = {}
 
     def rec(rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
@@ -404,17 +382,17 @@ def determinant(matrix, ring: PolyRing) -> MultiPoly:
         memo[key] = acc
         return acc
 
-    return rec(tuple(range(n)), tuple(range(n)))
-
-
-def _all_minors(matrix, ring: PolyRing, size: int):
-    from itertools import combinations
-
     nr, nc = len(matrix), len(matrix[0]) if matrix else 0
     for rows in combinations(range(nr), size):
         for cols in combinations(range(nc), size):
-            sub = [[matrix[i][j] for j in cols] for i in rows]
-            yield determinant(sub, ring)
+            yield rec(rows, cols)
+
+
+def determinant(matrix, ring: PolyRing) -> MultiPoly:
+    """Exact determinant of a square MultiPoly matrix (Laplace with memo)."""
+    if not matrix:
+        return ring.one()
+    return next(_minors(matrix, ring, len(matrix)))
 
 
 def generic_rank(matrix, ring: PolyRing) -> int:
@@ -430,7 +408,7 @@ def generic_rank(matrix, ring: PolyRing) -> int:
         point = [rng.randint(-40, 40) or 1 for _ in range(ring.nvars)]
         r0 = max(r0, _rank_at_point(matrix, point))
     while r0 < min(nr, nc):
-        nonzero = next((m for m in _all_minors(matrix, ring, r0 + 1) if m), None)
+        nonzero = next((m for m in _minors(matrix, ring, r0 + 1) if m), None)
         if nonzero is None:
             break
         r0 += 1
@@ -454,17 +432,8 @@ def fitting_ideal(
     if r == 0:
         # a zero map never drops below its generic rank
         return Ideal(res.ring, [res.ring.one()])
-    seen = set()
-    gens = []
-    for m in _all_minors(matrix, res.ring, r):
-        if not m:
-            continue
-        m = m.monic()
-        key = frozenset((e, str(c)) for e, c in m.terms.items())
-        if key not in seen:
-            seen.add(key)
-            gens.append(m)
-    return Ideal(res.ring, gens)
+    gens = dict.fromkeys(m.monic() for m in _minors(matrix, res.ring, r) if m)
+    return Ideal(res.ring, list(gens))
 
 
 def bef_codims(

@@ -202,6 +202,15 @@ class TestBench:
         assert "bs_exp=5/2" in out
         assert "notfound" in out
 
+    def test_cusp_range_means_odd_p(self, capsys):
+        assert main(["bench", "cusp", "--p", "3:7"]) == 0
+        ranged = _strip_ms(capsys.readouterr().out)
+        assert main(["bench", "cusp", "--p", "3,5,7"]) == 0
+        assert ranged == _strip_ms(capsys.readouterr().out)
+
+    def test_cusp_listed_even_p_exit_2(self, capsys):
+        assert main(["bench", "cusp", "--p", "3,4"]) == 2
+
     def test_deterministic_modulo_ms(self, tmp_path, capsys):
         args = ["bench", "macaulay-generic", "--d", "2", "--n", "2",
                 "--count", "2", "--seed", "7"]

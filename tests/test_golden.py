@@ -1,16 +1,23 @@
-"""Golden outputs of the sparse solver and the certificate search.
+"""Golden outputs of the sparse solver, the certificate search and the
+resolution commands of the CLI.
 
-The values were recorded with the full-rescan pivot selection that the
-incremental Markowitz bookkeeping in ``linalg.solve_sparse`` replaced.
+The solver values were recorded with the full-rescan pivot selection that
+the incremental Markowitz bookkeeping in ``linalg.solve_sparse`` replaced.
 Any change to the pivot rule (fewest live rows, then lowest column;
 shortest row, then lowest index) changes which free variables are set
-to 0, and so changes these exact vectors and cofactors.
+to 0, and so changes these exact vectors and cofactors.  The CLI outputs
+were recorded with the all-pairs Schreyer frame that the minimal-pair
+frame replaced; both must give the same minimal resolutions.
 """
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
 
 from brisk.certificate import minimal_degree, search_at_degree
+from brisk.cli import main
 from brisk.families import kollar, macaulay_generic
 from brisk.linalg import solve_sparse
 from brisk.polyring import format_poly
@@ -99,3 +106,56 @@ class TestTiedPivots:
             F(-17, 4), F(-19, 4), F(-3, 2), F(27, 4),
             F(15, 4), F(25, 4), F(0), F(0),
         ]
+
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+
+CUBIC_RESOLUTION = (
+    "           0     1     2\n"
+    "    0:     1     .     .\n"
+    "    1:     .     3     2\n"
+    "regularity: 2\n"
+    "drop-rank codimensions: k=1: 2, k=2: 2\n"
+)
+
+NA_MACAULAY = "caller did not assert the no-common-zeros hypothesis"
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["resolve", "twisted_cubic.txt"], CUBIC_RESOLUTION),
+    (["resolve", "twisted_cubic.txt", "--char", "32003"], CUBIC_RESOLUTION),
+    (["resolve", "cusp5.txt", "--homogenize-saturate"], (
+        "           0     1\n"
+        "    0:     1     .\n"
+        "    4:     .     1\n"
+        "regularity: 5\n"
+        "drop-rank codimensions: k=1: 1\n"
+    )),
+    (["bounds", "cusp5.txt", "--compute-invariants"], (
+        "inputs: N=2;n=1;m=1;d=1;degPhi=1;degX=5;regX=5;ell=1;mu0=3;mu'=None;cinf=mu\n"
+        "  hickel_i     21\n"
+        "  power        21\n"
+        "  hickel_ii    n/a (needs muPrime (smooth: 0))\n"
+        f"  macaulay_pn  n/a ({NA_MACAULAY})\n"
+        f"  macaulay_x   n/a ({NA_MACAULAY})\n"
+        "  jelonek      5\n"
+        "  hermann      17  (asymptotic comparison only)\n"
+        "\n"
+        "hickel_i\t21\t-\td61b91b1d5f3\n"
+        "power\t21\t-\td61b91b1d5f3\n"
+        "hickel_ii\tNA\tneeds muPrime (smooth: 0)\td61b91b1d5f3\n"
+        f"macaulay_pn\tNA\t{NA_MACAULAY}\td61b91b1d5f3\n"
+        f"macaulay_x\tNA\t{NA_MACAULAY}\td61b91b1d5f3\n"
+        "jelonek\t5\t-\td61b91b1d5f3\n"
+        "hermann\t17\tasymptotic comparison only\td61b91b1d5f3\n"
+    )),
+    (["invariants", "twisted_cubic.txt"], (
+        "hilbert numerator: 1 - 3*t^2 + 2*t^3\n"
+        "projective dimension: 1\n"
+        "projective degree: 3\n"
+    )),
+])
+def test_cli_resolution_output(argv, stdout, capsys):
+    command, name, *flags = argv
+    assert main([command, str(INSTANCES / name), *flags]) == 0
+    assert capsys.readouterr().out == stdout

@@ -2,12 +2,14 @@
 Fitting ideals, and the drop-rank codimension bounds."""
 
 import itertools
+from math import comb
 
 import pytest
 
 from conftest import skew_lines_ideal, twisted_cubic_ideal
 from oracles import syzygy_dimension_at_degree
 
+from brisk import resolution
 from brisk.errors import BudgetExceededError
 from brisk.groebner import Ideal, buchberger, membership
 from brisk.invariants import hilbert_data
@@ -30,6 +32,29 @@ P3 = PolyRing(("z0", "z1", "z2", "z3"))
 
 def cusp_proj(p: int) -> Ideal:
     return Ideal(P2, [P2.parse(f"z1^2*z0^{p - 2} - z2^{p}")])
+
+
+def rational_normal_curve(d: int) -> Ideal:
+    """2x2 minors of [[z0 .. z_{d-1}], [z1 .. z_d]] in P^d."""
+    ring = PolyRing(tuple(f"z{i}" for i in range(d + 1)))
+    z = ring.gens()
+    return Ideal(
+        ring, [z[i] * z[j + 1] - z[i + 1] * z[j] for i in range(d) for j in range(i + 1, d)]
+    )
+
+
+def assert_hilbert_identity(res: FreeResolution) -> None:
+    """The alternating sum of the twists reproduces the Hilbert numerator
+    (an independent consistency identity)."""
+    num = {0: 1}
+    sign = -1
+    for step in res.steps:
+        for d in step.source.twists:
+            num[d] = num.get(d, 0) + sign
+        sign = -sign
+    data = hilbert_data(buchberger(res.ideal))
+    want = {i: c for i, c in enumerate(data.numerator) if c}
+    assert {k: v for k, v in num.items() if v} == want
 
 
 class TestSyzygies:
@@ -66,9 +91,7 @@ class TestSyzygies:
 
         base = modules.BaseModuleOrder(grevlex(), step.target.twists)
         cols = modules.columns_to_elements([list(r) for r in step.matrix])
-        gb, leads, _ = modules.module_groebner(
-            [cols[j] for j in linear], base, track=False
-        )
+        gb, leads, _ = modules.module_groebner([cols[j] for j in linear], base)
         for j in range(step.source.rank):
             if j in linear:
                 continue
@@ -131,20 +154,44 @@ class TestMinimalResolution:
         res.validate(check_ranks=True)
 
     def test_resolution_exactness_via_hilbert(self):
-        # alternating sum of twist contributions reproduces the Hilbert
-        # numerator (an independent consistency identity)
         for ideal in [twisted_cubic_ideal(), skew_lines_ideal(), cusp_proj(5)]:
-            res = minimal_resolution(ideal)
-            num = dict()
-            num[0] = 1
-            sign = -1
-            for step in res.steps:
-                for d in step.source.twists:
-                    num[d] = num.get(d, 0) + sign
-                sign = -sign
-            data = hilbert_data(buchberger(ideal))
-            want = {i: c for i, c in enumerate(data.numerator) if c}
-            assert {k: v for k, v in num.items() if v} == want
+            assert_hilbert_identity(minimal_resolution(ideal))
+
+
+class TestMinimalFrame:
+    """The Schreyer frame keeps only the minimal pairs, so frames stay
+    within the default step cap nvars + 2."""
+
+    @pytest.mark.parametrize("d", [5, 6])
+    def test_rational_normal_curve_at_default_caps(self, d):
+        res = minimal_resolution(rational_normal_curve(d))
+        # Eagon-Northcott: k * C(d, k+1) generators in twist k + 1
+        assert betti(res) == {(k, k + 1): k * comb(d, k + 1) for k in range(1, d)}
+        res.validate()
+        assert_hilbert_identity(res)
+
+    def test_rnc5_frame_is_already_minimal(self, monkeypatch):
+        frames = []
+        minimalize = resolution._minimalize
+
+        def spy(ring, steps):
+            frames.append([step.source.rank for step in steps])
+            return minimalize(ring, steps)
+
+        monkeypatch.setattr(resolution, "_minimalize", spy)
+        res = minimal_resolution(rational_normal_curve(5))
+        assert frames == [[10, 20, 15, 4]]
+        assert [step.source.rank for step in res.steps] == frames[0]
+
+    def test_random_plane_ideal_within_step_cap(self):
+        # the all-pairs frame of this ideal exceeded 5 steps
+        R = PolyRing(("x0", "x1", "x2"))
+        gens = ["-2*x0*x1 - x2^2", "-x0^2 + 2*x1*x2 - 2*x2^2", "-x1^2 - x0*x2", "-x0^2"]
+        res = minimal_resolution(Ideal(R, [R.parse(g) for g in gens]))
+        assert betti(res) == {(1, 2): 4, (2, 3): 2, (2, 4): 3, (3, 5): 2}
+        assert regularity(res) == 3
+        res.validate()
+        assert_hilbert_identity(res)
 
 
 class TestBetti:
