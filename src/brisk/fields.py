@@ -2,8 +2,13 @@
 
 Certificates and all verification arithmetic stay over Q; a prime field
 (default suggestion p = 32003) is offered purely to speed up resolution
-and invariant computations on larger inputs.  Elements support the same
-arithmetic protocol as Fraction, so the polynomial kernels work unchanged.
+and invariant computations on larger inputs.  ``GFElement`` is the
+coefficient type of MultiPoly values over GF(p): it supports the same
+arithmetic protocol as Fraction, so polynomial arithmetic, module
+reductions and ``GroebnerBasis.normal_form`` use it directly.  The
+Buchberger loop does not: ``groebner.buchberger`` takes p from the first
+GFElement among the generators, reduces on plain ints mod p and turns
+the finished basis back into GFElements.
 """
 
 from __future__ import annotations

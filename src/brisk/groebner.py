@@ -5,6 +5,15 @@ elimination, and saturation.  Pair selection follows the normal strategy
 (smallest lcm degree first) with Buchberger's coprimality and chain
 criteria for pruning, so output is deterministic for a fixed input.
 
+The Buchberger loop runs on plain ints.  Over Q every basis element is a
+primitive integer polynomial with a positive lead and S-polynomials are
+reduced fraction-free; over GF(p) (any GFElement among the generators)
+coefficients are ints mod p and basis elements are monic.  Either way each
+remainder is a nonzero scalar multiple of the one over the field, so the
+pairs, leads and reduction counts are those of field arithmetic.  The
+finished basis goes back to monic Fraction or GFElement coefficients
+before its tail reduction, and a ``GroebnerBasis`` holds only those.
+
 All computations respect a configurable resource budget; exceeding it
 raises BudgetExceededError rather than ever returning a wrong basis.
 """
@@ -12,10 +21,14 @@ raises BudgetExceededError rather than ever returning a wrong basis.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from . import kernel
 from .errors import BudgetExceededError, RingMismatchError
+from .fields import GF, GFElement
 from .orders import MonomialOrder, elim, grevlex, key_of
 from .polyring import MultiPoly, PolyRing
 
@@ -69,18 +82,17 @@ class GroebnerBasis:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "basis", tuple(basis))
         spec = order.spec()
-        reducers = []
-        for g in self.basis:
-            lead = kernel.leading_exponent(g.terms, spec)
-            tail = tuple((e, c) for e, c in g.terms.items() if e != lead)
-            reducers.append((lead, tail))
-        object.__setattr__(self, "_reducers", tuple(reducers))
+        reducers = tuple(
+            kernel.reducer(kernel.leading_exponent(g.terms, spec), g.terms)
+            for g in self.basis
+        )
+        object.__setattr__(self, "_reducers", reducers)
 
     def __setattr__(self, *a):
         raise AttributeError("GroebnerBasis is immutable")
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
-        return [lead for lead, _ in self._reducers]
+        return [r[0] for r in self._reducers]
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
         if p.ring != self.ring:
@@ -114,8 +126,69 @@ def s_polynomial(g1: MultiPoly, g2: MultiPoly, order: MonomialOrder) -> MultiPol
     return m1 * g1 - m2 * g2
 
 
-def _nf_terms(terms, reducers, spec):
-    return kernel.normal_form(terms, reducers, spec)
+def _nf_terms(terms, reducers, spec, modulus=None):
+    return kernel.normal_form(terms, reducers, spec, modulus)
+
+
+def _modulus(gens) -> int | None:
+    """p when some generator has a GFElement coefficient, else None (Q).
+    Inputs may mix the two: saturate adds 1 - t*f to GF(p) generators."""
+    for g in gens:
+        for c in g.terms.values():
+            if isinstance(c, GFElement):
+                return c.p
+    return None
+
+
+def _to_ints(terms: dict, modulus: int | None) -> dict:
+    """Coefficients as ints mod p, or over Q cleared of denominators."""
+    if modulus:
+        field = GF(modulus)
+        return {e: field(c).v for e, c in terms.items()}
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _normalized(terms: dict, lead, modulus: int | None) -> dict:
+    """Monic mod p, or primitive with a positive lead over Z."""
+    if modulus:
+        inv = pow(terms[lead], -1, modulus)
+        return terms if inv == 1 else {e: v * inv % modulus for e, v in terms.items()}
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    return terms if g == 1 else {e: v // g for e, v in terms.items()}
+
+
+def _s_poly(ri, rj, lcm_exp, modulus: int | None) -> dict:
+    """A nonzero multiple of S(g_i, g_j) from the reducer tuples of g_i
+    and g_j; the lead terms cancel and are left out."""
+    add = operator.add
+    li, _, ai, tail_i = ri
+    lj, _, aj, tail_j = rj
+    g = gcd(ai, aj)
+    fi, fj = aj // g, ai // g
+    si = tuple(map(operator.sub, lcm_exp, li))
+    sj = tuple(map(operator.sub, lcm_exp, lj))
+    s = {tuple(map(add, e, si)): fi * v for e, v in tail_i}
+    for e, v in tail_j:
+        t = tuple(map(add, e, sj))
+        c = s.get(t, 0) - fj * v
+        if modulus:
+            c %= modulus
+        if c:
+            s[t] = c
+        else:
+            s.pop(t, None)
+    return s
+
+
+def _from_ints(terms: dict, lead, modulus: int | None) -> dict:
+    """Back to monic Fraction or GFElement coefficients."""
+    if modulus:
+        return {e: GFElement(v, modulus) for e, v in terms.items()}
+    lc = terms[lead]
+    return {e: Fraction(v, lc) for e, v in terms.items()}
 
 
 def buchberger(
@@ -126,32 +199,33 @@ def buchberger(
     """Reduced Groebner basis of ``ideal`` with respect to ``order``."""
     ring = ideal.ring
     spec = order.spec()
+    modulus = _modulus(ideal.gens)
 
     basis_terms: list[dict] = []
     leads: list[tuple[int, ...]] = []
+    masks: list[int] = []
     reducers: list[tuple] = []
 
     def push(terms: dict):
         lead = kernel.leading_exponent(terms, spec)
-        c = terms[lead]
-        one = c / c
-        if c != one:
-            terms = {e: v / c for e, v in terms.items()}
+        terms = _normalized(terms, lead, modulus)
+        r = kernel.reducer(lead, terms)
         basis_terms.append(terms)
         leads.append(lead)
-        reducers.append((lead, tuple((e, v) for e, v in terms.items() if e != lead)))
+        masks.append(r[1])
+        reducers.append(r)
 
     pending: list[tuple] = []  # heap of (lcm degree, i, j)
     in_queue: set[tuple[int, int]] = set()
 
     def queue_pairs(j: int):
         for i in range(j):
-            lcm = kernel.mono_lcm(leads[i], leads[j])
-            heapq.heappush(pending, (kernel.mono_deg(lcm), i, j))
+            lcm_exp = kernel.mono_lcm(leads[i], leads[j])
+            heapq.heappush(pending, (kernel.mono_deg(lcm_exp), i, j))
             in_queue.add((i, j))
 
     for g in ideal.gens:
-        push(dict(g.terms))
+        push(_to_ints(g.terms, modulus))
         queue_pairs(len(basis_terms) - 1)
 
     pops = 0
@@ -170,14 +244,15 @@ def buchberger(
                 f"{budget.max_degree} (raise max_degree)"
             )
         li, lj = leads[i], leads[j]
-        lcm = kernel.mono_lcm(li, lj)
+        lcm_exp = kernel.mono_lcm(li, lj)
         # coprimality criterion
-        if lcm == kernel.mono_mul(li, lj):
+        if lcm_exp == kernel.mono_mul(li, lj):
             continue
         # chain criterion
+        outside = ~(masks[i] | masks[j])
         skip = False
         for k in range(len(leads)):
-            if k in (i, j) or not kernel.mono_divides(leads[k], lcm):
+            if k in (i, j) or masks[k] & outside or not kernel.mono_divides(leads[k], lcm_exp):
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -186,24 +261,18 @@ def buchberger(
                 break
         if skip:
             continue
-        # S-polynomial reduction (both generators are monic)
-        si = kernel.mono_div(lcm, li)
-        sj = kernel.mono_div(lcm, lj)
-        s = kernel.poly_sub(
-            kernel.poly_mul({si: _one_like(basis_terms[i])}, basis_terms[i]),
-            kernel.poly_mul({sj: _one_like(basis_terms[j])}, basis_terms[j]),
-        )
-        nf = _nf_terms(s, reducers, spec)
+        s = _s_poly(reducers[i], reducers[j], lcm_exp, modulus)
+        nf = _nf_terms(s, reducers, spec, modulus)
         if nf:
             push(nf)
             queue_pairs(len(basis_terms) - 1)
 
+    # convert in place and drop the integer tails first, so the integer
+    # and the field copy of the basis are never held at once
+    reducers.clear()
+    for k, lead in enumerate(leads):
+        basis_terms[k] = _from_ints(basis_terms[k], lead, modulus)
     return GroebnerBasis(ring, order, _reduce_basis(ring, basis_terms, order))
-
-
-def _one_like(terms: dict):
-    c = next(iter(terms.values()))
-    return c / c
 
 
 def _reduce_basis(ring: PolyRing, basis_terms: list[dict], order: MonomialOrder):
@@ -216,14 +285,10 @@ def _reduce_basis(ring: PolyRing, basis_terms: list[dict], order: MonomialOrder)
         if any(kernel.mono_divides(l2, lead) for l2, _ in minimal):
             continue
         minimal.append((lead, t))
+    reducers = [kernel.reducer(lead, t) for lead, t in minimal]
     out = []
     for idx, (lead, t) in enumerate(minimal):
-        others = [
-            (l2, tuple((e, c) for e, c in t2.items() if e != l2))
-            for k, (l2, t2) in enumerate(minimal)
-            if k != idx
-        ]
-        nf = _nf_terms(t, others, spec)
+        nf = _nf_terms(t, reducers[:idx] + reducers[idx + 1 :], spec)
         out.append(MultiPoly(ring, nf))
     return out
 

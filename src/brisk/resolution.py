@@ -395,6 +395,16 @@ def determinant(matrix, ring: PolyRing) -> MultiPoly:
     return next(_minors(matrix, ring, len(matrix)))
 
 
+def _point_rank(matrix, ring: PolyRing) -> int:
+    """Largest rank at four random integer points: a lower bound on the
+    rank over the fraction field, found without expanding any minor."""
+    rng = random.Random(0xB125C)
+    return max(
+        _rank_at_point(matrix, [rng.randint(-40, 40) or 1 for _ in range(ring.nvars)])
+        for _ in range(4)
+    )
+
+
 def generic_rank(matrix, ring: PolyRing) -> int:
     """Rank over the fraction field: a random integer specialization gives
     a fast lower bound, confirmed by checking that all larger minors
@@ -402,17 +412,20 @@ def generic_rank(matrix, ring: PolyRing) -> int:
     if not matrix or not matrix[0]:
         return 0
     nr, nc = len(matrix), len(matrix[0])
-    rng = random.Random(0xB125C)
-    r0 = 0
-    for _ in range(4):
-        point = [rng.randint(-40, 40) or 1 for _ in range(ring.nvars)]
-        r0 = max(r0, _rank_at_point(matrix, point))
+    r0 = _point_rank(matrix, ring)
     while r0 < min(nr, nc):
         nonzero = next((m for m in _minors(matrix, ring, r0 + 1) if m), None)
         if nonzero is None:
             break
         r0 += 1
     return r0
+
+
+def _check_minor_cap(rank: int, minor_cap: int) -> None:
+    if rank > minor_cap:
+        raise BudgetExceededError(
+            f"budget exhausted: rank {rank} exceeds the {minor_cap}x{minor_cap} minor cap"
+        )
 
 
 def fitting_ideal(
@@ -424,11 +437,12 @@ def fitting_ideal(
         raise ValueError(f"no step {k} in a length-{res.length} resolution")
     step = res.steps[k - 1]
     matrix = [list(row) for row in step.matrix]
+    if matrix and matrix[0]:
+        # a point rank never exceeds the generic rank, so this refusal is
+        # exact and spares the symbolic minors of a rank over the cap
+        _check_minor_cap(_point_rank(matrix, res.ring), minor_cap)
     r = generic_rank(matrix, res.ring)
-    if r > minor_cap:
-        raise BudgetExceededError(
-            f"budget exhausted: rank {r} exceeds the {minor_cap}x{minor_cap} minor cap"
-        )
+    _check_minor_cap(r, minor_cap)
     if r == 0:
         # a zero map never drops below its generic rank
         return Ideal(res.ring, [res.ring.one()])

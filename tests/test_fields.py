@@ -4,8 +4,8 @@ import pytest
 
 from conftest import skew_lines_ideal, twisted_cubic_ideal
 
-from brisk.fields import GF, poly_to_gf
-from brisk.groebner import Ideal, buchberger
+from brisk.fields import GF, GFElement, poly_to_gf
+from brisk.groebner import Ideal, buchberger, saturate
 from brisk.invariants import hilbert_data
 from brisk.polyring import PolyRing
 from brisk.resolution import betti, minimal_resolution, regularity
@@ -66,3 +66,19 @@ def test_cusp_regularity_over_gf():
     P = PolyRing(("z0", "z1", "z2"))
     ideal = to_gf(Ideal(P, [P.parse("z1^2*z0^3 - z2^5")]))
     assert regularity(minimal_resolution(ideal)) == 5
+
+
+def test_mixed_coefficients_give_the_gf_basis():
+    # saturating by a variable built over Q hands buchberger Fraction
+    # coefficients next to GFElements; every coefficient of the basis is
+    # still a GFElement, and the basis is that of the GF(p) images
+    F = GF(32003)
+    R = PolyRing(("z0", "x", "y"))
+    z0, x, y = R.gens()
+    ideal = to_gf(Ideal(R, [x * y * z0 - 2 * x**2 * z0, x**3 - 3 * y * z0**2 + y**2 * x]))
+    mixed = saturate(ideal, z0)
+    assert mixed.gens == saturate(ideal, poly_to_gf(z0, F)).gens
+    assert all(type(c) is GFElement for g in mixed.gens for c in g.terms.values())
+    assert [str(g) for g in mixed.gens] == [
+        "1*x*y + 16001*y^2", "1*x^2 + 24002*y^2", "1*z0^2*y + 9334*y^3"
+    ]

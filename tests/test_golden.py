@@ -7,9 +7,13 @@ Any change to the pivot rule (fewest live rows, then lowest column;
 shortest row, then lowest index) changes which free variables are set
 to 0, and so changes these exact vectors and cofactors.  The CLI outputs
 were recorded with the all-pairs Schreyer frame that the minimal-pair
-frame replaced; both must give the same minimal resolutions.
+frame replaced; both must give the same minimal resolutions.  The reduced
+Groebner bases were recorded with the Buchberger loop on ``Fraction`` and
+``GFElement`` coefficients that the integer engine replaced: a reduced
+basis is canonical, so its text and coefficient types must not move.
 """
 
+import hashlib
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -19,8 +23,11 @@ import pytest
 from brisk.certificate import minimal_degree, search_at_degree
 from brisk.cli import main
 from brisk.families import kollar, macaulay_generic
+from brisk.fields import GF, poly_to_gf
+from brisk.groebner import Ideal, buchberger, eliminate, saturate
 from brisk.linalg import solve_sparse
-from brisk.polyring import format_poly
+from brisk.orders import grevlex, lex
+from brisk.polyring import PolyRing, format_poly
 
 
 def _cofactor_strings(cert):
@@ -159,3 +166,122 @@ def test_cli_resolution_output(argv, stdout, capsys):
     command, name, *flags = argv
     assert main([command, str(INSTANCES / name), *flags]) == 0
     assert capsys.readouterr().out == stdout
+
+
+# ------------------------------------------------------- reduced bases
+
+
+def _cyclic(n):
+    ring = PolyRing(tuple(f"x{i}" for i in range(n)))
+    x = ring.gens()
+    gens = []
+    for k in range(1, n):
+        total = ring.zero()
+        for i in range(n):
+            term = ring.one()
+            for j in range(k):
+                term = term * x[(i + j) % n]
+            total = total + term
+        gens.append(total)
+    prod = ring.one()
+    for v in x:
+        prod = prod * v
+    return Ideal(ring, gens + [prod - ring.one()])
+
+
+def _katsura(n):
+    ring = PolyRing(tuple(f"u{i}" for i in range(n + 1)))
+    u = ring.gens()
+
+    def at(k):
+        return u[abs(k)] if abs(k) <= n else ring.zero()
+
+    gens = []
+    for m in range(n):
+        total = ring.zero()
+        for l in range(-n, n + 1):
+            total = total + at(l) * at(m - l)
+        gens.append(total - u[m])
+    total = ring.zero()
+    for l in range(-n, n + 1):
+        total = total + at(l)
+    return Ideal(ring, gens + [total - ring.one()])
+
+
+GF_P = GF(32003)
+R3 = PolyRing(("x", "y", "z"))
+_x, _y, _z = R3.gens()
+NONLINEAR = Ideal(R3, [_x**2 + _y * _z - 2, _y**2 - _x * _z + _y, _x * _y * _z - 1])
+
+
+def _basis_lines(polys):
+    """``str(g) :: coefficient types`` for every element, in order."""
+    return [
+        f"{g} :: {','.join(sorted({type(c).__name__ for c in g.terms.values()}))}"
+        for g in polys
+    ]
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_katsura4_q_basis():
+    lines = _basis_lines(buchberger(_katsura(4), grevlex()))
+    assert len(lines) == 13
+    assert lines[-1].startswith("u4^5 - 18341/42588*u4^4 + 34646/351351*u1*u4^2")
+    assert _digest(lines) == "bcb4daffeed0ec448e59f458a1db30ae3d476f95619428d6932d3cff19f93638"
+
+
+def test_cyclic5_gf32003_basis():
+    c5 = _cyclic(5)
+    ideal = Ideal(c5.ring, [poly_to_gf(g, GF_P) for g in c5.gens])
+    lines = _basis_lines(buchberger(ideal, grevlex()))
+    assert len(lines) == 20
+    assert all(line.endswith(" :: GFElement") for line in lines)
+    assert _digest(lines) == "11c78528cbeb07eab2ad19aa36907c8600aa97e949d5547b6100b6aebb77b1a3"
+
+
+def test_lex_basis():
+    assert _basis_lines(buchberger(NONLINEAR, lex())) == [
+        "z^9 - 4*z^7 - 5*z^6 + 4*z^5 + 8*z^4 + 2*z^3 - 2*z^2 + 1 :: Fraction",
+        "-20/49*z^8 + 12/49*z^7 + 9/7*z^6 + 72/49*z^5 - 12/7*z^4 - 90/49*z^3"
+        " - 12/7*z^2 + y + 12/49*z + 32/49 :: Fraction",
+        "23/49*z^8 - 32/49*z^7 - 8/7*z^6 - 3/49*z^5 + 18/7*z^4 - 68/49*z^3"
+        " - z^2 + x + 52/49*z + 64/49 :: Fraction",
+    ]
+
+
+def test_eliminate_basis():
+    assert _basis_lines(eliminate(NONLINEAR, 1).gens) == [
+        "y^3 + y^2 - 1 :: Fraction",
+        "z^4 + y^2*z - 4*y*z^2 + 2*y^2 + y*z - 4*z^2 + 4*y + z + 2 :: Fraction",
+        "y*z^3 - 2*z^2 + y + 1 :: Fraction",
+        "y^2*z^2 + y*z^2 - 1/2*z^3 - 1/2*y^2 - 1/2*y - 1/2 :: Fraction",
+    ]
+
+
+def test_fraction_inputs_with_negative_leads():
+    ideal = Ideal(R3, [
+        F(-3, 4) * _x**2 * _y + F(5, 6) * _z**2,
+        F(-7, 2) * _y**2 + F(1, 3) * _x * _z - 2,
+        F(-2, 5) * _x * _z**2 + _y,
+    ])
+    assert _basis_lines(buchberger(ideal, grevlex())) == [
+        "y^2 - 2/21*x*z + 4/7 :: Fraction",
+        "y*z^2 + 18/35*x^2 - 5/21*z :: Fraction",
+        "x*z^2 - 5/2*y :: Fraction",
+        "x^2*y - 10/9*z^2 :: Fraction",
+        "x^3 - 25/9 :: Fraction",
+        "z^4 - 3/14*x^2*z + 9/7*x :: Fraction",
+    ]
+
+
+def test_saturation_over_gf32003():
+    # saturate hands buchberger 1 - t*f: a Fraction(1) next to GFElements
+    gens = [_x * _y**2 - 2 * _x * _z + _x**2, _x * _z**2 + 3 * _x * _y - 5 * _x]
+    ideal = Ideal(R3, [poly_to_gf(g, GF_P) for g in gens])
+    assert _basis_lines(saturate(ideal, poly_to_gf(_x, GF_P)).gens) == [
+        "1*z^2 + 3*y + 31998 :: GFElement",
+        "1*y^2 + 1*x + 32001*z :: GFElement",
+    ]

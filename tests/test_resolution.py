@@ -281,6 +281,18 @@ class TestFittingAndRankLoci:
         with pytest.raises(BudgetExceededError):
             fitting_ideal(res, 1, minor_cap=0)
 
+    def test_minor_cap_refuses_before_symbolic_minors(self, monkeypatch):
+        # RNC5's second map (10 x 20) has rank 9 at a random point; its
+        # symbolic confirmation expands all 184,756 10 x 10 minors
+        res = minimal_resolution(rational_normal_curve(5))
+
+        def symbolic(matrix, ring):
+            raise AssertionError("generic_rank ran before the cap check")
+
+        monkeypatch.setattr(resolution, "generic_rank", symbolic)
+        with pytest.raises(BudgetExceededError, match=r"rank 9 exceeds the 6x6 minor cap"):
+            fitting_ideal(res, 2)
+
     def test_bef_codims_corpus(self):
         # codim Z_k >= k on everything; >= k+1 for k >= 1 + codim on the
         # pure-dimensional radical members
