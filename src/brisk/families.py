@@ -104,8 +104,9 @@ def macaulay_generic(
     retries: int = 50,
 ) -> FamilyInstance:
     """n+1 random degree-d generators with Phi = 1, resampled until the
-    homogenized system is empty at infinity (so the classical bound
-    d(n+1) - n applies)."""
+    homogenized system is empty at infinity.  The classical bound
+    d(n+1) - n applies when the system has no affine zero either, which
+    a certificate of 1 shows; a sample may have one."""
     ring = _affine_ring(n)
     proj = ring.extend_front("z0")
     for _ in range(retries):

@@ -1,9 +1,12 @@
 """Buchberger-based Groebner engine.
 
 Provides reduced Groebner bases, normal forms, ideal membership,
-elimination, and saturation.  Pair selection follows the normal strategy
-(smallest lcm degree first) with Buchberger's coprimality and chain
-criteria for pruning, so output is deterministic for a fixed input.
+elimination, and saturation.  Each new basis element goes through the
+Gebauer-Moeller update (criteria B_k, M and F and the coprimality
+criterion), and pairs are taken smallest sugar first (Giovini et al.),
+ties broken by lcm degree and then by index, so output is deterministic
+for a fixed input.  For homogeneous input the sugar of a pair is its lcm
+degree, which makes the selection the normal strategy.
 
 The Buchberger loop runs on plain ints.  Over Q every basis element is a
 primitive integer polynomial with a positive lead and S-polynomials are
@@ -35,7 +38,13 @@ from .polyring import MultiPoly, PolyRing
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource caps for basis computations and certificate searches."""
+    """Resource caps for basis computations and certificate searches.
+
+    ``max_pairs`` counts the S-pairs taken off the queue for reduction;
+    pairs that the pair criteria discard never count.  ``max_degree`` caps
+    the lcm degree of each pair taken.  ``max_matrix_entries`` caps the
+    linear systems of certificate searches.
+    """
 
     max_pairs: int = 200_000
     max_degree: int | None = None
@@ -73,14 +82,17 @@ class Ideal:
 
 
 class GroebnerBasis:
-    """A reduced, monic Groebner basis (canonical for the given order)."""
+    """A reduced, monic Groebner basis (canonical for the given order).
+
+    The constructor makes its elements monic: ``normal_form`` divides by
+    monic field reducers."""
 
     __slots__ = ("ring", "order", "basis", "_reducers")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, basis):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "basis", tuple(g.monic(order) for g in basis))
         spec = order.spec()
         reducers = tuple(
             kernel.reducer(kernel.leading_exponent(g.terms, spec), g.terms)
@@ -203,37 +215,62 @@ def buchberger(
 
     basis_terms: list[dict] = []
     leads: list[tuple[int, ...]] = []
-    masks: list[int] = []
+    sugars: list[int] = []
     reducers: list[tuple] = []
+    # elements whose lead no later lead divides; only they get new pairs,
+    # while every element stays a reducer in its list position
+    active: list[int] = []
+    pending: list[tuple] = []  # heap of (sugar, lcm degree, i, j, lcm)
 
-    def push(terms: dict):
-        lead = kernel.leading_exponent(terms, spec)
-        terms = _normalized(terms, lead, modulus)
-        r = kernel.reducer(lead, terms)
+    def push(terms: dict, sugar: int):
+        """Append a basis element h and make the Gebauer-Moeller update."""
+        lh = kernel.leading_exponent(terms, spec)
+        terms = _normalized(terms, lh, modulus)
+        h = len(basis_terms)
         basis_terms.append(terms)
-        leads.append(lead)
-        masks.append(r[1])
-        reducers.append(r)
-
-    pending: list[tuple] = []  # heap of (lcm degree, i, j)
-    in_queue: set[tuple[int, int]] = set()
-
-    def queue_pairs(j: int):
-        for i in range(j):
-            lcm_exp = kernel.mono_lcm(leads[i], leads[j])
-            heapq.heappush(pending, (kernel.mono_deg(lcm_exp), i, j))
-            in_queue.add((i, j))
+        leads.append(lh)
+        sugars.append(sugar)
+        reducers.append(kernel.reducer(lh, terms))
+        # B_k: drop (i, j) when lt(h) divides lcm(i, j) and lcm(i, h) and
+        # lcm(j, h) both differ from it
+        kept = [
+            p
+            for p in pending
+            if not kernel.mono_divides(lh, p[4])
+            or kernel.mono_lcm(leads[p[2]], lh) == p[4]
+            or kernel.mono_lcm(leads[p[3]], lh) == p[4]
+        ]
+        if len(kept) < len(pending):
+            pending[:] = kept
+            heapq.heapify(pending)
+        # M and F: one new pair (i, h) per minimal lcm, none where that
+        # lcm is also reached by a coprime pair (which reduces to zero)
+        first: dict[tuple, int] = {}
+        coprime: set[tuple] = set()
+        for i in active:
+            lcm_exp = kernel.mono_lcm(leads[i], lh)
+            first.setdefault(lcm_exp, i)
+            if lcm_exp == kernel.mono_mul(leads[i], lh):
+                coprime.add(lcm_exp)
+        gap_h = sugar - kernel.mono_deg(lh)
+        for lcm_exp in kernel.minimal_generators(first):
+            if lcm_exp in coprime:
+                continue
+            i = first[lcm_exp]
+            deg = kernel.mono_deg(lcm_exp)
+            pair_sugar = max(sugars[i] - kernel.mono_deg(leads[i]), gap_h) + deg
+            heapq.heappush(pending, (pair_sugar, deg, i, h, lcm_exp))
+        active[:] = [i for i in active if not kernel.mono_divides(lh, leads[i])]
+        active.append(h)
 
     for g in ideal.gens:
-        push(_to_ints(g.terms, modulus))
-        queue_pairs(len(basis_terms) - 1)
+        push(_to_ints(g.terms, modulus), g.degree())
 
-    pops = 0
+    taken = 0
     while pending:
-        deg, i, j = heapq.heappop(pending)
-        in_queue.discard((i, j))
-        pops += 1
-        if pops > budget.max_pairs:
+        sugar, deg, i, j, lcm_exp = heapq.heappop(pending)
+        taken += 1
+        if taken > budget.max_pairs:
             raise BudgetExceededError(
                 f"budget exhausted: more than {budget.max_pairs} S-pairs "
                 "(raise max_pairs / --budget-pairs)"
@@ -243,29 +280,10 @@ def buchberger(
                 f"budget exhausted: S-pair lcm degree {deg} exceeds "
                 f"{budget.max_degree} (raise max_degree)"
             )
-        li, lj = leads[i], leads[j]
-        lcm_exp = kernel.mono_lcm(li, lj)
-        # coprimality criterion
-        if lcm_exp == kernel.mono_mul(li, lj):
-            continue
-        # chain criterion
-        outside = ~(masks[i] | masks[j])
-        skip = False
-        for k in range(len(leads)):
-            if k in (i, j) or masks[k] & outside or not kernel.mono_divides(leads[k], lcm_exp):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in in_queue and b not in in_queue:
-                skip = True
-                break
-        if skip:
-            continue
         s = _s_poly(reducers[i], reducers[j], lcm_exp, modulus)
         nf = _nf_terms(s, reducers, spec, modulus)
         if nf:
-            push(nf)
-            queue_pairs(len(basis_terms) - 1)
+            push(nf, sugar)
 
     # convert in place and drop the integer tails first, so the integer
     # and the field copy of the basis are never held at once

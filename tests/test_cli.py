@@ -195,6 +195,17 @@ class TestBench:
                 continue
             assert int(fields[2]) <= 4  # d(n+1) - n
 
+    def test_macaulay_bound_only_beside_a_certificate(self, tmp_path, capsys):
+        # row 4 of this seed has a common affine zero, so no certificate of
+        # 1 exists and the Macaulay bound's hypothesis fails
+        csv = tmp_path / "out.csv"
+        assert main(["bench", "macaulay-generic", "--d", "3", "--n", "2",
+                     "--seed", "28", "--csv", str(csv)]) == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()[2:]]
+        assert [(r[2], r[4]) for r in rows] == [("7", "7")] * 3 + [
+            ("notfound<=7", "")
+        ] + [("7", "7")]
+
     def test_cusp_rows_carry_bs_exponent(self, capsys):
         assert main(["bench", "cusp", "--p", "3,5"]) == 0
         out = capsys.readouterr().out

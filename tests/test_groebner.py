@@ -1,5 +1,6 @@
 """Groebner engine: bases, normal forms, membership, elimination,
-saturation; the Buchberger criterion and confluence as self-checks."""
+saturation; the Buchberger criterion and confluence as self-checks, and
+the pair criteria against an all-pairs Buchberger with no criteria."""
 
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from conftest import corpus_ideals
 from oracles import membership_by_linear_algebra, substitute_eliminate_oracle
 
 from brisk.errors import BudgetExceededError
+from brisk.fields import GF, poly_to_gf
 from brisk.groebner import (
     Budget,
     GroebnerBasis,
@@ -22,6 +24,7 @@ from brisk.groebner import (
     saturate,
 )
 from brisk.kernel import mono_divides
+from brisk.orders import elim, grevlex, lex
 from brisk.polyring import MultiPoly, PolyRing
 
 
@@ -146,6 +149,13 @@ class TestNormalForm:
                 rng.shuffle(perm)
                 shuffled = GroebnerBasis(G.ring, G.order, perm)
                 assert shuffled.normal_form(p) == want
+
+    def test_non_monic_basis_is_made_monic(self):
+        R = PolyRing(("x", "y"))
+        x, y = R.gens()
+        G = GroebnerBasis(R, grevlex(), [2 * x + 1])
+        assert G.basis == (x + Fraction(1, 2),)
+        assert G.normal_form(x) == R.const(Fraction(-1, 2))
 
 
 class TestMembership:
@@ -327,3 +337,137 @@ class TestCanonicalForm:
                 buchberger(Ideal(ideal.ring, scaled)).basis
                 == buchberger(ideal).basis
             )
+
+
+# ------------------------------------------------------- pair criteria
+
+
+def _lead(terms, order):
+    return max(terms, key=order.key)
+
+
+def _monic(terms, order):
+    lead = _lead(terms, order)
+    c = terms[lead]
+    return lead, {e: v / c for e, v in terms.items()}
+
+
+def _ref_remainder(f, basis, order):
+    """Full division of the dict ``f`` by the monic (lead, terms) pairs."""
+    f, rem = dict(f), {}
+    while f:
+        m = _lead(f, order)
+        c = f.pop(m)
+        g = next((g for g in basis if mono_divides(g[0], m)), None)
+        if g is None:
+            rem[m] = c
+            continue
+        lead, terms = g
+        shift = tuple(a - b for a, b in zip(m, lead))
+        for e, v in terms.items():
+            if e != lead:
+                t = tuple(a + b for a, b in zip(e, shift))
+                s = f.get(t, 0) - c * v
+                if s:
+                    f[t] = s
+                else:
+                    f.pop(t, None)
+    return rem
+
+
+def reference_basis(gens, order):
+    """Reduced Groebner basis, as a set of frozen term sets, from the
+    textbook loop: every pair of every basis element is reduced, with no
+    criterion, in field arithmetic (Fraction or GFElement)."""
+    basis = [_monic(g.terms, order) for g in gens]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        (li, gi), (lj, gj) = basis[i], basis[j]
+        lcm_exp = tuple(map(max, li, lj))
+        s = {}
+        for lead, terms, sign in ((li, gi, 1), (lj, gj, -1)):
+            shift = tuple(a - b for a, b in zip(lcm_exp, lead))
+            for e, v in terms.items():
+                t = tuple(a + b for a, b in zip(e, shift))
+                c = s.get(t, 0) + sign * v
+                if c:
+                    s[t] = c
+                else:
+                    s.pop(t, None)
+        r = _ref_remainder(s, basis, order)
+        if r:
+            basis.append(_monic(r, order))
+            pairs += [(k, len(basis) - 1) for k in range(len(basis) - 1)]
+    minimal = []
+    for lead, terms in basis:
+        if not any(mono_divides(l2, lead) for l2, _ in minimal):
+            minimal = [m for m in minimal if not mono_divides(lead, m[0])]
+            minimal.append((lead, terms))
+    return {
+        frozenset(_ref_remainder(t, minimal[:k] + minimal[k + 1 :], order).items())
+        | {(lead, t[lead])}
+        for k, (lead, t) in enumerate(minimal)
+    }
+
+
+def oracle_cases():
+    """Seeded ideals in 2 and 3 variables, most of them non-homogeneous,
+    over Q and GF(32003) under grevlex, lex and elim(1).  In every other case a last
+    generator's lead properly divides the first one's, so an older element
+    stops getting pairs while it stays a reducer."""
+    cases = []
+    for seed in range(42):
+        rng = random.Random(seed)
+        order = (grevlex(), lex(), elim(1))[seed % 3]
+        divisor = seed % 2
+        nvars = 2 + (seed // 2) % 2
+        over_gf = (seed // 4) % 2
+        ring = PolyRing(("x", "y", "z")[:nvars])
+        count = 1 if nvars == 2 and divisor else 2
+        gens = []
+        while len(gens) < count:
+            g = rand_poly(ring, rng, max_deg=4, max_terms=4)
+            if g.degree() > 0:
+                gens.append(g)
+        lead = _lead(gens[0].terms, order)
+        if divisor:
+            k = rng.choice([v for v in range(nvars) if lead[v]])
+            m = tuple(x - (v == k) for v, x in enumerate(lead))
+            lower = {
+                e: c
+                for e, c in rand_poly(ring, rng, sum(m), 3).terms.items()
+                if order.key(e) < order.key(m)
+            }
+            gens.append(MultiPoly(ring, {**lower, m: Fraction(rng.randint(1, 4))}))
+        if over_gf:
+            gens = [poly_to_gf(g, GF(32003)) for g in gens]
+        cases.append(pytest.param(ring, order, gens, id=f"seed{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("ring, order, gens", oracle_cases())
+def test_pair_criteria_match_all_pairs_reference(ring, order, gens):
+    got = buchberger(Ideal(ring, gens), order)
+    assert {frozenset(g.terms.items()) for g in got} == reference_basis(gens, order)
+
+
+@pytest.mark.parametrize(
+    "gens, taken",
+    [
+        # (x2z, x2y) stays: lcm(x2z, xyz) equals it; of the two new pairs
+        # with the same lcm x2yz only one is kept
+        (["x^2*z", "x^2*y", "x*y*z"], 2),
+        # the lcm x2y2 of (x2y, y2) is also reached by the coprime (x2, y2)
+        (["x^2", "x^2*y", "y^2"], 1),
+        # B_k: xyz divides lcm(x2z, y2z) = x2y2z, which differs from the
+        # lcms x2yz and xy2z of the new pairs
+        (["x^2*z", "y^2*z", "x*y*z"], 2),
+    ],
+)
+def test_pairs_taken_count_against_max_pairs(gens, taken):
+    R = PolyRing(("x", "y", "z"))
+    ideal = Ideal(R, [R.parse(g) for g in gens])
+    buchberger(ideal, budget=Budget(max_pairs=taken))
+    with pytest.raises(BudgetExceededError):
+        buchberger(ideal, budget=Budget(max_pairs=taken - 1))
