@@ -5,10 +5,12 @@ Certificates and all verification arithmetic stay over Q; a prime field
 and invariant computations on larger inputs.  ``GFElement`` is the
 coefficient type of MultiPoly values over GF(p): it supports the same
 arithmetic protocol as Fraction, so polynomial arithmetic, module
-reductions and ``GroebnerBasis.normal_form`` use it directly.  The
-Buchberger loop does not: ``groebner.buchberger`` takes p from the first
-GFElement among the generators, reduces on plain ints mod p and turns
-the finished basis back into GFElements.
+reductions and the tail reduction of a finished basis use it directly.
+The Buchberger loop does not: ``groebner.buchberger`` takes p from the
+first GFElement among the generators and reduces ints mod p on packed
+monomials (``kernel.Packing``), then turns the finished basis back into
+GFElements.  ``GroebnerBasis.normal_form`` divides GFElements, also on
+packed monomials.
 """
 
 from __future__ import annotations

@@ -8,14 +8,19 @@ ties broken by lcm degree and then by index, so output is deterministic
 for a fixed input.  For homogeneous input the sugar of a pair is its lcm
 degree, which makes the selection the normal strategy.
 
-The Buchberger loop runs on plain ints.  Over Q every basis element is a
-primitive integer polynomial with a positive lead and S-polynomials are
-reduced fraction-free; over GF(p) (any GFElement among the generators)
-coefficients are ints mod p and basis elements are monic.  Either way each
-remainder is a nonzero scalar multiple of the one over the field, so the
-pairs, leads and reduction counts are those of field arithmetic.  The
+The Buchberger loop runs on plain ints, for coefficients and monomials
+alike.  Over Q every basis element is a primitive integer polynomial with
+a positive lead and S-polynomials are reduced fraction-free; over GF(p)
+(any GFElement among the generators) coefficients are ints mod p and
+basis elements are monic.  Either way each remainder is a nonzero scalar
+multiple of the one over the field, so the pairs, leads and reduction
+counts are those of field arithmetic.  Monomials are packed into ints by
+a ``kernel.Packing`` sized from the input degrees; when an exponent
+outgrows it, the computation starts again with fields twice as wide.
+The pair criteria work on the exponent tuples of the leads.  The
 finished basis goes back to monic Fraction or GFElement coefficients
-before its tail reduction, and a ``GroebnerBasis`` holds only those.
+before its tail reduction, and to exponent tuples after it.  A
+``GroebnerBasis`` keeps its own packed copy for ``normal_form``.
 
 All computations respect a configurable resource budget; exceeding it
 raises BudgetExceededError rather than ever returning a wrong basis.
@@ -24,7 +29,6 @@ raises BudgetExceededError rather than ever returning a wrong basis.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -32,7 +36,7 @@ from math import gcd, lcm
 from . import kernel
 from .errors import BudgetExceededError, RingMismatchError
 from .fields import GF, GFElement
-from .orders import MonomialOrder, elim, grevlex, key_of
+from .orders import MonomialOrder, elim, grevlex
 from .polyring import MultiPoly, PolyRing
 
 
@@ -43,12 +47,19 @@ class Budget:
     ``max_pairs`` counts the S-pairs taken off the queue for reduction;
     pairs that the pair criteria discard never count.  ``max_degree`` caps
     the lcm degree of each pair taken.  ``max_matrix_entries`` caps the
-    linear systems of certificate searches.
+    linear systems of certificate searches.  A cap may be 0 but not
+    negative.
     """
 
     max_pairs: int = 200_000
     max_degree: int | None = None
     max_matrix_entries: int = 200_000
+
+    def __post_init__(self):
+        for name in ("max_pairs", "max_degree", "max_matrix_entries"):
+            cap = getattr(self, name)
+            if cap is not None and cap < 0:
+                raise ValueError(f"budget cap {name} must be >= 0, got {cap}")
 
 
 DEFAULT_BUDGET = Budget()
@@ -85,33 +96,52 @@ class GroebnerBasis:
     """A reduced, monic Groebner basis (canonical for the given order).
 
     The constructor makes its elements monic: ``normal_form`` divides by
-    monic field reducers."""
+    monic field reducers, packed by a ``kernel.Packing`` that widens when
+    an input or a remainder outgrows it.  An empty basis packs nothing."""
 
-    __slots__ = ("ring", "order", "basis", "_reducers")
+    __slots__ = ("ring", "order", "basis", "_packed")
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, basis):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "basis", tuple(g.monic(order) for g in basis))
-        spec = order.spec()
-        reducers = tuple(
-            kernel.reducer(kernel.leading_exponent(g.terms, spec), g.terms)
-            for g in self.basis
-        )
-        object.__setattr__(self, "_reducers", reducers)
+        packed = None
+        if self.basis:
+            packed = self._pack(kernel.bits_for(max(g.degree() for g in self.basis)))
+        object.__setattr__(self, "_packed", packed)
 
     def __setattr__(self, *a):
         raise AttributeError("GroebnerBasis is immutable")
 
+    def _pack(self, bits: int):
+        """(packing, reducers) of the basis with fields ``bits`` wide."""
+        packing = kernel.packing(self.order.spec(), self.ring.nvars, bits)
+        reducers = []
+        for g in self.basis:
+            terms = packing.pack_terms(g.terms)
+            reducers.append(kernel.reducer(max(terms), terms))
+        return packing, tuple(reducers)
+
     def leading_exponents(self) -> list[tuple[int, ...]]:
-        return [r[0] for r in self._reducers]
+        if self._packed is None:
+            return []
+        packing, reducers = self._packed
+        return [packing.unpack(r[0]) for r in reducers]
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the basis ring")
-        return MultiPoly(
-            self.ring, kernel.normal_form(p.terms, self._reducers, self.order.spec())
-        )
+        if self._packed is None:
+            return MultiPoly(self.ring, kernel.normal_form(p.terms, (), None))
+        while True:
+            packing, reducers = self._packed
+            try:
+                nf = kernel.normal_form(packing.pack_terms(p.terms), reducers, packing)
+            except OverflowError:
+                # one attribute, so a concurrent caller sees either copy whole
+                object.__setattr__(self, "_packed", self._pack(2 * packing.bits))
+                continue
+            return MultiPoly(self.ring, packing.unpack_terms(nf))
 
     def contains(self, p: MultiPoly) -> bool:
         return not self.normal_form(p)
@@ -129,7 +159,6 @@ class GroebnerBasis:
 
 def s_polynomial(g1: MultiPoly, g2: MultiPoly, order: MonomialOrder) -> MultiPoly:
     """S(g1, g2) = (lcm/lt1) g1 - (lcm/lt2) g2."""
-    spec = order.spec()
     e1, c1 = g1.leading(order)
     e2, c2 = g2.leading(order)
     lcm = kernel.mono_lcm(e1, e2)
@@ -138,8 +167,8 @@ def s_polynomial(g1: MultiPoly, g2: MultiPoly, order: MonomialOrder) -> MultiPol
     return m1 * g1 - m2 * g2
 
 
-def _nf_terms(terms, reducers, spec, modulus=None):
-    return kernel.normal_form(terms, reducers, spec, modulus)
+def _nf_terms(terms, reducers, packing, modulus=None):
+    return kernel.normal_form(terms, reducers, packing, modulus)
 
 
 def _modulus(gens) -> int | None:
@@ -172,19 +201,18 @@ def _normalized(terms: dict, lead, modulus: int | None) -> dict:
     return terms if g == 1 else {e: v // g for e, v in terms.items()}
 
 
-def _s_poly(ri, rj, lcm_exp, modulus: int | None) -> dict:
-    """A nonzero multiple of S(g_i, g_j) from the reducer tuples of g_i
-    and g_j; the lead terms cancel and are left out."""
-    add = operator.add
-    li, _, ai, tail_i = ri
-    lj, _, aj, tail_j = rj
+def _s_poly(ri, rj, lcm_key: int, guard: int, modulus: int | None) -> dict:
+    """A nonzero multiple of S(g_i, g_j) from the packed reducer tuples
+    of g_i and g_j; the lead terms cancel and are left out.  Raises
+    OverflowError when a term outgrows the packing with mask ``guard``."""
+    li, ai, tail_i = ri
+    lj, aj, tail_j = rj
     g = gcd(ai, aj)
     fi, fj = aj // g, ai // g
-    si = tuple(map(operator.sub, lcm_exp, li))
-    sj = tuple(map(operator.sub, lcm_exp, lj))
-    s = {tuple(map(add, e, si)): fi * v for e, v in tail_i}
+    si, sj = lcm_key - li, lcm_key - lj
+    s = {e + si: fi * v for e, v in tail_i}
     for e, v in tail_j:
-        t = tuple(map(add, e, sj))
+        t = e + sj
         c = s.get(t, 0) - fj * v
         if modulus:
             c %= modulus
@@ -192,6 +220,8 @@ def _s_poly(ri, rj, lcm_exp, modulus: int | None) -> dict:
             s[t] = c
         else:
             s.pop(t, None)
+    if any(t & guard for t in s):
+        raise OverflowError("exponent outgrew the packed field width")
     return s
 
 
@@ -210,9 +240,24 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` with respect to ``order``."""
     ring = ideal.ring
-    spec = order.spec()
     modulus = _modulus(ideal.gens)
+    gens = [(_to_ints(g.terms, modulus), g.degree()) for g in ideal.gens]
+    bits = kernel.bits_for(max((d for _, d in gens), default=0))
+    while True:
+        packing = kernel.packing(order.spec(), ring.nvars, bits)
+        try:
+            basis = _packed_basis(gens, packing, modulus, budget)
+        except OverflowError:
+            bits *= 2
+            continue
+        polys = [MultiPoly(ring, packing.unpack_terms(t)) for t in basis]
+        return GroebnerBasis(ring, order, polys)
 
+
+def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[dict]:
+    """The reduced basis of integer ``gens`` (terms and sugar) as packed,
+    monic field terms; OverflowError when ``packing`` is too narrow."""
+    guard = packing.guard
     basis_terms: list[dict] = []
     leads: list[tuple[int, ...]] = []
     sugars: list[int] = []
@@ -224,13 +269,14 @@ def buchberger(
 
     def push(terms: dict, sugar: int):
         """Append a basis element h and make the Gebauer-Moeller update."""
-        lh = kernel.leading_exponent(terms, spec)
-        terms = _normalized(terms, lh, modulus)
+        key = max(terms)
+        terms = _normalized(terms, key, modulus)
+        lh = packing.unpack(key)
         h = len(basis_terms)
         basis_terms.append(terms)
         leads.append(lh)
         sugars.append(sugar)
-        reducers.append(kernel.reducer(lh, terms))
+        reducers.append(kernel.reducer(key, terms))
         # B_k: drop (i, j) when lt(h) divides lcm(i, j) and lcm(i, h) and
         # lcm(j, h) both differ from it
         kept = [
@@ -263,8 +309,8 @@ def buchberger(
         active[:] = [i for i in active if not kernel.mono_divides(lh, leads[i])]
         active.append(h)
 
-    for g in ideal.gens:
-        push(_to_ints(g.terms, modulus), g.degree())
+    for terms, degree in gens:
+        push(packing.pack_terms(terms), degree)
 
     taken = 0
     while pending:
@@ -280,35 +326,34 @@ def buchberger(
                 f"budget exhausted: S-pair lcm degree {deg} exceeds "
                 f"{budget.max_degree} (raise max_degree)"
             )
-        s = _s_poly(reducers[i], reducers[j], lcm_exp, modulus)
-        nf = _nf_terms(s, reducers, spec, modulus)
+        s = _s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), guard, modulus)
+        nf = _nf_terms(s, reducers, packing, modulus)
         if nf:
             push(nf, sugar)
 
     # convert in place and drop the integer tails first, so the integer
     # and the field copy of the basis are never held at once
     reducers.clear()
-    for k, lead in enumerate(leads):
-        basis_terms[k] = _from_ints(basis_terms[k], lead, modulus)
-    return GroebnerBasis(ring, order, _reduce_basis(ring, basis_terms, order))
+    for k, terms in enumerate(basis_terms):
+        basis_terms[k] = _from_ints(terms, max(terms), modulus)
+    return _reduce_basis(basis_terms, packing)
 
 
-def _reduce_basis(ring: PolyRing, basis_terms: list[dict], order: MonomialOrder):
-    """Minimalize and tail-reduce a monic basis into the reduced GB."""
-    spec = order.spec()
-    entries = [(kernel.leading_exponent(t, spec), t) for t in basis_terms if t]
-    entries.sort(key=lambda it: key_of(it[0], spec))
+def _reduce_basis(basis_terms: list[dict], packing) -> list[dict]:
+    """Minimalize and tail-reduce a packed monic basis into the reduced GB."""
+    guard = packing.guard
+    entries = [(max(t), t) for t in basis_terms if t]
+    entries.sort(key=lambda it: it[0])
     minimal = []
     for lead, t in entries:
-        if any(kernel.mono_divides(l2, lead) for l2, _ in minimal):
+        if any(not (lead - l2) & guard for l2, _ in minimal):
             continue
         minimal.append((lead, t))
     reducers = [kernel.reducer(lead, t) for lead, t in minimal]
-    out = []
-    for idx, (lead, t) in enumerate(minimal):
-        nf = _nf_terms(t, reducers[:idx] + reducers[idx + 1 :], spec)
-        out.append(MultiPoly(ring, nf))
-    return out
+    return [
+        _nf_terms(t, reducers[:idx] + reducers[idx + 1 :], packing)
+        for idx, (_, t) in enumerate(minimal)
+    ]
 
 
 def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:

@@ -1,27 +1,44 @@
 """Polynomial kernel: monomial and sparse-dict arithmetic, normal form.
 
-Terms are plain dicts mapping exponent tuples to nonzero coefficients.
-The dict arithmetic works on any coefficient with arithmetic dunders and
-a falsy zero: Fraction, GFElement or int.  ``normal_form`` divides in
-one of three coefficient domains: field elements by monic reducers,
-plain ints mod a prime by monic reducers, or plain ints by integer
-reducers (fraction-free pseudo-division, used for Groebner bases over Q).
+Terms are plain dicts mapping monomials to nonzero coefficients.  The
+dict arithmetic works on any coefficient with arithmetic dunders and a
+falsy zero: Fraction, GFElement or int.  Outside the Groebner engine a
+monomial is an exponent tuple, and ``leading_exponent`` takes the
+``spec`` tuple of ``MonomialOrder.spec()``, which ``orders.key_of`` turns
+into a sort key.
 
-The monomial-order argument ``spec`` is the tuple produced by
-``MonomialOrder.spec()``: ``(kind, block, perm)`` with kind 0 = grevlex,
-1 = lex, 2 = elimination block; ``orders.key_of`` turns it into a sort key.
+Inside the Groebner engine a monomial is one int, made by a ``Packing``
+(Bachmann and Schoenemann 1998).  Each monomial order here compares
+blocks of variables by grevlex: grevlex is one block, lex one block per
+variable, elim(k) two.  The packing lays out the prefix sums of each
+block, most significant first, and below them every exponent not
+already a field, in fields of equal width.  Every field is a sum of
+exponents, so int comparison is the monomial order and int addition is
+monomial multiplication.  The top bit of each field is a guard bit that
+valid monomials leave clear: ``lead`` divides ``m`` exactly when
+``(m - lead) & guard`` is zero, and a product that outgrows its fields
+sets a guard bit.  The engine then raises OverflowError, and its caller
+starts again with fields twice as wide.
+
+``normal_form`` divides packed terms in one of three coefficient
+domains: field elements by monic reducers, plain ints mod a prime by
+monic reducers, or plain ints by integer reducers (fraction-free
+pseudo-division, used for Groebner bases over Q).
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
+from functools import lru_cache
 from math import gcd
 
-from .orders import key_of, neg_key_of
+from .orders import GREVLEX, LEX, key_of
 
 # strip the content of an integer remainder after this many scalings
 CONTENT_EVERY = 8
+# the narrowest field width in bits, guard bit included
+MIN_BITS = 8
 
 
 # ---------------------------------------------------------------- monomials
@@ -47,19 +64,6 @@ def mono_lcm(a, b):
 
 def mono_deg(a):
     return sum(a)
-
-
-def mono_mask(a):
-    """Support mask of ``a``: bit i is set when variable i occurs.  If b
-    divides a, mask(b) is contained in mask(a), so a lead whose mask has a
-    bit outside the monomial's cannot divide it."""
-    mask = 0
-    bit = 1
-    for x in a:
-        if x:
-            mask |= bit
-        bit <<= 1
-    return mask
 
 
 def minimal_generators(gens):
@@ -156,28 +160,97 @@ def poly_mul(a, b):
     return out
 
 
+# ------------------------------------------------------- packed monomials
+
+
+class Packing:
+    """Monomials of ``nvars`` variables under one order as ints whose
+    fields are ``bits`` wide; ``limit`` bounds every field value.
+
+    ``weights[i]`` is the packed form of variable i, ``offsets[i]`` the
+    shift of the field that holds its exponent, ``guard`` the mask of all
+    guard bits."""
+
+    __slots__ = ("spec", "bits", "limit", "guard", "weights", "offsets")
+
+    def __init__(self, spec, nvars: int, bits: int):
+        kind, block, perm = spec
+        ranked = list(range(nvars)) if perm is None else list(perm)
+        if kind == GREVLEX:
+            blocks = [ranked]
+        elif kind == LEX:
+            blocks = [[v] for v in ranked]
+        else:
+            blocks = [ranked[:block], ranked[block:]]
+        fields = [b[:k] for b in blocks for k in range(len(b), 0, -1)]
+        # the divisor test needs a field per exponent; below fields that
+        # already fix the monomial, these never decide a comparison
+        fields += [[v] for v in range(nvars) if [v] not in fields]
+        weights = [0] * nvars
+        offsets = [0] * nvars
+        guard = 0
+        for j, field in enumerate(fields):
+            shift = (len(fields) - 1 - j) * bits
+            guard |= 1 << (shift + bits - 1)
+            for v in field:
+                weights[v] |= 1 << shift
+            if len(field) == 1:
+                offsets[field[0]] = shift
+        self.spec = spec
+        self.bits = bits
+        self.limit = 1 << (bits - 1)
+        self.guard = guard
+        self.weights = tuple(weights)
+        self.offsets = tuple(offsets)
+
+    def pack(self, exp) -> int:
+        """The int of an exponent tuple; OverflowError when its degree,
+        which bounds every field, reaches ``limit``."""
+        if sum(exp) >= self.limit:
+            raise OverflowError("monomial degree exceeds the packed field width")
+        return sum(map(operator.mul, exp, self.weights))
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        mask = self.limit - 1
+        return tuple([key >> s & mask for s in self.offsets])
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(k): c for k, c in terms.items()}
+
+
+@lru_cache(maxsize=64)
+def packing(spec, nvars: int, bits: int) -> Packing:
+    """The one ``Packing`` for an order spec, a variable count and a width."""
+    return Packing(spec, nvars, bits)
+
+
+def bits_for(degree: int) -> int:
+    """A field width that holds monomials of twice ``degree``."""
+    return max(MIN_BITS, (2 * degree).bit_length() + 1)
+
+
 # ------------------------------------------------------------ normal form
 
 
 def reducer(lead, terms):
-    """``(lead, mask, lc, tail)`` for ``normal_form``: the lead exponent,
-    its support mask, its coefficient and the other terms as items."""
-    return (
-        lead,
-        mono_mask(lead),
-        terms[lead],
-        tuple((e, c) for e, c in terms.items() if e != lead),
-    )
+    """``(lead, lc, tail)`` for ``normal_form``: the packed lead, its
+    coefficient and the other terms as items."""
+    return (lead, terms[lead], tuple((e, c) for e, c in terms.items() if e != lead))
 
 
-def normal_form(terms, reducers, spec, modulus=None):
-    """Remainder of ``terms`` under full multivariate division.
+def normal_form(terms, reducers, packing, modulus=None):
+    """Remainder of packed ``terms`` under full multivariate division.
 
-    ``reducers`` is a sequence of ``reducer(lead, terms)`` tuples.  The
-    first reducer (in sequence order) whose lead divides the current
-    monomial is used, so the result is deterministic for a fixed reducer
-    sequence; against a Groebner basis it is the canonical normal form
-    regardless of that sequence.  The coefficients are one of:
+    ``reducers`` is a sequence of ``reducer(lead, terms)`` tuples packed
+    by ``packing``.  The first reducer (in sequence order) whose lead
+    divides the current monomial is used, so the result is deterministic
+    for a fixed reducer sequence; against a Groebner basis it is the
+    canonical normal form regardless of that sequence.  With no reducers
+    the terms come back unchanged and ``packing`` is not used.  The
+    coefficients are one of:
 
     * field elements (Fraction, GFElement) with monic reducers;
     * ints mod ``modulus`` with monic reducers;
@@ -186,23 +259,25 @@ def normal_form(terms, reducers, spec, modulus=None):
       before it subtracts, and the content is stripped every
       ``CONTENT_EVERY`` scalings, so the result is a nonzero integer
       multiple of the remainder over Q.
+
+    Raises OverflowError when a product outgrows the packing's fields.
     """
     work = dict(terms)
     if not work or not reducers:
         return work
+    guard = packing.guard
     out = {}
-    heap = [(neg_key_of(e, spec), e) for e in work]
+    heap = [-m for m in work]
     heapq.heapify(heap)
-    add, sub, le = operator.add, operator.sub, operator.le
+    heappop, heappush = heapq.heappop, heapq.heappush
     scalings = 0
     while heap:
-        _, m = heapq.heappop(heap)
+        m = -heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
-        outside = ~mono_mask(m)
-        for lead, mask, lc, tail in reducers:
-            if not mask & outside and all(map(le, lead, m)):
+        for lead, lc, tail in reducers:
+            if not (m - lead) & guard:
                 break
         else:
             out[m] = c
@@ -217,16 +292,18 @@ def normal_form(terms, reducers, spec, modulus=None):
                 for e in out:
                     out[e] *= scale
                 scalings += 1
-        shift = tuple(map(sub, m, lead))
+        shift = m - lead
         for e, q in tail:
-            t = tuple(map(add, e, shift))
+            t = e + shift
             s = work.get(t)
             if s is None:
+                if t & guard:
+                    raise OverflowError("exponent outgrew the packed field width")
                 s = -(c * q)
                 if modulus:
                     s %= modulus
                 work[t] = s
-                heapq.heappush(heap, (neg_key_of(t, spec), t))
+                heappush(heap, -t)
             else:
                 s = s - c * q
                 if modulus:

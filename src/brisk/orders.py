@@ -13,9 +13,8 @@ subset of variables can be moved to the front of an elimination block.
 
 An order is described by a small ``spec`` tuple ``(kind, block, perm)``.
 ``key_of(exp, spec)`` is the one sort key (max() gives the leading
-monomial); ``neg_key_of`` is its elementwise negation, which lets the
-kernel's heapq act as a max-heap.  ``MonomialOrder.key`` delegates to
-``key_of``.
+monomial), and ``MonomialOrder.key`` delegates to it.  Inside the
+Groebner engine, ``kernel.Packing`` encodes the same orders as ints.
 """
 
 from __future__ import annotations
@@ -40,19 +39,6 @@ def key_of(exp: tuple[int, ...], spec):
         return exp
     a, b = exp[:block], exp[block:]
     return (sum(a), tuple(-x for x in reversed(a)), sum(b), tuple(-x for x in reversed(b)))
-
-
-def neg_key_of(exp: tuple[int, ...], spec):
-    """Elementwise negation of key_of; turns heapq into a max-heap."""
-    kind, block, perm = spec
-    if perm is not None:
-        exp = tuple(exp[i] for i in perm)
-    if kind == GREVLEX:
-        return (-sum(exp), tuple(reversed(exp)))
-    if kind == LEX:
-        return tuple(-x for x in exp)
-    a, b = exp[:block], exp[block:]
-    return (-sum(a), tuple(reversed(a)), -sum(b), tuple(reversed(b)))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,11 @@ class TestMembership:
         assert main(["membership", kollar_file, "--rho", "12",
                      "--budget-matrix", "5"]) == 3
 
+    def test_negative_budget_exit_2(self, kollar_file, capsys):
+        assert main(["membership", kollar_file, "--min",
+                     "--budget-matrix", "-5"]) == 2
+        assert "max_matrix_entries" in capsys.readouterr().err
+
     def test_deterministic_output(self, kollar_file, capsys):
         main(["membership", kollar_file, "--min", "--rho-max", "6"])
         first = capsys.readouterr().out
@@ -140,6 +145,13 @@ class TestResolve:
         out = capsys.readouterr().out
         assert "regularity: 2" in out
         assert "3" in out and "2" in out  # betti entries
+
+    def test_negative_budget_exit_2(self, cubic_file, capsys):
+        assert main(["resolve", cubic_file, "--budget-pairs", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "max_pairs" in err and "budget exhausted" not in err
+        # a cap of 0 is a real cap: the cubic needs S-pairs
+        assert main(["resolve", cubic_file, "--budget-pairs", "0"]) == 3
 
     def test_affine_needs_flag(self, cusp_file, capsys):
         assert main(["resolve", cusp_file]) == 2

@@ -10,6 +10,7 @@ import pytest
 from conftest import corpus_ideals
 from oracles import membership_by_linear_algebra, substitute_eliminate_oracle
 
+from brisk import kernel
 from brisk.errors import BudgetExceededError
 from brisk.fields import GF, poly_to_gf
 from brisk.groebner import (
@@ -20,6 +21,7 @@ from brisk.groebner import (
     eliminate,
     membership,
     normal_form,
+    _s_poly,
     s_polynomial,
     saturate,
 )
@@ -471,3 +473,135 @@ def test_pairs_taken_count_against_max_pairs(gens, taken):
     buchberger(ideal, budget=Budget(max_pairs=taken))
     with pytest.raises(BudgetExceededError):
         buchberger(ideal, budget=Budget(max_pairs=taken - 1))
+
+
+def cyclic(n: int, field=None) -> Ideal:
+    R = PolyRing(tuple(f"x{i}" for i in range(n)))
+    x = R.gens()
+    gens = []
+    for k in range(1, n):
+        total = R.zero()
+        for i in range(n):
+            term = R.one()
+            for j in range(k):
+                term = term * x[(i + j) % n]
+            total = total + term
+        gens.append(total)
+    prod = R.one()
+    for v in x:
+        prod = prod * v
+    gens.append(prod - R.one())
+    if field is not None:
+        gens = [poly_to_gf(g, field) for g in gens]
+    return Ideal(R, gens)
+
+
+def katsura(n: int) -> Ideal:
+    R = PolyRing(tuple(f"u{i}" for i in range(n + 1)))
+    u = R.gens()
+
+    def at(k):
+        k = abs(k)
+        return u[k] if k <= n else R.zero()
+
+    gens = []
+    for m in range(n):
+        total = R.zero()
+        for l in range(-n, n + 1):
+            total = total + at(l) * at(m - l)
+        gens.append(total - u[m])
+    total = u[0]
+    for l in range(1, n + 1):
+        total = total + u[l] * 2
+    gens.append(total - R.one())
+    return Ideal(R, gens)
+
+
+@pytest.mark.parametrize(
+    "ideal, taken",
+    [
+        (katsura(4), 30),
+        (cyclic(5, GF(32003)), 112),
+    ],
+    ids=["katsura4.Q", "cyclic5.GF32003"],
+)
+def test_pairs_taken_on_real_ideals(ideal, taken):
+    # pins the pair selection: a change to the criteria or the order in
+    # which pairs are taken moves these counts
+    buchberger(ideal, budget=Budget(max_pairs=taken))
+    with pytest.raises(BudgetExceededError):
+        buchberger(ideal, budget=Budget(max_pairs=taken - 1))
+
+
+def test_negative_budget_caps_are_rejected():
+    with pytest.raises(ValueError, match="max_pairs"):
+        Budget(max_pairs=-1)
+    with pytest.raises(ValueError, match="max_matrix_entries"):
+        Budget(max_matrix_entries=-5)
+    with pytest.raises(ValueError, match="max_degree"):
+        Budget(max_degree=-1)
+    # a cap of 0 is valid: it admits only inputs that need no S-pair
+    R = PolyRing(("x", "y"))
+    x, y = R.gens()
+    zero = Budget(max_pairs=0, max_degree=0, max_matrix_entries=0)
+    assert len(buchberger(Ideal(R, [x, y]), budget=zero)) == 2
+    with pytest.raises(BudgetExceededError):
+        buchberger(Ideal(R, [x**2, x * y + 1]), budget=zero)
+
+
+def chain(k: int):
+    """The ring x0..xk and the generators x_i - x_{i+1}^2 (i < k)."""
+    R = PolyRing(tuple(f"x{i}" for i in range(k + 1)))
+    x = R.gens()
+    return R, [x[i] - x[i + 1] ** 2 for i in range(k)]
+
+
+class TestExponentGrowth:
+    """Exponents far beyond the input degrees: the packed monomials must
+    widen, never wrap."""
+
+    def test_s_polynomial_past_the_field_width_raises(self):
+        # S(x - y^120, x*y^10 - 1) = -y^130 + 1 under lex; 8-bit fields
+        # hold exponents below 128
+        pk = kernel.packing(lex().spec(), 2, 8)
+        ri = kernel.reducer(pk.pack((1, 0)), {pk.pack((1, 0)): 1, pk.pack((0, 120)): -1})
+        rj = kernel.reducer(pk.pack((1, 10)), {pk.pack((1, 10)): 1, pk.pack((0, 0)): -1})
+        with pytest.raises(OverflowError):
+            _s_poly(ri, rj, pk.pack((1, 10)), pk.guard, None)
+        pk = kernel.packing(lex().spec(), 2, 16)
+        ri = kernel.reducer(pk.pack((1, 0)), {pk.pack((1, 0)): 1, pk.pack((0, 120)): -1})
+        rj = kernel.reducer(pk.pack((1, 10)), {pk.pack((1, 10)): 1, pk.pack((0, 0)): -1})
+        s = _s_poly(ri, rj, pk.pack((1, 10)), pk.guard, None)
+        assert pk.unpack_terms(s) == {(0, 130): -1, (0, 0): 1}
+
+    def test_normal_form_of_x0_against_the_lex_chain(self):
+        R, gens = chain(17)
+        G = buchberger(Ideal(R, gens), lex())
+        assert G.normal_form(R.var(0)) == R.var(17) ** 131072
+
+    def test_lex_chain_closed_by_x0_minus_1(self):
+        R, gens = chain(14)
+        x = R.gens()
+        G = buchberger(Ideal(R, gens + [x[0] - 1]), lex())
+        want = [x[14] ** 16384 - 1]
+        want += [x[i] - x[14] ** 2 ** (14 - i) for i in range(13, 0, -1)]
+        want += [x[0] - 1]
+        assert list(G) == want
+
+    @pytest.mark.parametrize("order", [grevlex(), lex(), elim(1)], ids=str)
+    def test_degree_70000_generator(self, order):
+        R = PolyRing(("x", "y"))
+        x, y = R.gens()
+        G = buchberger(Ideal(R, [x**70000 - y, y**3 - 1]), order)
+        assert list(G) == [y**3 - 1, x**70000 - y]
+        assert G.normal_form(x**140001) == x * y**2
+        # an input of more than twice the basis degree
+        assert G.normal_form(x**600000) == x**40000 * y**2
+
+    def test_remainder_past_the_basis_degree(self):
+        R, gens = chain(5)
+        x = R.gens()
+        G = buchberger(Ideal(R, gens), lex())
+        assert max(g.degree() for g in G) == 32
+        assert G.normal_form(x[0] ** 5) == x[5] ** 160
+        assert G.normal_form(x[0] ** 5 * x[1]) == x[5] ** 176

@@ -1,6 +1,8 @@
-"""The kernel's normal form in its three coefficient domains: support
-masks against a mask-free division, fraction-free pseudo-division over Z
-against the Fraction remainder, and ints mod p against GFElement."""
+"""The kernel's packed monomials and its normal form: the int order,
+sum and guard-bit divisor test against exponent tuples, and the normal
+form in its three coefficient domains: packed division against a tuple
+division, fraction-free pseudo-division over Z against the Fraction
+remainder, and ints mod p against GFElement."""
 
 import random
 from fractions import Fraction
@@ -9,14 +11,14 @@ import pytest
 
 from brisk import kernel
 from brisk.fields import GF
-from brisk.orders import grevlex, key_of, lex
+from brisk.orders import elim, grevlex, key_of, lex
 
 P = 32003
 
 
 def reference_nf(terms, reducers, spec):
-    """Division by monic (lead, tail) pairs, first divisor in sequence
-    order, no masks."""
+    """Division of exponent tuples by monic (lead, tail) pairs, first
+    divisor in sequence order."""
     work = dict(terms)
     out = {}
     while work:
@@ -83,19 +85,113 @@ def is_multiple(a, b):
     return lam != 0 and all(Fraction(a[e]) == lam * Fraction(b[e]) for e in a)
 
 
-# ------------------------------------------------------------ support masks
+# ------------------------------------------------------------ packing
+
+NVARS = (1, 3, 7, 70)
+KINDS = ["grevlex", "lex", "elim(2)", "grevlex[perm]"]
 
 
-def test_mask_contains_every_divisor():
-    rng = random.Random(1)
-    for nvars in (1, 3, 7, 70):
-        for _ in range(300):
-            a = rand_exp(rng, nvars, range(nvars), 6)
+def make_packing(kind, nvars, bits=kernel.MIN_BITS):
+    if kind == "grevlex[perm]":
+        perm = list(range(nvars))
+        random.Random(nvars).shuffle(perm)
+        order = grevlex(tuple(perm))
+    else:
+        order = {"grevlex": grevlex(), "lex": lex(), "elim(2)": elim(2)}[kind]
+    return kernel.packing(order.spec(), nvars, bits)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("nvars", NVARS)
+def test_int_order_is_the_monomial_order(kind, nvars):
+    rng = random.Random(nvars)
+    pk = make_packing(kind, nvars)
+    monos = [rand_exp(rng, nvars, range(nvars), 12) for _ in range(300)]
+    # near ties: the same monomial with one unit moved between variables
+    for a in monos[:100]:
+        b = list(a)
+        i, j = rng.randrange(nvars), rng.randrange(nvars)
+        if b[i]:
+            b[i] -= 1
+            b[j] += 1
+        monos.append(tuple(b))
+    keys = {e: pk.pack(e) for e in monos}
+    assert len(set(keys.values())) == len(keys)
+    assert sorted(monos, key=keys.get) == sorted(monos, key=lambda e: key_of(e, pk.spec))
+    assert all(pk.unpack(k) == e for e, k in keys.items())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("nvars", NVARS)
+def test_int_sum_is_the_product(kind, nvars):
+    rng = random.Random(nvars + 1)
+    pk = make_packing(kind, nvars)
+    for _ in range(300):
+        a, b = rand_exp(rng, nvars, range(nvars), 60), rand_exp(rng, nvars, range(nvars), 60)
+        ab = pk.pack(a) + pk.pack(b)
+        assert ab == pk.pack(kernel.mono_mul(a, b))
+        assert not ab & pk.guard
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("nvars", NVARS)
+def test_guard_test_is_the_divisor_test(kind, nvars):
+    rng = random.Random(nvars + 2)
+    pk = make_packing(kind, nvars)
+    top = pk.limit - 1
+    hits = misses = 0
+    for _ in range(600):
+        a = rand_exp(rng, nvars, range(nvars), rng.choice((6, top)))
+        if rng.random() < 0.5:
             b = tuple(rng.randint(0, x) for x in a)
-            assert kernel.mono_divides(b, a)
-            assert kernel.mono_mask(b) & ~kernel.mono_mask(a) == 0
-    assert kernel.mono_mask((0,) * 70) == 0
-    assert kernel.mono_mask((0,) * 69 + (2,)) == 1 << 69
+        else:
+            # a divisor of a with one exponent pushed one past it
+            b = [rng.randint(0, x) for x in a]
+            i = rng.randrange(nvars)
+            b[i] = a[i] + 1
+            while sum(b) > top:
+                j = rng.choice([k for k in range(nvars) if k != i and b[k]] or [i])
+                b[j] -= 1
+            b = tuple(b)
+        divides = kernel.mono_divides(b, a)
+        assert (not (pk.pack(a) - pk.pack(b)) & pk.guard) == divides
+        hits += divides
+        misses += not divides
+    assert hits > 200 and misses > 200
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_field_overflow_is_caught(kind):
+    pk = make_packing(kind, 3)
+    with pytest.raises(OverflowError):
+        pk.pack((pk.limit, 0, 0))
+    x = pk.pack((pk.limit - 1, 0, 0))
+    assert (x + pk.pack((1, 0, 0))) & pk.guard
+
+
+def test_normal_form_raises_instead_of_wrapping():
+    # under lex, x -> y^2 doubles the exponent past an 8-bit field
+    pk = kernel.packing(lex().spec(), 2, 8)
+    x, y2 = pk.pack((1, 0)), pk.pack((0, 2))
+    red = kernel.reducer(x, {x: Fraction(1), y2: Fraction(-1)})
+    f = {pk.pack((100, 0)): Fraction(1)}
+    with pytest.raises(OverflowError):
+        kernel.normal_form(f, [red], pk)
+    pk = kernel.packing(lex().spec(), 2, 16)
+    red = kernel.reducer(pk.pack((1, 0)), {pk.pack((1, 0)): Fraction(1), pk.pack((0, 2)): Fraction(-1)})
+    got = kernel.normal_form({pk.pack((100, 0)): Fraction(1)}, [red], pk)
+    assert pk.unpack_terms(got) == {(0, 200): Fraction(1)}
+
+
+# ------------------------------------------------------------ packed division
+
+
+def packed_reducers(reds, pk):
+    out = []
+    for lead, t in reds:
+        terms = pk.pack_terms(t)
+        out.append(kernel.reducer(pk.pack(lead), terms))
+    return out
 
 
 @pytest.mark.parametrize("nvars, used", [
@@ -103,40 +199,29 @@ def test_mask_contains_every_divisor():
     (70, [0, 5, 63, 64, 65, 69]),
 ])
 def test_masks_skip_no_divisor(nvars, used):
+    # the guard-bit divisor test finds the same first reducer as a
+    # componentwise comparison of exponent tuples
     rng = random.Random(nvars)
     spec = grevlex().spec()
+    pk = kernel.packing(spec, nvars, kernel.MIN_BITS)
     for _ in range(40):
         reds = rand_reducers(rng, nvars, used, spec, rng.randint(1, 5), small_int)
         reds = [(lead, monic(lead, t)) for lead, t in reds]
-        # a constant lead has mask 0 and divides everything
+        # a constant lead divides everything
         if rng.random() < 0.3:
             reds.append(((0,) * nvars, {(0,) * nvars: Fraction(1)}))
         f = rand_terms(rng, nvars, used, 5, 6, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 4)))
         want = reference_nf(f, [(lead, [(e, c) for e, c in t.items() if e != lead]) for lead, t in reds], spec)
-        got = kernel.normal_form(f, [kernel.reducer(lead, t) for lead, t in reds], spec)
-        assert got == want
+        got = kernel.normal_form(pk.pack_terms(f), packed_reducers(reds, pk), pk)
+        assert pk.unpack_terms(got) == want
 
 
 def test_constant_lead_reduces_everything():
-    spec = grevlex().spec()
+    pk = kernel.packing(grevlex().spec(), 70, kernel.MIN_BITS)
     one = (0,) * 70
     f = {(1,) + (0,) * 69: Fraction(3), (0,) * 69 + (4,): Fraction(-1), one: Fraction(2)}
-    assert kernel.normal_form(f, [kernel.reducer(one, {one: Fraction(1)})], spec) == {}
-
-
-class _Untouchable(tuple):
-    def __iter__(self):
-        raise AssertionError("a lead outside the monomial's support was compared")
-
-
-def test_mask_test_precedes_the_exponent_comparison():
-    # the first reducer's lead involves z, which the input lacks: its
-    # mask must reject it before any exponent is compared
-    spec = grevlex().spec()
-    z = _Untouchable((0, 0, 1))
-    x = (1, 0, 0)
-    reducers = [(z, 0b100, 1, ()), kernel.reducer(x, {x: 1, (0, 1, 0): -1})]
-    assert kernel.normal_form({(2, 0, 0): 1}, reducers, spec) == {(0, 2, 0): 1}
+    reducers = packed_reducers([(one, {one: Fraction(1)})], pk)
+    assert kernel.normal_form(pk.pack_terms(f), reducers, pk) == {}
 
 
 # ------------------------------------------- fraction-free over Z, mod p
@@ -148,6 +233,7 @@ def test_integer_remainder_is_a_multiple_of_the_fraction_remainder(order, conten
     monkeypatch.setattr(kernel, "CONTENT_EVERY", content_every)
     rng = random.Random(7)
     spec = order.spec()
+    pk = kernel.packing(spec, 3, kernel.MIN_BITS)
     used = [0, 1, 2]
     nonzero = 0
     for _ in range(60):
@@ -159,11 +245,11 @@ def test_integer_remainder_is_a_multiple_of_the_fraction_remainder(order, conten
         ]
         f = rand_terms(rng, 3, used, 6, 8, small_int)
         exact = kernel.normal_form(
-            {e: Fraction(c) for e, c in f.items()},
-            [kernel.reducer(lead, monic(lead, t)) for lead, t in reds],
-            spec,
+            pk.pack_terms({e: Fraction(c) for e, c in f.items()}),
+            packed_reducers([(lead, monic(lead, t)) for lead, t in reds], pk),
+            pk,
         )
-        fraction_free = kernel.normal_form(f, [kernel.reducer(lead, t) for lead, t in reds], spec)
+        fraction_free = kernel.normal_form(pk.pack_terms(f), packed_reducers(reds, pk), pk)
         assert all(type(c) is int for c in fraction_free.values())
         assert is_multiple(fraction_free, exact)
         nonzero += bool(exact)
@@ -174,6 +260,7 @@ def test_mod_p_remainder_equals_the_gfelement_remainder():
     rng = random.Random(11)
     field = GF(P)
     spec = grevlex().spec()
+    pk = kernel.packing(spec, 4, kernel.MIN_BITS)
     used = [0, 1, 2, 3]
 
     def residue(r):
@@ -186,10 +273,10 @@ def test_mod_p_remainder_equals_the_gfelement_remainder():
         for lead, t in reds:
             inv = pow(t[lead], -1, P)
             t = {e: c * inv % P for e, c in t.items()}
-            as_ints.append(kernel.reducer(lead, t))
-            as_gf.append(kernel.reducer(lead, {e: field(c) for e, c in t.items()}))
-        f = rand_terms(rng, 4, used, 6, 8, residue)
-        got = kernel.normal_form(f, as_ints, spec, P)
-        want = kernel.normal_form({e: field(c) for e, c in f.items()}, as_gf, spec)
+            as_ints.append((lead, t))
+            as_gf.append((lead, {e: field(c) for e, c in t.items()}))
+        f = pk.pack_terms(rand_terms(rng, 4, used, 6, 8, residue))
+        got = kernel.normal_form(f, packed_reducers(as_ints, pk), pk, P)
+        want = kernel.normal_form({e: field(c) for e, c in f.items()}, packed_reducers(as_gf, pk), pk)
         assert all(type(c) is int and 0 < c < P for c in got.values())
         assert {e: field(c) for e, c in got.items()} == want

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from brisk.orders import elim, grevlex, lex, neg_key_of
+from brisk.orders import elim, grevlex, lex
 
 ORDERS = [grevlex(), lex(), elim(1), elim(2), grevlex((2, 0, 1)), lex((1, 2, 0))]
 
@@ -48,16 +48,6 @@ def test_refines_divisibility(order):
         if any(extra):
             bigger = tuple(x + y for x, y in zip(a, extra))
             assert order.key(a) < order.key(bigger)
-
-
-@pytest.mark.parametrize("order", ORDERS, ids=str)
-def test_neg_key_mirrors_key(order):
-    # the kernel's max-heap order is the exact reverse of the sort key
-    rng = random.Random(404)
-    monos = list(set(random_monos(rng, 300)))
-    spec = order.spec()
-    by_neg = sorted(monos, key=lambda e: neg_key_of(e, spec))
-    assert by_neg == sorted(monos, key=order.key, reverse=True)
 
 
 def test_elim_block_dominates():
