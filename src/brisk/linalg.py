@@ -1,41 +1,82 @@
-"""Exact sparse linear algebra over Q.
+"""Sparse linear algebra over Q: one solution of A x = b or a proof that
+there is none, and the dense rank.
 
-Rows are dicts {column index: coefficient}.  Rows are scaled to integers
-with their content divided out, and elimination uses integer cross
-multiplication, so no fractions appear until the final back substitution.
+Rows are dicts {column index: coefficient}.  ``_integerize`` scales each
+row and its right-hand side to integers with their content divided out,
+so the integer system A' x = b' has the solutions of A x = b.
 
-Pivoting follows Markowitz's rule in its simplest form: the next pivot
-column is one held by the fewest live (not yet pivot) rows, lowest index
-first; within it the pivot row is the shortest, lowest index first.  So
-the computation, and the returned solution, is deterministic.
+``solve_sparse`` eliminates A' modulo the prime P = 2^61 - 1, lifts the
+answer to Q, and checks it exactly before it returns it.
 
-The counts are kept incrementally instead of being recounted at every
-pivot.  ``where[c]`` lists the rows that hold column c, ``live[c]`` says
-how many of them are live, and a heap holds the keys
-``live[c] * ncols + c``; a key whose count no longer matches ``live[c]``
-is stale and skipped when popped.  Eliminating column ``col`` from a row
-replaces it by ``row * a - t * pivot`` with ``a = pivot[col] != 0``, so
-every column outside the pivot row keeps a nonzero entry: only the
-pivot row's columns can appear in a row (fill-in) or cancel out of it.
-A pivot therefore updates the bookkeeping, and pushes a fresh heap key,
-for the pivot row's columns alone.
+- **Pivots.**  Markowitz's rule in its simplest form: the next pivot
+  column is one held by the fewest live (not yet pivot) rows, lowest
+  index first; within it the pivot row is the shortest, lowest index
+  first.  So the computation, and the returned solution, is
+  deterministic.  The counts are kept incrementally instead of being
+  recounted at every pivot.  ``where[c]`` lists the rows that hold
+  column c, ``live[c]`` says how many of them are live, and a heap holds
+  the keys ``live[c] * ncols + c``; a key whose count no longer matches
+  ``live[c]`` is stale and skipped when popped.  Clearing the pivot
+  column from a row adds a multiple of the pivot row, so only the pivot
+  row's columns can appear in a row (fill-in) or cancel out of it; a
+  pivot updates the bookkeeping, and pushes a fresh heap key, for those
+  columns alone.  The choice reads only the live rows' zero patterns.
+- **Elimination mod P.**  Each pivot row is made monic and its column is
+  cleared from the live rows only.  Every operation is recorded in three
+  flat arrays as (target row, source row, factor): ``v[t] -= f * v[s]``,
+  or ``v[t] *= f`` when a pivot row is scaled (target = source).  The
+  pivot rows on the pivot columns form a square block B = L U,
+  invertible mod P: replaying the operations on rows that became pivots
+  applies L^-1, and the pivot rows as they were chosen are U, unit upper
+  triangular in pivot order.  So B^-1 u is a replay and a back
+  substitution, and B^-T u a forward substitution with U^T and the
+  transposed operations replayed in reverse order.
+- **Found.**  Dixon lifting: x_k = B^-1 r_k mod P in balanced digits and
+  r_{k+1} = (r_k - B x_k) / P from r_0 = b' on the pivot rows, so that
+  sum x_k P^k = B^-1 b' mod P^(k+1).  After each step the sum goes
+  through rational reconstruction with one common denominator; a zero
+  residual means the sum is exact.  A candidate is returned only when
+  A' x = b' holds exactly on every row.  Free columns are 0.  As long as
+  P divides no entry, pivot or minor that is nonzero over Q, the zero
+  patterns and so the pivots are those over Q, and this is the solution
+  of the integer elimination ``_solve_exact``.
+- **NotFound.**  A row that is no pivot and whose right-hand side is
+  nonzero mod P reads 0 = c.  Over Q the row combination behind it is
+  y = e_i - lambda, with B^T lambda = (row i on the pivot columns);
+  lambda is lifted in the same way from B^-T.  ``None`` is returned only
+  when y^T A' = 0 on every column and y^T b' != 0 exactly.
+- **Lifting bound.**  By Hadamard's inequality the Cramer numerators and
+  the denominator of B^-1 b' are at most N, N^2 = prod_k (|A'_k|^2 +
+  b'_k^2) over the pivot rows (for lambda, N^2 = |a|^2 prod_k |A'_k|^2),
+  and the reconstruction is unique once P^k > 2 N^2.  Lifting stops
+  there.
+- **Fallback.**  When an input entry is 0 mod P, when lifting passes the
+  bound without a checked answer, or when the exact solution of the
+  pivot block fails the check (so P divides a pivot minor and the
+  patterns mod P are not those over Q), the answer comes from
+  ``_solve_exact`` instead.  Nothing else selects a path.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 from .errors import BudgetExceededError
+
+P = (1 << 61) - 1
+_HALF = P // 2
 
 
 def _integerize(row: dict[int, Fraction], rhs: Fraction):
     denom = rhs.denominator
     for v in row.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
-    irow = {c: int(v * denom) for c, v in row.items() if v}
-    irhs = int(rhs * denom)
+    irow = {c: v.numerator * (denom // v.denominator) for c, v in row.items() if v}
+    irhs = rhs.numerator * (denom // rhs.denominator)
     content = abs(irhs)
     for v in irow.values():
         content = gcd(content, abs(v))
@@ -71,6 +112,11 @@ def _combine(target, trhs, pivot, prhs, col):
     return out, orhs
 
 
+def _check_lengths(rows, rhs) -> None:
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+
+
 def solve_sparse(
     rows: list[dict[int, Fraction]],
     rhs: list[Fraction],
@@ -80,14 +126,344 @@ def solve_sparse(
     """One exact solution of A x = b (free variables set to 0), or None
     when the system is infeasible.
 
-    Infeasibility is definitive: the elimination runs to completion and
-    exhibits an inconsistent row.
+    The system is eliminated modulo P and the answer lifted to Q (see the
+    module docstring).  A solution has passed A' x = b' on every row; a
+    None has passed y^T A' = 0 and y^T b' != 0 for a witness y
+    (``infeasibility_witness`` returns it), or comes from the integer
+    elimination ``_solve_exact`` when the prime fails.  A length mismatch
+    between ``rows`` and ``rhs`` is a ValueError.
     """
+    _check_lengths(rows, rhs)
     if max_entries is not None and len(rows) * ncols > max_entries:
         raise BudgetExceededError(
             f"budget exhausted: linear system {len(rows)}x{ncols} exceeds "
             f"{max_entries} entries (raise max_matrix_entries / --budget-matrix)"
         )
+    answer = _solve_modular([_integerize(row, b) for row, b in zip(rows, rhs)], ncols)
+    if answer is None:
+        return _solve_exact(rows, rhs, ncols)
+    feasible, value = answer
+    return value if feasible else None
+
+
+def infeasibility_witness(
+    rows: list[dict[int, Fraction]], rhs: list[Fraction], ncols: int
+) -> list[Fraction] | None:
+    """A y with y^T A = 0 and y^T b != 0 on the given rows, which proves
+    that A x = b has no solution, or None when it has one.
+
+    The witness is the checked one ``solve_sparse`` finds mod P, scaled
+    back from the integer rows to these.  When the prime fails, y is the
+    exact solution of y^T [A | b] = [0 | 1].
+    """
+    _check_lengths(rows, rhs)
+    irows = [_integerize(row, b) for row, b in zip(rows, rhs)]
+    answer = _solve_modular(irows, ncols)
+    if answer is None:
+        cols: list[dict[int, Fraction]] = [{} for _ in range(ncols + 1)]
+        for r, (row, b) in enumerate(zip(rows, rhs)):
+            for c, v in row.items():
+                cols[c][r] = v
+            cols[ncols][r] = b
+        return _solve_exact(cols, [Fraction(0)] * ncols + [Fraction(1)], len(rows))
+    feasible, value = answer
+    if feasible:
+        return None
+    y = [Fraction(0)] * len(rows)
+    for r, v in value.items():
+        # A'_r = s * A_r, so y'_r A'_r = (y'_r s) A_r
+        irow, ib = irows[r]
+        c = next(iter(irow), None)
+        s = Fraction(irow[c]) / rows[r][c] if c is not None else Fraction(ib) / rhs[r]
+        y[r] = v * s
+    return y
+
+
+def _solve_modular(irows, ncols):
+    """(True, solution) or (False, witness {row: int} on the integer
+    rows) for the integer system ``irows``, each answer checked over Q;
+    None when the prime fails."""
+    # a row whose entries lie strictly between -P and P is its own
+    # reduction mod P: it is shared with ``irows`` until an operation
+    # changes it
+    work = []
+    for irow, _ in irows:
+        if not all(-P < v < P for v in irow.values()):
+            irow = {c: v % P for c, v in irow.items()}
+            if not all(irow.values()):
+                return None  # P divides an entry: the pattern mod P differs
+        work.append(irow)
+    wb = [b % P for _, b in irows]
+
+    where: list[list[int]] = [[] for _ in range(ncols)]
+    for ri, row in enumerate(work):
+        for c in row:
+            where[c].append(ri)
+    live = [len(holders) for holders in where]
+    heap = [n * ncols + c for c, n in enumerate(live) if n]
+    heapify(heap)
+
+    tgt, src, fac = array("q"), array("q"), array("q")
+    pivots: list[tuple[int, int]] = []  # (column, row index)
+    assigned = [False] * len(work)
+    while heap:
+        n, col = divmod(heappop(heap), ncols)
+        if n != live[col]:
+            continue  # stale key; the column was pivoted or recounted
+        holders = where[col]
+        prow = min(
+            (ri for ri in holders if not assigned[ri]),
+            key=lambda ri: (len(work[ri]), ri),
+        )
+        pivots.append((col, prow))
+        assigned[prow] = True
+        pr = work[prow]
+        a = pr[col]
+        if a != 1:
+            inv = pow(a, -1, P)
+            pr = work[prow] = {c: v * inv % P for c, v in pr.items()}
+            wb[prow] = wb[prow] * inv % P
+            tgt.append(prow)
+            src.append(prow)
+            fac.append(inv)
+        pb = wb[prow]
+        others = [(c, v) for c, v in pr.items() if c != col]
+        for c, _ in others:
+            live[c] -= 1
+        for ri in holders:
+            if assigned[ri]:
+                continue  # pivot rows stay as they were chosen: they are U
+            row = work[ri]
+            if row is irows[ri][0]:
+                row = work[ri] = dict(row)
+            t = row.pop(col)
+            tgt.append(ri)
+            src.append(prow)
+            fac.append(t)
+            wb[ri] = (wb[ri] - t * pb) % P
+            for c, v in others:
+                if c in row:
+                    s = (row[c] - t * v) % P
+                    if s:
+                        row[c] = s
+                    else:
+                        del row[c]
+                        where[c].remove(ri)
+                        live[c] -= 1
+                else:
+                    row[c] = -t * v % P  # nonzero, as P is prime
+                    where[c].append(ri)
+                    live[c] += 1
+        where[col] = [prow]
+        live[col] = 0
+        for c, _ in others:
+            if live[c]:
+                heappush(heap, live[c] * ncols + c)
+    del where, heap  # lifting allocates; free what it does not read
+
+    # only the operations on rows that became pivots act on B
+    mask = [assigned[t] for t in tgt]
+    ops = tuple(array("q", compress(seq, mask)) for seq in (tgt, src, fac))
+    del tgt, src, fac, mask
+    factors = _Factors(pivots, ncols, work, ops)
+    bad = next((ri for ri, b in enumerate(wb) if b and not assigned[ri]), None)
+    if bad is None:
+        return _lift_solution(irows, factors)
+    return _lift_witness(irows, bad, factors)
+
+
+class _Factors:
+    """B = L U mod P for the pivot block B, the pivot rows on the pivot
+    columns.  L^-1 is the recorded operations on rows that became pivots,
+    replayed in order.  U is the pivot rows as they were when chosen:
+    monic in their own column, with other entries only in later pivot
+    columns and in free columns, which hold 0 in every solution."""
+
+    def __init__(self, pivots, ncols, work, ops):
+        self.pivots = pivots
+        self.ncols = ncols
+        self.work = work
+        self.ops = ops
+
+    def solve(self, u):
+        """B^-1 u mod P.  u holds one entry per pivot row and the result
+        one per pivot column, both in pivot order."""
+        v = [0] * len(self.work)
+        for (_, ri), e in zip(self.pivots, u):
+            v[ri] = e % P
+        for t, s, f in zip(*self.ops):
+            if t == s:
+                v[t] = v[t] * f % P
+            else:
+                v[t] = (v[t] - f * v[s]) % P
+        x = [0] * self.ncols
+        for col, ri in reversed(self.pivots):
+            e = v[ri]
+            for c, f in self.work[ri].items():
+                e -= f * x[c]  # x[col] is still 0 here
+            x[col] = e % P
+        return [x[col] for col, _ in self.pivots]
+
+    def solve_transposed(self, u):
+        """B^-T u mod P: U^-T, then the row operations transposed and in
+        reverse order.  u holds one entry per pivot column and the result
+        one per pivot row, both in pivot order."""
+        a = [0] * self.ncols
+        for (col, _), e in zip(self.pivots, u):
+            a[col] = e
+        v = [0] * len(self.work)
+        for col, ri in self.pivots:
+            w = v[ri] = a[col] % P
+            if w:
+                for c, f in self.work[ri].items():
+                    a[c] -= f * w
+        tgt, src, fac = self.ops
+        for t, s, f in zip(reversed(tgt), reversed(src), reversed(fac)):
+            if t == s:
+                v[t] = v[t] * f % P
+            else:
+                v[s] = (v[s] - f * v[t]) % P
+        return [v[ri] for _, ri in self.pivots]
+
+
+def _dixon(residual, solve_mod, multiply, bound, accept):
+    """Lift the rational solution z of M z = residual from the solutions
+    mod P that ``solve_mod`` gives, where ``multiply`` applies M over Z.
+    Returns ``accept``'s value for the first reconstructed candidate it
+    takes, or None once the modulus passes ``bound`` or the exact
+    solution is rejected."""
+    total = [0] * len(residual)
+    modulus = 1
+    rejected = None
+    while True:
+        digits = [d - P if d > _HALF else d for d in solve_mod(residual)]
+        total = [z + d * modulus for z, d in zip(total, digits)]
+        modulus *= P
+        residual = [(r - m) // P for r, m in zip(residual, multiply(digits))]
+        exact = not any(residual)
+        candidate = (total, 1) if exact else _reconstruct(total, modulus)
+        if candidate is not None and candidate != rejected:
+            result = accept(*candidate)
+            if result is not None:
+                return result
+            rejected = candidate
+        if exact or modulus > bound:
+            return None
+
+
+def _reconstruct(values, modulus):
+    """(numerators, d) with values[i] = numerators[i] / d mod ``modulus``
+    and every |numerator| and d at most sqrt(modulus / 2), or None."""
+    bound = isqrt(modulus // 2)
+    half = modulus // 2
+    den = 1
+    for v in values:
+        u = v * den % modulus
+        if u <= bound or modulus - u <= bound:
+            continue
+        # Wang's half extended Euclid on (modulus, u)
+        r0, r1, t0, t1 = modulus, u, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        d = abs(t1)
+        if d > bound or gcd(r1, d) != 1:
+            return None
+        den *= d
+        if den > bound:
+            return None
+    nums = []
+    for v in values:
+        u = v * den % modulus
+        if u > half:
+            u -= modulus
+        if abs(u) > bound:
+            return None
+        nums.append(u)
+    return nums, den
+
+
+def _lift_solution(irows, factors):
+    pivots, ncols = factors.pivots, factors.ncols
+    prows = [irows[ri] for _, ri in pivots]
+    bound = 2
+    for irow, b in prows:
+        bound *= sum(v * v for v in irow.values()) + b * b
+
+    def spread(values):
+        x = [0] * ncols
+        for (col, _), v in zip(pivots, values):
+            x[col] = v
+        return x
+
+    def multiply(digits):
+        x = spread(digits)
+        return [sum(v * x[c] for c, v in irow.items()) for irow, _ in prows]
+
+    def accept(nums, den):
+        x = spread(nums)
+        for irow, ib in irows:
+            if sum(v * x[c] for c, v in irow.items()) != den * ib:
+                return None
+        solution = [Fraction(0)] * ncols
+        for col, _ in pivots:
+            solution[col] = Fraction(x[col], den)
+        return True, solution
+
+    return _dixon([b for _, b in prows], factors.solve, multiply, bound, accept)
+
+
+def _lift_witness(irows, bad, factors):
+    pivots, ncols = factors.pivots, factors.ncols
+    brow = irows[bad][0]
+    a = [brow.get(col, 0) for col, _ in pivots]
+    bound = 2 * max(1, sum(v * v for v in a))
+    for _, ri in pivots:
+        bound *= sum(v * v for v in irows[ri][0].values())
+
+    def multiply(lam):
+        out = [0] * ncols
+        for (_, ri), e in zip(pivots, lam):
+            if e:
+                for c, v in irows[ri][0].items():
+                    out[c] += v * e
+        return [out[col] for col, _ in pivots]
+
+    def accept(nums, den):
+        # y = den e_bad - nums on the pivot rows
+        y = {bad: den}
+        for (_, ri), v in zip(pivots, nums):
+            if v:
+                y[ri] = -v
+        total = [0] * ncols
+        yb = 0
+        for ri, yr in y.items():
+            irow, ib = irows[ri]
+            yb += yr * ib
+            for c, v in irow.items():
+                total[c] += yr * v
+        if yb == 0 or any(total):
+            return None
+        return False, y
+
+    return _dixon(a, factors.solve_transposed, multiply, bound, accept)
+
+
+def _solve_exact(
+    rows: list[dict[int, Fraction]],
+    rhs: list[Fraction],
+    ncols: int,
+) -> list[Fraction] | None:
+    """The integer elimination, which the modular solve falls back to.
+
+    It makes the same pivot choices as ``solve_sparse`` on rows kept over
+    Z: clearing a column replaces a row by ``row * a - t * pivot`` with
+    its content divided out (``_combine``), in every other row that holds
+    it (Gauss-Jordan), so no fractions appear until the final back
+    substitution.  Infeasibility is definitive: the elimination runs to
+    completion and exhibits an inconsistent row.
+    """
     work = []
     for row, b in zip(rows, rhs):
         irow, ib = _integerize(dict(row), b)

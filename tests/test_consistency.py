@@ -2,6 +2,7 @@
 disagree."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from oracles import dense_solve
 from brisk.certificate import MembershipInstance, minimal_degree, search_at_degree
 from brisk.errors import BudgetExceededError
 from brisk.groebner import Ideal, buchberger, eliminate
-from brisk.linalg import solve_sparse
+from brisk.linalg import P, _solve_exact, infeasibility_witness, solve_sparse
 from brisk.orders import lex
 from brisk.polyring import PolyRing
 
@@ -72,6 +73,8 @@ class TestSparseSolverAgainstDenseOracle:
         # and a row of zeros with a nonzero rhs is infeasible
         assert solve_sparse([{0: Fraction(0), 1: Fraction(1)}], [Fraction(1)], 2) == [0, 1]
         assert solve_sparse([{0: Fraction(0)}], [Fraction(1)], 1) is None
+        self._check([{0: Fraction(0), 1: Fraction(1)}], [Fraction(1)], 2)
+        self._check([{0: Fraction(0)}], [Fraction(1)], 1)
         rng = random.Random(5150)
         for trial in range(80):
             nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
@@ -112,9 +115,91 @@ class TestSparseSolverAgainstDenseOracle:
         got = solve_sparse(sparse_rows, list(rhs), ncols)
         want = dense_solve(dense, list(rhs))
         assert (got is None) == (want is None)
+        # the modular solve returns what the integer elimination returns
+        assert got == _solve_exact(sparse_rows, list(rhs), ncols)
+        witness = infeasibility_witness(sparse_rows, list(rhs), ncols)
         if got is not None:
             for row, b in zip(dense, rhs):
                 assert sum(a * v for a, v in zip(row, got)) == b
+            assert witness is None
+        else:
+            assert_witness(sparse_rows, rhs, ncols, witness)
+        return got
+
+
+def assert_witness(rows, rhs, ncols, y):
+    """y^T A = 0 and y^T b != 0 over Fraction, on the caller's rows."""
+    assert y is not None and len(y) == len(rows)
+    assert all(isinstance(v, Fraction) for v in y)
+    total = [Fraction(0)] * ncols
+    for yr, row in zip(y, rows):
+        for c, v in row.items():
+            total[c] += yr * v
+    assert not any(total)
+    assert sum(yr * b for yr, b in zip(y, rhs)) != 0
+
+
+class TestPrimeFailures:
+    """Systems built to defeat the prime P of the modular solve: each
+    returns exactly what the integer elimination returns."""
+
+    @staticmethod
+    def _same(rows, rhs, ncols):
+        rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+        rhs = [Fraction(b) for b in rhs]
+        return TestSparseSolverAgainstDenseOracle._check(rows, rhs, ncols)
+
+    def test_coefficient_equal_to_the_prime(self):
+        assert self._same([{0: P}], [1], 1) == [Fraction(1, P)]
+        assert self._same([{0: 2 * P, 1: 1}, {1: 1}], [3, 1], 2) == [Fraction(1, P), 1]
+
+    def test_pivot_block_with_determinant_the_prime(self):
+        rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + P}]
+        assert self._same(rows, [1, 1], 2) == [1, 0]
+        # consistent over Q, but inconsistent mod P
+        assert self._same(rows, [1, 2], 2) == [1 - Fraction(1, P), Fraction(1, P)]
+        # infeasible; mod P the second row vanishes, the third takes its
+        # pivot, and the witness found mod P holds over Q
+        self._same(rows + [{0: 2, 1: 3}], [1, 2, 5], 2)
+
+    def test_infeasible_over_q_but_consistent_mod_p(self):
+        start = time.process_time()
+        assert self._same([{0: 1}, {0: 1}], [0, P], 1) is None
+        assert self._same([{0: 2}, {0: 2}], [1, 1 + 2 * P], 1) is None
+        assert time.process_time() - start < 0.5
+
+    def test_solution_needs_several_lifting_steps(self):
+        rng = random.Random(61)
+        n = 4
+        for _ in range(5):
+            rows = [{c: rng.randint(-(2**40), 2**40) for c in range(n)} for _ in range(n)]
+            rhs = [rng.randint(-(2**40), 2**40) for _ in range(n)]
+            x = self._same(rows, rhs, n)
+            assert x is not None
+            # one step lifts mod P, reconstruction needs modulus > 2 N D
+            assert max(max(abs(v.numerator), v.denominator) for v in x) > P**2
+
+    def test_witness_needs_several_lifting_steps(self):
+        # the last row is a combination of the others with coefficients
+        # of about 120 bits, and its right-hand side is off by one
+        rng = random.Random(62)
+        n = 4
+        rows = [{c: rng.randint(-(2**40), 2**40) for c in range(n + 2)} for _ in range(n)]
+        rhs = [rng.randint(-(2**40), 2**40) for _ in range(n)]
+        coeffs = [Fraction(rng.randint(1, 2**60), rng.randint(1, 2**60)) for _ in range(n)]
+        last = {c: sum(k * row[c] for k, row in zip(coeffs, rows)) for c in range(n + 2)}
+        rows.append(last)
+        rhs.append(sum(k * b for k, b in zip(coeffs, rhs)) + 1)
+        assert self._same(rows, rhs, n + 2) is None
+
+    def test_length_mismatch_is_an_error(self):
+        rows = [{0: Fraction(1)}, {0: Fraction(1)}]
+        with pytest.raises(ValueError):
+            solve_sparse(rows, [Fraction(1)], 1)
+        with pytest.raises(ValueError):
+            solve_sparse(rows[:1], [Fraction(1), Fraction(2)], 1)
+        with pytest.raises(ValueError):
+            infeasibility_witness(rows, [Fraction(1)], 1)
 
 
 class TestEliminationAgainstLex:
