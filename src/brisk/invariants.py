@@ -8,7 +8,10 @@ leading terms by the standard colon recursion
 
 Writing n(t) = (1-t)^e q(t) with q(1) != 0, the Krull dimension of S/J
 is D = V - e, the projective dimension is D - 1, and the degree of the
-projective scheme is q(1).
+projective scheme is q(1).  The same recursion, run per component on
+leading module monomials, gives the numerator of a graded module F/U
+(``module_hilbert_numerator``); ``factor_one_minus_t`` splits off the
+(1-t)^e of either.
 """
 
 from __future__ import annotations
@@ -72,6 +75,50 @@ def hilbert_numerator(gb: GroebnerBasis) -> tuple[int, ...]:
     return tuple(num.get(i, 0) for i in range(degree + 1))
 
 
+def module_hilbert_numerator(leads, twists: tuple[int, ...]) -> dict[int, int]:
+    """Hilbert-series numerator, over (1-t)^nvars, of F/U for the graded
+    free module F = ⊕ S(-twists[i]) and a submodule U, from the leading
+    module monomials (pos, exponent) of any Groebner basis of U.
+
+    F/U is the direct sum over i of S(-twists[i])/L_i, L_i the monomial
+    ideal of the leads in position i, so each component contributes its
+    ideal numerator shifted by t^twists[i].  Twists may be negative, so
+    the result is a Laurent polynomial {power of t: coefficient}.
+    """
+    per_pos: dict[int, list] = {}
+    for pos, e in leads:
+        per_pos.setdefault(pos, []).append(e)
+    memo: dict = {}
+    out: dict[int, int] = {}
+    for pos, twist in enumerate(twists):
+        gens = tuple(kernel.minimal_generators(per_pos.get(pos, ())))
+        for k, v in _numerator(gens, memo).items():
+            out[k + twist] = out.get(k + twist, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def factor_one_minus_t(num: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(e, q) with num = (1-t)^e q and q(1) != 0, for a Laurent polynomial
+    {power of t: coefficient}; (0, {}) for the zero polynomial.
+
+    For a Hilbert numerator over (1-t)^nvars, e is the codimension of the
+    module's support (its Krull dimension is nvars - e).
+    """
+    q = {k: v for k, v in num.items() if v}
+    e = 0
+    while q and sum(q.values()) == 0:
+        # divide by (1 - t): if q = (1-t) m then m_i = q_lo + ... + q_i
+        acc = 0
+        div = {}
+        for i in range(min(q), max(q)):
+            acc += q.get(i, 0)
+            if acc:
+                div[i] = acc
+        q = div
+        e += 1
+    return e, q
+
+
 @dataclass(frozen=True)
 class HilbertData:
     """Hilbert series data of S/J: numerator over (1-t)^nvars."""
@@ -132,23 +179,11 @@ def _binom_poly(top: int, k: int) -> int:
 
 def hilbert_data(gb: GroebnerBasis) -> HilbertData:
     num = hilbert_numerator(gb)
-    reduced = list(num)
-    e = 0
-    while reduced and sum(reduced) == 0:
-        # divide by (1 - t): if n = (1-t) m then m_i = n_0 + ... + n_i
-        acc = 0
-        div = []
-        for c in reduced:
-            acc += c
-            div.append(acc)
-        if div and div[-1] == 0:
-            div.pop()
-        reduced = div
-        e += 1
+    e, q = factor_one_minus_t(dict(enumerate(num)))
     return HilbertData(
         nvars=gb.ring.nvars,
         numerator=num,
-        reduced=tuple(reduced),
+        reduced=tuple(q.get(i, 0) for i in range(max(q) + 1)) if q else (),
         cone_dim=gb.ring.nvars - e if num else 0,
     )
 

@@ -22,6 +22,7 @@ kept, which is what makes iterated resolution steps cheap.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from . import kernel
@@ -141,13 +142,6 @@ def mod_reduce(elem: dict, gb: list[dict], leads: list[ModMono], order):
     return out, quot
 
 
-def _pairs(leads: list[ModMono]):
-    for j in range(len(leads)):
-        for i in range(j):
-            if leads[i][0] == leads[j][0]:
-                yield i, j
-
-
 def _minimal_pairs(leads: list[ModMono]):
     """The pairs (i, j), i < j in the same position, whose quotient
     lcm(lt_i, lt_j)/lt_i minimally generates the monomial ideal of those
@@ -168,20 +162,54 @@ def module_groebner(inputs: list[dict], order, budget: Budget = DEFAULT_BUDGET):
     Returns (gb, leads, reps): monic basis elements, their leading module
     monomials, and for each basis element its expression as a combination
     of the inputs (a dict (j, exp) -> coeff over input j).
+
+    Pairs are taken smallest lcm first (the normal strategy, which
+    completes a homogeneous module degree by degree).  Each new element
+    goes through the Gebauer-Moeller update within its position:
+    criterion B_k on the pending pairs and one new pair per minimal lcm.
+    The coprimality criterion does not hold for modules and is not used.
     """
     gb: list[dict] = []
     leads: list[ModMono] = []
     reps: list[dict] = []
-    for j, elem in enumerate(inputs):
-        if not elem:
-            continue
-        rep = {(j, _zero_exp(elem)): _one_of(elem)}
-        _push_monic(gb, leads, reps, elem, rep, order)
+    # elements whose lead no later lead divides; only they get new pairs,
+    # while every element stays a reducer
+    active: list[int] = []
+    pending: list[tuple] = []  # heap of (order key of the lcm, i, j, lcm)
 
-    pending = list(_pairs(leads))
+    def push(elem: dict, rep: dict):
+        h = len(gb)
+        _push_monic(gb, leads, reps, elem, rep, order)
+        pos, lh = leads[h]
+        kept = [
+            p
+            for p in pending
+            if leads[p[1]][0] != pos
+            or not kernel.mono_divides(lh, p[3])
+            or kernel.mono_lcm(leads[p[1]][1], lh) == p[3]
+            or kernel.mono_lcm(leads[p[2]][1], lh) == p[3]
+        ]
+        if len(kept) < len(pending):
+            pending[:] = kept
+            heapq.heapify(pending)
+        first: dict = {}
+        for i in active:
+            if leads[i][0] == pos:
+                first.setdefault(kernel.mono_lcm(leads[i][1], lh), i)
+        for lcm in kernel.minimal_generators(first):
+            heapq.heappush(pending, (order.key((pos, lcm)), first[lcm], h, lcm))
+        active[:] = [
+            i for i in active if leads[i][0] != pos or not kernel.mono_divides(lh, leads[i][1])
+        ]
+        active.append(h)
+
+    for j, elem in enumerate(inputs):
+        if elem:
+            push(elem, {(j, _zero_exp(elem)): _one_of(elem)})
+
     done = 0
     while pending:
-        i, j = pending.pop(0)
+        _, i, j, _ = heapq.heappop(pending)
         done += 1
         if done > budget.max_pairs:
             raise BudgetExceededError(
@@ -195,11 +223,7 @@ def module_groebner(inputs: list[dict], order, budget: Budget = DEFAULT_BUDGET):
         srep = _s_element(reps, i, j, di, dj)
         for (k, shift), c in quot.items():
             mod_sub_shifted(srep, c, shift, reps[k])
-        old = len(gb)
-        _push_monic(gb, leads, reps, rem, srep, order)
-        for t in range(old):
-            if leads[t][0] == leads[old][0]:
-                pending.append((t, old))
+        push(rem, srep)
     return gb, leads, reps
 
 

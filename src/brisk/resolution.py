@@ -8,8 +8,12 @@ minimal twists come the Betti table and the regularity
     reg = max over steps k and twists d of (d - k) + 1,
 
 with the convention that the zero ideal (empty resolution) has
-regularity 1.  The module also computes generic ranks, Fitting ideals of
-the step matrices, and the codimensions of their drop-rank loci.
+regularity 1.  The module also computes generic ranks and Fitting ideals
+of the step matrices (ideals of minors, capped at 6x6), and the
+codimensions of their drop-rank loci Z_k.  Those take no minors: Z_k is
+the union of the supports of Ext^j(S/J, S) over j >= k
+(Buchsbaum-Eisenbud 1973; Eisenbud-Huneke-Vasconcelos 1992), and each
+codim Ext^j is read off Hilbert series of the dual complex.
 """
 
 from __future__ import annotations
@@ -453,17 +457,44 @@ def fitting_ideal(
 def bef_codims(
     res: FreeResolution,
     budget: Budget = DEFAULT_BUDGET,
-    minor_cap: int = 6,
 ) -> list[tuple[int, float]]:
-    """Per step k, the codimension of the drop-rank locus of the k-th map
-    (infinity when the minors generate the unit ideal)."""
+    """Per step k, the codimension of the drop-rank locus Z_k of the k-th
+    map, read off Hilbert series of the dual complex; no minor is taken.
+
+    Z_k = V(I_{r_k}(phi_k)) is the set of primes P with pd M_P >= k
+    (Buchsbaum-Eisenbud 1973, "What makes a complex exact?";
+    Eisenbud-Huneke-Vasconcelos 1992, "Direct methods for primary
+    decomposition"), that is the union of Supp Ext^j(M, S) over j >= k,
+    so codim Z_k = min over j >= k of codim Ext^j(M, S).  With
+    C_k = coker(phi_k^T) on F_k^* (C_0 = F_0^*, C_{n+1} = F_{n+1}^* = 0),
+
+        HS(Ext^j) = HS(C_j) + HS(C_{j+1}) - HS(F_{j+1}^*),
+
+    and each HS(C_k) comes from one module Groebner basis of the rows of
+    phi_k.  Infinity only when every Ext^j, j >= k, vanishes.
+    """
+    # Hilbert numerators of F_k^* and C_k at index k - 1, zero at k = n + 1
+    free: list[dict[int, int]] = []
+    coker: list[dict[int, int]] = []
+    for step in res.steps:
+        dual = tuple(-b for b in step.source.twists)
+        rows = modules.columns_to_elements([list(col) for col in zip(*step.matrix)])
+        order = modules.BaseModuleOrder(grevlex(), dual)
+        _, leads, _ = modules.module_groebner(rows, order, budget)
+        free.append(invariants.module_hilbert_numerator((), dual))
+        coker.append(invariants.module_hilbert_numerator(leads, dual))
+    free.append({})
+    coker.append({})
     out = []
-    for k in range(1, res.length + 1):
-        fitt = fitting_ideal(res, k, minor_cap)
-        if any(g.is_constant() and g for g in fitt.gens):
-            out.append((k, float("inf")))
-            continue
-        gb = buchberger(fitt, grevlex(), budget)
-        data = invariants.hilbert_data(gb)
-        out.append((k, res.ring.nvars - data.cone_dim))
-    return out
+    best = float("inf")
+    for j in range(res.length, 0, -1):
+        ext = dict(coker[j - 1])
+        for t, v in coker[j].items():
+            ext[t] = ext.get(t, 0) + v
+        for t, v in free[j].items():
+            ext[t] = ext.get(t, 0) - v
+        e, q = invariants.factor_one_minus_t(ext)
+        if q:  # Ext^j != 0, of codimension e
+            best = min(best, e)
+        out.append((j, best))
+    return out[::-1]

@@ -5,6 +5,10 @@ import re
 import pytest
 
 from brisk.cli import main
+from brisk.errors import BudgetExceededError
+from brisk.groebner import Budget
+from brisk.instances import parse_ideal_file
+from brisk.resolution import bef_codims, minimal_resolution
 
 KOLLAR = """vars: z1, z2
 generators:
@@ -161,6 +165,37 @@ class TestResolve:
         assert main(["resolve", cubic_file, "--char", "32003"]) == 0
         out = capsys.readouterr().out
         assert "regularity: 2" in out
+
+    @pytest.mark.parametrize(
+        "d, codims",
+        [
+            (5, "k=1: 4, k=2: 4, k=3: 4, k=4: 4"),
+            (6, "k=1: 5, k=2: 5, k=3: 5, k=4: 5, k=5: 5"),
+        ],
+    )
+    def test_rational_normal_curves_past_the_minor_cap(self, d, codims, tmp_path, capsys):
+        # ranks 9 (d = 5) and 14 (d = 6) are over the 6x6 minor cap of
+        # fitting_ideal; the drop-rank codimensions take no minors
+        z = [f"z{i}" for i in range(d + 1)]
+        lines = [f"vars: {', '.join(z)}"] + [
+            f"{z[i]}*{z[j + 1]} - {z[i + 1]}*{z[j]}" for i in range(d) for j in range(i + 1, d)
+        ]
+        f = tmp_path / f"rnc{d}.txt"
+        f.write_text("\n".join(lines) + "\n")
+        assert main(["resolve", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert f"drop-rank codimensions: {codims}\n" in out
+
+    def test_drop_rank_codims_respect_the_pair_budget(self):
+        res = minimal_resolution(parse_ideal_file(TWISTED_CUBIC_IDEAL))
+        with pytest.raises(BudgetExceededError):
+            bef_codims(res, Budget(max_pairs=0))
+
+    def test_zero_ideal_is_an_empty_resolution(self, tmp_path, capsys):
+        f = tmp_path / "zero.txt"
+        f.write_text("vars: x, y\n0\n")
+        assert main(["resolve", str(f)]) == 0
+        assert "drop-rank codimensions: (empty resolution)" in capsys.readouterr().out
 
 
 class TestInvariants:

@@ -2,6 +2,7 @@
 Fitting ideals, and the drop-rank codimension bounds."""
 
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from conftest import skew_lines_ideal, twisted_cubic_ideal
 from oracles import syzygy_dimension_at_degree
 
-from brisk import resolution
+from brisk import modules, resolution
 from brisk.errors import BudgetExceededError
+from brisk.fields import GF, poly_to_gf
 from brisk.groebner import Ideal, buchberger, membership
 from brisk.invariants import hilbert_data
+from brisk.orders import grevlex
 from brisk.polyring import PolyRing
 from brisk.resolution import (
     FreeResolution,
@@ -321,3 +324,95 @@ class TestFittingAndRankLoci:
         res = minimal_resolution(skew_lines_ideal())
         codims = dict(bef_codims(res))
         assert codims[3] >= 4
+
+
+def minors_codims(res: FreeResolution) -> list[tuple[int, float]]:
+    """Reference for bef_codims: the codimension of each Fitting ideal of
+    minors, from the Hilbert data of its Groebner basis."""
+    out = []
+    for k in range(1, res.length + 1):
+        data = hilbert_data(buchberger(fitting_ideal(res, k)))
+        out.append((k, float("inf") if data.is_unit_ideal else res.ring.nvars - data.cone_dim))
+    return out
+
+
+def random_forms_ideal(rng: random.Random) -> Ideal:
+    """2-4 forms of degree 2-3 in 3 variables, or 2-3 in 4, each with 1-3
+    terms; four forms in four variables would make the minors reference
+    run for tens of seconds."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(rng.choice((3, 4)))))
+    gens = []
+    for _ in range(rng.randint(2, 7 - ring.nvars)):
+        monos = list(itertools.combinations_with_replacement(ring.gens(), rng.randint(2, 3)))
+        f = ring.zero()
+        for mono in rng.sample(monos, rng.randint(1, 3)):
+            term = ring.one() * rng.choice((-2, -1, 1, 2, 3))
+            for v in mono:
+                term = term * v
+            f = f + term
+        gens.append(f)
+    return Ideal(ring, gens)
+
+
+def over_gf32003(ideal: Ideal) -> Ideal:
+    field = GF(32003)
+    return Ideal(ideal.ring, [poly_to_gf(g, field) for g in ideal.gens])
+
+
+class TestModuleGroebner:
+    def test_basis_property_and_representations(self):
+        # the pair criteria may skip pairs, never a needed one: every
+        # same-position S-element of the result reduces to zero, every
+        # input reduces to zero, and reps express the basis in the inputs
+        rng = random.Random(11)
+        for _ in range(6):
+            ideal = random_forms_ideal(rng)
+            for member in (ideal, over_gf32003(ideal)):
+                for step in minimal_resolution(member).steps:
+                    dual = tuple(-b for b in step.source.twists)
+                    order = modules.BaseModuleOrder(grevlex(), dual)
+                    rows = modules.columns_to_elements([list(c) for c in zip(*step.matrix)])
+                    gb, leads, reps = modules.module_groebner(rows, order)
+                    for i, j in itertools.combinations(range(len(gb)), 2):
+                        if leads[i][0] == leads[j][0]:
+                            di, dj = modules._s_shifts(leads, i, j)
+                            s = modules._s_element(gb, i, j, di, dj)
+                            assert not modules.mod_reduce(s, gb, leads, order)[0]
+                    for row in rows:
+                        assert not modules.mod_reduce(row, gb, leads, order)[0]
+                    for g, rep in zip(gb, reps):
+                        acc: dict = {}
+                        for (j, u), c in rep.items():
+                            modules.mod_sub_shifted(acc, -c, u, rows[j])
+                        assert acc == g
+
+
+class TestExtCodimsAgainstMinors:
+    """bef_codims reads Ext Hilbert series; the minors of the Fitting
+    ideals must give the same codimensions wherever they can be taken."""
+
+    def test_classical_resolutions(self):
+        R = PolyRing(("x", "y", "z"))
+        a, b, c, d = P3.gens()
+        cases = [
+            (Ideal(R, R.gens()), [3, 3, 3]),
+            # a plane and a point of P^3: Ext^2 vanishes, Z_2 = Supp Ext^3
+            (Ideal(P3, [a * b, a * c, a * d]), [1, 3, 3]),
+            (skew_lines_ideal(), [2, 2, 4]),
+            (rational_normal_curve(3), [2, 2]),
+            (rational_normal_curve(4), [3, 3, 3]),
+            (cusp_proj(5), [1]),
+        ]
+        for ideal, want in cases:
+            res = minimal_resolution(ideal)
+            codims = bef_codims(res)
+            assert codims == minors_codims(res)
+            assert [c for _, c in codims] == want
+
+    def test_random_ideals_over_q_and_gf(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            ideal = random_forms_ideal(rng)
+            for member in (ideal, over_gf32003(ideal)):
+                res = minimal_resolution(member)
+                assert bef_codims(res) == minors_codims(res)
