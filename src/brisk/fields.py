@@ -4,13 +4,14 @@ Certificates and all verification arithmetic stay over Q; a prime field
 (default suggestion p = 32003) is offered purely to speed up resolution
 and invariant computations on larger inputs.  ``GFElement`` is the
 coefficient type of MultiPoly values over GF(p): it supports the same
-arithmetic protocol as Fraction, so polynomial arithmetic, module
-reductions and the tail reduction of a finished basis use it directly.
-The Buchberger loop does not: ``groebner.buchberger`` takes p from the
-first GFElement among the generators and reduces ints mod p on packed
-monomials (``kernel.Packing``), then turns the finished basis back into
-GFElements.  ``GroebnerBasis.normal_form`` divides GFElements, also on
-packed monomials.
+arithmetic protocol as Fraction, so polynomial arithmetic and the tail
+reduction of a finished basis use it directly.  The Groebner engines of
+ideals and modules do not: ``groebner.buchberger`` and the ``modules``
+bases take p from the first GFElement among their inputs
+(``kernel.field_modulus``) and reduce ints mod p on packed monomials,
+then turn their results back into GFElements.
+``GroebnerBasis.normal_form`` divides GFElements, also on packed
+monomials.
 """
 
 from __future__ import annotations

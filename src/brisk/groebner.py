@@ -30,12 +30,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
 
 from . import kernel
 from .errors import BudgetExceededError, RingMismatchError
-from .fields import GF, GFElement
 from .orders import MonomialOrder, elim, grevlex
 from .polyring import MultiPoly, PolyRing
 
@@ -171,68 +168,6 @@ def _nf_terms(terms, reducers, packing, modulus=None):
     return kernel.normal_form(terms, reducers, packing, modulus)
 
 
-def _modulus(gens) -> int | None:
-    """p when some generator has a GFElement coefficient, else None (Q).
-    Inputs may mix the two: saturate adds 1 - t*f to GF(p) generators."""
-    for g in gens:
-        for c in g.terms.values():
-            if isinstance(c, GFElement):
-                return c.p
-    return None
-
-
-def _to_ints(terms: dict, modulus: int | None) -> dict:
-    """Coefficients as ints mod p, or over Q cleared of denominators."""
-    if modulus:
-        field = GF(modulus)
-        return {e: field(c).v for e, c in terms.items()}
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
-def _normalized(terms: dict, lead, modulus: int | None) -> dict:
-    """Monic mod p, or primitive with a positive lead over Z."""
-    if modulus:
-        inv = pow(terms[lead], -1, modulus)
-        return terms if inv == 1 else {e: v * inv % modulus for e, v in terms.items()}
-    g = gcd(*terms.values())
-    if terms[lead] < 0:
-        g = -g
-    return terms if g == 1 else {e: v // g for e, v in terms.items()}
-
-
-def _s_poly(ri, rj, lcm_key: int, guard: int, modulus: int | None) -> dict:
-    """A nonzero multiple of S(g_i, g_j) from the packed reducer tuples
-    of g_i and g_j; the lead terms cancel and are left out.  Raises
-    OverflowError when a term outgrows the packing with mask ``guard``."""
-    li, ai, tail_i = ri
-    lj, aj, tail_j = rj
-    g = gcd(ai, aj)
-    fi, fj = aj // g, ai // g
-    si, sj = lcm_key - li, lcm_key - lj
-    s = {e + si: fi * v for e, v in tail_i}
-    for e, v in tail_j:
-        t = e + sj
-        c = s.get(t, 0) - fj * v
-        if modulus:
-            c %= modulus
-        if c:
-            s[t] = c
-        else:
-            s.pop(t, None)
-    if any(t & guard for t in s):
-        raise OverflowError("exponent outgrew the packed field width")
-    return s
-
-
-def _from_ints(terms: dict, lead, modulus: int | None) -> dict:
-    """Back to monic Fraction or GFElement coefficients."""
-    if modulus:
-        return {e: GFElement(v, modulus) for e, v in terms.items()}
-    lc = terms[lead]
-    return {e: Fraction(v, lc) for e, v in terms.items()}
-
-
 def buchberger(
     ideal: Ideal,
     order: MonomialOrder = grevlex(),
@@ -240,8 +175,8 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` with respect to ``order``."""
     ring = ideal.ring
-    modulus = _modulus(ideal.gens)
-    gens = [(_to_ints(g.terms, modulus), g.degree()) for g in ideal.gens]
+    modulus = kernel.field_modulus(ideal.gens)
+    gens = [(kernel.to_ints(g.terms, modulus), g.degree()) for g in ideal.gens]
     bits = kernel.bits_for(max((d for _, d in gens), default=0))
     while True:
         packing = kernel.packing(order.spec(), ring.nvars, bits)
@@ -270,7 +205,7 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[di
     def push(terms: dict, sugar: int):
         """Append a basis element h and make the Gebauer-Moeller update."""
         key = max(terms)
-        terms = _normalized(terms, key, modulus)
+        terms = kernel.normalized(terms, key, modulus)
         lh = packing.unpack(key)
         h = len(basis_terms)
         basis_terms.append(terms)
@@ -326,7 +261,7 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[di
                 f"budget exhausted: S-pair lcm degree {deg} exceeds "
                 f"{budget.max_degree} (raise max_degree)"
             )
-        s = _s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), guard, modulus)
+        s = kernel.s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), guard, modulus)
         nf = _nf_terms(s, reducers, packing, modulus)
         if nf:
             push(nf, sugar)
@@ -335,7 +270,7 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[di
     # and the field copy of the basis are never held at once
     reducers.clear()
     for k, terms in enumerate(basis_terms):
-        basis_terms[k] = _from_ints(terms, max(terms), modulus)
+        basis_terms[k] = kernel.from_ints(terms, max(terms), modulus)
     return _reduce_basis(basis_terms, packing)
 
 

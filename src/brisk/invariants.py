@@ -25,17 +25,6 @@ from .orders import grevlex
 from .polyring import MultiPoly
 
 
-def _poly_sub(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, 0) - v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _poly_shift_mul(a: dict[int, int], shift: int) -> dict[int, int]:
     return {k + shift: v for k, v in a.items()}
 
@@ -55,7 +44,7 @@ def _numerator(gens: tuple[tuple[int, ...], ...], memo: dict) -> dict[int, int]:
         colon = tuple(
             kernel.minimal_generators([kernel.mono_div(kernel.mono_lcm(g, m), m) for g in rest])
         )
-        out = _poly_sub(
+        out = kernel.poly_sub(
             _numerator(rest_min, memo),
             _poly_shift_mul(_numerator(colon, memo), sum(m)),
         )

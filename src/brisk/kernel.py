@@ -23,16 +23,21 @@ starts again with fields twice as wide.
 ``normal_form`` divides packed terms in one of three coefficient
 domains: field elements by monic reducers, plain ints mod a prime by
 monic reducers, or plain ints by integer reducers (fraction-free
-pseudo-division, used for Groebner bases over Q).
+pseudo-division, used for Groebner bases over Q).  The Groebner engines
+of ideals and of modules share the int conversions around it
+(``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``) and the
+S-polynomial ``s_poly``.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
+from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
+from .fields import GF, GFElement
 from .orders import GREVLEX, LEX, key_of
 
 # strip the content of an integer remainder after this many scalings
@@ -232,6 +237,47 @@ def bits_for(degree: int) -> int:
     return max(MIN_BITS, (2 * degree).bit_length() + 1)
 
 
+# ------------------------------------------------------ int coefficients
+
+
+def field_modulus(polys) -> int | None:
+    """p when some coefficient of ``polys`` is a GFElement, else None (Q).
+    Inputs may mix the two: saturate adds 1 - t*f to GF(p) generators."""
+    for g in polys:
+        for c in g.terms.values():
+            if isinstance(c, GFElement):
+                return c.p
+    return None
+
+
+def to_ints(terms: dict, modulus: int | None) -> dict:
+    """Coefficients as ints mod p, or over Q cleared of denominators."""
+    if modulus:
+        field = GF(modulus)
+        return {e: field(c).v for e, c in terms.items()}
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def normalized(terms: dict, lead, modulus: int | None) -> dict:
+    """Monic mod p, or primitive with a positive lead over Z."""
+    if modulus:
+        inv = pow(terms[lead], -1, modulus)
+        return terms if inv == 1 else {e: v * inv % modulus for e, v in terms.items()}
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
+        g = -g
+    return terms if g == 1 else {e: v // g for e, v in terms.items()}
+
+
+def from_ints(terms: dict, lead, modulus: int | None) -> dict:
+    """Back to monic Fraction or GFElement coefficients."""
+    if modulus:
+        return {e: GFElement(v, modulus) for e, v in terms.items()}
+    lc = terms[lead]
+    return {e: Fraction(v, lc) for e, v in terms.items()}
+
+
 # ------------------------------------------------------------ normal form
 
 
@@ -241,16 +287,40 @@ def reducer(lead, terms):
     return (lead, terms[lead], tuple((e, c) for e, c in terms.items() if e != lead))
 
 
+def s_poly(ri, rj, lcm_key: int, guard: int, modulus: int | None) -> dict:
+    """A nonzero multiple of S(g_i, g_j) from the packed reducer tuples
+    of g_i and g_j; the lead terms cancel and are left out.  Raises
+    OverflowError when a term outgrows the packing with mask ``guard``."""
+    li, ai, tail_i = ri
+    lj, aj, tail_j = rj
+    g = gcd(ai, aj)
+    fi, fj = aj // g, ai // g
+    si, sj = lcm_key - li, lcm_key - lj
+    s = {e + si: fi * v for e, v in tail_i}
+    for e, v in tail_j:
+        t = e + sj
+        c = s.get(t, 0) - fj * v
+        if modulus:
+            c %= modulus
+        if c:
+            s[t] = c
+        else:
+            s.pop(t, None)
+    if any(t & guard for t in s):
+        raise OverflowError("exponent outgrew the packed field width")
+    return s
+
+
 def normal_form(terms, reducers, packing, modulus=None):
     """Remainder of packed ``terms`` under full multivariate division.
 
     ``reducers`` is a sequence of ``reducer(lead, terms)`` tuples packed
-    by ``packing``.  The first reducer (in sequence order) whose lead
-    divides the current monomial is used, so the result is deterministic
-    for a fixed reducer sequence; against a Groebner basis it is the
-    canonical normal form regardless of that sequence.  With no reducers
-    the terms come back unchanged and ``packing`` is not used.  The
-    coefficients are one of:
+    by ``packing``, of which only the mask ``packing.guard`` is used.
+    The first reducer (in sequence order) whose lead divides the current
+    monomial is used, so the result is deterministic for a fixed reducer
+    sequence; against a Groebner basis it is the canonical normal form
+    regardless of that sequence.  With no reducers the terms come back
+    unchanged and ``packing`` is not used.  The coefficients are one of:
 
     * field elements (Fraction, GFElement) with monic reducers;
     * ints mod ``modulus`` with monic reducers;

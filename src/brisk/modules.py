@@ -1,23 +1,52 @@
 """Submodules of graded free modules: Groebner bases and syzygies.
 
-A free-module element is a dict mapping module monomials (pos, exponent)
-to coefficients; generator ``pos`` of the module carries a twist, so the
-element degree is |exponent| + twist[pos].  Two module orders are used:
+Module elements run on the ideal engine: packed int monomials, int
+coefficients (primitive over Q, reduced mod p over GF(p)),
+``kernel.s_poly`` and ``kernel.normal_form``.  Field coefficients appear
+only at the boundary (``columns_to_elements``, ``elements_to_columns``).
 
-  * a degree-refined term-over-position order (the base case), and
-  * the Schreyer order induced by the leading monomials of a Groebner
-    basis one step down the resolution.
+A ``Layout`` packs the module monomial u*e_i as
 
-Syzygies come from S-pair divisions: for a Groebner basis g_1..g_t, a
-same-position pair (i, j), i < j, contributes
+    bases[i] + (mono(u) << shift),
+
+where mono(u) is the ring ``kernel.Packing`` of u with one more field on
+top holding deg u, all fields w bits wide.  Two module orders are used:
+
+  * ``Layout.free(..., twists)``: degree first (twists[i] plus an offset
+    that keeps dual twists nonnegative sits in the top field of
+    bases[i]), then the ring order, then the lower position.  The pair
+    of fields (n - i, i + 1) sits below the monomial, above two empty
+    fields.
+  * ``layout.extend(leads)``: the Schreyer order induced by the leading
+    monomials of a Groebner basis one step down the resolution.  It
+    packs u*e_i as (key of u*lead_i) << 2w plus the pair (n - i, i + 1)
+    in the two lowest fields, so ties go to the lower index.
+
+Each pair sums to n + 1, so for two different positions one field of
+their difference is negative and sets its guard bit: as for ideals,
+``(m - lead) & guard == 0`` exactly when ``lead`` divides ``m`` in the
+same position, and int comparison is the module order.
+
+Relations are tracked as terms.  ``relations.track(layout, elems,
+scales)`` appends scales[k] e_k of ``relations`` to element k, and gives
+every term of ``layout`` a flag bit above all relation terms (which keeps
+them below every module term, as ``normal_form`` needs) and the pair
+(0, n + 1) in its two lowest fields (so that no lead divides a relation
+term).  Division then carries the relations along.  With lc(g_k) e_k,
+which stands for the monic g_k, appended to each element of a Groebner
+basis g_1..g_t, the normal form of the S-element of a same-position pair
+(i, j) has no module term left and is the syzygy
 
     sigma_ij = (lcm/lt_i) e_i - (lcm/lt_j) e_j - sum_k q_k e_k,
 
-where the q_k track the division of the S-element to zero.  Over all
-pairs these form a Groebner basis of the syzygy module with respect to
-the induced Schreyer order (Schreyer's theorem); only the pairs whose
-leading terms (lcm/lt_i) e_i minimally generate that leading module are
-kept, which is what makes iterated resolution steps cheap.
+already packed in ``layout.extend(leads)``.  Over all pairs these form a
+Groebner basis of the syzygy module for the induced Schreyer order
+(Schreyer's theorem); only the pairs whose leading terms (lcm/lt_i) e_i
+minimally generate that leading module are kept, which is what makes
+iterated resolution steps cheap.
+
+Any packing step raises OverflowError when a value outgrows its field;
+the caller starts again with wider fields.
 """
 
 from __future__ import annotations
@@ -28,10 +57,7 @@ from dataclasses import dataclass
 from . import kernel
 from .errors import BudgetExceededError
 from .groebner import DEFAULT_BUDGET, Budget
-from .orders import MonomialOrder
 from .polyring import MultiPoly, PolyRing
-
-ModMono = tuple[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -44,105 +70,117 @@ class FreeModule:
     def rank(self) -> int:
         return len(self.twists)
 
-    def degree_of(self, elem: dict) -> int | None:
-        """Degree of a homogeneous element (None for zero)."""
-        for (pos, e) in elem:
-            return sum(e) + self.twists[pos]
-        return None
 
-    def is_homogeneous(self, elem: dict) -> bool:
-        degs = {sum(e) + self.twists[pos] for (pos, e) in elem}
-        return len(degs) <= 1
+def _pair(n: int, i: int, packing) -> int:
+    """The two fields (n - i, i + 1) of position i among n."""
+    if n + 1 >= packing.limit:
+        raise OverflowError("module rank exceeds the packed field width")
+    return ((n - i) << packing.bits) + i + 1
 
 
-@dataclass(frozen=True)
-class BaseModuleOrder:
-    """Degree first, then the ring order on the monomial, then position."""
-
-    ring_order: MonomialOrder
-    twists: tuple[int, ...]
-
-    def key(self, m: ModMono):
-        pos, e = m
-        return (sum(e) + self.twists[pos], self.ring_order.key(e), -pos)
+def _low_guard(packing, fields: int) -> int:
+    """Guard bits of the ``fields`` lowest fields."""
+    return sum(1 << (k * packing.bits + packing.bits - 1) for k in range(fields))
 
 
-@dataclass(frozen=True)
-class SchreyerOrder:
-    """Order on ⊕ S(-deg g_i) induced by the leading monomials of the g_i."""
+@dataclass(frozen=True, slots=True)
+class Layout:
+    """Module monomials of one free module and order as ints.
 
-    prev: object  # BaseModuleOrder | SchreyerOrder
-    images: tuple[ModMono, ...]
+    ``where`` is the shift of the pair that holds the position, ``flag``
+    the bit every module term carries above tracked relation terms (0
+    when none are tracked), ``offset`` the amount added to every degree
+    field."""
 
-    def key(self, m: ModMono):
-        i, u = m
-        pos, lead = self.images[i]
-        return (self.prev.key((pos, kernel.mono_mul(u, lead))), -i)
+    packing: kernel.Packing
+    bases: tuple[int, ...]
+    shift: int
+    guard: int
+    where: int
+    flag: int
+    offset: int
+
+    @property
+    def ring_bits(self) -> int:
+        """The width of the ring packing, below the degree field."""
+        return self.packing.guard.bit_length()
+
+    @classmethod
+    def free(cls, spec, nvars: int, bits: int, twists) -> Layout:
+        """⊕ S(-twists[i]) under degree, then the ring order ``spec``, then
+        the lower position."""
+        packing = kernel.packing(spec, nvars, bits)
+        ring_bits = packing.guard.bit_length()
+        offset = max(0, -min(twists, default=0))
+        bases = []
+        for i, twist in enumerate(twists):
+            if twist + offset >= packing.limit:
+                raise OverflowError("twist exceeds the packed field width")
+            pair = _pair(len(twists), i, packing) << 2 * bits
+            bases.append(((twist + offset) << (ring_bits + 4 * bits)) + pair)
+        mono_guard = packing.guard | packing.limit << ring_bits
+        guard = (mono_guard << 4 * bits) | _low_guard(packing, 4)
+        return cls(packing, tuple(bases), 4 * bits, guard, 2 * bits, 0, offset)
+
+    def extend(self, leads) -> Layout:
+        """The Schreyer order on ⊕ S(-deg lead_k) induced by ``leads``, keys
+        of this layout: u*e_k packs as (u*leads[k]) << 2w + (n - k, k + 1)."""
+        step = 2 * self.packing.bits
+        n = len(leads)
+        bases = tuple((lead << step) + _pair(n, k, self.packing) for k, lead in enumerate(leads))
+        guard = (self.guard << step) | _low_guard(self.packing, 2)
+        return Layout(self.packing, bases, self.shift + step, guard, 0, 0, self.offset)
+
+    def track(self, inner: Layout, elems, scales):
+        """(layout, elements): each of ``elems``, terms of ``inner``, with
+        scales[k] * e_k of this layout appended.  In the returned layout
+        the terms of ``inner`` keep their order and divisibility, carry a
+        flag bit above every term of this layout, and the pair (0, n + 1)
+        in their two lowest fields, which no relation term matches.  This
+        layout's two lowest fields must be free in ``inner``: ``inner`` is
+        free, or this layout extends it."""
+        bits = self.packing.bits
+        d = self.shift - inner.shift
+        flag = 1 << (self.shift + self.ring_bits + bits)
+        tag = flag + _pair(len(self.bases), len(self.bases), self.packing)
+        tracked = Layout(
+            self.packing,
+            tuple((b << d) + tag for b in inner.bases),
+            self.shift,
+            (inner.guard << d) | _low_guard(self.packing, 2),
+            inner.where + d,
+            flag,
+            inner.offset,
+        )
+        out = []
+        for k, elem in enumerate(elems):
+            terms = {(t << d) + tag: c for t, c in elem.items()}
+            terms[self.bases[k]] = scales[k]
+            out.append(terms)
+        return tracked, out
+
+    def pack(self, pos: int, exp) -> int:
+        mono = self.packing.pack(exp) + (sum(exp) << self.ring_bits)
+        key = self.bases[pos] + (mono << self.shift)
+        if key & self.guard:
+            raise OverflowError("module monomial exceeds the packed field width")
+        return key
+
+    def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
+        """(position, exponent) of a key."""
+        pos = (key >> self.where & (1 << self.packing.bits) - 1) - 1
+        return pos, self.packing.unpack((key - self.bases[pos]) >> self.shift)
+
+    def degree(self, key: int) -> int:
+        """Degree of a module monomial, twist included."""
+        field = key >> (self.shift + self.ring_bits) & (1 << self.packing.bits) - 1
+        return field - self.offset
 
 
-# ----------------------------------------------------------- element ops
+# ---------------------------------------------------------- Groebner bases
 
 
-def mod_leading(elem: dict, order) -> ModMono | None:
-    if not elem:
-        return None
-    return max(elem, key=order.key)
-
-
-def mod_monic(elem: dict, order) -> dict:
-    lead = mod_leading(elem, order)
-    c = elem[lead]
-    one = c / c
-    if c == one:
-        return dict(elem)
-    return {m: v / c for m, v in elem.items()}
-
-
-def mod_sub_shifted(work: dict, c, shift: tuple[int, ...], g: dict):
-    """work -= c * x^shift * g, in place."""
-    for (pos, e), q in g.items():
-        m = (pos, kernel.mono_mul(e, shift))
-        s = work.get(m)
-        if s is None:
-            work[m] = -(c * q)
-        else:
-            s = s - c * q
-            if s:
-                work[m] = s
-            else:
-                del work[m]
-
-
-def mod_reduce(elem: dict, gb: list[dict], leads: list[ModMono], order):
-    """Full division of ``elem`` by the monic family ``gb``.
-
-    Returns (remainder, quotients); ``quotients`` maps (k, shift) -> coeff
-    such that  elem = sum_k quotients * g_k + remainder.
-    """
-    work = dict(elem)
-    out: dict = {}
-    quot: dict = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        pos, e = m
-        hit = -1
-        for k, (lp, le) in enumerate(leads):
-            if lp == pos and kernel.mono_divides(le, e):
-                hit = k
-                break
-        if hit < 0:
-            out[m] = c
-            continue
-        shift = kernel.mono_div(e, leads[hit][1])
-        work[m] = c  # reinstate, the subtraction cancels it
-        mod_sub_shifted(work, c, shift, gb[hit])
-        # the leading monomial strictly decreases, so no key repeats
-        quot[(hit, shift)] = c
-    return out, quot
-
-
-def _minimal_pairs(leads: list[ModMono]):
+def _minimal_pairs(leads):
     """The pairs (i, j), i < j in the same position, whose quotient
     lcm(lt_i, lt_j)/lt_i minimally generates the monomial ideal of those
     quotients over all such j (the smallest j on ties)."""
@@ -156,31 +194,39 @@ def _minimal_pairs(leads: list[ModMono]):
             yield i, first[q]
 
 
-def module_groebner(inputs: list[dict], order, budget: Budget = DEFAULT_BUDGET):
-    """Groebner basis of the submodule generated by ``inputs``.
+def module_groebner(
+    inputs: list[dict],
+    layout: Layout,
+    modulus: int | None,
+    budget: Budget = DEFAULT_BUDGET,
+) -> list[dict]:
+    """Groebner basis of the submodule generated by ``inputs``, packed int
+    elements of ``layout``; tracked relation terms ride along.
 
-    Returns (gb, leads, reps): monic basis elements, their leading module
-    monomials, and for each basis element its expression as a combination
-    of the inputs (a dict (j, exp) -> coeff over input j).
-
-    Pairs are taken smallest lcm first (the normal strategy, which
-    completes a homogeneous module degree by degree).  Each new element
-    goes through the Gebauer-Moeller update within its position:
-    criterion B_k on the pending pairs and one new pair per minimal lcm.
-    The coprimality criterion does not hold for modules and is not used.
+    Returns normalized elements in the order found.  Inputs without a
+    module term are skipped.  Pairs are taken smallest lcm first (the
+    normal strategy, which completes a homogeneous module degree by
+    degree).  Each new element goes through the Gebauer-Moeller update
+    within its position: criterion B_k on the pending pairs and one new
+    pair per minimal lcm.  The coprimality criterion does not hold for
+    modules and is not used.
     """
-    gb: list[dict] = []
-    leads: list[ModMono] = []
-    reps: list[dict] = []
+    basis: list[dict] = []
+    leads: list[tuple] = []  # (position, exponent) of each lead
+    reducers: list[tuple] = []
     # elements whose lead no later lead divides; only they get new pairs,
     # while every element stays a reducer
     active: list[int] = []
-    pending: list[tuple] = []  # heap of (order key of the lcm, i, j, lcm)
+    pending: list[tuple] = []  # heap of (key of the lcm, i, j, lcm)
 
-    def push(elem: dict, rep: dict):
-        h = len(gb)
-        _push_monic(gb, leads, reps, elem, rep, order)
-        pos, lh = leads[h]
+    def push(terms: dict):
+        key = max(terms)
+        terms = kernel.normalized(terms, key, modulus)
+        h = len(basis)
+        basis.append(terms)
+        reducers.append(kernel.reducer(key, terms))
+        pos, lh = layout.unpack(key)
+        leads.append((pos, lh))
         kept = [
             p
             for p in pending
@@ -197,161 +243,124 @@ def module_groebner(inputs: list[dict], order, budget: Budget = DEFAULT_BUDGET):
             if leads[i][0] == pos:
                 first.setdefault(kernel.mono_lcm(leads[i][1], lh), i)
         for lcm in kernel.minimal_generators(first):
-            heapq.heappush(pending, (order.key((pos, lcm)), first[lcm], h, lcm))
+            heapq.heappush(pending, (layout.pack(pos, lcm), first[lcm], h, lcm))
         active[:] = [
             i for i in active if leads[i][0] != pos or not kernel.mono_divides(lh, leads[i][1])
         ]
         active.append(h)
 
-    for j, elem in enumerate(inputs):
-        if elem:
-            push(elem, {(j, _zero_exp(elem)): _one_of(elem)})
+    for elem in inputs:
+        if elem and max(elem) >= layout.flag:
+            push(elem)
 
     done = 0
     while pending:
-        _, i, j, _ = heapq.heappop(pending)
+        lcm_key, i, j, _ = heapq.heappop(pending)
         done += 1
         if done > budget.max_pairs:
             raise BudgetExceededError(
                 f"budget exhausted: module basis needed more than "
                 f"{budget.max_pairs} S-pairs"
             )
-        di, dj = _s_shifts(leads, i, j)
-        rem, quot = mod_reduce(_s_element(gb, i, j, di, dj), gb, leads, order)
-        if not rem:
-            continue
-        srep = _s_element(reps, i, j, di, dj)
-        for (k, shift), c in quot.items():
-            mod_sub_shifted(srep, c, shift, reps[k])
-        push(rem, srep)
-    return gb, leads, reps
+        s = kernel.s_poly(reducers[i], reducers[j], lcm_key, layout.guard, modulus)
+        nf = kernel.normal_form(s, reducers, layout, modulus)
+        if nf and max(nf) >= layout.flag:
+            push(nf)
+    return basis
 
 
-def _zero_exp(elem: dict) -> tuple[int, ...]:
-    (pos, e) = next(iter(elem))
-    return (0,) * len(e)
+def _canonical(elems, modulus: int | None) -> list[dict]:
+    """Normalized, without repeats, sorted by leading monomial (degree
+    first, as every layout's top field is the degree)."""
+    unique: dict = {}
+    for e in elems:
+        e = kernel.normalized(e, max(e), modulus)
+        unique.setdefault(frozenset(e.items()), e)
+    return sorted(unique.values(), key=max)
 
 
-def _one_of(elem: dict):
-    c = next(iter(elem.values()))
-    return c / c
-
-
-def _push_monic(gb, leads, reps, elem, rep, order):
-    lead = mod_leading(elem, order)
-    c = elem[lead]
-    one = c / c
-    if c != one:
-        elem = {m: v / c for m, v in elem.items()}
-        rep = {m: v / c for m, v in rep.items()}
-    gb.append(dict(elem))
-    leads.append(lead)
-    reps.append(rep)
-
-
-def _s_shifts(leads, i, j):
-    """(lcm/lt_i, lcm/lt_j) for the leading monomials of pair (i, j)."""
-    ei, ej = leads[i][1], leads[j][1]
-    lcm = kernel.mono_lcm(ei, ej)
-    return kernel.mono_div(lcm, ei), kernel.mono_div(lcm, ej)
-
-
-def _s_element(elems, i, j, di, dj) -> dict:
-    """x^di * elems[i] - x^dj * elems[j]."""
-    one = _one_of(elems[i])
-    out: dict = {}
-    mod_sub_shifted(out, -one, di, elems[i])
-    mod_sub_shifted(out, one, dj, elems[j])
+def _relations(elems, reducers, layout: Layout, modulus, what: str) -> list[dict]:
+    """The relation terms left when ``elems`` reduce to zero."""
+    out = []
+    for elem in elems:
+        nf = kernel.normal_form(elem, reducers, layout, modulus)
+        if nf and max(nf) >= layout.flag:
+            raise AssertionError(f"{what} did not reduce to zero")
+        if nf:
+            out.append(nf)
     return out
 
 
-def syzygies_of_groebner(gb: list[dict], leads: list[ModMono], order):
-    """Syzygies sigma_ij of a monic Groebner basis, one per pair of
-    ``_minimal_pairs``; a Groebner basis for the induced Schreyer order.
+def syzygies_of_groebner(basis: list[dict], layout: Layout, modulus: int | None) -> list[dict]:
+    """The relations that the S-elements of the Groebner basis ``basis``
+    (of a tracking layout) leave, one per pair of ``_minimal_pairs``,
+    canonical.  With lc(g_k) e_k of ``extend(leads)`` tracked they are the
+    sigma_ij of the module docstring: the Schreyer order breaks ties by
+    the lower index, so sigma_ij leads with (lcm/lt_i) e_i, and the kept
+    pairs have the leading monomials of all same-position pairs up to
+    divisibility."""
+    reducers = [kernel.reducer(max(g), g) for g in basis]
+    leads = [layout.unpack(r[0]) for r in reducers]
 
-    The Schreyer order breaks ties by the lower index, so sigma_ij leads
-    with (lcm/lt_i) e_i.  The pairs kept have the same leading monomials
-    up to divisibility as all same-position pairs, whose syzygies form a
-    Groebner basis by Schreyer's theorem, so the kept ones do too.
-    """
-    syz = []
-    for i, j in _minimal_pairs(leads):
-        di, dj = _s_shifts(leads, i, j)
-        rem, quot = mod_reduce(_s_element(gb, i, j, di, dj), gb, leads, order)
-        if rem:
-            raise AssertionError("S-element of a Groebner basis did not reduce to zero")
-        one = _one_of(gb[i])
-        sigma = {(i, di): one, (j, dj): -one}
-        mod_sub_shifted(sigma, one, _zero_exp(gb[i]), quot)
-        syz.append(sigma)
-    return syz
+    def s_elements():
+        for i, j in _minimal_pairs(leads):
+            pos, ei = leads[i]
+            lcm_key = layout.pack(pos, kernel.mono_lcm(ei, leads[j][1]))
+            yield kernel.s_poly(reducers[i], reducers[j], lcm_key, layout.guard, modulus)
+
+    syz = _relations(s_elements(), reducers, layout, modulus, "S-element of a Groebner basis")
+    return _canonical(syz, modulus)
 
 
 def syzygies_of_columns(
-    inputs: list[dict],
-    order,
+    columns: list[dict],
+    layout: Layout,
+    relations: Layout,
+    modulus: int | None,
     budget: Budget = DEFAULT_BUDGET,
-):
-    """Generating set for the syzygy module of the given columns.
+) -> list[dict]:
+    """Generating set for the relations sum_j h_j * columns[j] = 0, as
+    canonical int elements of the free layout ``relations`` (generator j
+    for column j).
 
-    Combines the Groebner-basis syzygies (mapped back through the basis
-    representations) with the redundancy relations column_j - sum A V: the
-    result generates all relations sum_j h_j * inputs_j = 0.
+    ``columns`` are packed terms of the free layout ``layout`` with field
+    coefficients.  Each column tracks its own generator, so the result
+    combines the Groebner-basis syzygies, mapped back to the columns by
+    the tracked relations, with the relation each column leaves when it
+    reduces to zero modulo the basis (a zero column is its own relation).
     """
-    live = [(j, e) for j, e in enumerate(inputs) if e]
-    if not live:
-        return []
-    gb, leads, reps = module_groebner([e for _, e in live], order, budget)
-    out: list[dict] = []
-    for sigma in syzygies_of_groebner(gb, leads, order):
-        mapped: dict = {}
-        for (i, u), c in sigma.items():
-            mod_sub_shifted(mapped, -c, u, reps[i])
-        if mapped:
-            out.append(_relabel(mapped, live))
-    for idx, (j, elem) in enumerate(live):
-        rem, quot = mod_reduce(elem, gb, leads, order)
-        if rem:
-            raise AssertionError("input column did not reduce to zero modulo its basis")
-        rel: dict = {(idx, _zero_exp(elem)): _one_of(elem)}
-        for (k, shift), c in quot.items():
-            mod_sub_shifted(rel, c, shift, reps[k])
-        if rel:
-            out.append(_relabel(rel, live))
-    return out
-
-
-def _relabel(rep: dict, live: list) -> dict:
-    """Map representation indices back to original column positions."""
-    return {(live[i][0], u): c for (i, u), c in rep.items()}
+    tracked, inputs = relations.track(layout, columns, [1] * len(columns))
+    inputs = [kernel.to_ints(e, modulus) for e in inputs]
+    basis = module_groebner(inputs, tracked, modulus, budget)
+    reducers = [kernel.reducer(max(g), g) for g in basis]
+    syz = syzygies_of_groebner(basis, tracked, modulus)
+    syz += _relations(inputs, reducers, tracked, modulus, "input column")
+    return _canonical(syz, modulus)
 
 
 # ------------------------------------------------- matrix <-> module glue
 
 
-def columns_to_elements(matrix: list[list[MultiPoly]]) -> list[dict]:
-    """Matrix columns (rows = target generators) as module elements."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    elems = []
-    for j in range(ncols):
-        elem: dict = {}
-        for i, row in enumerate(matrix):
-            for e, c in row[j].terms.items():
-                elem[(i, e)] = c
-        elems.append(elem)
-    return elems
+def columns_to_elements(matrix: list[list[MultiPoly]], layout: Layout) -> list[dict]:
+    """Matrix columns (rows = generators of ``layout``) as packed terms
+    with their field coefficients."""
+    ncols = len(matrix[0]) if matrix else 0
+    return [
+        {layout.pack(i, e): c for i, row in enumerate(matrix) for e, c in row[j].terms.items()}
+        for j in range(ncols)
+    ]
 
 
 def elements_to_columns(
-    elems: list[dict], ring: PolyRing, target_rank: int
+    elems: list[dict], layout: Layout, modulus: int | None, ring: PolyRing, target_rank: int
 ) -> list[list[MultiPoly]]:
-    """Module elements as matrix columns; result[i][j] = entry (row i, col j)."""
+    """Normalized int elements as matrix columns with monic field
+    coefficients; result[i][j] = entry (row i, col j)."""
     rows = [[ring.zero() for _ in elems] for _ in range(target_rank)]
     for j, elem in enumerate(elems):
         per_row: dict[int, dict] = {}
-        for (pos, e), c in elem.items():
+        for key, c in kernel.from_ints(elem, max(elem), modulus).items():
+            pos, e = layout.unpack(key)
             per_row.setdefault(pos, {})[e] = c
         for pos, terms in per_row.items():
             rows[pos][j] = MultiPoly(ring, terms)

@@ -2,7 +2,9 @@
 
 ``minimal_resolution`` resolves S/J for a homogeneous ideal J by iterated
 syzygy steps in the induced Schreyer orders, then cancels unit entries by
-exact row/column operations until the resolution is minimal.  From the
+exact row/column operations until the resolution is minimal.  Syzygies
+and module bases come from ``modules`` on packed ints, restarted with
+wider fields when a value outgrows them (``_widening``).  From the
 minimal twists come the Betti table and the regularity
 
     reg = max over steps k and twists d of (d - k) + 1,
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import invariants, modules
+from . import invariants, kernel, modules
 from .errors import BudgetExceededError
 from .groebner import DEFAULT_BUDGET, Budget, Ideal, buchberger
 from .linalg import rank_dense
@@ -116,6 +118,17 @@ def _mat_mul(a, b, ring: PolyRing):
 # ------------------------------------------------------------- syzygies
 
 
+def _widening(run):
+    """``run(bits)`` with the module field width, from ``kernel.MIN_BITS``
+    up, doubled each time a packed value outgrows it."""
+    bits = kernel.MIN_BITS
+    while True:
+        try:
+            return run(bits)
+        except OverflowError:
+            bits *= 2
+
+
 def syzygies(
     source,
     order: MonomialOrder = grevlex(),
@@ -130,59 +143,35 @@ def syzygies(
     if isinstance(source, ResolutionStep):
         if not source.matrix:
             raise ValueError("cannot take syzygies of an empty matrix")
-        ring = source.matrix[0][0].ring
+        matrix = [list(r) for r in source.matrix]
         ambient_twists = source.target.twists   # where the columns live
         column_twists = source.source.twists    # where the relations live
-        elems = modules.columns_to_elements([list(r) for r in source.matrix])
     else:
-        polys = list(source)
-        if not polys:
+        matrix = [list(source)]
+        if not matrix[0]:
             raise ValueError("no polynomials given")
-        ring = polys[0].ring
         ambient_twists = (0,)
-        elems = modules.columns_to_elements([polys])
         column_twists = None
-    ambient = FreeModule(ambient_twists)
-    for e in elems:
-        if not ambient.is_homogeneous(e):
+    ring = matrix[0][0].ring
+    modulus = kernel.field_modulus(p for row in matrix for p in row)
+
+    def run(bits):
+        ambient = modules.Layout.free(order.spec(), ring.nvars, bits, ambient_twists)
+        columns = modules.columns_to_elements(matrix, ambient)
+        if any(len({ambient.degree(t) for t in c}) > 1 for c in columns):
             raise ValueError("input matrix is not homogeneous")
-    if column_twists is None:
-        column_twists = tuple(
-            ambient.degree_of(e) if e else 0 for e in elems
-        )
-    base = modules.BaseModuleOrder(order, ambient_twists)
-    syz = modules.syzygies_of_columns(elems, base, budget)
-    # a zero column is its own relation
-    zero_len = ring.nvars
-    for j, e in enumerate(elems):
-        if not e:
-            syz.append({(j, (0,) * zero_len): Fraction(1)})
-    syz_module = FreeModule(column_twists)
-    syz_order = modules.BaseModuleOrder(order, column_twists)
-    syz = _canonical_elements(syz, syz_order, syz_module)
-    src = FreeModule(tuple(syz_module.degree_of(s) for s in syz))
-    cols = modules.elements_to_columns(syz, ring, syz_module.rank)
+        twists = column_twists or tuple(ambient.degree(max(c)) if c else 0 for c in columns)
+        relations = modules.Layout.free(order.spec(), ring.nvars, bits, twists)
+        syz = modules.syzygies_of_columns(columns, ambient, relations, modulus, budget)
+        return twists, relations, syz
+
+    twists, relations, syz = _widening(run)
+    cols = modules.elements_to_columns(syz, relations, modulus, ring, len(twists))
     return ResolutionStep(
-        source=src,
-        target=FreeModule(column_twists),
+        source=FreeModule(tuple(relations.degree(max(s)) for s in syz)),
+        target=FreeModule(twists),
         matrix=tuple(tuple(row) for row in cols),
     )
-
-
-def _canonical_elements(elems: list[dict], order, mod: FreeModule):
-    """Monic, deduplicated, sorted by (degree, leading monomial)."""
-    seen = set()
-    out = []
-    for e in elems:
-        if not e:
-            continue
-        m = modules.mod_monic(e, order)
-        key = frozenset(m.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-    out.sort(key=lambda e: (mod.degree_of(e), order.key(modules.mod_leading(e, order))))
-    return out
 
 
 # ---------------------------------------------------- minimal resolution
@@ -205,29 +194,33 @@ def minimal_resolution(
         raise ValueError("unit ideal has no resolution of S/J (S/J = 0)")
 
     cap = max_steps if max_steps is not None else ring.nvars + 2
+    modulus = kernel.field_modulus(gb)
 
-    # Schreyer chain: step 1 is the Groebner basis, each further step the
-    # syzygies of the previous one (already a basis in the induced order).
-    current_order = modules.BaseModuleOrder(order, (0,))
-    current = [
-        modules.mod_monic({(0, e): c for e, c in g.terms.items()}, current_order) for g in gb
-    ]
-    target = FreeModule((0,))
-    steps: list[ResolutionStep] = []
-    while current:
-        if len(steps) == cap:
-            raise BudgetExceededError(
-                f"budget exhausted: resolution exceeded {cap} steps"
-            )
-        source = FreeModule(tuple(target.degree_of(e) for e in current))
-        cols = modules.elements_to_columns(current, ring, target.rank)
-        steps.append(ResolutionStep(source, target, tuple(tuple(r) for r in cols)))
-        leads = [modules.mod_leading(e, current_order) for e in current]
-        syz = modules.syzygies_of_groebner(current, leads, current_order)
-        current_order = modules.SchreyerOrder(current_order, tuple(leads))
-        current = _canonical_elements(syz, current_order, source)
-        target = source
+    def frame(bits):
+        # Schreyer chain: step 1 is the Groebner basis (monic, so its
+        # cleared ints are primitive), each further step the syzygies of
+        # the previous one (already a basis in the induced order), each
+        # element tracking lc(g_k) e_k of the next layout
+        layout = modules.Layout.free(order.spec(), ring.nvars, bits, (0,))
+        current = modules.columns_to_elements([gb.basis], layout)
+        current = [kernel.to_ints(c, modulus) for c in current]
+        target = FreeModule((0,))
+        steps: list[ResolutionStep] = []
+        while current:
+            if len(steps) == cap:
+                raise BudgetExceededError(
+                    f"budget exhausted: resolution exceeded {cap} steps"
+                )
+            source = FreeModule(tuple(layout.degree(max(e)) for e in current))
+            cols = modules.elements_to_columns(current, layout, modulus, ring, target.rank)
+            steps.append(ResolutionStep(source, target, tuple(tuple(r) for r in cols)))
+            nxt = layout.extend([max(e) for e in current])
+            tracked, elems = nxt.track(layout, current, [e[max(e)] for e in current])
+            current = modules.syzygies_of_groebner(elems, tracked, modulus)
+            layout, target = nxt, source
+        return steps
 
+    steps = _widening(frame)
     return FreeResolution(ring, ideal, tuple(_minimalize(ring, steps)), True)
 
 
@@ -474,25 +467,26 @@ def bef_codims(
     phi_k.  Infinity only when every Ext^j, j >= k, vanishes.
     """
     # Hilbert numerators of F_k^* and C_k at index k - 1, zero at k = n + 1
-    free: list[dict[int, int]] = []
-    coker: list[dict[int, int]] = []
-    for step in res.steps:
-        dual = tuple(-b for b in step.source.twists)
-        rows = modules.columns_to_elements([list(col) for col in zip(*step.matrix)])
-        order = modules.BaseModuleOrder(grevlex(), dual)
-        _, leads, _ = modules.module_groebner(rows, order, budget)
-        free.append(invariants.module_hilbert_numerator((), dual))
-        coker.append(invariants.module_hilbert_numerator(leads, dual))
-    free.append({})
-    coker.append({})
+    duals = [tuple(-b for b in step.source.twists) for step in res.steps]
+    modulus = kernel.field_modulus(p for step in res.steps for row in step.matrix for p in row)
+
+    def cokernels(bits):
+        out = []
+        for step, dual in zip(res.steps, duals):
+            layout = modules.Layout.free(grevlex().spec(), res.ring.nvars, bits, dual)
+            rows = modules.columns_to_elements([list(col) for col in zip(*step.matrix)], layout)
+            rows = [kernel.to_ints(r, modulus) for r in rows]
+            basis = modules.module_groebner(rows, layout, modulus, budget)
+            leads = [layout.unpack(max(g)) for g in basis]
+            out.append(invariants.module_hilbert_numerator(leads, dual))
+        return out
+
+    coker = _widening(cokernels) + [{}]
+    free = [invariants.module_hilbert_numerator((), dual) for dual in duals] + [{}]
     out = []
     best = float("inf")
     for j in range(res.length, 0, -1):
-        ext = dict(coker[j - 1])
-        for t, v in coker[j].items():
-            ext[t] = ext.get(t, 0) + v
-        for t, v in free[j].items():
-            ext[t] = ext.get(t, 0) - v
+        ext = kernel.poly_sub(kernel.poly_add(coker[j - 1], coker[j]), free[j])
         e, q = invariants.factor_one_minus_t(ext)
         if q:  # Ext^j != 0, of codimension e
             best = min(best, e)

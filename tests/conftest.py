@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from brisk.groebner import Ideal
@@ -51,6 +54,24 @@ def koszul3_ideal() -> Ideal:
     R = PolyRing(("x", "y", "z"))
     x, y, z = R.gens()
     return Ideal(R, [x, y, z])
+
+
+def random_forms_ideal(rng: random.Random) -> Ideal:
+    """2-4 forms of degree 2-3 in 3 variables, or 2-3 in 4, each with 1-3
+    terms; four forms in four variables would make the minors reference
+    run for tens of seconds."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(rng.choice((3, 4)))))
+    gens = []
+    for _ in range(rng.randint(2, 7 - ring.nvars)):
+        monos = list(itertools.combinations_with_replacement(ring.gens(), rng.randint(2, 3)))
+        f = ring.zero()
+        for mono in rng.sample(monos, rng.randint(1, 3)):
+            term = ring.one() * rng.choice((-2, -1, 1, 2, 3))
+            for v in mono:
+                term = term * v
+            f = f + term
+        gens.append(f)
+    return Ideal(ring, gens)
 
 
 def corpus_ideals() -> list[Ideal]:

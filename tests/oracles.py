@@ -164,3 +164,26 @@ def substitute_eliminate_oracle(
 ) -> MultiPoly:
     """Substitution oracle for elimination tests."""
     return poly.substitute({var_index: replacement}, target=replacement.ring)
+
+
+def base_module_key(ring_order, twists, m):
+    """Tuple key of the module monomial m = (pos, e) in a free module with
+    generator twists ``twists``: degree, then the ring order, then the
+    lower position."""
+    pos, e = m
+    return (sum(e) + twists[pos], ring_order.key(e), -pos)
+
+
+def schreyer_key(prev_key, images, m):
+    """Tuple key of m = (i, u) in the Schreyer order induced by
+    images[i] = (pos, lead) under ``prev_key``: the key of u*lead in
+    position pos, then the lower index."""
+    i, u = m
+    pos, lead = images[i]
+    return (prev_key((pos, tuple(a + b for a, b in zip(u, lead)))), -i)
+
+
+def module_divides(a, b) -> bool:
+    """True if the module monomial a divides b: same position and
+    componentwise <= exponents."""
+    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))

@@ -11,6 +11,10 @@ frame replaced; both must give the same minimal resolutions.  The reduced
 Groebner bases were recorded with the Buchberger loop on ``Fraction`` and
 ``GFElement`` coefficients that the integer engine replaced: a reduced
 basis is canonical, so its text and coefficient types must not move.
+The resolution goldens (every step matrix, the drop-rank codimensions
+and two syzygy steps, over Q and GF(32003)) were recorded with the
+module engine on ``Fraction`` and ``GFElement`` coefficients that the
+packed-int one replaced.
 """
 
 import hashlib
@@ -20,6 +24,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_forms_ideal, skew_lines_ideal
+
 from brisk.certificate import minimal_degree, search_at_degree
 from brisk.cli import main
 from brisk.families import kollar, macaulay_generic
@@ -28,6 +34,7 @@ from brisk.groebner import Ideal, buchberger, eliminate, saturate
 from brisk.linalg import solve_sparse
 from brisk.orders import grevlex, lex
 from brisk.polyring import PolyRing, format_poly
+from brisk.resolution import bef_codims, minimal_resolution, syzygies
 
 
 def _cofactor_strings(cert):
@@ -285,3 +292,80 @@ def test_saturation_over_gf32003():
         "1*z^2 + 3*y + 31998 :: GFElement",
         "1*y^2 + 1*x + 32001*z :: GFElement",
     ]
+
+
+# ------------------------------------------------------- resolutions
+
+
+def _rnc(d):
+    ring = PolyRing(tuple(f"z{i}" for i in range(d + 1)))
+    z = ring.gens()
+    return Ideal(ring, [z[i] * z[j + 1] - z[i + 1] * z[j] for i in range(d) for j in range(i + 1, d)])
+
+
+def _resolution_cases():
+    rng = random.Random(5)
+    cases = {
+        "rnc3": _rnc(3),
+        "rnc4": _rnc(4),
+        "skew_lines": skew_lines_ideal(),
+        "powers50": Ideal(R3, [_x**50, _y**50, _z**50]),
+    }
+    for k in range(6):
+        cases[f"random5_{k}"] = random_forms_ideal(rng)
+    for name, ideal in list(cases.items()):
+        cases[f"{name}_gf"] = Ideal(ideal.ring, [poly_to_gf(g, GF_P) for g in ideal.gens])
+    return cases
+
+
+def _step_lines(label, step):
+    lines = [f"{label}: {step.source.twists} -> {step.target.twists}"]
+    return lines + [" | ".join(str(p) for p in row) for row in step.matrix]
+
+
+def _resolution_lines(ideal):
+    """Every step matrix of the minimal resolution, its drop-rank
+    codimensions, and the syzygies of the generators and of step 1."""
+    res = minimal_resolution(ideal)
+    lines = []
+    for k, step in enumerate(res.steps, start=1):
+        lines += _step_lines(f"step {k}", step)
+    lines.append(f"codims: {bef_codims(res)}")
+    lines += _step_lines("syzygies of gens", syzygies(ideal.gens))
+    lines += _step_lines("syzygies of step 1", syzygies(res.steps[0]))
+    return lines
+
+
+RESOLUTION_CASES = _resolution_cases()
+
+# name -> (drop-rank codimensions, digest of _resolution_lines)
+RESOLUTION_GOLDENS = {
+    "powers50": ([(1, 3), (2, 3), (3, 3)], "390c270e8a30ed69148a8e6ff2ea6d1e0d9310c56fc038edfeac882d66566253"),
+    "powers50_gf": ([(1, 3), (2, 3), (3, 3)], "195b452982c3dc4d8fd1da23c3d04da9d9f83e28e7ffaafe405ea19afd0e20c2"),
+    "random5_0": ([(1, 2), (2, 2)], "587d4942485267caedd76503321b855a39eb415a93171465d31e214edda805da"),
+    "random5_0_gf": ([(1, 2), (2, 2)], "6a32e316482ca847b79bcf0b8121517e72fa04a7a24d62d6b2202366ebd45cbf"),
+    "random5_1": ([(1, 1), (2, 2)], "f2fc0f47d40ca496ffd089f3a5738b982fe941f690107c7585813dc9f1ce6105"),
+    "random5_1_gf": ([(1, 1), (2, 2)], "b3351c0c153488736e27a0bfc4314fe966e6fa8074ed2a42f7b0df42d7ea53c0"),
+    "random5_2": ([(1, 1), (2, 2)], "e540ddd69d2382a753ab43a52689123d5983bf05ef3485355f1bd165467b47e0"),
+    "random5_2_gf": ([(1, 1), (2, 2)], "e5f2a57fafc5d793a847af74a592da92bc406f5dc4e2996095619e577227e6a3"),
+    "random5_3": ([(1, 2), (2, 2)], "2ec45fabd9fe9950cf2e6e006caad8c2500c9feffc91ee846f2c82061bbdb423"),
+    "random5_3_gf": ([(1, 2), (2, 2)], "12fe62e90e77686fbf3faea5592fa67bf33b57afd20662fb92010b8e53b90619"),
+    "random5_4": ([(1, 3), (2, 3), (3, 3)], "51675662719857673da8220c46a2ab9e88316384e72dfd8293087ac4288e88af"),
+    "random5_4_gf": ([(1, 3), (2, 3), (3, 3)], "728f6c2617bdb74ecdc346c79522242d0659ba3a4c7cd016fc22751df6487794"),
+    "random5_5": ([(1, 2), (2, 2), (3, 3)], "dd31e03f5152885fc6c39c8fdf3f9171d8612ad55f4e258e765e8bed3ec7fb8b"),
+    "random5_5_gf": ([(1, 2), (2, 2), (3, 3)], "83ff66858236a21b6573d83e09794b266ad19223f68f71a99197e2684d0cd1fd"),
+    "rnc3": ([(1, 2), (2, 2)], "5574088df50b8161bc28d12c220f9bdbea68b76ff95a5c807cda93da0b027c09"),
+    "rnc3_gf": ([(1, 2), (2, 2)], "dd99f2aa6fa25df08677ed79768d2ca54202ad0647f2a79ea13219fc11053676"),
+    "rnc4": ([(1, 3), (2, 3), (3, 3)], "c84efde8d45af10a3097cb1182536204d0aa01c208e6f6b97185f26365af168b"),
+    "rnc4_gf": ([(1, 3), (2, 3), (3, 3)], "be8c51b1d205add544194224022fd16a1ec9ed90485a5ced6c2e1238ce57fde1"),
+    "skew_lines": ([(1, 2), (2, 2), (3, 4)], "115bb0de78ba75cb4562d436808b17d268fcd9ce4640c2052f6dac38364e9014"),
+    "skew_lines_gf": ([(1, 2), (2, 2), (3, 4)], "1435bea6fce19d486945d89a781ca91b5ed75ff03c26ec65a4b03802605a2dbc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_CASES))
+def test_resolution_golden(name):
+    lines = _resolution_lines(RESOLUTION_CASES[name])
+    codims, digest = RESOLUTION_GOLDENS[name]
+    assert f"codims: {codims}" in lines
+    assert _digest(lines) == digest

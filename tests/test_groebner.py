@@ -21,7 +21,6 @@ from brisk.groebner import (
     eliminate,
     membership,
     normal_form,
-    _s_poly,
     s_polynomial,
     saturate,
 )
@@ -567,11 +566,11 @@ class TestExponentGrowth:
         ri = kernel.reducer(pk.pack((1, 0)), {pk.pack((1, 0)): 1, pk.pack((0, 120)): -1})
         rj = kernel.reducer(pk.pack((1, 10)), {pk.pack((1, 10)): 1, pk.pack((0, 0)): -1})
         with pytest.raises(OverflowError):
-            _s_poly(ri, rj, pk.pack((1, 10)), pk.guard, None)
+            kernel.s_poly(ri, rj, pk.pack((1, 10)), pk.guard, None)
         pk = kernel.packing(lex().spec(), 2, 16)
         ri = kernel.reducer(pk.pack((1, 0)), {pk.pack((1, 0)): 1, pk.pack((0, 120)): -1})
         rj = kernel.reducer(pk.pack((1, 10)), {pk.pack((1, 10)): 1, pk.pack((0, 0)): -1})
-        s = _s_poly(ri, rj, pk.pack((1, 10)), pk.guard, None)
+        s = kernel.s_poly(ri, rj, pk.pack((1, 10)), pk.guard, None)
         assert pk.unpack_terms(s) == {(0, 130): -1, (0, 0): 1}
 
     def test_normal_form_of_x0_against_the_lex_chain(self):

@@ -7,14 +7,15 @@ from math import comb
 
 import pytest
 
-from conftest import skew_lines_ideal, twisted_cubic_ideal
+from conftest import random_forms_ideal, skew_lines_ideal, twisted_cubic_ideal
 from oracles import syzygy_dimension_at_degree
 
-from brisk import modules, resolution
+from brisk import kernel, modules, resolution
 from brisk.errors import BudgetExceededError
-from brisk.fields import GF, poly_to_gf
+from brisk.fields import GF, GFElement, poly_to_gf
 from brisk.groebner import Ideal, buchberger, membership
 from brisk.invariants import hilbert_data
+from brisk.kernel import mono_lcm, mono_mul
 from brisk.orders import grevlex
 from brisk.polyring import PolyRing
 from brisk.resolution import (
@@ -89,22 +90,28 @@ class TestSyzygies:
                 acc = acc + q * step.matrix[i][j]
             assert not acc
         # any extra generators lie in the module spanned by the linear two
-        from brisk import modules
-        from brisk.orders import grevlex
-
-        base = modules.BaseModuleOrder(grevlex(), step.target.twists)
-        cols = modules.columns_to_elements([list(r) for r in step.matrix])
-        gb, leads, _ = modules.module_groebner([cols[j] for j in linear], base)
+        layout = modules.Layout.free(grevlex().spec(), P3.nvars, 8, step.target.twists)
+        cols = modules.columns_to_elements([list(r) for r in step.matrix], layout)
+        cols = [kernel.to_ints(c, None) for c in cols]
+        basis = modules.module_groebner([cols[j] for j in linear], layout, None)
+        reducers = [kernel.reducer(max(g), g) for g in basis]
         for j in range(step.source.rank):
-            if j in linear:
-                continue
-            rem, _ = modules.mod_reduce(cols[j], gb, leads, base)
-            assert not rem
+            if j not in linear:
+                assert not kernel.normal_form(cols[j], reducers, layout)
 
     def test_inhomogeneous_rejected(self):
         R = PolyRing(("x", "y"))
         with pytest.raises(ValueError):
             syzygies([R.parse("x^2 + y")])
+
+    def test_zero_column_is_its_own_relation_over_gf(self):
+        R = PolyRing(("x", "y"))
+        x, y = R.gens()
+        field = GF(32003)
+        step = syzygies([poly_to_gf(x, field), R.zero(), poly_to_gf(y, field)])
+        assert step.source.twists == (0, 2)
+        assert [str(p) for p in step.matrix[1]] == ["1", "0"]
+        assert all(isinstance(c, GFElement) for row in step.matrix for p in row for c in p.terms.values())
 
 
 class TestMinimalResolution:
@@ -129,6 +136,19 @@ class TestMinimalResolution:
         res = minimal_resolution(Ideal(P3, []))
         assert res.steps == ()
         assert regularity(res) == 1
+
+    def test_power_ideal_widens_the_module_fields(self):
+        # degree 150 at step 3 outgrows the narrowest (8-bit) fields, in
+        # which the first two steps fit, so the frame is rebuilt wider
+        R = PolyRing(("x", "y", "z"))
+        gens = [v**50 for v in R.gens()]
+        modules.Layout.free(grevlex().spec(), R.nvars, kernel.MIN_BITS, (100,))
+        with pytest.raises(OverflowError):
+            modules.Layout.free(grevlex().spec(), R.nvars, kernel.MIN_BITS, (150,))
+        res = minimal_resolution(Ideal(R, gens))
+        assert betti(res) == {(1, 50): 3, (2, 100): 3, (3, 150): 1}
+        assert [c for _, c in bef_codims(res)] == [3, 3, 3]
+        assert syzygies(gens).source.twists == (100, 100, 100)
 
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError):
@@ -336,24 +356,6 @@ def minors_codims(res: FreeResolution) -> list[tuple[int, float]]:
     return out
 
 
-def random_forms_ideal(rng: random.Random) -> Ideal:
-    """2-4 forms of degree 2-3 in 3 variables, or 2-3 in 4, each with 1-3
-    terms; four forms in four variables would make the minors reference
-    run for tens of seconds."""
-    ring = PolyRing(tuple(f"x{i}" for i in range(rng.choice((3, 4)))))
-    gens = []
-    for _ in range(rng.randint(2, 7 - ring.nvars)):
-        monos = list(itertools.combinations_with_replacement(ring.gens(), rng.randint(2, 3)))
-        f = ring.zero()
-        for mono in rng.sample(monos, rng.randint(1, 3)):
-            term = ring.one() * rng.choice((-2, -1, 1, 2, 3))
-            for v in mono:
-                term = term * v
-            f = f + term
-        gens.append(f)
-    return Ideal(ring, gens)
-
-
 def over_gf32003(ideal: Ideal) -> Ideal:
     field = GF(32003)
     return Ideal(ideal.ring, [poly_to_gf(g, field) for g in ideal.gens])
@@ -363,28 +365,47 @@ class TestModuleGroebner:
     def test_basis_property_and_representations(self):
         # the pair criteria may skip pairs, never a needed one: every
         # same-position S-element of the result reduces to zero, every
-        # input reduces to zero, and reps express the basis in the inputs
+        # input reduces to zero, and the tracked relations express the
+        # basis in the inputs
         rng = random.Random(11)
         for _ in range(6):
             ideal = random_forms_ideal(rng)
             for member in (ideal, over_gf32003(ideal)):
+                modulus = kernel.field_modulus(member.gens)
+                spec, nvars = grevlex().spec(), member.ring.nvars
                 for step in minimal_resolution(member).steps:
-                    dual = tuple(-b for b in step.source.twists)
-                    order = modules.BaseModuleOrder(grevlex(), dual)
-                    rows = modules.columns_to_elements([list(c) for c in zip(*step.matrix)])
-                    gb, leads, reps = modules.module_groebner(rows, order)
-                    for i, j in itertools.combinations(range(len(gb)), 2):
+                    layout = modules.Layout.free(spec, nvars, 16, [-b for b in step.source.twists])
+                    relations = modules.Layout.free(spec, nvars, 16, [-a for a in step.target.twists])
+                    rows = modules.columns_to_elements([list(c) for c in zip(*step.matrix)], layout)
+                    tracked, inputs = relations.track(layout, rows, [1] * len(rows))
+                    inputs = [kernel.to_ints(e, modulus) for e in inputs]
+                    basis = modules.module_groebner(inputs, tracked, modulus)
+                    reducers = [kernel.reducer(max(g), g) for g in basis]
+
+                    def residue(terms):
+                        nf = kernel.normal_form(terms, reducers, tracked, modulus)
+                        return [t for t in nf if t >= tracked.flag]
+
+                    leads = [tracked.unpack(r[0]) for r in reducers]
+                    for i, j in itertools.combinations(range(len(basis)), 2):
                         if leads[i][0] == leads[j][0]:
-                            di, dj = modules._s_shifts(leads, i, j)
-                            s = modules._s_element(gb, i, j, di, dj)
-                            assert not modules.mod_reduce(s, gb, leads, order)[0]
-                    for row in rows:
-                        assert not modules.mod_reduce(row, gb, leads, order)[0]
-                    for g, rep in zip(gb, reps):
+                            lcm = mono_lcm(leads[i][1], leads[j][1])
+                            lcm_key = tracked.pack(leads[i][0], lcm)
+                            s = kernel.s_poly(reducers[i], reducers[j], lcm_key, tracked.guard, modulus)
+                            assert not residue(s)
+                    for e in inputs:
+                        assert not residue(e)
+                    fields = [{layout.unpack(t): c for t, c in row.items()} for row in rows]
+                    for g in basis:
                         acc: dict = {}
-                        for (j, u), c in rep.items():
-                            modules.mod_sub_shifted(acc, -c, u, rows[j])
-                        assert acc == g
+                        for t, c in g.items():
+                            if t >= tracked.flag:
+                                acc = kernel.poly_sub(acc, {tracked.unpack(t): c})
+                            else:
+                                k, u = relations.unpack(t)
+                                shifted = {(pos, mono_mul(e, u)): c * v for (pos, e), v in fields[k].items()}
+                                acc = kernel.poly_add(acc, shifted)
+                        assert not acc
 
 
 class TestExtCodimsAgainstMinors:
