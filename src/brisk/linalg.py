@@ -1,5 +1,5 @@
 """Sparse linear algebra over Q: one solution of A x = b or a proof that
-there is none, and the dense rank.
+there is none.
 
 Rows are dicts {column index: coefficient}.  ``_integerize`` scales each
 row and its right-hand side to integers with their content divided out,
@@ -526,26 +526,3 @@ def _solve_exact(
         row, b = work[ri]
         solution[col] = Fraction(b, row[col])
     return solution
-
-
-def rank_dense(rows: list[list[Fraction]]) -> int:
-    """Plain dense row-echelon rank, the one dense rank of the package
-    (``resolution.generic_rank`` evaluates its matrices at points)."""
-    mat = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    ncols = len(mat[0]) if mat else 0
-    while rank < len(mat) and col < ncols:
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, len(mat)):
-            if mat[i][col]:
-                f = mat[i][col] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank

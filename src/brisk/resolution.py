@@ -10,25 +10,21 @@ minimal twists come the Betti table and the regularity
     reg = max over steps k and twists d of (d - k) + 1,
 
 with the convention that the zero ideal (empty resolution) has
-regularity 1.  The module also computes generic ranks and Fitting ideals
-of the step matrices (ideals of minors, capped at 6x6), and the
-codimensions of their drop-rank loci Z_k.  Those take no minors: Z_k is
-the union of the supports of Ext^j(S/J, S) over j >= k
-(Buchsbaum-Eisenbud 1973; Eisenbud-Huneke-Vasconcelos 1992), and each
-codim Ext^j is read off Hilbert series of the dual complex.
+regularity 1.  Both the exactness check of ``FreeResolution.validate``
+and the codimensions of the drop-rank loci Z_k of the step matrices come
+from Hilbert series of cokernels, one module Groebner basis per map, and
+take no minors.  Z_k is the union of the supports of Ext^j(S/J, S) over
+j >= k (Buchsbaum-Eisenbud 1973; Eisenbud-Huneke-Vasconcelos 1992), and
+each codim Ext^j is read off Hilbert series of the dual complex.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
 
 from . import invariants, kernel, modules
 from .errors import BudgetExceededError
 from .groebner import DEFAULT_BUDGET, Budget, Ideal, buchberger
-from .linalg import rank_dense
 from .modules import FreeModule
 from .orders import MonomialOrder, grevlex
 from .polyring import MultiPoly, PolyRing
@@ -72,9 +68,20 @@ class FreeResolution:
     def length(self) -> int:
         return len(self.steps)
 
-    def validate(self, check_ranks: bool = False) -> None:
-        """Assert gradedness, composition zero and (optionally) that the
-        generic ranks add up to the free ranks, slot by slot."""
+    def validate(self, check_exact: bool = False) -> None:
+        """Assert gradedness, composition zero and (optionally) exactness:
+        every homology H_k vanishes and coker(phi_1) = S/J.
+
+        The exactness check reads Hilbert series.  From the exact sequence
+        0 -> H_k -> coker(phi_{k+1}) -> F_{k-1} -> coker(phi_k) -> 0,
+
+            HS(H_k) = HS(coker phi_{k+1}) + HS(coker phi_k) - HS(F_{k-1}),
+
+        with coker(phi_{n+1}) = F_n, and a graded module is zero exactly
+        when its Hilbert series is.  coker(phi_1) = S/(entries of phi_1),
+        which is S/J when every entry lies in J and the two Hilbert
+        series agree.
+        """
         for step in self.steps:
             if not step.is_graded():
                 raise AssertionError("resolution step is not graded-compatible")
@@ -88,16 +95,35 @@ class FreeResolution:
                     for p in row:
                         if p and p.is_constant():
                             raise AssertionError("minimal resolution has a unit entry")
-        if check_ranks:
-            ranks = [generic_rank(step.matrix, self.ring) for step in self.steps]
-            for k in range(len(self.steps)):
-                middle = self.steps[k].source.rank
-                nxt = ranks[k + 1] if k + 1 < len(ranks) else 0
-                if ranks[k] + nxt != middle:
-                    raise AssertionError(
-                        f"rank bookkeeping fails at slot {k + 1}: "
-                        f"{ranks[k]} + {nxt} != {middle}"
-                    )
+        if check_exact:
+            self._check_exact()
+
+    def _check_exact(self) -> None:
+        if not self.steps:
+            if not self.ideal.is_zero():
+                raise AssertionError("empty resolution of a nonzero ideal")
+            return
+        coker = _coker_numerators(
+            self.ring,
+            [step.matrix for step in self.steps],
+            [step.target.twists for step in self.steps],
+            DEFAULT_BUDGET,
+        )
+        coker.append(invariants.module_hilbert_numerator((), self.steps[-1].source.twists))
+        for k, step in enumerate(self.steps, start=1):
+            free = invariants.module_hilbert_numerator((), step.target.twists)
+            homology = kernel.poly_sub(kernel.poly_add(coker[k], coker[k - 1]), free)
+            if homology:
+                raise AssertionError(
+                    f"resolution is not exact at F_{k}: Hilbert numerator of H_{k} is {homology}"
+                )
+        gb = buchberger(self.ideal)
+        if not all(gb.contains(p) for p in self.steps[0].matrix[0]):
+            raise AssertionError("an entry of the first map is not in the ideal")
+        leads = [(0, e) for e in gb.leading_exponents()]
+        quotient = invariants.module_hilbert_numerator(leads, (0,))
+        if coker[0] != quotient:
+            raise AssertionError("the first map's cokernel is not S/J: Hilbert series differ")
 
 
 def _mat_mul(a, b, ring: PolyRing):
@@ -127,6 +153,26 @@ def _widening(run):
             return run(bits)
         except OverflowError:
             bits *= 2
+
+
+def _coker_numerators(ring, matrices, twists, budget):
+    """Hilbert numerators of coker(M) on F = ⊕ S(-twists[i]), one per
+    matrix M whose row i lives in degree twists[i], each from one module
+    Groebner basis of the columns of M; the fields are widened together."""
+    modulus = kernel.field_modulus(p for matrix in matrices for row in matrix for p in row)
+
+    def run(bits):
+        out = []
+        for matrix, tw in zip(matrices, twists):
+            layout = modules.Layout.free(grevlex().spec(), ring.nvars, bits, tw)
+            columns = modules.columns_to_elements(matrix, layout)
+            columns = [kernel.to_ints(c, modulus) for c in columns]
+            basis = modules.module_groebner(columns, layout, modulus, budget)
+            leads = [layout.unpack(max(g)) for g in basis]
+            out.append(invariants.module_hilbert_numerator(leads, tw))
+        return out
+
+    return _widening(run)
 
 
 def syzygies(
@@ -332,119 +378,7 @@ def regularity(res: FreeResolution) -> int:
     return best + 1
 
 
-# ------------------------------------------------ ranks, minors, fitting
-
-
-def _eval_entry(p: MultiPoly, point: list[int]):
-    total = None
-    for e, c in p.terms.items():
-        v = c
-        for i, x in enumerate(e):
-            if x:
-                v = v * point[i] ** x
-        total = v if total is None else total + v
-    if total is None:
-        return Fraction(0)
-    return total
-
-
-def _rank_at_point(matrix, point) -> int:
-    return rank_dense([[_eval_entry(p, point) for p in row] for row in matrix])
-
-
-def _minors(matrix, ring: PolyRing, size: int):
-    """Every size x size minor, row sets then column sets in lexicographic
-    order, by Laplace expansion along the first row with one memo shared
-    by all of them."""
-    memo: dict = {}
-
-    def rec(rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
-        if len(rows) == 1:
-            return matrix[rows[0]][cols[0]]
-        key = (rows, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        i = rows[0]
-        rest = rows[1:]
-        acc = ring.zero()
-        for t, j in enumerate(cols):
-            entry = matrix[i][j]
-            if not entry:
-                continue
-            sub = rec(rest, cols[:t] + cols[t + 1 :])
-            if sub:
-                term = entry * sub
-                acc = acc + term if t % 2 == 0 else acc - term
-        memo[key] = acc
-        return acc
-
-    nr, nc = len(matrix), len(matrix[0]) if matrix else 0
-    for rows in combinations(range(nr), size):
-        for cols in combinations(range(nc), size):
-            yield rec(rows, cols)
-
-
-def determinant(matrix, ring: PolyRing) -> MultiPoly:
-    """Exact determinant of a square MultiPoly matrix (Laplace with memo)."""
-    if not matrix:
-        return ring.one()
-    return next(_minors(matrix, ring, len(matrix)))
-
-
-def _point_rank(matrix, ring: PolyRing) -> int:
-    """Largest rank at four random integer points: a lower bound on the
-    rank over the fraction field, found without expanding any minor."""
-    rng = random.Random(0xB125C)
-    return max(
-        _rank_at_point(matrix, [rng.randint(-40, 40) or 1 for _ in range(ring.nvars)])
-        for _ in range(4)
-    )
-
-
-def generic_rank(matrix, ring: PolyRing) -> int:
-    """Rank over the fraction field: a random integer specialization gives
-    a fast lower bound, confirmed by checking that all larger minors
-    vanish symbolically."""
-    if not matrix or not matrix[0]:
-        return 0
-    nr, nc = len(matrix), len(matrix[0])
-    r0 = _point_rank(matrix, ring)
-    while r0 < min(nr, nc):
-        nonzero = next((m for m in _minors(matrix, ring, r0 + 1) if m), None)
-        if nonzero is None:
-            break
-        r0 += 1
-    return r0
-
-
-def _check_minor_cap(rank: int, minor_cap: int) -> None:
-    if rank > minor_cap:
-        raise BudgetExceededError(
-            f"budget exhausted: rank {rank} exceeds the {minor_cap}x{minor_cap} minor cap"
-        )
-
-
-def fitting_ideal(
-    res: FreeResolution, k: int, minor_cap: int = 6
-) -> Ideal:
-    """Ideal of r_k x r_k minors of the k-th step matrix (r_k = generic
-    rank); its zero set is the locus where the map drops rank."""
-    if not 1 <= k <= res.length:
-        raise ValueError(f"no step {k} in a length-{res.length} resolution")
-    step = res.steps[k - 1]
-    matrix = [list(row) for row in step.matrix]
-    if matrix and matrix[0]:
-        # a point rank never exceeds the generic rank, so this refusal is
-        # exact and spares the symbolic minors of a rank over the cap
-        _check_minor_cap(_point_rank(matrix, res.ring), minor_cap)
-    r = generic_rank(matrix, res.ring)
-    _check_minor_cap(r, minor_cap)
-    if r == 0:
-        # a zero map never drops below its generic rank
-        return Ideal(res.ring, [res.ring.one()])
-    gens = dict.fromkeys(m.monic() for m in _minors(matrix, res.ring, r) if m)
-    return Ideal(res.ring, list(gens))
+# ----------------------------------------------- drop-rank codimensions
 
 
 def bef_codims(
@@ -468,20 +402,8 @@ def bef_codims(
     """
     # Hilbert numerators of F_k^* and C_k at index k - 1, zero at k = n + 1
     duals = [tuple(-b for b in step.source.twists) for step in res.steps]
-    modulus = kernel.field_modulus(p for step in res.steps for row in step.matrix for p in row)
-
-    def cokernels(bits):
-        out = []
-        for step, dual in zip(res.steps, duals):
-            layout = modules.Layout.free(grevlex().spec(), res.ring.nvars, bits, dual)
-            rows = modules.columns_to_elements([list(col) for col in zip(*step.matrix)], layout)
-            rows = [kernel.to_ints(r, modulus) for r in rows]
-            basis = modules.module_groebner(rows, layout, modulus, budget)
-            leads = [layout.unpack(max(g)) for g in basis]
-            out.append(invariants.module_hilbert_numerator(leads, dual))
-        return out
-
-    coker = _widening(cokernels) + [{}]
+    transposes = [list(zip(*step.matrix)) for step in res.steps]
+    coker = _coker_numerators(res.ring, transposes, duals, budget) + [{}]
     free = [invariants.module_hilbert_numerator((), dual) for dual in duals] + [{}]
     out = []
     best = float("inf")

@@ -7,10 +7,12 @@ sharing no code path with the package internals it cross-checks.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
+from math import prod
 
-from brisk.polyring import MultiPoly
+from brisk.polyring import MultiPoly, PolyRing
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
@@ -79,6 +81,62 @@ def dense_rank(rows: list[list[Fraction]]) -> int:
         if rank == nrows:
             break
     return rank
+
+
+def minors(matrix, ring: PolyRing, size: int):
+    """Every size x size minor of a MultiPoly matrix, row sets then column
+    sets in lexicographic order, by Laplace expansion along the first row
+    with one memo shared by all of them."""
+    memo: dict = {}
+
+    def rec(rows: tuple[int, ...], cols: tuple[int, ...]) -> MultiPoly:
+        if len(rows) == 1:
+            return matrix[rows[0]][cols[0]]
+        key = (rows, cols)
+        if key not in memo:
+            acc = ring.zero()
+            for t, j in enumerate(cols):
+                if matrix[rows[0]][j]:
+                    term = matrix[rows[0]][j] * rec(rows[1:], cols[:t] + cols[t + 1 :])
+                    acc = acc + term if t % 2 == 0 else acc - term
+            memo[key] = acc
+        return memo[key]
+
+    nr, nc = len(matrix), len(matrix[0]) if matrix else 0
+    for rows in combinations(range(nr), size):
+        for cols in combinations(range(nc), size):
+            yield rec(rows, cols)
+
+
+def evaluate(p: MultiPoly, point: list[int]):
+    """The value of p at an integer point."""
+    return sum((c * prod(v**x for v, x in zip(point, e)) for e, c in p.terms.items()), Fraction(0))
+
+
+def generic_rank(matrix, ring: PolyRing) -> int:
+    """Rank over the fraction field: the largest rank at four random
+    integer points, a lower bound, raised while some larger minor is
+    nonzero."""
+    if not matrix or not matrix[0]:
+        return 0
+    rng = random.Random(0xB125C)
+    rank = 0
+    for _ in range(4):
+        point = [rng.randint(-40, 40) or 1 for _ in range(ring.nvars)]
+        rank = max(rank, dense_rank([[evaluate(p, point) for p in row] for row in matrix]))
+    while rank < min(len(matrix), len(matrix[0])) and any(minors(matrix, ring, rank + 1)):
+        rank += 1
+    return rank
+
+
+def fitting_ideal_gens(matrix, ring: PolyRing) -> list[MultiPoly]:
+    """The distinct monic r x r minors of a MultiPoly matrix of generic
+    rank r > 0, or [1] when r = 0: generators of the Fitting ideal whose
+    zero set is the locus where the map drops rank."""
+    r = generic_rank(matrix, ring)
+    if r == 0:
+        return [ring.one()]
+    return list(dict.fromkeys(m.monic() for m in minors(matrix, ring, r) if m))
 
 
 def poly_coeff_vector(p: MultiPoly, basis: list[tuple[int, ...]]) -> list[Fraction]:

@@ -167,7 +167,7 @@ def test_criterion_5_regularity_resolution_suite():
         ]
         for ideal, codim, pure_radical in members:
             resm = minimal_resolution(ideal)
-            resm.validate(check_ranks=True)
+            resm.validate(check_exact=True)
             for k, c in bef_codims(resm):
                 assert c >= k
                 if pure_radical and k >= 1 + codim:

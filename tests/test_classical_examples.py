@@ -19,7 +19,7 @@ class TestClassicalResolutions:
         a, b, c, d = P3.gens()
         ci = Ideal(P3, [a * b - c * d, a**2 + b**2 - c**2])
         res = minimal_resolution(ci)
-        res.validate(check_ranks=True)
+        res.validate(check_exact=True)
         assert betti(res) == {(1, 2): 2, (2, 4): 1}  # Koszul on a regular pair
         assert regularity(res) == 3  # (2-1) + (2-1) + 1
 
@@ -33,7 +33,7 @@ class TestClassicalResolutions:
         ]
         ideal = Ideal(P4, minors)
         res = minimal_resolution(ideal)
-        res.validate(check_ranks=True)
+        res.validate(check_exact=True)
         assert betti(res) == {(1, 2): 6, (2, 3): 8, (3, 4): 3}
         assert regularity(res) == 2
         data = hilbert_data(buchberger(ideal))
@@ -53,7 +53,7 @@ class TestClassicalResolutions:
                         dets.append(m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
         ideal = Ideal(P5, dets)
         res = minimal_resolution(ideal)
-        res.validate(check_ranks=True)
+        res.validate(check_exact=True)
         assert betti(res) == {(1, 2): 6, (2, 3): 8, (3, 4): 3}
         assert regularity(res) == 2
         data = hilbert_data(buchberger(ideal))
@@ -64,7 +64,7 @@ class TestClassicalResolutions:
         x, y, z = P2.gens()
         ideal = Ideal(P2, [x * y, x * z, y * z])
         res = minimal_resolution(ideal)
-        res.validate(check_ranks=True)
+        res.validate(check_exact=True)
         assert betti(res) == {(1, 2): 3, (2, 3): 2}
         assert regularity(res) == 2
         data = hilbert_data(buchberger(ideal))

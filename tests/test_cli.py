@@ -174,8 +174,8 @@ class TestResolve:
         ],
     )
     def test_rational_normal_curves_past_the_minor_cap(self, d, codims, tmp_path, capsys):
-        # ranks 9 (d = 5) and 14 (d = 6) are over the 6x6 minor cap of
-        # fitting_ideal; the drop-rank codimensions take no minors
+        # the second maps have ranks 9 (d = 5) and 14 (d = 6), too large
+        # to expand minors of; the drop-rank codimensions take none
         z = [f"z{i}" for i in range(d + 1)]
         lines = [f"vars: {', '.join(z)}"] + [
             f"{z[i]}*{z[j + 1]} - {z[i + 1]}*{z[j]}" for i in range(d) for j in range(i + 1, d)

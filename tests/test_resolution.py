@@ -1,5 +1,6 @@
-"""Free resolutions: syzygies, minimality, Betti tables, regularity,
-Fitting ideals, and the drop-rank codimension bounds."""
+"""Free resolutions: syzygies, minimality, exactness, Betti tables,
+regularity, and the drop-rank codimension bounds against the minors of
+the Fitting ideals."""
 
 import itertools
 import random
@@ -8,23 +9,22 @@ from math import comb
 import pytest
 
 from conftest import random_forms_ideal, skew_lines_ideal, twisted_cubic_ideal
-from oracles import syzygy_dimension_at_degree
+from oracles import fitting_ideal_gens, generic_rank, syzygy_dimension_at_degree
 
 from brisk import kernel, modules, resolution
-from brisk.errors import BudgetExceededError
 from brisk.fields import GF, GFElement, poly_to_gf
 from brisk.groebner import Ideal, buchberger, membership
 from brisk.invariants import hilbert_data
 from brisk.kernel import mono_lcm, mono_mul
+from brisk.modules import FreeModule
 from brisk.orders import grevlex
 from brisk.polyring import PolyRing
 from brisk.resolution import (
     FreeResolution,
+    ResolutionStep,
     bef_codims,
     betti,
     betti_table_text,
-    fitting_ideal,
-    generic_rank,
     minimal_resolution,
     regularity,
     syzygies,
@@ -118,19 +118,19 @@ class TestMinimalResolution:
     def test_principal_ideal(self):
         res = minimal_resolution(cusp_proj(5))
         assert [s.source.twists for s in res.steps] == [(5,)]
-        res.validate(check_ranks=True)
+        res.validate(check_exact=True)
 
     def test_koszul_two_variables(self):
         R = PolyRing(("x", "y"))
         x, y = R.gens()
         res = minimal_resolution(Ideal(R, [x, y]))
         assert [s.source.twists for s in res.steps] == [(1, 1), (2,)]
-        res.validate(check_ranks=True)
+        res.validate(check_exact=True)
 
     def test_twisted_cubic_shape(self):
         res = minimal_resolution(twisted_cubic_ideal())
         assert [s.source.twists for s in res.steps] == [(2, 2, 2), (3, 3)]
-        res.validate(check_ranks=True)
+        res.validate(check_exact=True)
 
     def test_zero_ideal(self):
         res = minimal_resolution(Ideal(P3, []))
@@ -174,7 +174,7 @@ class TestMinimalResolution:
     def test_skew_lines_shape(self):
         res = minimal_resolution(skew_lines_ideal())
         assert [s.source.twists for s in res.steps] == [(2, 2, 2, 2), (3, 3, 3, 3), (4,)]
-        res.validate(check_ranks=True)
+        res.validate(check_exact=True)
 
     def test_resolution_exactness_via_hilbert(self):
         for ideal in [twisted_cubic_ideal(), skew_lines_ideal(), cusp_proj(5)]:
@@ -190,7 +190,7 @@ class TestMinimalFrame:
         res = minimal_resolution(rational_normal_curve(d))
         # Eagon-Northcott: k * C(d, k+1) generators in twist k + 1
         assert betti(res) == {(k, k + 1): k * comb(d, k + 1) for k in range(1, d)}
-        res.validate()
+        res.validate(check_exact=True)
         assert_hilbert_identity(res)
 
     def test_rnc5_frame_is_already_minimal(self, monkeypatch):
@@ -213,8 +213,61 @@ class TestMinimalFrame:
         res = minimal_resolution(Ideal(R, [R.parse(g) for g in gens]))
         assert betti(res) == {(1, 2): 4, (2, 3): 2, (2, 4): 3, (3, 5): 2}
         assert regularity(res) == 3
-        res.validate()
+        res.validate(check_exact=True)
         assert_hilbert_identity(res)
+
+
+def replace_step(res: FreeResolution, k: int, step: ResolutionStep) -> FreeResolution:
+    steps = res.steps[: k - 1] + (step,) + res.steps[k:]
+    return FreeResolution(res.ring, res.ideal, steps, res.minimal)
+
+
+class TestExactnessCheck:
+    """validate(check_exact=True) reads homology off Hilbert series and
+    compares coker(phi_1) with S/J; each corruption below keeps the
+    steps graded and composing to zero."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_dropped_last_column_of_last_map(self, d):
+        res = minimal_resolution(rational_normal_curve(d))
+        last = res.steps[-1]
+        cut = ResolutionStep(
+            FreeModule(last.source.twists[:-1]), last.target, tuple(row[:-1] for row in last.matrix)
+        )
+        broken = replace_step(res, res.length, cut)
+        broken.validate()
+        with pytest.raises(AssertionError, match=rf"not exact at F_{res.length - 1}"):
+            broken.validate(check_exact=True)
+
+    def test_labelled_with_a_smaller_ideal(self):
+        res = minimal_resolution(twisted_cubic_ideal())
+        smaller = Ideal(P3, list(twisted_cubic_ideal().gens[:2]))
+        mislabelled = FreeResolution(res.ring, smaller, res.steps, res.minimal)
+        with pytest.raises(AssertionError, match="not in the ideal"):
+            mislabelled.validate(check_exact=True)
+
+    def test_labelled_with_a_larger_ideal(self):
+        res = minimal_resolution(twisted_cubic_ideal())
+        larger = Ideal(P3, list(twisted_cubic_ideal().gens) + [P3.parse("z0^3")])
+        mislabelled = FreeResolution(res.ring, larger, res.steps, res.minimal)
+        with pytest.raises(AssertionError, match="Hilbert series differ"):
+            mislabelled.validate(check_exact=True)
+
+    def test_changed_entry_of_the_first_map(self):
+        # a principal ideal has no composition to break: only the
+        # membership of the entries in J sees the new generator
+        res = minimal_resolution(cusp_proj(5))
+        step = res.steps[0]
+        changed = ResolutionStep(step.source, step.target, ((P2.parse("z0^5 - z2^5"),),))
+        broken = replace_step(res, 1, changed)
+        broken.validate()
+        with pytest.raises(AssertionError, match="not in the ideal"):
+            broken.validate(check_exact=True)
+
+    def test_empty_resolution_is_exact_only_for_the_zero_ideal(self):
+        FreeResolution(P3, Ideal(P3, []), (), True).validate(check_exact=True)
+        with pytest.raises(AssertionError, match="nonzero ideal"):
+            FreeResolution(P3, skew_lines_ideal(), (), True).validate(check_exact=True)
 
 
 class TestBetti:
@@ -280,41 +333,22 @@ class TestFittingAndRankLoci:
         R = PolyRing(("x", "y"))
         x, y = R.gens()
         res = minimal_resolution(Ideal(R, [x, y]))
-        fitt1 = fitting_ideal(res, 1)
-        assert set(g.monic() for g in fitt1.gens) == {x, y}
+        assert set(fitting_ideal_gens(res.steps[0].matrix, R)) == {x, y}
 
     def test_principal_step(self):
         res = minimal_resolution(cusp_proj(5))
-        fitt = fitting_ideal(res, 1)
-        assert [g.monic() for g in fitt.gens] == [res.ideal.gens[0].monic()]
+        assert fitting_ideal_gens(res.steps[0].matrix, P2) == [res.ideal.gens[0].monic()]
 
     def test_twisted_cubic_last_map_minors_regenerate_the_curve(self):
         res = minimal_resolution(twisted_cubic_ideal())
         step2 = res.steps[1]
-        assert generic_rank([list(r) for r in step2.matrix], P3) == 2
-        fitt = fitting_ideal(res, 2)
+        assert generic_rank(step2.matrix, P3) == 2
+        fitt = Ideal(P3, fitting_ideal_gens(step2.matrix, P3))
         G = buchberger(fitt)
         for q in twisted_cubic_ideal().gens:
             assert G.contains(q)
         for g in fitt.gens:
             assert membership(g, twisted_cubic_ideal())
-
-    def test_minor_cap(self):
-        res = minimal_resolution(skew_lines_ideal())
-        with pytest.raises(BudgetExceededError):
-            fitting_ideal(res, 1, minor_cap=0)
-
-    def test_minor_cap_refuses_before_symbolic_minors(self, monkeypatch):
-        # RNC5's second map (10 x 20) has rank 9 at a random point; its
-        # symbolic confirmation expands all 184,756 10 x 10 minors
-        res = minimal_resolution(rational_normal_curve(5))
-
-        def symbolic(matrix, ring):
-            raise AssertionError("generic_rank ran before the cap check")
-
-        monkeypatch.setattr(resolution, "generic_rank", symbolic)
-        with pytest.raises(BudgetExceededError, match=r"rank 9 exceeds the 6x6 minor cap"):
-            fitting_ideal(res, 2)
 
     def test_bef_codims_corpus(self):
         # codim Z_k >= k on everything; >= k+1 for k >= 1 + codim on the
@@ -351,7 +385,8 @@ def minors_codims(res: FreeResolution) -> list[tuple[int, float]]:
     minors, from the Hilbert data of its Groebner basis."""
     out = []
     for k in range(1, res.length + 1):
-        data = hilbert_data(buchberger(fitting_ideal(res, k)))
+        minors = fitting_ideal_gens(res.steps[k - 1].matrix, res.ring)
+        data = hilbert_data(buchberger(Ideal(res.ring, minors)))
         out.append((k, float("inf") if data.is_unit_ideal else res.ring.nvars - data.cone_dim))
     return out
 
@@ -436,4 +471,5 @@ class TestExtCodimsAgainstMinors:
             ideal = random_forms_ideal(rng)
             for member in (ideal, over_gf32003(ideal)):
                 res = minimal_resolution(member)
+                res.validate(check_exact=True)
                 assert bef_codims(res) == minors_codims(res)
