@@ -6,11 +6,11 @@ on an affine variety V, and their power-ideal generalization
 ``search_at_degree`` parametrizes every admissible cofactor completely
 (all monomials up to the degree cap), reduces modulo a Groebner basis of
 the variety ideal, and solves the resulting linear system with
-``linalg.solve_sparse``: elimination modulo a word-size prime, lifted to
-Q and checked exactly.  A solution satisfies every row over Q, and a
-NotFound answer (None) rests on a left-kernel witness checked over Q (or
-on the integer elimination, when the prime fails), so it is a proof of
-infeasibility at that degree, not a heuristic failure.
+``linalg.solve_sparse``: elimination modulo a word-size prime (the next
+prime when one fails), lifted to Q and checked exactly.  A solution
+satisfies every row over Q, and a NotFound answer (None) rests on a
+left-kernel witness checked over Q, so it is a proof of infeasibility at
+that degree, not a heuristic failure.
 ``minimal_degree`` scans upward; feasibility is monotone in the degree
 because the cap sets only grow.
 

@@ -75,6 +75,16 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {ex}")
 
 
+def _over_gf(ideal: Ideal, char: int) -> Ideal:
+    """``ideal`` with its coefficients mapped into GF(char); a ValueError
+    (exit 2) when char divides a coefficient denominator."""
+    field = GF(char)
+    try:
+        return Ideal(ideal.ring, [poly_to_gf(g, field) for g in ideal.gens])
+    except ZeroDivisionError as ex:
+        raise ValueError(str(ex)) from None
+
+
 def _pipeline_invariants(inst: InstanceFile, budget: Budget, char: int | None):
     """saturation -> Groebner -> Hilbert -> resolution -> regularity."""
     ring = inst.ring
@@ -84,10 +94,7 @@ def _pipeline_invariants(inst: InstanceFile, budget: Budget, char: int | None):
         j_x = Ideal(proj, [])
     else:
         j_x = projective_closure(inst.variety, budget, var)
-    work = j_x
-    if char is not None:
-        field = GF(char)
-        work = Ideal(proj, [poly_to_gf(g, field) for g in j_x.gens])
+    work = j_x if char is None else _over_gf(j_x, char)
     gb = buchberger(work, grevlex(), budget)
     data = hilbert_data(gb)
     res = minimal_resolution(work, grevlex(), budget)
@@ -181,8 +188,7 @@ def cmd_resolve(args) -> int:
     budget = _budget(args)
     ideal = _load_homogeneous_ideal(args, budget)
     if args.char is not None:
-        field = GF(args.char)
-        ideal = Ideal(ideal.ring, [poly_to_gf(g, field) for g in ideal.gens])
+        ideal = _over_gf(ideal, args.char)
     res = minimal_resolution(ideal, grevlex(), budget)
     print(betti_table_text(res))
     print(f"regularity: {regularity(res)}")
@@ -218,8 +224,7 @@ def cmd_invariants(args) -> int:
         return 0
     ideal = _load_homogeneous_ideal(args, budget)
     if args.char is not None:
-        field = GF(args.char)
-        ideal = Ideal(ideal.ring, [poly_to_gf(g, field) for g in ideal.gens])
+        ideal = _over_gf(ideal, args.char)
     data = hilbert_data(buchberger(ideal, grevlex(), budget))
     print(f"hilbert numerator: {_poly_in_t(data.numerator)}")
     print(f"projective dimension: {data.proj_dimension()}")

@@ -177,16 +177,14 @@ def buchberger(
     ring = ideal.ring
     modulus = kernel.field_modulus(ideal.gens)
     gens = [(kernel.to_ints(g.terms, modulus), g.degree()) for g in ideal.gens]
-    bits = kernel.bits_for(max((d for _, d in gens), default=0))
-    while True:
+
+    def run(bits):
         packing = kernel.packing(order.spec(), ring.nvars, bits)
-        try:
-            basis = _packed_basis(gens, packing, modulus, budget)
-        except OverflowError:
-            bits *= 2
-            continue
-        polys = [MultiPoly(ring, packing.unpack_terms(t)) for t in basis]
-        return GroebnerBasis(ring, order, polys)
+        basis = _packed_basis(gens, packing, modulus, budget)
+        return [MultiPoly(ring, packing.unpack_terms(t)) for t in basis]
+
+    polys = kernel.widening(run, kernel.bits_for(max((d for _, d in gens), default=0)))
+    return GroebnerBasis(ring, order, polys)
 
 
 def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[dict]:

@@ -18,7 +18,7 @@ monomial multiplication.  The top bit of each field is a guard bit that
 valid monomials leave clear: ``lead`` divides ``m`` exactly when
 ``(m - lead) & guard`` is zero, and a product that outgrows its fields
 sets a guard bit.  The engine then raises OverflowError, and its caller
-starts again with fields twice as wide.
+starts again with fields twice as wide (``widening``).
 
 ``normal_form`` divides packed terms in one of three coefficient
 domains: field elements by monic reducers, plain ints mod a prime by
@@ -235,6 +235,16 @@ def packing(spec, nvars: int, bits: int) -> Packing:
 def bits_for(degree: int) -> int:
     """A field width that holds monomials of twice ``degree``."""
     return max(MIN_BITS, (2 * degree).bit_length() + 1)
+
+
+def widening(run, bits: int):
+    """``run(bits)``, with the field width doubled each time a packed
+    value outgrows it (OverflowError)."""
+    while True:
+        try:
+            return run(bits)
+        except OverflowError:
+            bits *= 2
 
 
 # ------------------------------------------------------ int coefficients

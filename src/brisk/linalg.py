@@ -5,8 +5,8 @@ Rows are dicts {column index: coefficient}.  ``_integerize`` scales each
 row and its right-hand side to integers with their content divided out,
 so the integer system A' x = b' has the solutions of A x = b.
 
-``solve_sparse`` eliminates A' modulo the prime P = 2^61 - 1, lifts the
-answer to Q, and checks it exactly before it returns it.
+``solve_sparse`` eliminates A' modulo a prime p, lifts the answer to Q,
+and checks it exactly before it returns it.
 
 - **Pivots.**  Markowitz's rule in its simplest form: the next pivot
   column is one held by the fewest live (not yet pivot) rows, lowest
@@ -21,40 +21,42 @@ answer to Q, and checks it exactly before it returns it.
   row's columns can appear in a row (fill-in) or cancel out of it; a
   pivot updates the bookkeeping, and pushes a fresh heap key, for those
   columns alone.  The choice reads only the live rows' zero patterns.
-- **Elimination mod P.**  Each pivot row is made monic and its column is
+- **Elimination mod p.**  Each pivot row is made monic and its column is
   cleared from the live rows only.  Every operation is recorded in three
   flat arrays as (target row, source row, factor): ``v[t] -= f * v[s]``,
   or ``v[t] *= f`` when a pivot row is scaled (target = source).  The
   pivot rows on the pivot columns form a square block B = L U,
-  invertible mod P: replaying the operations on rows that became pivots
+  invertible mod p: replaying the operations on rows that became pivots
   applies L^-1, and the pivot rows as they were chosen are U, unit upper
   triangular in pivot order.  So B^-1 u is a replay and a back
   substitution, and B^-T u a forward substitution with U^T and the
   transposed operations replayed in reverse order.
-- **Found.**  Dixon lifting: x_k = B^-1 r_k mod P in balanced digits and
-  r_{k+1} = (r_k - B x_k) / P from r_0 = b' on the pivot rows, so that
-  sum x_k P^k = B^-1 b' mod P^(k+1).  After each step the sum goes
+- **Found.**  Dixon lifting: x_k = B^-1 r_k mod p in balanced digits and
+  r_{k+1} = (r_k - B x_k) / p from r_0 = b' on the pivot rows, so that
+  sum x_k p^k = B^-1 b' mod p^(k+1).  After each step the sum goes
   through rational reconstruction with one common denominator; a zero
   residual means the sum is exact.  A candidate is returned only when
-  A' x = b' holds exactly on every row.  Free columns are 0.  As long as
-  P divides no entry, pivot or minor that is nonzero over Q, the zero
-  patterns and so the pivots are those over Q, and this is the solution
-  of the integer elimination ``_solve_exact``.
+  A' x = b' holds exactly on every row.  Free columns are 0.
 - **NotFound.**  A row that is no pivot and whose right-hand side is
-  nonzero mod P reads 0 = c.  Over Q the row combination behind it is
+  nonzero mod p reads 0 = c.  Over Q the row combination behind it is
   y = e_i - lambda, with B^T lambda = (row i on the pivot columns);
   lambda is lifted in the same way from B^-T.  ``None`` is returned only
   when y^T A' = 0 on every column and y^T b' != 0 exactly.
 - **Lifting bound.**  By Hadamard's inequality the Cramer numerators and
   the denominator of B^-1 b' are at most N, N^2 = prod_k (|A'_k|^2 +
   b'_k^2) over the pivot rows (for lambda, N^2 = |a|^2 prod_k |A'_k|^2),
-  and the reconstruction is unique once P^k > 2 N^2.  Lifting stops
+  and the reconstruction is unique once p^k > 2 N^2.  Lifting stops
   there.
-- **Fallback.**  When an input entry is 0 mod P, when lifting passes the
-  bound without a checked answer, or when the exact solution of the
-  pivot block fails the check (so P divides a pivot minor and the
-  patterns mod P are not those over Q), the answer comes from
-  ``_solve_exact`` instead.  Nothing else selects a path.
+- **Primes.**  A prime fails when it divides an input entry, when
+  lifting passes the bound without a checked answer, or when the exact
+  solution of the pivot block fails the check.  The solve then starts
+  again with the next prime of one fixed sequence: P = 2^61 - 1, then
+  the primes below it in descending order.  A prime that divides no
+  nonzero entry or minor of [A' | b'] sees the zero patterns, and so the
+  pivots, of the elimination over Q; its lifted answer is exact and
+  passes the check, and a Found answer is the solution of the
+  elimination over Q.  Only finitely many primes divide one of those
+  finitely many nonzero integers, so the sequence reaches an answer.
 """
 
 from __future__ import annotations
@@ -66,9 +68,19 @@ from itertools import compress
 from math import gcd, isqrt
 
 from .errors import BudgetExceededError
+from .fields import _is_probable_prime
 
 P = (1 << 61) - 1
-_HALF = P // 2
+
+
+def _primes():
+    """P, then every prime below it, in descending order."""
+    yield P  # a Mersenne prime; its Miller-Rabin test costs as much as a small solve
+    p = P - 2
+    while True:
+        if _is_probable_prime(p):
+            yield p
+        p -= 2
 
 
 def _integerize(row: dict[int, Fraction], rhs: Fraction):
@@ -86,32 +98,6 @@ def _integerize(row: dict[int, Fraction], rhs: Fraction):
     return irow, irhs
 
 
-def _combine(target, trhs, pivot, prhs, col):
-    """target*a - t*pivot with a = pivot[col], t = target[col]; content
-    normalized.  Afterwards target[col] = 0."""
-    a = pivot[col]
-    t = target[col]
-    out = {}
-    for c, v in target.items():
-        out[c] = v * a
-    for c, v in pivot.items():
-        s = out.get(c, 0) - t * v
-        if s:
-            out[c] = s
-        else:
-            out.pop(c, None)
-    orhs = trhs * a - t * prhs
-    content = abs(orhs)
-    for v in out.values():
-        content = gcd(content, abs(v))
-        if content == 1:
-            break
-    if content > 1:
-        out = {c: v // content for c, v in out.items()}
-        orhs //= content
-    return out, orhs
-
-
 def _check_lengths(rows, rhs) -> None:
     if len(rows) != len(rhs):
         raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
@@ -126,12 +112,11 @@ def solve_sparse(
     """One exact solution of A x = b (free variables set to 0), or None
     when the system is infeasible.
 
-    The system is eliminated modulo P and the answer lifted to Q (see the
-    module docstring).  A solution has passed A' x = b' on every row; a
-    None has passed y^T A' = 0 and y^T b' != 0 for a witness y
-    (``infeasibility_witness`` returns it), or comes from the integer
-    elimination ``_solve_exact`` when the prime fails.  A length mismatch
-    between ``rows`` and ``rhs`` is a ValueError.
+    The system is eliminated modulo a prime and the answer lifted to Q
+    (see the module docstring).  A solution has passed A' x = b' on every
+    row; a None has passed y^T A' = 0 and y^T b' != 0 for a witness y,
+    which ``infeasibility_witness`` returns.  A length mismatch between
+    ``rows`` and ``rhs`` is a ValueError.
     """
     _check_lengths(rows, rhs)
     if max_entries is not None and len(rows) * ncols > max_entries:
@@ -139,10 +124,7 @@ def solve_sparse(
             f"budget exhausted: linear system {len(rows)}x{ncols} exceeds "
             f"{max_entries} entries (raise max_matrix_entries / --budget-matrix)"
         )
-    answer = _solve_modular([_integerize(row, b) for row, b in zip(rows, rhs)], ncols)
-    if answer is None:
-        return _solve_exact(rows, rhs, ncols)
-    feasible, value = answer
+    feasible, value = _solve([_integerize(row, b) for row, b in zip(rows, rhs)], ncols)
     return value if feasible else None
 
 
@@ -152,21 +134,12 @@ def infeasibility_witness(
     """A y with y^T A = 0 and y^T b != 0 on the given rows, which proves
     that A x = b has no solution, or None when it has one.
 
-    The witness is the checked one ``solve_sparse`` finds mod P, scaled
-    back from the integer rows to these.  When the prime fails, y is the
-    exact solution of y^T [A | b] = [0 | 1].
+    The witness is the checked one that ``solve_sparse`` finds, scaled
+    back from the integer rows to these.
     """
     _check_lengths(rows, rhs)
     irows = [_integerize(row, b) for row, b in zip(rows, rhs)]
-    answer = _solve_modular(irows, ncols)
-    if answer is None:
-        cols: list[dict[int, Fraction]] = [{} for _ in range(ncols + 1)]
-        for r, (row, b) in enumerate(zip(rows, rhs)):
-            for c, v in row.items():
-                cols[c][r] = v
-            cols[ncols][r] = b
-        return _solve_exact(cols, [Fraction(0)] * ncols + [Fraction(1)], len(rows))
-    feasible, value = answer
+    feasible, value = _solve(irows, ncols)
     if feasible:
         return None
     y = [Fraction(0)] * len(rows)
@@ -179,21 +152,30 @@ def infeasibility_witness(
     return y
 
 
-def _solve_modular(irows, ncols):
+def _solve(irows, ncols):
+    """(True, solution) or (False, witness {row: int}) for the integer
+    system ``irows`` from the first prime that does not fail."""
+    for p in _primes():
+        answer = _solve_modular(irows, ncols, p)
+        if answer is not None:
+            return answer
+
+
+def _solve_modular(irows, ncols, p):
     """(True, solution) or (False, witness {row: int} on the integer
     rows) for the integer system ``irows``, each answer checked over Q;
-    None when the prime fails."""
-    # a row whose entries lie strictly between -P and P is its own
-    # reduction mod P: it is shared with ``irows`` until an operation
+    None when the prime ``p`` fails."""
+    # a row whose entries lie strictly between -p and p is its own
+    # reduction mod p: it is shared with ``irows`` until an operation
     # changes it
     work = []
     for irow, _ in irows:
-        if not all(-P < v < P for v in irow.values()):
-            irow = {c: v % P for c, v in irow.items()}
+        if not all(-p < v < p for v in irow.values()):
+            irow = {c: v % p for c, v in irow.items()}
             if not all(irow.values()):
-                return None  # P divides an entry: the pattern mod P differs
+                return None  # p divides an entry: the pattern mod p differs
         work.append(irow)
-    wb = [b % P for _, b in irows]
+    wb = [b % p for _, b in irows]
 
     where: list[list[int]] = [[] for _ in range(ncols)]
     for ri, row in enumerate(work):
@@ -220,9 +202,9 @@ def _solve_modular(irows, ncols):
         pr = work[prow]
         a = pr[col]
         if a != 1:
-            inv = pow(a, -1, P)
-            pr = work[prow] = {c: v * inv % P for c, v in pr.items()}
-            wb[prow] = wb[prow] * inv % P
+            inv = pow(a, -1, p)
+            pr = work[prow] = {c: v * inv % p for c, v in pr.items()}
+            wb[prow] = wb[prow] * inv % p
             tgt.append(prow)
             src.append(prow)
             fac.append(inv)
@@ -240,10 +222,10 @@ def _solve_modular(irows, ncols):
             tgt.append(ri)
             src.append(prow)
             fac.append(t)
-            wb[ri] = (wb[ri] - t * pb) % P
+            wb[ri] = (wb[ri] - t * pb) % p
             for c, v in others:
                 if c in row:
-                    s = (row[c] - t * v) % P
+                    s = (row[c] - t * v) % p
                     if s:
                         row[c] = s
                     else:
@@ -251,7 +233,7 @@ def _solve_modular(irows, ncols):
                         where[c].remove(ri)
                         live[c] -= 1
                 else:
-                    row[c] = -t * v % P  # nonzero, as P is prime
+                    row[c] = -t * v % p  # nonzero, as p is prime
                     where[c].append(ri)
                     live[c] += 1
         where[col] = [prow]
@@ -265,7 +247,7 @@ def _solve_modular(irows, ncols):
     mask = [assigned[t] for t in tgt]
     ops = tuple(array("q", compress(seq, mask)) for seq in (tgt, src, fac))
     del tgt, src, fac, mask
-    factors = _Factors(pivots, ncols, work, ops)
+    factors = _Factors(p, pivots, ncols, work, ops)
     bad = next((ri for ri, b in enumerate(wb) if b and not assigned[ri]), None)
     if bad is None:
         return _lift_solution(irows, factors)
@@ -273,73 +255,77 @@ def _solve_modular(irows, ncols):
 
 
 class _Factors:
-    """B = L U mod P for the pivot block B, the pivot rows on the pivot
+    """B = L U mod p for the pivot block B, the pivot rows on the pivot
     columns.  L^-1 is the recorded operations on rows that became pivots,
     replayed in order.  U is the pivot rows as they were when chosen:
     monic in their own column, with other entries only in later pivot
     columns and in free columns, which hold 0 in every solution."""
 
-    def __init__(self, pivots, ncols, work, ops):
+    def __init__(self, p, pivots, ncols, work, ops):
+        self.p = p
         self.pivots = pivots
         self.ncols = ncols
         self.work = work
         self.ops = ops
 
     def solve(self, u):
-        """B^-1 u mod P.  u holds one entry per pivot row and the result
+        """B^-1 u mod p.  u holds one entry per pivot row and the result
         one per pivot column, both in pivot order."""
+        p = self.p
         v = [0] * len(self.work)
         for (_, ri), e in zip(self.pivots, u):
-            v[ri] = e % P
+            v[ri] = e % p
         for t, s, f in zip(*self.ops):
             if t == s:
-                v[t] = v[t] * f % P
+                v[t] = v[t] * f % p
             else:
-                v[t] = (v[t] - f * v[s]) % P
+                v[t] = (v[t] - f * v[s]) % p
         x = [0] * self.ncols
         for col, ri in reversed(self.pivots):
             e = v[ri]
             for c, f in self.work[ri].items():
                 e -= f * x[c]  # x[col] is still 0 here
-            x[col] = e % P
+            x[col] = e % p
         return [x[col] for col, _ in self.pivots]
 
     def solve_transposed(self, u):
-        """B^-T u mod P: U^-T, then the row operations transposed and in
+        """B^-T u mod p: U^-T, then the row operations transposed and in
         reverse order.  u holds one entry per pivot column and the result
         one per pivot row, both in pivot order."""
+        p = self.p
         a = [0] * self.ncols
         for (col, _), e in zip(self.pivots, u):
             a[col] = e
         v = [0] * len(self.work)
         for col, ri in self.pivots:
-            w = v[ri] = a[col] % P
+            w = v[ri] = a[col] % p
             if w:
                 for c, f in self.work[ri].items():
                     a[c] -= f * w
         tgt, src, fac = self.ops
         for t, s, f in zip(reversed(tgt), reversed(src), reversed(fac)):
             if t == s:
-                v[t] = v[t] * f % P
+                v[t] = v[t] * f % p
             else:
-                v[s] = (v[s] - f * v[t]) % P
+                v[s] = (v[s] - f * v[t]) % p
         return [v[ri] for _, ri in self.pivots]
 
 
-def _dixon(residual, solve_mod, multiply, bound, accept):
+def _dixon(p, residual, solve_mod, multiply, bound, accept):
     """Lift the rational solution z of M z = residual from the solutions
-    mod P that ``solve_mod`` gives, where ``multiply`` applies M over Z.
-    Returns ``accept``'s value for the first reconstructed candidate it
-    takes, or None once the modulus passes ``bound`` or the exact
-    solution is rejected."""
+    mod the prime p that ``solve_mod`` gives, where ``multiply`` applies M
+    over Z.  Returns ``accept``'s value for the first reconstructed
+    candidate it takes, or None once the modulus passes ``bound`` or the
+    exact solution is rejected."""
+    half = p // 2
     total = [0] * len(residual)
     modulus = 1
     rejected = None
     while True:
-        digits = [d - P if d > _HALF else d for d in solve_mod(residual)]
+        digits = [d - p if d > half else d for d in solve_mod(residual)]
         total = [z + d * modulus for z, d in zip(total, digits)]
-        modulus *= P
-        residual = [(r - m) // P for r, m in zip(residual, multiply(digits))]
+        modulus *= p
+        residual = [(r - m) // p for r, m in zip(residual, multiply(digits))]
         exact = not any(residual)
         candidate = (total, 1) if exact else _reconstruct(total, modulus)
         if candidate is not None and candidate != rejected:
@@ -411,7 +397,7 @@ def _lift_solution(irows, factors):
             solution[col] = Fraction(x[col], den)
         return True, solution
 
-    return _dixon([b for _, b in prows], factors.solve, multiply, bound, accept)
+    return _dixon(factors.p, [b for _, b in prows], factors.solve, multiply, bound, accept)
 
 
 def _lift_witness(irows, bad, factors):
@@ -447,82 +433,5 @@ def _lift_witness(irows, bad, factors):
             return None
         return False, y
 
-    return _dixon(a, factors.solve_transposed, multiply, bound, accept)
+    return _dixon(factors.p, a, factors.solve_transposed, multiply, bound, accept)
 
-
-def _solve_exact(
-    rows: list[dict[int, Fraction]],
-    rhs: list[Fraction],
-    ncols: int,
-) -> list[Fraction] | None:
-    """The integer elimination, which the modular solve falls back to.
-
-    It makes the same pivot choices as ``solve_sparse`` on rows kept over
-    Z: clearing a column replaces a row by ``row * a - t * pivot`` with
-    its content divided out (``_combine``), in every other row that holds
-    it (Gauss-Jordan), so no fractions appear until the final back
-    substitution.  Infeasibility is definitive: the elimination runs to
-    completion and exhibits an inconsistent row.
-    """
-    work = []
-    for row, b in zip(rows, rhs):
-        irow, ib = _integerize(dict(row), b)
-        work.append((irow, ib))
-
-    where: list[list[int]] = [[] for _ in range(ncols)]
-    for ri, (row, _) in enumerate(work):
-        for c in row:
-            where[c].append(ri)
-    live = [len(holders) for holders in where]
-    heap = [n * ncols + c for c, n in enumerate(live) if n]
-    heapify(heap)
-
-    pivots: list[tuple[int, int]] = []  # (column, row index)
-    assigned = [False] * len(work)
-    while heap:
-        n, col = divmod(heappop(heap), ncols)
-        if n != live[col]:
-            continue  # stale key; the column was pivoted or recounted
-        holders = where[col]
-        prow = min(
-            (ri for ri in holders if not assigned[ri]),
-            key=lambda ri: (len(work[ri][0]), ri),
-        )
-        pivots.append((col, prow))
-        assigned[prow] = True
-        pr, pb = work[prow]
-        others = [c for c in pr if c != col]
-        for c in others:
-            live[c] -= 1
-        for ri in holders:
-            if ri == prow:
-                continue
-            row, b = work[ri]
-            work[ri] = _combine(row, b, pr, pb, col)
-            out = work[ri][0]
-            step = 0 if assigned[ri] else 1  # pivot rows are not live
-            for c in others:
-                if c in row:
-                    if c not in out:
-                        where[c].remove(ri)
-                        live[c] -= step
-                elif c in out:
-                    where[c].append(ri)
-                    live[c] += step
-        where[col] = [prow]
-        live[col] = 0
-        for c in others:
-            if live[c]:
-                heappush(heap, live[c] * ncols + c)
-
-    for ri, (row, b) in enumerate(work):
-        if not assigned[ri] and not row and b != 0:
-            return None
-        if not assigned[ri] and row:
-            raise AssertionError("elimination left an unassigned nonzero row")
-
-    solution = [Fraction(0)] * ncols
-    for col, ri in pivots:
-        row, b = work[ri]
-        solution[col] = Fraction(b, row[col])
-    return solution

@@ -4,7 +4,7 @@
 syzygy steps in the induced Schreyer orders, then cancels unit entries by
 exact row/column operations until the resolution is minimal.  Syzygies
 and module bases come from ``modules`` on packed ints, restarted with
-wider fields when a value outgrows them (``_widening``).  From the
+wider fields when a value outgrows them (``kernel.widening``).  From the
 minimal twists come the Betti table and the regularity
 
     reg = max over steps k and twists d of (d - k) + 1,
@@ -144,17 +144,6 @@ def _mat_mul(a, b, ring: PolyRing):
 # ------------------------------------------------------------- syzygies
 
 
-def _widening(run):
-    """``run(bits)`` with the module field width, from ``kernel.MIN_BITS``
-    up, doubled each time a packed value outgrows it."""
-    bits = kernel.MIN_BITS
-    while True:
-        try:
-            return run(bits)
-        except OverflowError:
-            bits *= 2
-
-
 def _coker_numerators(ring, matrices, twists, budget):
     """Hilbert numerators of coker(M) on F = ⊕ S(-twists[i]), one per
     matrix M whose row i lives in degree twists[i], each from one module
@@ -172,7 +161,7 @@ def _coker_numerators(ring, matrices, twists, budget):
             out.append(invariants.module_hilbert_numerator(leads, tw))
         return out
 
-    return _widening(run)
+    return kernel.widening(run, kernel.MIN_BITS)
 
 
 def syzygies(
@@ -211,7 +200,7 @@ def syzygies(
         syz = modules.syzygies_of_columns(columns, ambient, relations, modulus, budget)
         return twists, relations, syz
 
-    twists, relations, syz = _widening(run)
+    twists, relations, syz = kernel.widening(run, kernel.MIN_BITS)
     cols = modules.elements_to_columns(syz, relations, modulus, ring, len(twists))
     return ResolutionStep(
         source=FreeModule(tuple(relations.degree(max(s)) for s in syz)),
@@ -266,7 +255,7 @@ def minimal_resolution(
             layout, target = nxt, source
         return steps
 
-    steps = _widening(frame)
+    steps = kernel.widening(frame, kernel.MIN_BITS)
     return FreeResolution(ring, ideal, tuple(_minimalize(ring, steps)), True)
 
 

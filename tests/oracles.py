@@ -63,6 +63,56 @@ def dense_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
     return x
 
 
+def markowitz_solve(rows: list[dict[int, Fraction]], rhs: list[Fraction], ncols: int):
+    """Gauss-Jordan over Q on sparse rows with the pivot rule of the
+    sparse solver, counted afresh at every pivot: the next pivot column is
+    one held by the fewest live (not yet pivot) rows, lowest index first,
+    and its pivot row the shortest live row holding it, lowest index
+    first.  Explicit zeros are no entries.  Returns the solution with the
+    free columns 0, or None if infeasible."""
+    work = [
+        ({c: Fraction(v) for c, v in row.items() if v}, Fraction(b))
+        for row, b in zip(rows, rhs)
+    ]
+    live = set(range(len(work)))
+    pivots = []
+    while True:
+        counts: dict[int, int] = {}
+        for ri in live:
+            for c in work[ri][0]:
+                counts[c] = counts.get(c, 0) + 1
+        if not counts:
+            break
+        col = min(counts, key=lambda c: (counts[c], c))
+        prow = min(
+            (ri for ri in live if col in work[ri][0]),
+            key=lambda ri: (len(work[ri][0]), ri),
+        )
+        live.remove(prow)
+        pivots.append((col, prow))
+        pr, pb = work[prow]
+        for ri, (row, b) in enumerate(work):
+            if ri == prow or col not in row:
+                continue
+            f = row[col] / pr[col]
+            out = dict(row)
+            for c, v in pr.items():
+                s = out.get(c, 0) - f * v
+                if s:
+                    out[c] = s
+                else:
+                    del out[c]
+            work[ri] = (out, b - f * pb)
+    # the live rows are empty now: each reads 0 = b
+    if any(work[ri][1] for ri in live):
+        return None
+    x = [Fraction(0)] * ncols
+    for col, ri in pivots:
+        row, b = work[ri]
+        x[col] = b / row[col]
+    return x
+
+
 def dense_rank(rows: list[list[Fraction]]) -> int:
     m = [list(r) for r in rows]
     nrows, ncols = len(m), len(m[0]) if m else 0

@@ -173,7 +173,7 @@ class TestResolve:
             (6, "k=1: 5, k=2: 5, k=3: 5, k=4: 5, k=5: 5"),
         ],
     )
-    def test_rational_normal_curves_past_the_minor_cap(self, d, codims, tmp_path, capsys):
+    def test_rational_normal_curves_at_default_caps(self, d, codims, tmp_path, capsys):
         # the second maps have ranks 9 (d = 5) and 14 (d = 6), too large
         # to expand minors of; the drop-rank codimensions take none
         z = [f"z{i}" for i in range(d + 1)]
@@ -210,6 +210,29 @@ class TestInvariants:
     def test_empty_at_infinity_report(self, cusp_file, capsys):
         main(["invariants", cusp_file])
         assert "empty at infinity: false" in capsys.readouterr().out
+
+
+class TestCharDividesDenominator:
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["resolve"], "vars: x, y, z\nx^2 - 1/3*y*z\ny^2 - x*z\n"),
+            (["invariants"], "vars: x, y, z\nx^2 - 1/3*y*z\ny^2 - x*z\n"),
+            (["invariants"], "vars: x, y\nvariety:\n  x^2 - 1/3*y\ngenerators:\n  x\ntarget: 1\n"),
+            (["bounds", "--compute-invariants"],
+             "vars: x, y\nvariety:\n  x^2 - 1/3*y\ngenerators:\n  x\ntarget: 1\n"),
+        ],
+        ids=["resolve", "invariants-ideal", "invariants-instance", "bounds"],
+    )
+    def test_exit_2(self, command, text, tmp_path, capsys):
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        assert main(command + [str(f), "--char", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: denominator divisible by 3; choose another prime\n"
+        # another prime maps the coefficients
+        assert main(command + [str(f), "--char", "5"]) == 0
 
 
 def _strip_ms(text: str) -> str:

@@ -4,15 +4,17 @@ disagree."""
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from oracles import dense_solve
+from oracles import dense_solve, markowitz_solve
 
+from brisk import linalg
 from brisk.certificate import MembershipInstance, minimal_degree, search_at_degree
 from brisk.errors import BudgetExceededError
 from brisk.groebner import Ideal, buchberger, eliminate
-from brisk.linalg import P, _solve_exact, infeasibility_witness, solve_sparse
+from brisk.linalg import P, _primes, infeasibility_witness, solve_sparse
 from brisk.orders import lex
 from brisk.polyring import PolyRing
 
@@ -115,8 +117,8 @@ class TestSparseSolverAgainstDenseOracle:
         got = solve_sparse(sparse_rows, list(rhs), ncols)
         want = dense_solve(dense, list(rhs))
         assert (got is None) == (want is None)
-        # the modular solve returns what the integer elimination returns
-        assert got == _solve_exact(sparse_rows, list(rhs), ncols)
+        # the modular solve returns what the elimination over Q returns
+        assert got == markowitz_solve(sparse_rows, rhs, ncols)
         witness = infeasibility_witness(sparse_rows, list(rhs), ncols)
         if got is not None:
             for row, b in zip(dense, rhs):
@@ -140,8 +142,8 @@ def assert_witness(rows, rhs, ncols, y):
 
 
 class TestPrimeFailures:
-    """Systems built to defeat the prime P of the modular solve: each
-    returns exactly what the integer elimination returns."""
+    """Systems built to defeat primes of the modular solve: each returns
+    exactly what the elimination over Q returns."""
 
     @staticmethod
     def _same(rows, rhs, ncols):
@@ -191,6 +193,44 @@ class TestPrimeFailures:
         rows.append(last)
         rhs.append(sum(k * b for k, b in zip(coeffs, rhs)) + 1)
         assert self._same(rows, rhs, n + 2) is None
+
+    def test_system_that_defeats_two_primes(self, monkeypatch):
+        # q is the next prime: an entry P*q and a pivot minor P*q (from the
+        # entry 1 + P*q) vanish mod P and mod q, and the third prime answers
+        q, third = list(islice(_primes(), 3))[1:]
+        tried = []
+        solve_modular = linalg._solve_modular
+
+        def spy(irows, ncols, p):
+            answer = solve_modular(irows, ncols, p)
+            tried.append((p, answer is None))
+            return answer
+
+        monkeypatch.setattr(linalg, "_solve_modular", spy)
+        cases = [
+            ([{0: P * q, 1: 1}, {1: 1}], [3, 1], 2, [Fraction(2, P * q), 1]),
+            ([{0: 1, 1: 1}, {0: 1, 1: 1 + P * q}], [1, 2], 2,
+             [1 - Fraction(1, P * q), Fraction(1, P * q)]),
+            # infeasible over Q, consistent mod P and mod q
+            ([{0: 1}, {0: 1}], [0, P * q], 1, None),
+        ]
+        for rows, rhs, ncols, want in cases:
+            tried.clear()
+            assert self._same(rows, rhs, ncols) == want
+            # solve_sparse and infeasibility_witness each run the sequence
+            assert tried == [(P, True), (q, True), (third, False)] * 2
+
+    def test_prime_sequence(self):
+        primes = list(islice(_primes(), 40))
+        assert primes[0] == P
+        assert all(a > b for a, b in zip(primes, primes[1:]))
+        # each listed number passes Fermat's test, and every odd number
+        # between two of them has a Fermat witness (so none of them is prime)
+        bases = (2, 3, 5, 7, 11, 13)
+        assert all(pow(w, p - 1, p) == 1 for p in primes for w in bases)
+        for a, b in zip(primes, primes[1:]):
+            for n in range(b + 2, a, 2):
+                assert any(pow(w, n - 1, n) != 1 for w in bases)
 
     def test_length_mismatch_is_an_error(self):
         rows = [{0: Fraction(1)}, {0: Fraction(1)}]
