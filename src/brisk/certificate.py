@@ -4,15 +4,23 @@ on an affine variety V, and their power-ideal generalization
     Phi = sum over |I| = ell of F^I Q_I,   F^I = F_1^I_1 ... F_m^I_m.
 
 ``search_at_degree`` parametrizes every admissible cofactor completely
-(all monomials up to the degree cap), reduces modulo a Groebner basis of
-the variety ideal, and solves the resulting linear system with
-``linalg.solve_sparse``: elimination modulo a word-size prime (the next
-prime when one fails), lifted to Q and checked exactly.  A solution
-satisfies every row over Q, and a NotFound answer (None) rests on a
-left-kernel witness checked over Q, so it is a proof of infeasibility at
-that degree, not a heuristic failure.
+(all monomials up to the degree cap) and solves the resulting linear
+system with ``linalg.solve_sparse``: elimination modulo a word-size
+prime (the next prime when one fails), lifted to Q and checked exactly.
+A solution satisfies every row over Q, and a NotFound answer (None)
+rests on a left-kernel witness checked over Q, so it is a proof of
+infeasibility at that degree, not a heuristic failure.
+
+The system is built on packed monomials (``kernel.Packing``), whose int
+order is grevlex, the order of the columns and of the rows.  NF(F^I)
+modulo a Groebner basis of the variety ideal is computed once per
+multi-index; the column of x^alpha F^I is that normal form shifted by
+the key of alpha, reduced again (``kernel.normal_form``) only when V is
+not the whole space.  Whole coefficients enter the rows as ints.
+
 ``minimal_degree`` scans upward; feasibility is monotone in the degree
-because the cap sets only grow.
+because the cap sets only grow, and the columns reduced on the variety
+at one degree are reused at the next.
 
 ``projective_lift`` rechecks a found certificate as the equivalent
 homogeneous identity  sum f^I q_I = z0^(rho - deg Phi) phi  on the
@@ -21,9 +29,11 @@ projective closure.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import kernel
 from .errors import BudgetExceededError
 from .groebner import (
     DEFAULT_BUDGET,
@@ -128,6 +138,10 @@ def _gen_power(inst: MembershipInstance, index: tuple[int, ...]) -> MultiPoly:
     return out
 
 
+def _whole(c: Fraction) -> Fraction | int:
+    return c.numerator if c.denominator == 1 else c
+
+
 def _normalize_caps(per_gen_caps, m: int, ell: int) -> dict[tuple[int, ...], int]:
     caps: dict[tuple[int, ...], int] = {}
     if not per_gen_caps:
@@ -148,10 +162,17 @@ def search_at_degree(
     per_gen_caps: dict | None = None,
     budget: Budget = DEFAULT_BUDGET,
     _gb: GroebnerBasis | None = None,
+    _reduced: dict | None = None,
 ) -> Certificate | None:
     """A verified certificate with deg(F^I Q_I) <= rho, or None when no
     such certificate exists (definitive: the cofactor space is enumerated
-    completely)."""
+    completely).
+
+    ``minimal_degree`` passes one ``_reduced`` dict to every search of a
+    scan: the columns {(I, key of alpha): terms} reduced so far on the
+    variety, by field width.  The columns at rho are among those at
+    rho + 1.  Over C^N a column is only a shift, as cheap as a lookup,
+    and none is kept."""
     gb = _gb if _gb is not None else inst.groebner(budget)
     nf_phi = gb.normal_form(inst.phi)
     if not nf_phi:
@@ -167,52 +188,52 @@ def search_at_degree(
             f"budget exhausted: {len(indices)} cofactors exceed the "
             f"{MAX_COFACTORS} cap"
         )
-    admissible: list[tuple[tuple[int, ...], int, int]] = []  # (I, degFI, cap)
+    admissible: list[tuple[tuple[int, ...], int]] = []  # (I, cap)
     for index in indices:
-        deg_fi = sum(e * int(g.degree()) for g, e in zip(inst.gens, index))
-        cap = rho - deg_fi
+        cap = rho - sum(e * int(g.degree()) for g, e in zip(inst.gens, index))
         if index in caps:
             cap = min(cap, caps[index])
         if cap >= 0:
-            admissible.append((index, deg_fi, cap))
+            admissible.append((index, cap))
     if not admissible:
         return None
 
-    # columns: NF(F^I x^alpha); rows indexed by the monomials appearing
-    columns: list[tuple[tuple[int, ...], tuple[int, ...], dict]] = []
-    for index, _, cap in admissible:
+    # one packing holds every column, NF(Phi) and the variety reducers
+    top = max(rho, int(nf_phi.degree()), *(int(g.degree()) for g in gb))
+    bits = kernel.bits_for(top)
+    packing, reducers = gb.reducers(bits)
+    reduced = {} if _reduced is None else _reduced.setdefault(bits, {})
+    # rows[key][column] = coefficient
+    labels: list[tuple[tuple[int, ...], int]] = []  # (I, key of alpha)
+    rows: dict[int, dict[int, Fraction | int]] = defaultdict(dict)
+    for index, cap in admissible:
         base = gb.normal_form(_gen_power(inst, index))
-        # ascending grevlex fixes the column order the solver pivots on
-        for alpha in sorted(inst.ring.exponents_up_to(cap), key=grevlex().key):
-            shifted = MultiPoly(inst.ring, {alpha: Fraction(1)}) * base
-            col = gb.normal_form(shifted)
-            columns.append((index, alpha, col.terms))
-
-    row_monos = set(nf_phi.terms)
-    for _, _, terms in columns:
-        row_monos.update(terms)
-    order = grevlex()
-    row_list = sorted(row_monos, key=order.key, reverse=True)
-    row_index = {mono: i for i, mono in enumerate(row_list)}
-
-    rows: list[dict[int, Fraction]] = [dict() for _ in row_list]
-    for ci, (_, _, terms) in enumerate(columns):
-        for mono, c in terms.items():
-            rows[row_index[mono]][ci] = c
-    rhs = [nf_phi.terms.get(mono, Fraction(0)) for mono in row_list]
-    # the rows hold every entry now; keep only the labels of the columns
-    labels = [(index, alpha) for index, alpha, _ in columns]
-    del columns
-
-    solution = solve_sparse(rows, rhs, len(labels), budget.max_matrix_entries)
+        base = [(packing.pack(e), _whole(c)) for e, c in base.terms.items()]
+        for shift in sorted(map(packing.pack, inst.ring.exponents_up_to(cap))):
+            col = reduced.get((index, shift))
+            if col is None:
+                col = {k + shift: c for k, c in base}
+                if reducers:
+                    col = reduced[index, shift] = kernel.normal_form(col, reducers, packing)
+            ci = len(labels)
+            labels.append((index, shift))
+            for k, c in col.items():
+                rows[k][ci] = c
+    rhs = {packing.pack(e): _whole(c) for e, c in nf_phi.terms.items()}
+    row_keys = sorted(rows.keys() | rhs.keys(), reverse=True)
+    solution = solve_sparse(
+        [rows.get(k, {}) for k in row_keys],
+        [rhs.get(k, 0) for k in row_keys],
+        len(labels),
+        budget.max_matrix_entries,
+    )
     if solution is None:
         return None
 
     cof_terms: dict[tuple[int, ...], dict] = {}
-    for ci, (index, alpha) in enumerate(labels):
-        c = solution[ci]
+    for (index, shift), c in zip(labels, solution):
         if c:
-            cof_terms.setdefault(index, {})[alpha] = c
+            cof_terms.setdefault(index, {})[packing.unpack(shift)] = c
     cofactors = {
         index: MultiPoly(inst.ring, terms) for index, terms in cof_terms.items()
     }
@@ -275,8 +296,9 @@ def minimal_degree(
         sum(e * int(g.degree()) for g, e in zip(inst.gens, index))
         for index in multi_indices(inst.m, inst.power)
     )
+    reduced: dict = {}
     for rho in range(start, rho_max + 1):
-        cert = search_at_degree(inst, rho, per_gen_caps, budget, _gb=gb)
+        cert = search_at_degree(inst, rho, per_gen_caps, budget, _gb=gb, _reduced=reduced)
         if cert is not None:
             return rho, cert
     return None

@@ -104,14 +104,16 @@ class GroebnerBasis:
         object.__setattr__(self, "basis", tuple(g.monic(order) for g in basis))
         packed = None
         if self.basis:
-            packed = self._pack(kernel.bits_for(max(g.degree() for g in self.basis)))
+            packed = self.reducers(kernel.bits_for(max(g.degree() for g in self.basis)))
         object.__setattr__(self, "_packed", packed)
 
     def __setattr__(self, *a):
         raise AttributeError("GroebnerBasis is immutable")
 
-    def _pack(self, bits: int):
-        """(packing, reducers) of the basis with fields ``bits`` wide."""
+    def reducers(self, bits: int):
+        """(packing, reducers) of the basis with fields ``bits`` wide: the
+        monic ``kernel.normal_form`` reducers under this order.  Raises
+        OverflowError when an element does not fit the width."""
         packing = kernel.packing(self.order.spec(), self.ring.nvars, bits)
         reducers = []
         for g in self.basis:
@@ -136,7 +138,7 @@ class GroebnerBasis:
                 nf = kernel.normal_form(packing.pack_terms(p.terms), reducers, packing)
             except OverflowError:
                 # one attribute, so a concurrent caller sees either copy whole
-                object.__setattr__(self, "_packed", self._pack(2 * packing.bits))
+                object.__setattr__(self, "_packed", self.reducers(2 * packing.bits))
                 continue
             return MultiPoly(self.ring, packing.unpack_terms(nf))
 

@@ -1,7 +1,8 @@
 """Sparse linear algebra over Q: one solution of A x = b or a proof that
 there is none.
 
-Rows are dicts {column index: coefficient}.  ``_integerize`` scales each
+Rows are dicts {column index: coefficient}; the coefficients, and the
+right-hand sides, may be ints or Fractions.  ``_integerize`` scales each
 row and its right-hand side to integers with their content divided out,
 so the integer system A' x = b' has the solutions of A x = b.
 
@@ -83,7 +84,7 @@ def _primes():
         p -= 2
 
 
-def _integerize(row: dict[int, Fraction], rhs: Fraction):
+def _integerize(row: dict[int, Fraction | int], rhs: Fraction | int):
     denom = rhs.denominator
     for v in row.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)
@@ -104,13 +105,14 @@ def _check_lengths(rows, rhs) -> None:
 
 
 def solve_sparse(
-    rows: list[dict[int, Fraction]],
-    rhs: list[Fraction],
+    rows: list[dict[int, Fraction | int]],
+    rhs: list[Fraction | int],
     ncols: int,
     max_entries: int | None = None,
 ) -> list[Fraction] | None:
     """One exact solution of A x = b (free variables set to 0), or None
-    when the system is infeasible.
+    when the system is infeasible.  The entries of ``rows`` and ``rhs``
+    may be ints or Fractions; the solution holds Fractions.
 
     The system is eliminated modulo a prime and the answer lifted to Q
     (see the module docstring).  A solution has passed A' x = b' on every

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import dense_rank, monomials_up_to
 
+from brisk import kernel
 from brisk.certificate import (
     Certificate,
     MembershipInstance,
@@ -19,8 +20,9 @@ from brisk.certificate import (
     verify,
 )
 from brisk.errors import BudgetExceededError
-from brisk.families import kollar
+from brisk.families import cusp, kollar
 from brisk.groebner import Budget, Ideal, buchberger
+from brisk.orders import grevlex
 from brisk.polyring import NEG_INF, PolyRing
 
 R = PolyRing(("z1", "z2"))
@@ -111,6 +113,40 @@ class TestSearchAtDegree:
             for rho in range(0, 7):
                 got = search_at_degree(inst, rho)
                 assert (got is not None) == oracle_feasible(inst, rho)
+
+
+class TestPackedSystem:
+    """The search builds its columns and rows on packed monomials."""
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_int_order_is_the_grevlex_column_and_row_order(self, nvars):
+        ring = PolyRing(tuple(f"z{i}" for i in range(1, nvars + 1)))
+        for cap in range(7):
+            packing = kernel.packing(grevlex().spec(), nvars, kernel.bits_for(cap))
+            exps = ring.exponents_up_to(cap)
+            keys = sorted(map(packing.pack, exps), reverse=True)
+            assert [packing.unpack(k) for k in keys] == sorted(
+                exps, key=grevlex().key, reverse=True
+            )
+
+    @pytest.mark.parametrize("p", [13, 129])
+    def test_width_holds_reducers_above_rho(self, p):
+        # the scan starts at rho = 1 while the variety reducer z2^p - z1^2
+        # has degree p; at p = 129 it outgrows the narrowest packing
+        assert search_at_degree(cusp(p).instance, 1) is None
+
+    def test_scan_keeps_reduced_columns_per_width(self):
+        # rho = 64 needs wider fields than rho = 63; a column reduced under
+        # the narrower packing must not be looked up under the wider one
+        inst = MembershipInstance(
+            R, Ideal(R, [Z1**2 - Z2**3]), (Z2, Z1 + Z2**2), Z1**2 * Z2 + Z1
+        )
+        caps = {0: 3, 1: 3}
+        reduced = {}
+        for rho in (63, 64):
+            cert = search_at_degree(inst, rho, caps, _reduced=reduced)
+            assert cert is not None and cert == search_at_degree(inst, rho, caps)
+        assert len(reduced) == 2
 
 
 class TestMinimalDegree:

@@ -94,6 +94,35 @@ class TestSparseSolverAgainstDenseOracle:
                 rhs = [Fraction(rng.randint(-4, 4)) for _ in range(nrows)]
             self._check(rows, rhs, ncols)
 
+    def test_int_entries_give_the_fraction_answer(self):
+        # the certificate search passes whole coefficients as ints
+        def whole(v):
+            return v.numerator if v.denominator == 1 else v
+
+        rng = random.Random(6262)
+        for trial in range(60):
+            nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+            rows = [
+                {
+                    c: Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 1, 2]))
+                    for c in rng.sample(range(ncols), rng.randint(1, ncols))
+                }
+                for _ in range(nrows)
+            ]
+            if trial % 2 == 0:
+                x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+                rhs = [sum(v * x[c] for c, v in row.items()) for row in rows]
+            else:
+                rhs = [Fraction(rng.randint(-4, 4)) for _ in range(nrows)]
+            mixed = [{c: whole(v) for c, v in row.items()} for row in rows]
+            mixed_rhs = [whole(b) for b in rhs]
+            got = solve_sparse(mixed, mixed_rhs, ncols)
+            assert got == self._check(rows, rhs, ncols)
+            assert got is None or all(isinstance(v, Fraction) for v in got)
+            assert infeasibility_witness(mixed, mixed_rhs, ncols) == (
+                infeasibility_witness(rows, rhs, ncols)
+            )
+
     @staticmethod
     def _combination(rng, rows):
         """a*r + b*s for two earlier rows, with b chosen so that a column

@@ -26,7 +26,7 @@ import pytest
 
 from conftest import random_forms_ideal, skew_lines_ideal
 
-from brisk.certificate import minimal_degree, search_at_degree
+from brisk.certificate import MembershipInstance, minimal_degree, search_at_degree
 from brisk.cli import main
 from brisk.families import kollar, macaulay_generic
 from brisk.fields import GF, poly_to_gf
@@ -81,6 +81,89 @@ def test_macaulay_generic_d3_n2_seed3_cofactors():
             f" - 14312563835126{den}z2 + 26385218596771/22901338728017"
         ),
     }
+
+
+class TestCertificatePaths:
+    """Certificates on the paths the benchmark families never take: a
+    nontrivial variety, Fraction coefficients in F, Phi and the variety,
+    the power case and a per-generator cap.  Recorded with the builder
+    that formed every column x^alpha NF(F^I) as a ``MultiPoly`` product
+    and reduced it through ``GroebnerBasis.normal_form``."""
+
+    def test_cusp_variety(self):
+        R = PolyRing(("z1", "z2"))
+        z1, z2 = R.gens()
+        inst = MembershipInstance(R, Ideal(R, [z1**2 - z2**5]), (z2,), z1**2)
+        rho, cert = minimal_degree(inst, 6)
+        assert (rho, cert.rho) == (5, 5)
+        assert _cofactor_strings(cert) == {(1,): "z2^4"}
+
+    def test_twisted_cubic_variety(self):
+        R = PolyRing(("x", "y", "z"))
+        x, y, z = R.gens()
+        variety = Ideal(R, [y - x**2, z - x**3])
+        inst = MembershipInstance(R, variety, (x * y - 1, z + y), x**4 + 2)
+        rho, cert = minimal_degree(inst, 6)
+        assert (rho, cert.rho) == (3, 3)
+        assert _cofactor_strings(cert) == {
+            (0, 1): "3/2*x - 1/2*y + 1/2",
+            (1, 0): "1/2*y - 2",
+        }
+
+    def test_fraction_coefficients(self):
+        R = PolyRing(("z1", "z2"))
+        z1, z2 = R.gens()
+        half, two_thirds = F(1, 2), F(2, 3)
+        inst = MembershipInstance(
+            R,
+            Ideal(R, [z1**2 + two_thirds * z2**2 - half]),
+            (half * z1 - z2, two_thirds * z2**2 + half * z1),
+            two_thirds * z1 * z2 + half,
+        )
+        rho, cert = minimal_degree(inst, 6)
+        assert (rho, cert.rho) == (3, 3)
+        assert _cofactor_strings(cert) == {
+            (0, 1): "63/10*z2 - 9/20",
+            (1, 0): "9/5*z1*z2 + 18/5*z2^2 + 2*z1 - 29/30*z2 + 9/20",
+        }
+
+    def test_power_two(self):
+        R = PolyRing(("z1", "z2"))
+        z1, z2 = R.gens()
+        inst = MembershipInstance(
+            R, Ideal(R, []), (z1**2, z1 * z2 - 1), R.one(), power=2
+        )
+        rho, cert = minimal_degree(inst, 12)
+        assert (rho, cert.rho) == (8, 8)
+        assert _cofactor_strings(cert) == {
+            (0, 2): "2*z1*z2 + 1",
+            (1, 1): "-z1*z2^3 - 3*z2^2",
+            (2, 0): "z2^4",
+        }
+
+    def test_per_generator_cap(self):
+        R = PolyRing(("z1", "z2"))
+        z1, z2 = R.gens()
+        inst = MembershipInstance(
+            R,
+            Ideal(R, []),
+            (z1**2 - z2, z1 * z2 - 1, z2**2 + z1),
+            z1**3 * z2 + 2 * z2**2 - 1,
+        )
+        assert search_at_degree(inst, 5, {1: 1}) is None
+        cert = search_at_degree(inst, 5, {0: 1})
+        assert cert.rho == 4
+        assert _cofactor_strings(cert) == {
+            (0, 0, 1): "-1/2*z1^2 + 1/2*z1 + 1",
+            (0, 1, 0): "z1^2 + 1/2*z1*z2 + z1 - 1/2*z2 + 1",
+            (1, 0, 0): "1/2*z1 - z2 + 1/2",
+        }
+        # without the cap the solver settles on other cofactors
+        assert _cofactor_strings(search_at_degree(inst, 5)) == {
+            (0, 0, 1): "1/2*z1 - 1/2*z2 + 1",
+            (0, 1, 0): "1/2*z1*z2 + z1 + 1/2*z2 + 1",
+            (1, 0, 0): "z1*z2 - 1/2*z2^2 - z2 - 1/2",
+        }
 
 
 def _rows(spec):
