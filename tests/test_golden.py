@@ -11,6 +11,10 @@ frame replaced; both must give the same minimal resolutions.  The reduced
 Groebner bases were recorded with the Buchberger loop on ``Fraction`` and
 ``GFElement`` coefficients that the integer engine replaced: a reduced
 basis is canonical, so its text and coefficient types must not move.
+The digests of the bases over Q (katsura, cyclic-5, an elimination, a
+projective closure and exponent growth with lead coefficients other
+than 1) were recorded before the loop over Q was guided by a trace
+modulo a prime.
 The resolution goldens (every step matrix, the drop-rank codimensions
 and two syzygy steps, over Q and GF(32003)) were recorded with the
 module engine on ``Fraction`` and ``GFElement`` coefficients that the
@@ -26,13 +30,18 @@ import pytest
 
 from conftest import random_forms_ideal, skew_lines_ideal
 
-from brisk.certificate import MembershipInstance, minimal_degree, search_at_degree
+from brisk.certificate import (
+    MembershipInstance,
+    minimal_degree,
+    projective_closure,
+    search_at_degree,
+)
 from brisk.cli import main
 from brisk.families import kollar, macaulay_generic
 from brisk.fields import GF, poly_to_gf
 from brisk.groebner import Ideal, buchberger, eliminate, saturate
 from brisk.linalg import solve_sparse
-from brisk.orders import grevlex, lex
+from brisk.orders import elim, grevlex, lex
 from brisk.polyring import PolyRing, format_poly
 from brisk.resolution import bef_codims, minimal_resolution, syzygies
 
@@ -375,6 +384,72 @@ def test_saturation_over_gf32003():
         "1*z^2 + 3*y + 31998 :: GFElement",
         "1*y^2 + 1*x + 32001*z :: GFElement",
     ]
+
+
+
+def _affine_rnc(d):
+    """The affine rational normal curve z_k = z_1^k, k = 2..d."""
+    ring = PolyRing(tuple(f"z{i}" for i in range(1, d + 1)))
+    z = ring.gens()
+    return Ideal(ring, [z[k] - z[0] * z[k - 1] for k in range(1, d)])
+
+
+def _scaled_chain(k):
+    """2 x_i - 3 x_{i+1}^2 (i < k) and 3 x0 - 1: exponents far past the
+    input degrees, with lead coefficients that are not 1."""
+    ring = PolyRing(tuple(f"x{i}" for i in range(k + 1)))
+    x = ring.gens()
+    return Ideal(ring, [2 * x[i] - 3 * x[i + 1] ** 2 for i in range(k)] + [3 * x[0] - 1])
+
+
+R_TXY = PolyRing(("t", "x", "y"))
+_t, _tx, _ty = R_TXY.gens()
+R_XY = PolyRing(("x", "y"))
+_X, _Y = R_XY.gens()
+
+
+# reduced bases over Q, recorded before the Buchberger loop over Q was
+# guided by a trace modulo a prime: (length, digest of _basis_lines)
+Q_BASES = {
+    "katsura5": (
+        lambda: buchberger(_katsura(5), grevlex()),
+        22, "cbfe1729ed4529590f97182bdf2066285b0280a06b46007dde27dc9dc41d04c3",
+    ),
+    "katsura6": (
+        lambda: buchberger(_katsura(6), grevlex()),
+        41, "01a0289e9b06d5035de8383f630b0cf47027bd35a60291fde5ff59a5f058abfb",
+    ),
+    "cyclic5": (
+        lambda: buchberger(_cyclic(5), grevlex()),
+        20, "c7c4b09620df72948da38e5ff48e1206a747d0e8600762b9c34ef7aa1fc843c1",
+    ),
+    "eliminate_t": (
+        lambda: eliminate(Ideal(R_TXY, [3 * _tx - 2 * _t**2 + _t, 5 * _ty - _t**3 + 2]), 1).gens,
+        1, "0f81e6f933c9e0fc2cf81bf390a62293a2ef4ec4ef0d86c8d6d7a4df8ab11bd5",
+    ),
+    "closure_rnc5": (
+        lambda: projective_closure(_affine_rnc(5)).gens,
+        10, "c7fb9da6b2755babb6695f79a517caccd1f094ed974e7f2d10991aee2090731a",
+    ),
+    "scaled_chain10_lex": (
+        lambda: buchberger(_scaled_chain(10), lex()),
+        11, "127a02345cb3e6c0fb94fcae63bb8d9203394939906c404e72803598daf5468d",
+    ),
+}
+for _order in (grevlex(), lex(), elim(1)):
+    Q_BASES[f"degree70000_{_order}"] = (
+        lambda order=_order: buchberger(Ideal(R_XY, [_X**70000 - 2 * _Y, 3 * _Y**3 - 1]), order),
+        2, "fa2bec72236ee3be68f8ffa1752dbf2b45e24302fc1bce019e48136a4b339312",
+    )
+
+
+@pytest.mark.parametrize("name", sorted(Q_BASES))
+def test_q_basis_golden(name):
+    compute, length, digest = Q_BASES[name]
+    lines = _basis_lines(compute())
+    assert len(lines) == length
+    assert all(line.endswith(" :: Fraction") for line in lines)
+    assert _digest(lines) == digest
 
 
 # ------------------------------------------------------- resolutions
