@@ -18,9 +18,35 @@ counts are those of field arithmetic.  Monomials are packed into ints by
 a ``kernel.Packing`` sized from the input degrees; when an exponent
 outgrows it, the computation starts again with fields twice as wide.
 The pair criteria work on the exponent tuples of the leads.  The
-finished basis goes back to monic Fraction or GFElement coefficients
-before its tail reduction, and to exponent tuples after it.  A
-``GroebnerBasis`` keeps its own packed copy for ``normal_form``.
+finished basis is minimalized and tail-reduced on ints as well, and only
+then goes back to monic Fraction or GFElement coefficients and exponent
+tuples.  A ``GroebnerBasis`` keeps its own packed copy for
+``normal_form``.
+
+Over Q the loop is guided by a trace modulo ``TRACE_PRIME`` = 32749
+(Traverso 1988, "Groebner trace algorithms"), the largest prime below
+2^15, so that a product of two residues fits one 30-bit digit of a
+CPython int.  The trace keeps a monic mod-p image of every integer
+reducer.  Each pair taken is first reduced mod p; when that gives zero
+the pair is skipped, and otherwise it is reduced over Q and pushed as
+without the trace.  Unless a skipped pair was a false zero (below), the
+pairs taken are those of the loop without the trace, and only the
+reductions over Q that give zero are saved.  The trace starts at the
+first basis element whose primitive lead coefficient is not 1: before it
+no reduction over Z rescales, and one costs what a reduction mod p does.
+If p divides a lead coefficient, when the trace starts or at a later
+push, the trace stops and the rest of the loop runs over Q alone.
+
+A skipped pair may be a false zero, an S-polynomial whose remainder over
+Q is nonzero but divisible by p.  So a basis that skipped a pair is
+checked over Q before it is returned (Arnold 2003, "Modular algorithms
+for computing Groebner bases").  Each element is a generator or the
+remainder over Q of an S-polynomial of earlier ones, so it lies in the
+ideal; the check reduces every generator to 0 by the reduced basis, and,
+inserting the basis in ascending lead order through the same
+Gebauer-Moeller update as the loop, every pair left to 0 (Buchberger's
+criterion).  If a check fails, the loop runs again over Q without the
+trace, so a basis over Q that has not been checked is never returned.
 
 All computations respect a configurable resource budget; exceeding it
 raises BudgetExceededError rather than ever returning a wrong basis.
@@ -42,8 +68,13 @@ class Budget:
     """Resource caps for basis computations and certificate searches.
 
     ``max_pairs`` counts the S-pairs taken off the queue for reduction;
-    pairs that the pair criteria discard never count.  ``max_degree`` caps
-    the lcm degree of each pair taken.  ``max_matrix_entries`` caps the
+    pairs that the pair criteria discard never count.  Over Q a pair
+    counts when it is taken, whether the modular trace then skips it or
+    not, so the trace takes and counts the pairs of the loop without it.
+    A run that reaches a cap after skipping a pair runs again without the
+    trace, and a failed check does too; each run is metered afresh.  The
+    check of a finished basis is not metered.  ``max_degree`` caps the
+    lcm degree of each pair taken.  ``max_matrix_entries`` caps the
     linear systems of certificate searches.  A cap may be 0 but not
     negative.
     """
@@ -60,6 +91,9 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
+
+# the prime of the trace over Q (see the module docstring)
+TRACE_PRIME = 32749
 
 
 class Ideal:
@@ -191,7 +225,24 @@ def buchberger(
 
 def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[dict]:
     """The reduced basis of integer ``gens`` (terms and sugar) as packed,
-    monic field terms; OverflowError when ``packing`` is too narrow."""
+    monic field terms; OverflowError when ``packing`` is too narrow.
+
+    Over Q the loop runs with the trace; a basis that skipped a pair is
+    returned only once ``_proves_basis`` has checked it, and otherwise
+    the loop runs again without the trace."""
+    gens = [(packing.pack_terms(t), d) for t, d in gens]
+    basis, skipped = _basis_loop(gens, packing, modulus, budget, modulus is None)
+    if skipped and (basis is None or not _proves_basis(basis, gens, packing)):
+        basis, _ = _basis_loop(gens, packing, modulus, budget, False)
+    return [kernel.from_ints(t, max(t), modulus) for t in basis]
+
+
+def _basis_loop(gens, packing, modulus, budget: Budget, trace: bool):
+    """(reduced basis, skipped) for packed integer ``gens``: the basis as
+    packed integer terms (primitive over Z, monic mod p) in ascending
+    lead order, and whether the trace skipped a pair.  A cap that fires
+    after a skipped pair gives ``(None, True)``, because the pairs taken
+    may then differ from those of the run without the trace."""
     guard = packing.guard
     basis_terms: list[dict] = []
     leads: list[tuple[int, ...]] = []
@@ -201,81 +252,120 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[di
     # while every element stays a reducer in its list position
     active: list[int] = []
     pending: list[tuple] = []  # heap of (sugar, lcm degree, i, j, lcm)
+    images = None  # monic mod-p images of ``reducers`` while the trace runs
 
     def push(terms: dict, sugar: int):
-        """Append a basis element h and make the Gebauer-Moeller update."""
+        """Append a basis element (and its image while the trace runs)."""
+        nonlocal trace, images
         key = max(terms)
         terms = kernel.normalized(terms, key, modulus)
-        lh = packing.unpack(key)
-        h = len(basis_terms)
         basis_terms.append(terms)
-        leads.append(lh)
+        leads.append(packing.unpack(key))
         sugars.append(sugar)
         reducers.append(kernel.reducer(key, terms))
-        # B_k: drop (i, j) when lt(h) divides lcm(i, j) and lcm(i, h) and
-        # lcm(j, h) both differ from it
-        kept = [
-            p
-            for p in pending
-            if not kernel.mono_divides(lh, p[4])
-            or kernel.mono_lcm(leads[p[2]], lh) == p[4]
-            or kernel.mono_lcm(leads[p[3]], lh) == p[4]
-        ]
-        if len(kept) < len(pending):
-            pending[:] = kept
-            heapq.heapify(pending)
-        # M and F: one new pair (i, h) per minimal lcm, none where that
-        # lcm is also reached by a coprime pair (which reduces to zero)
-        first: dict[tuple, int] = {}
-        coprime: set[tuple] = set()
-        for i in active:
-            lcm_exp = kernel.mono_lcm(leads[i], lh)
-            first.setdefault(lcm_exp, i)
-            if lcm_exp == kernel.mono_mul(leads[i], lh):
-                coprime.add(lcm_exp)
-        gap_h = sugar - kernel.mono_deg(lh)
-        for lcm_exp in kernel.minimal_generators(first):
-            if lcm_exp in coprime:
-                continue
-            i = first[lcm_exp]
-            deg = kernel.mono_deg(lcm_exp)
-            pair_sugar = max(sugars[i] - kernel.mono_deg(leads[i]), gap_h) + deg
-            heapq.heappush(pending, (pair_sugar, deg, i, h, lcm_exp))
-        active[:] = [i for i in active if not kernel.mono_divides(lh, leads[i])]
-        active.append(h)
+        if trace and (images or terms[key] != 1):
+            # the trace starts or goes on; a lead coefficient that the
+            # prime divides ends it
+            images = images or []
+            for r in reducers[len(images):]:
+                if not r[1] % TRACE_PRIME:
+                    trace, images = False, None
+                    break
+                images.append(_image(r))
+        _update(pending, active, leads, sugars)
 
     for terms, degree in gens:
-        push(packing.pack_terms(terms), degree)
+        push(terms, degree)
 
     taken = 0
+    skipped = False
     while pending:
         sugar, deg, i, j, lcm_exp = heapq.heappop(pending)
         taken += 1
+        refusal = None
         if taken > budget.max_pairs:
-            raise BudgetExceededError(
+            refusal = (
                 f"budget exhausted: more than {budget.max_pairs} S-pairs "
                 "(raise max_pairs / --budget-pairs)"
             )
-        if budget.max_degree is not None and deg > budget.max_degree:
-            raise BudgetExceededError(
+        elif budget.max_degree is not None and deg > budget.max_degree:
+            refusal = (
                 f"budget exhausted: S-pair lcm degree {deg} exceeds "
                 f"{budget.max_degree} (raise max_degree)"
             )
-        s = kernel.s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), guard, modulus)
+        if refusal:
+            if skipped:
+                return None, True
+            raise BudgetExceededError(refusal)
+        lcm_key = packing.pack(lcm_exp)
+        if images:
+            s = kernel.s_poly(images[i], images[j], lcm_key, guard, TRACE_PRIME)
+            if not kernel.normal_form(s, images, packing, TRACE_PRIME):
+                skipped = True
+                continue
+        s = kernel.s_poly(reducers[i], reducers[j], lcm_key, guard, modulus)
         nf = _nf_terms(s, reducers, packing, modulus)
         if nf:
             push(nf, sugar)
 
-    # convert in place and drop the integer tails first, so the integer
-    # and the field copy of the basis are never held at once
+    # the tail reduction builds its own reducers
     reducers.clear()
-    for k, terms in enumerate(basis_terms):
-        basis_terms[k] = kernel.from_ints(terms, max(terms), modulus)
-    return _reduce_basis(basis_terms, packing)
+    images = None
+    return _reduce_basis(basis_terms, packing, modulus), skipped
 
 
-def _reduce_basis(basis_terms: list[dict], packing) -> list[dict]:
-    """Minimalize and tail-reduce a packed monic basis into the reduced GB."""
+def _image(r: tuple) -> tuple:
+    """The monic image mod ``TRACE_PRIME`` of an integer reducer whose
+    lead coefficient the prime does not divide."""
+    lead, lc, tail = r
+    inv = pow(lc, -1, TRACE_PRIME)
+    tail = tuple((e, v) for e, c in tail if (v := c * inv % TRACE_PRIME))
+    return lead, 1, tail
+
+
+def _update(pending: list, active: list, leads: list, sugars: list) -> None:
+    """The Gebauer-Moeller update for the last element h of ``leads``:
+    prune the heap ``pending`` of (sugar, lcm degree, i, j, lcm) pairs,
+    push the new pairs (i, h) and update ``active`` in place."""
+    h = len(leads) - 1
+    lh = leads[h]
+    # B_k: drop (i, j) when lt(h) divides lcm(i, j) and lcm(i, h) and
+    # lcm(j, h) both differ from it
+    kept = [
+        p
+        for p in pending
+        if not kernel.mono_divides(lh, p[4])
+        or kernel.mono_lcm(leads[p[2]], lh) == p[4]
+        or kernel.mono_lcm(leads[p[3]], lh) == p[4]
+    ]
+    if len(kept) < len(pending):
+        pending[:] = kept
+        heapq.heapify(pending)
+    # M and F: one new pair (i, h) per minimal lcm, none where that
+    # lcm is also reached by a coprime pair (which reduces to zero)
+    first: dict[tuple, int] = {}
+    coprime: set[tuple] = set()
+    for i in active:
+        lcm_exp = kernel.mono_lcm(leads[i], lh)
+        first.setdefault(lcm_exp, i)
+        if lcm_exp == kernel.mono_mul(leads[i], lh):
+            coprime.add(lcm_exp)
+    gap_h = sugars[h] - kernel.mono_deg(lh)
+    for lcm_exp in kernel.minimal_generators(first):
+        if lcm_exp in coprime:
+            continue
+        i = first[lcm_exp]
+        deg = kernel.mono_deg(lcm_exp)
+        pair_sugar = max(sugars[i] - kernel.mono_deg(leads[i]), gap_h) + deg
+        heapq.heappush(pending, (pair_sugar, deg, i, h, lcm_exp))
+    active[:] = [i for i in active if not kernel.mono_divides(lh, leads[i])]
+    active.append(h)
+
+
+def _reduce_basis(basis_terms: list[dict], packing, modulus: int | None) -> list[dict]:
+    """Minimalize and tail-reduce a packed integer basis into the reduced
+    GB: fraction-free over Z, ints mod p over GF(p), each element
+    normalized as in the loop."""
     guard = packing.guard
     entries = [(max(t), t) for t in basis_terms if t]
     entries.sort(key=lambda it: it[0])
@@ -286,9 +376,39 @@ def _reduce_basis(basis_terms: list[dict], packing) -> list[dict]:
         minimal.append((lead, t))
     reducers = [kernel.reducer(lead, t) for lead, t in minimal]
     return [
-        _nf_terms(t, reducers[:idx] + reducers[idx + 1 :], packing)
-        for idx, (_, t) in enumerate(minimal)
+        kernel.normalized(
+            _nf_terms(t, reducers[:idx] + reducers[idx + 1 :], packing, modulus), lead, modulus
+        )
+        for idx, (lead, t) in enumerate(minimal)
     ]
+
+
+def _proves_basis(basis: list[dict], gens, packing) -> bool:
+    """True when the reduced integer ``basis`` (ascending leads) is a
+    Groebner basis over Q of the ideal of the packed ``gens``.
+
+    The loop made every element from the generators by S-polynomials and
+    remainders over Q, so it lies in the ideal.  It remains to see that
+    every generator reduces to 0 and, inserting the basis in ascending
+    lead order through the Gebauer-Moeller update, that every pair left
+    reduces to 0."""
+    reducers = [kernel.reducer(max(t), t) for t in basis]
+    if any(_nf_terms(terms, reducers, packing) for terms, _ in gens):
+        return False
+    leads: list[tuple[int, ...]] = []
+    sugars: list[int] = []
+    active: list[int] = []
+    pending: list[tuple] = []
+    for r in reducers:
+        leads.append(packing.unpack(r[0]))
+        sugars.append(kernel.mono_deg(leads[-1]))
+        _update(pending, active, leads, sugars)
+    guard = packing.guard
+    for *_, i, j, lcm_exp in pending:
+        s = kernel.s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), guard, None)
+        if _nf_terms(s, reducers, packing):
+            return False
+    return True
 
 
 def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:

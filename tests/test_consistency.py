@@ -42,6 +42,24 @@ class TestSparseSolverAgainstDenseOracle:
             ]
             self._check(sparse_rows, rhs, ncols)
 
+    def test_pivot_row_tie_break(self):
+        # every pivot column has live rows of equal length: column 3 is
+        # held by rows 2 and 3, then column 0 by rows 0, 1 and 3 (or 0, 1
+        # and 2).  Lowest index first pivots on rows 2 and 0, and the fill
+        # leaves column 2 free; highest first pivots on rows 3 and 2 and
+        # leaves column 4 free
+        rows = [
+            {2: -1, 4: 1, 1: 2, 0: -1},
+            {4: -2, 2: -2, 1: -1, 0: 2},
+            {4: 2, 1: -1, 3: 3, 2: -2},
+            {1: 1, 3: -1, 0: 2, 4: 1},
+        ]
+        rows = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+        rhs = [Fraction(v) for v in (5, 3, 4, 5)]
+        want = [Fraction(86, 33), Fraction(13, 3), Fraction(0), Fraction(115, 33), Fraction(-35, 33)]
+        assert solve_sparse(rows, rhs, 5) == want
+        assert markowitz_solve(rows, rhs, 5) == want
+
     def test_sparse_systems_with_fill_and_cancellation(self):
         # up to 40x50 with 2-4 entries per row, plus duplicated rows and
         # combinations of two rows that cancel a shared column: pivots

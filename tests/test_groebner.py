@@ -11,7 +11,7 @@ import pytest
 from conftest import corpus_ideals
 from oracles import membership_by_linear_algebra, substitute_eliminate_oracle
 
-from brisk import kernel
+from brisk import groebner, kernel
 from brisk.errors import BudgetExceededError
 from brisk.fields import GF, poly_to_gf
 from brisk.groebner import (
@@ -531,6 +531,89 @@ def test_pairs_taken_on_real_ideals(ideal, taken):
     buchberger(ideal, budget=Budget(max_pairs=taken))
     with pytest.raises(BudgetExceededError):
         buchberger(ideal, budget=Budget(max_pairs=taken - 1))
+
+
+# ------------------------------------------------------- modular trace
+
+
+def spy(monkeypatch, owner, name):
+    """Record (args, result) of every call of ``owner.name``."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def trace_reductions(calls):
+    return sum(len(args) > 3 and args[3] == groebner.TRACE_PRIME for args, _ in calls)
+
+
+def as_sets(G):
+    return {frozenset(g.terms.items()) for g in G}
+
+
+class TestModularTrace:
+    """Over Q, pairs whose S-polynomial reduces to zero modulo
+    ``TRACE_PRIME`` are skipped, and the basis is checked over Q."""
+
+    def test_katsura2_skips_pairs(self, monkeypatch):
+        checks = spy(monkeypatch, groebner, "_proves_basis")
+        ideal = katsura(2)
+        G = buchberger(ideal)
+        assert [result for _, result in checks] == [True]
+        assert as_sets(G) == reference_basis(ideal.gens, grevlex())
+
+    def test_katsura4_skips_pairs_and_matches_the_plain_loop(self, monkeypatch):
+        # reference_basis takes minutes here; the plain loop is the check
+        checks = spy(monkeypatch, groebner, "_proves_basis")
+        G = buchberger(katsura(4))
+        assert [result for _, result in checks] == [True]
+        loop = groebner._basis_loop
+        monkeypatch.setattr(groebner, "_basis_loop", lambda *a: loop(*a[:4], False))
+        assert list(G) == list(buchberger(katsura(4)))
+        assert len(checks) == 1
+
+    @pytest.mark.parametrize(
+        "gens, images",
+        [
+            # the first lead coefficient other than 1 is divisible by p
+            (["x^2 + y", "32749*x*y + z^2"], 0),
+            # 2*w - 1 starts the trace; S(x^2 - y, x*y - 32749*z^2) has
+            # the remainder 32749*x*z^2 - y^2, whose push ends it
+            (["2*w - 1", "x^2 - y", "x*y - 32749*z^2"], 1),
+        ],
+        ids=["at_start", "at_a_later_push"],
+    )
+    def test_prime_dividing_a_lead_coefficient_drops_the_trace(
+        self, monkeypatch, gens, images
+    ):
+        R = PolyRing(("x", "y", "z", "w"))
+        gens = [R.parse(g) for g in gens]
+        reductions = spy(monkeypatch, kernel, "normal_form")
+        checks = spy(monkeypatch, groebner, "_proves_basis")
+        G = buchberger(Ideal(R, gens))
+        assert trace_reductions(reductions) == images
+        assert checks == []
+        assert as_sets(G) == reference_basis(gens, grevlex())
+
+    def test_false_zero_fails_the_check_and_the_plain_loop_answers(self, monkeypatch):
+        # 2*w - 1 starts the trace; S(x^2, x*y + 32749*z) = -32749*x*z is
+        # 0 mod p but not over Q, so the traced basis misses x*z
+        R = PolyRing(("x", "y", "z", "w"))
+        gens = [R.parse(g) for g in ("2*w - 1", "x^2", "x*y + 32749*z")]
+        loops = spy(monkeypatch, groebner, "_basis_loop")
+        checks = spy(monkeypatch, groebner, "_proves_basis")
+        G = buchberger(Ideal(R, gens))
+        assert [result for _, result in checks] == [False]
+        assert [(args[4], skipped) for args, (_, skipped) in loops] == [(True, True), (False, False)]
+        assert as_sets(G) == reference_basis(gens, grevlex())
+        assert R.parse("x*z") in G.basis
 
 
 def test_negative_budget_caps_are_rejected():
