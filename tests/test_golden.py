@@ -19,6 +19,10 @@ The resolution goldens (every step matrix, the drop-rank codimensions
 and two syzygy steps, over Q and GF(32003)) were recorded with the
 module engine on ``Fraction`` and ``GFElement`` coefficients that the
 packed-int one replaced.
+The module basis goldens (every element of ``module_groebner`` on the
+transposed steps of those resolutions, in the order found) were recorded
+while module bases still had an S-pair loop of their own, before they
+ran on the loop of the ideal bases.
 """
 
 import hashlib
@@ -39,8 +43,10 @@ from brisk.certificate import (
 from brisk.cli import main
 from brisk.families import kollar, macaulay_generic
 from brisk.fields import GF, poly_to_gf
+from brisk import kernel
 from brisk.groebner import Ideal, buchberger, eliminate, saturate
 from brisk.linalg import solve_sparse
+from brisk.modules import Layout, columns_to_elements, module_groebner
 from brisk.orders import elim, grevlex, lex
 from brisk.polyring import PolyRing, format_poly
 from brisk.resolution import bef_codims, minimal_resolution, syzygies
@@ -527,3 +533,56 @@ def test_resolution_golden(name):
     codims, digest = RESOLUTION_GOLDENS[name]
     assert f"codims: {codims}" in lines
     assert _digest(lines) == digest
+
+
+def _module_basis_lines(ideal):
+    """``module_groebner`` on the columns of each transposed step of the
+    minimal resolution, on the untracked free layout with dual twists of
+    ``bef_codims``: every element in the order found, each term as
+    (position, exponent) and int coefficient, highest term first."""
+    res = minimal_resolution(ideal)
+    modulus = kernel.field_modulus(ideal.gens)
+
+    def run(bits):
+        lines = []
+        for k, step in enumerate(res.steps, start=1):
+            dual = tuple(-b for b in step.source.twists)
+            layout = Layout.free(grevlex().spec(), res.ring.nvars, bits, dual)
+            columns = columns_to_elements(list(zip(*step.matrix)), layout)
+            basis = module_groebner([kernel.to_ints(c, modulus) for c in columns], layout, modulus)
+            lines.append(f"step {k}: {dual}, {len(basis)} elements")
+            for g in basis:
+                lines.append(" ".join(f"{c}{layout.unpack(t)}" for t, c in sorted(g.items(), reverse=True)))
+        return lines
+
+    return kernel.widening(run, kernel.MIN_BITS)
+
+
+# name -> digest of _module_basis_lines
+MODULE_BASIS_GOLDENS = {
+    "powers50": "15d1337a1fca1dcef1614066b2e1f77009ed7a679a116cbed7917356692bf814",
+    "powers50_gf": "837f0a462903da33daad0c17ac676e6acae4eaf3054862fdd5cd4d39e7a121e8",
+    "random5_0": "e27644484ad73add787ab87601c0e281b9243c4da49971654822cdfa307cd443",
+    "random5_0_gf": "83f1b997bc3247d8ba03c95af16a5a6943ad9ffb7c9de2f29f6d095158faa427",
+    "random5_1": "0c9f43ad66ede8c37b0d7dd5de2af51252547b1eccb94c2dedd1233a493552fc",
+    "random5_1_gf": "0c9f43ad66ede8c37b0d7dd5de2af51252547b1eccb94c2dedd1233a493552fc",
+    "random5_2": "c5deebbba2cacd0bbd989408a7012fa9c451f0016fe3faeb25e0d931e3a05f3c",
+    "random5_2_gf": "c5deebbba2cacd0bbd989408a7012fa9c451f0016fe3faeb25e0d931e3a05f3c",
+    "random5_3": "9009f352c21af199903f814dac4df9e1de45022a29531d41b61c4989d68d74bf",
+    "random5_3_gf": "4403db057bdc8f7d692433a0ad0f835a96c5c8b949e5693b118d9a5043b4a8ef",
+    "random5_4": "a3952c578b3c9524eecb700acaa86f2734553c0cd6ca91ef335b10e7faf0f3b3",
+    "random5_4_gf": "4682512bdcfba61a60a007ff50bbc196e20dc7e37b46e6f605c92316b8ac18c9",
+    "random5_5": "44d549c19308d99b8d065f8e2077765897d8b6c3979fe316714c5139f83829ce",
+    "random5_5_gf": "97beca3831badeb522eb07b2d57252238aa7e46123fecf027fe9516f694fcb58",
+    "rnc3": "4f2a899f505a4acb85bcbcc5cc2eee91149382b020b81393401bcf0d5182ca56",
+    "rnc3_gf": "576dedf622bbf35dda20711beb1571706dd0f018a39438cee4c1a0139723c438",
+    "rnc4": "b8d3e57807bb2f504f277ce6b6ebf85e2825afa78ad05dad37f4832b3b6e1ebc",
+    "rnc4_gf": "3d39274868a599eed617ae693f7f94ed1d49f12279ff4de0362e565897744a2a",
+    "skew_lines": "a6a283266aea6fb9de8f26c202b5a937f487479f1a9aabe636d03d9d32d8b38b",
+    "skew_lines_gf": "56abf724a9d498aa14510e3caf842ed6b3fd46174d6a65822e491ab13824a6ba",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_CASES))
+def test_module_basis_golden(name):
+    assert _digest(_module_basis_lines(RESOLUTION_CASES[name])) == MODULE_BASIS_GOLDENS[name]
