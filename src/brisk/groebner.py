@@ -1,12 +1,16 @@
 """Buchberger-based Groebner engine.
 
 Provides reduced Groebner bases, normal forms, ideal membership,
-elimination, and saturation.  Each new basis element goes through the
-Gebauer-Moeller update (criteria B_k, M and F and the coprimality
-criterion), and pairs are taken smallest sugar first (Giovini et al.),
-ties broken by lcm degree and then by index, so output is deterministic
-for a fixed input.  For homogeneous input the sugar of a pair is its lcm
-degree, which makes the selection the normal strategy.
+elimination, and saturation.  One S-pair loop (``_basis_loop``) computes
+these bases and the module bases of ``modules.module_groebner``.  It
+keeps each lead as (position, exponent), position 0 for ideals, and each
+new element goes through the Gebauer-Moeller update within its position:
+criteria B_k, M and F, and for ideals the coprimality criterion, which
+does not hold for modules.  Ideals take pairs smallest sugar first
+(Giovini et al.), ties broken by lcm degree and then by index, so output
+is deterministic for a fixed input; modules take the smallest packed lcm
+first.  For homogeneous input the sugar of a pair is its lcm degree,
+which makes the selection the normal strategy.
 
 The Buchberger loop runs on plain ints, for coefficients and monomials
 alike.  Over Q every basis element is a primitive integer polynomial with
@@ -68,25 +72,24 @@ class Budget:
     """Resource caps for basis computations and certificate searches.
 
     ``max_pairs`` counts the S-pairs taken off the queue for reduction;
-    pairs that the pair criteria discard never count.  Over Q a pair
-    counts when it is taken, whether the modular trace then skips it or
-    not, so the trace takes and counts the pairs of the loop without it.
-    A run that reaches a cap after skipping a pair runs again without the
-    trace, and a failed check does too; each run is metered afresh.  The
-    check of a finished basis is not metered.  ``max_degree`` caps the
-    lcm degree of each pair taken.  ``max_matrix_entries`` caps the
-    linear systems of certificate searches.  A cap may be 0 but not
-    negative.
+    pairs that the pair criteria discard never count.  Bases of ideals and
+    of modules run on the same loop and count their pairs the same way.
+    Over Q a pair counts when it is taken, whether the modular trace then
+    skips it or not, so the trace takes and counts the pairs of the loop
+    without it.  A run that reaches a cap after skipping a pair runs again
+    without the trace, and a failed check does too; each run is metered
+    afresh.  The check of a finished basis is not metered.
+    ``max_matrix_entries`` caps the linear systems of certificate
+    searches.  A cap may be 0 but not negative.
     """
 
     max_pairs: int = 200_000
-    max_degree: int | None = None
     max_matrix_entries: int = 200_000
 
     def __post_init__(self):
-        for name in ("max_pairs", "max_degree", "max_matrix_entries"):
+        for name in ("max_pairs", "max_matrix_entries"):
             cap = getattr(self, name)
-            if cap is not None and cap < 0:
+            if cap < 0:
                 raise ValueError(f"budget cap {name} must be >= 0, got {cap}")
 
 
@@ -232,35 +235,48 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[di
     the loop runs again without the trace."""
     gens = [(packing.pack_terms(t), d) for t, d in gens]
     basis, skipped = _basis_loop(gens, packing, modulus, budget, modulus is None)
+    basis = basis and _reduce_basis(basis, packing, modulus)
     if skipped and (basis is None or not _proves_basis(basis, gens, packing)):
         basis, _ = _basis_loop(gens, packing, modulus, budget, False)
+        basis = _reduce_basis(basis, packing, modulus)
     return [kernel.from_ints(t, max(t), modulus) for t in basis]
 
 
-def _basis_loop(gens, packing, modulus, budget: Budget, trace: bool):
-    """(reduced basis, skipped) for packed integer ``gens``: the basis as
-    packed integer terms (primitive over Z, monic mod p) in ascending
-    lead order, and whether the trace skipped a pair.  A cap that fires
-    after a skipped pair gives ``(None, True)``, because the pairs taken
-    may then differ from those of the run without the trace."""
-    guard = packing.guard
+def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=None):
+    """(basis, skipped) for packed integer ``gens`` (terms and sugar): the
+    basis as normalized integer terms (primitive over Z, monic mod p) in
+    the order found, and whether the trace skipped a pair; ``(None,
+    True)`` when a cap fires after a skipped pair, because the pairs taken
+    may then differ from those of the run without the trace.  ``layout``
+    is an ideal's ``kernel.Packing``, or a module's ``modules.Layout``
+    with its ``pair_key(pos, lcm, sugar)``; elements with no term at or
+    above ``layout.flag`` (only relation terms) never join the basis."""
+    if pair_key is None:
+        flag, coprime, pair_key = 0, True, _sugar_key
+        lead = lambda key: (0, layout.unpack(key))
+        pack = lambda pos, exp: layout.pack(exp)
+    else:
+        lead, pack, flag, coprime = layout.unpack, layout.pack, layout.flag, False
+    guard = layout.guard
     basis_terms: list[dict] = []
-    leads: list[tuple[int, ...]] = []
+    leads: list[tuple] = []  # (position, exponent) of each lead
     sugars: list[int] = []
     reducers: list[tuple] = []
     # elements whose lead no later lead divides; only they get new pairs,
     # while every element stays a reducer in its list position
     active: list[int] = []
-    pending: list[tuple] = []  # heap of (sugar, lcm degree, i, j, lcm)
+    pending: list[tuple] = []  # heap of (key, i, j, lcm, sugar)
     images = None  # monic mod-p images of ``reducers`` while the trace runs
 
     def push(terms: dict, sugar: int):
         """Append a basis element (and its image while the trace runs)."""
         nonlocal trace, images
         key = max(terms)
+        if key < flag:
+            return
         terms = kernel.normalized(terms, key, modulus)
         basis_terms.append(terms)
-        leads.append(packing.unpack(key))
+        leads.append(lead(key))
         sugars.append(sugar)
         reducers.append(kernel.reducer(key, terms))
         if trace and (images or terms[key] != 1):
@@ -272,46 +288,34 @@ def _basis_loop(gens, packing, modulus, budget: Budget, trace: bool):
                     trace, images = False, None
                     break
                 images.append(_image(r))
-        _update(pending, active, leads, sugars)
+        _update(pending, active, leads, sugars, pair_key, coprime)
 
-    for terms, degree in gens:
-        push(terms, degree)
+    for terms, sugar in gens:
+        push(terms, sugar)
 
     taken = 0
     skipped = False
     while pending:
-        sugar, deg, i, j, lcm_exp = heapq.heappop(pending)
+        _, i, j, lcm_exp, sugar = heapq.heappop(pending)
         taken += 1
-        refusal = None
         if taken > budget.max_pairs:
-            refusal = (
+            if skipped:
+                return None, True
+            raise BudgetExceededError(
                 f"budget exhausted: more than {budget.max_pairs} S-pairs "
                 "(raise max_pairs / --budget-pairs)"
             )
-        elif budget.max_degree is not None and deg > budget.max_degree:
-            refusal = (
-                f"budget exhausted: S-pair lcm degree {deg} exceeds "
-                f"{budget.max_degree} (raise max_degree)"
-            )
-        if refusal:
-            if skipped:
-                return None, True
-            raise BudgetExceededError(refusal)
-        lcm_key = packing.pack(lcm_exp)
+        lcm_key = pack(leads[i][0], lcm_exp)
         if images:
             s = kernel.s_poly(images[i], images[j], lcm_key, guard, TRACE_PRIME)
-            if not kernel.normal_form(s, images, packing, TRACE_PRIME):
+            if not kernel.normal_form(s, images, layout, TRACE_PRIME):
                 skipped = True
                 continue
         s = kernel.s_poly(reducers[i], reducers[j], lcm_key, guard, modulus)
-        nf = _nf_terms(s, reducers, packing, modulus)
+        nf = _nf_terms(s, reducers, layout, modulus)
         if nf:
             push(nf, sugar)
-
-    # the tail reduction builds its own reducers
-    reducers.clear()
-    images = None
-    return _reduce_basis(basis_terms, packing, modulus), skipped
+    return basis_terms, skipped
 
 
 def _image(r: tuple) -> tuple:
@@ -323,20 +327,26 @@ def _image(r: tuple) -> tuple:
     return lead, 1, tail
 
 
-def _update(pending: list, active: list, leads: list, sugars: list) -> None:
-    """The Gebauer-Moeller update for the last element h of ``leads``:
-    prune the heap ``pending`` of (sugar, lcm degree, i, j, lcm) pairs,
-    push the new pairs (i, h) and update ``active`` in place."""
+def _sugar_key(pos: int, lcm_exp: tuple, sugar: int) -> tuple:
+    return sugar, kernel.mono_deg(lcm_exp)
+
+
+def _update(pending: list, active: list, leads: list, sugars: list, pair_key, coprime) -> None:
+    """The Gebauer-Moeller update for the last element h of ``leads``
+    within its position: prune the heap ``pending`` of (key, i, j, lcm,
+    sugar) pairs, push the new pairs (i, h) under ``pair_key`` and update
+    ``active`` in place; the coprimality criterion only if ``coprime``."""
     h = len(leads) - 1
-    lh = leads[h]
+    pos, lh = leads[h]
     # B_k: drop (i, j) when lt(h) divides lcm(i, j) and lcm(i, h) and
     # lcm(j, h) both differ from it
     kept = [
         p
         for p in pending
-        if not kernel.mono_divides(lh, p[4])
-        or kernel.mono_lcm(leads[p[2]], lh) == p[4]
-        or kernel.mono_lcm(leads[p[3]], lh) == p[4]
+        if leads[p[1]][0] != pos
+        or not kernel.mono_divides(lh, p[3])
+        or kernel.mono_lcm(leads[p[1]][1], lh) == p[3]
+        or kernel.mono_lcm(leads[p[2]][1], lh) == p[3]
     ]
     if len(kept) < len(pending):
         pending[:] = kept
@@ -344,21 +354,24 @@ def _update(pending: list, active: list, leads: list, sugars: list) -> None:
     # M and F: one new pair (i, h) per minimal lcm, none where that
     # lcm is also reached by a coprime pair (which reduces to zero)
     first: dict[tuple, int] = {}
-    coprime: set[tuple] = set()
+    coprimes: set[tuple] = set()
     for i in active:
-        lcm_exp = kernel.mono_lcm(leads[i], lh)
-        first.setdefault(lcm_exp, i)
-        if lcm_exp == kernel.mono_mul(leads[i], lh):
-            coprime.add(lcm_exp)
+        pi, li = leads[i]
+        if pi == pos:
+            lcm_exp = kernel.mono_lcm(li, lh)
+            first.setdefault(lcm_exp, i)
+            if coprime and lcm_exp == kernel.mono_mul(li, lh):
+                coprimes.add(lcm_exp)
     gap_h = sugars[h] - kernel.mono_deg(lh)
     for lcm_exp in kernel.minimal_generators(first):
-        if lcm_exp in coprime:
+        if lcm_exp in coprimes:
             continue
         i = first[lcm_exp]
-        deg = kernel.mono_deg(lcm_exp)
-        pair_sugar = max(sugars[i] - kernel.mono_deg(leads[i]), gap_h) + deg
-        heapq.heappush(pending, (pair_sugar, deg, i, h, lcm_exp))
-    active[:] = [i for i in active if not kernel.mono_divides(lh, leads[i])]
+        sugar = max(sugars[i] - kernel.mono_deg(leads[i][1]), gap_h) + kernel.mono_deg(lcm_exp)
+        heapq.heappush(pending, (pair_key(pos, lcm_exp, sugar), i, h, lcm_exp, sugar))
+    active[:] = [
+        i for i in active if leads[i][0] != pos or not kernel.mono_divides(lh, leads[i][1])
+    ]
     active.append(h)
 
 
@@ -395,17 +408,16 @@ def _proves_basis(basis: list[dict], gens, packing) -> bool:
     reducers = [kernel.reducer(max(t), t) for t in basis]
     if any(_nf_terms(terms, reducers, packing) for terms, _ in gens):
         return False
-    leads: list[tuple[int, ...]] = []
+    leads: list[tuple] = []
     sugars: list[int] = []
     active: list[int] = []
     pending: list[tuple] = []
     for r in reducers:
-        leads.append(packing.unpack(r[0]))
-        sugars.append(kernel.mono_deg(leads[-1]))
-        _update(pending, active, leads, sugars)
-    guard = packing.guard
-    for *_, i, j, lcm_exp in pending:
-        s = kernel.s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), guard, None)
+        leads.append((0, packing.unpack(r[0])))
+        sugars.append(kernel.mono_deg(leads[-1][1]))
+        _update(pending, active, leads, sugars, _sugar_key, True)
+    for _, i, j, lcm_exp, _ in pending:
+        s = kernel.s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), packing.guard, None)
         if _nf_terms(s, reducers, packing):
             return False
     return True

@@ -23,10 +23,10 @@ starts again with fields twice as wide (``widening``).
 ``normal_form`` divides packed terms in one of three coefficient
 domains: field elements by monic reducers, plain ints mod a prime by
 monic reducers, or plain ints by integer reducers (fraction-free
-pseudo-division, used for Groebner bases over Q).  The Groebner engines
-of ideals and of modules share the int conversions around it
-(``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``) and the
-S-polynomial ``s_poly``.
+pseudo-division, used for Groebner bases over Q).  The one S-pair loop
+of ideal and module bases (``groebner._basis_loop``) uses the int
+conversions around it (``field_modulus``, ``to_ints``, ``normalized``,
+``from_ints``) and the S-polynomial ``s_poly``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Submodules of graded free modules: Groebner bases and syzygies.
 
 Module elements run on the ideal engine: packed int monomials, int
-coefficients (primitive over Q, reduced mod p over GF(p)),
-``kernel.s_poly`` and ``kernel.normal_form``.  Field coefficients appear
-only at the boundary (``columns_to_elements``, ``elements_to_columns``).
+coefficients (primitive over Q, reduced mod p over GF(p)) and the S-pair
+loop of ``groebner``, whose Gebauer-Moeller update works within each
+lead's position and leaves out the coprimality criterion, which holds
+only for ideals.  Field coefficients appear only at the boundary
+(``columns_to_elements``, ``elements_to_columns``).
 
 A ``Layout`` packs the module monomial u*e_i as
 
@@ -51,12 +53,10 @@ the caller starts again with wider fields.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from . import kernel
-from .errors import BudgetExceededError
-from .groebner import DEFAULT_BUDGET, Budget
+from .groebner import DEFAULT_BUDGET, Budget, _basis_loop
 from .polyring import MultiPoly, PolyRing
 
 
@@ -204,69 +204,17 @@ def module_groebner(
     elements of ``layout``; tracked relation terms ride along.
 
     Returns normalized elements in the order found.  Inputs without a
-    module term are skipped.  Pairs are taken smallest lcm first (the
-    normal strategy, which completes a homogeneous module degree by
-    degree).  Each new element goes through the Gebauer-Moeller update
-    within its position: criterion B_k on the pending pairs and one new
-    pair per minimal lcm.  The coprimality criterion does not hold for
-    modules and is not used.
+    module term are skipped.  The basis comes from the S-pair loop of the
+    ideal bases (``groebner._basis_loop``), without the modular trace:
+    pairs are taken smallest lcm first (the normal strategy, which
+    completes a homogeneous module degree by degree), and each new element
+    goes through the Gebauer-Moeller update within its position, criteria
+    B_k, M and F.  The coprimality criterion does not hold for modules and
+    is not used.  The sugar of an element is its degree.
     """
-    basis: list[dict] = []
-    leads: list[tuple] = []  # (position, exponent) of each lead
-    reducers: list[tuple] = []
-    # elements whose lead no later lead divides; only they get new pairs,
-    # while every element stays a reducer
-    active: list[int] = []
-    pending: list[tuple] = []  # heap of (key of the lcm, i, j, lcm)
-
-    def push(terms: dict):
-        key = max(terms)
-        terms = kernel.normalized(terms, key, modulus)
-        h = len(basis)
-        basis.append(terms)
-        reducers.append(kernel.reducer(key, terms))
-        pos, lh = layout.unpack(key)
-        leads.append((pos, lh))
-        kept = [
-            p
-            for p in pending
-            if leads[p[1]][0] != pos
-            or not kernel.mono_divides(lh, p[3])
-            or kernel.mono_lcm(leads[p[1]][1], lh) == p[3]
-            or kernel.mono_lcm(leads[p[2]][1], lh) == p[3]
-        ]
-        if len(kept) < len(pending):
-            pending[:] = kept
-            heapq.heapify(pending)
-        first: dict = {}
-        for i in active:
-            if leads[i][0] == pos:
-                first.setdefault(kernel.mono_lcm(leads[i][1], lh), i)
-        for lcm in kernel.minimal_generators(first):
-            heapq.heappush(pending, (layout.pack(pos, lcm), first[lcm], h, lcm))
-        active[:] = [
-            i for i in active if leads[i][0] != pos or not kernel.mono_divides(lh, leads[i][1])
-        ]
-        active.append(h)
-
-    for elem in inputs:
-        if elem and max(elem) >= layout.flag:
-            push(elem)
-
-    done = 0
-    while pending:
-        lcm_key, i, j, _ = heapq.heappop(pending)
-        done += 1
-        if done > budget.max_pairs:
-            raise BudgetExceededError(
-                f"budget exhausted: module basis needed more than "
-                f"{budget.max_pairs} S-pairs"
-            )
-        s = kernel.s_poly(reducers[i], reducers[j], lcm_key, layout.guard, modulus)
-        nf = kernel.normal_form(s, reducers, layout, modulus)
-        if nf and max(nf) >= layout.flag:
-            push(nf)
-    return basis
+    gens = [(elem, layout.degree(max(elem))) for elem in inputs if elem]
+    key = lambda pos, lcm_exp, sugar: layout.pack(pos, lcm_exp)
+    return _basis_loop(gens, layout, modulus, budget, False, key)[0]
 
 
 def _canonical(elems, modulus: int | None) -> list[dict]:

@@ -188,7 +188,7 @@ class TestResolve:
 
     def test_drop_rank_codims_respect_the_pair_budget(self):
         res = minimal_resolution(parse_ideal_file(TWISTED_CUBIC_IDEAL))
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="max_pairs"):
             bef_codims(res, Budget(max_pairs=0))
 
     def test_zero_ideal_is_an_empty_resolution(self, tmp_path, capsys):

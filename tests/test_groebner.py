@@ -279,15 +279,6 @@ class TestEdgeCases:
         p = R.parse("x - y^2")
         assert G.normal_form(p) == p
 
-    def test_degree_budget(self):
-        R = PolyRing(("x", "y"))
-        x, y = R.gens()
-        with pytest.raises(BudgetExceededError, match="degree"):
-            buchberger(
-                Ideal(R, [x**5 - y, x * y**4 - 1]),
-                budget=Budget(max_degree=3),
-            )
-
     def test_concurrent_normal_forms_share_a_basis(self):
         # completed bases are immutable; concurrent reads must agree
         import concurrent.futures
@@ -621,12 +612,10 @@ def test_negative_budget_caps_are_rejected():
         Budget(max_pairs=-1)
     with pytest.raises(ValueError, match="max_matrix_entries"):
         Budget(max_matrix_entries=-5)
-    with pytest.raises(ValueError, match="max_degree"):
-        Budget(max_degree=-1)
     # a cap of 0 is valid: it admits only inputs that need no S-pair
     R = PolyRing(("x", "y"))
     x, y = R.gens()
-    zero = Budget(max_pairs=0, max_degree=0, max_matrix_entries=0)
+    zero = Budget(max_pairs=0, max_matrix_entries=0)
     assert len(buchberger(Ideal(R, [x, y]), budget=zero)) == 2
     with pytest.raises(BudgetExceededError):
         buchberger(Ideal(R, [x**2, x * y + 1]), budget=zero)
