@@ -30,16 +30,18 @@ tuples.  A ``GroebnerBasis`` keeps its own packed copy for
 Over Q the loop is guided by a trace modulo ``TRACE_PRIME`` = 32749
 (Traverso 1988, "Groebner trace algorithms"), the largest prime below
 2^15, so that a product of two residues fits one 30-bit digit of a
-CPython int.  The trace keeps a monic mod-p image of every integer
-reducer.  Each pair taken is first reduced mod p; when that gives zero
-the pair is skipped, and otherwise it is reduced over Q and pushed as
-without the trace.  Unless a skipped pair was a false zero (below), the
-pairs taken are those of the loop without the trace, and only the
-reductions over Q that give zero are saved.  The trace starts at the
-first basis element whose primitive lead coefficient is not 1: before it
-no reduction over Z rescales, and one costs what a reduction mod p does.
-If p divides a lead coefficient, when the trace starts or at a later
-push, the trace stops and the rest of the loop runs over Q alone.
+CPython int; the sums of ``kernel.normal_form``, reduced mod p only
+when they lead, outgrow that digit.  The trace keeps a monic mod-p
+image of every integer reducer.  Each pair taken is first reduced mod
+p; when that gives zero the pair is skipped, and otherwise it is
+reduced over Q and pushed as without the trace.  Unless a skipped pair
+was a false zero (below), the pairs taken are those of the loop without
+the trace, and only the reductions over Q that give zero are saved.
+The trace starts at the first basis element whose primitive lead
+coefficient is not 1: before it no reduction over Z rescales, and one
+costs what a reduction mod p does.  If p divides a lead coefficient,
+when the trace starts or at a later push, the trace stops and the rest
+of the loop runs over Q alone.
 
 A skipped pair may be a false zero, an S-polynomial whose remainder over
 Q is nonzero but divisible by p.  So a basis that skipped a pair is
@@ -131,7 +133,11 @@ class GroebnerBasis:
 
     The constructor makes its elements monic: ``normal_form`` divides by
     monic field reducers, packed by a ``kernel.Packing`` that widens when
-    an input or a remainder outgrows it.  An empty basis packs nothing."""
+    an input or a remainder outgrows it.  ``_packed`` holds the packing,
+    the reducers and the first-divisor memo of ``kernel.normal_form``
+    for them, replaced together when the fields widen; concurrent callers
+    share the memo and write the same entries.  An empty basis packs
+    nothing."""
 
     __slots__ = ("ring", "order", "basis", "_packed")
 
@@ -141,7 +147,7 @@ class GroebnerBasis:
         object.__setattr__(self, "basis", tuple(g.monic(order) for g in basis))
         packed = None
         if self.basis:
-            packed = self.reducers(kernel.bits_for(max(g.degree() for g in self.basis)))
+            packed = (*self.reducers(kernel.bits_for(max(g.degree() for g in self.basis))), {})
         object.__setattr__(self, "_packed", packed)
 
     def __setattr__(self, *a):
@@ -161,7 +167,7 @@ class GroebnerBasis:
     def leading_exponents(self) -> list[tuple[int, ...]]:
         if self._packed is None:
             return []
-        packing, reducers = self._packed
+        packing, reducers, _ = self._packed
         return [packing.unpack(r[0]) for r in reducers]
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
@@ -170,12 +176,12 @@ class GroebnerBasis:
         if self._packed is None:
             return MultiPoly(self.ring, kernel.normal_form(p.terms, (), None))
         while True:
-            packing, reducers = self._packed
+            packing, reducers, firsts = self._packed
             try:
-                nf = kernel.normal_form(packing.pack_terms(p.terms), reducers, packing)
+                nf = kernel.normal_form(packing.pack_terms(p.terms), reducers, packing, None, firsts)
             except OverflowError:
                 # one attribute, so a concurrent caller sees either copy whole
-                object.__setattr__(self, "_packed", self.reducers(2 * packing.bits))
+                object.__setattr__(self, "_packed", (*self.reducers(2 * packing.bits), {}))
                 continue
             return MultiPoly(self.ring, packing.unpack_terms(nf))
 
@@ -203,8 +209,8 @@ def s_polynomial(g1: MultiPoly, g2: MultiPoly, order: MonomialOrder) -> MultiPol
     return m1 * g1 - m2 * g2
 
 
-def _nf_terms(terms, reducers, packing, modulus=None):
-    return kernel.normal_form(terms, reducers, packing, modulus)
+def _nf_terms(terms, reducers, packing, modulus=None, firsts=None):
+    return kernel.normal_form(terms, reducers, packing, modulus, firsts)
 
 
 def buchberger(
@@ -267,6 +273,9 @@ def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=Non
     active: list[int] = []
     pending: list[tuple] = []  # heap of (key, i, j, lcm, sugar)
     images = None  # monic mod-p images of ``reducers`` while the trace runs
+    # first-divisor memos of ``kernel.normal_form``, one per reducer list
+    firsts: dict = {}
+    image_firsts: dict = {}
 
     def push(terms: dict, sugar: int):
         """Append a basis element (and its image while the trace runs)."""
@@ -308,11 +317,11 @@ def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=Non
         lcm_key = pack(leads[i][0], lcm_exp)
         if images:
             s = kernel.s_poly(images[i], images[j], lcm_key, guard, TRACE_PRIME)
-            if not kernel.normal_form(s, images, layout, TRACE_PRIME):
+            if not kernel.normal_form(s, images, layout, TRACE_PRIME, image_firsts):
                 skipped = True
                 continue
         s = kernel.s_poly(reducers[i], reducers[j], lcm_key, guard, modulus)
-        nf = _nf_terms(s, reducers, layout, modulus)
+        nf = _nf_terms(s, reducers, layout, modulus, firsts)
         if nf:
             push(nf, sugar)
     return basis_terms, skipped
@@ -406,7 +415,8 @@ def _proves_basis(basis: list[dict], gens, packing) -> bool:
     lead order through the Gebauer-Moeller update, that every pair left
     reduces to 0."""
     reducers = [kernel.reducer(max(t), t) for t in basis]
-    if any(_nf_terms(terms, reducers, packing) for terms, _ in gens):
+    firsts: dict = {}
+    if any(_nf_terms(terms, reducers, packing, None, firsts) for terms, _ in gens):
         return False
     leads: list[tuple] = []
     sugars: list[int] = []
@@ -418,7 +428,7 @@ def _proves_basis(basis: list[dict], gens, packing) -> bool:
         _update(pending, active, leads, sugars, _sugar_key, True)
     for _, i, j, lcm_exp, _ in pending:
         s = kernel.s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), packing.guard, None)
-        if _nf_terms(s, reducers, packing):
+        if _nf_terms(s, reducers, packing, None, firsts):
             return False
     return True
 

@@ -23,10 +23,15 @@ starts again with fields twice as wide (``widening``).
 ``normal_form`` divides packed terms in one of three coefficient
 domains: field elements by monic reducers, plain ints mod a prime by
 monic reducers, or plain ints by integer reducers (fraction-free
-pseudo-division, used for Groebner bases over Q).  The one S-pair loop
-of ideal and module bases (``groebner._basis_loop``) uses the int
-conversions around it (``field_modulus``, ``to_ints``, ``normalized``,
-``from_ints``) and the S-polynomial ``s_poly``.
+pseudo-division, used for Groebner bases over Q).  Mod p the tail
+updates leave their sums unreduced, and a coefficient is reduced only
+when it leads.  A caller that divides many polynomials by one growing
+reducer list keeps a memo of each monomial's first divisor across the
+calls, so a monomial seen before skips the lead tests it has already
+made.  The one S-pair loop of ideal and module bases
+(``groebner._basis_loop``) uses the int conversions around it
+(``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``) and the
+S-polynomial ``s_poly``.
 """
 
 from __future__ import annotations
@@ -321,7 +326,7 @@ def s_poly(ri, rj, lcm_key: int, guard: int, modulus: int | None) -> dict:
     return s
 
 
-def normal_form(terms, reducers, packing, modulus=None):
+def normal_form(terms, reducers, packing, modulus=None, firsts=None):
     """Remainder of packed ``terms`` under full multivariate division.
 
     ``reducers`` is a sequence of ``reducer(lead, terms)`` tuples packed
@@ -333,19 +338,32 @@ def normal_form(terms, reducers, packing, modulus=None):
     unchanged and ``packing`` is not used.  The coefficients are one of:
 
     * field elements (Fraction, GFElement) with monic reducers;
-    * ints mod ``modulus`` with monic reducers;
+    * ints mod ``modulus`` with monic reducers.  Tail updates leave
+      their sums unreduced; a coefficient is reduced mod p when it is
+      popped as the lead, and skipped when that gives 0, so the result
+      has residues in 1..p-1;
     * ints with integer reducers.  Each step scales the working
       polynomial and the remainder already extracted by lc/gcd(lc, c)
       before it subtracts, and the content is stripped every
       ``CONTENT_EVERY`` scalings, so the result is a nonzero integer
       multiple of the remainder over Q.
 
+    ``firsts`` is an optional memo of the divisor scan, owned by the
+    caller and valid for one reducer sequence that only grows by
+    appending.  It maps a packed monomial to the first reducer (the tuple
+    itself) whose lead divides it, or to the int n when none of the
+    first n reducers does; the scan then resumes at n, so the reducer
+    used is always the one the plain scan picks.
+
     Raises OverflowError when a product outgrows the packing's fields.
     """
     work = dict(terms)
     if not work or not reducers:
         return work
+    if firsts is None:
+        firsts = {}
     guard = packing.guard
+    n = len(reducers)
     out = {}
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -356,12 +374,21 @@ def normal_form(terms, reducers, packing, modulus=None):
         c = work.pop(m, None)
         if c is None:
             continue
-        for lead, lc, tail in reducers:
-            if not (m - lead) & guard:
-                break
-        else:
-            out[m] = c
-            continue
+        if modulus:
+            c %= modulus
+            if not c:
+                continue
+        r = firsts.get(m, 0)
+        if type(r) is int:
+            for r in reducers[r:] if r else reducers:
+                if not (m - r[0]) & guard:
+                    firsts[m] = r
+                    break
+            else:
+                firsts[m] = n
+                out[m] = c
+                continue
+        lead, lc, tail = r
         if lc != 1:
             g = gcd(c, lc)
             scale = lc // g
@@ -379,15 +406,10 @@ def normal_form(terms, reducers, packing, modulus=None):
             if s is None:
                 if t & guard:
                     raise OverflowError("exponent outgrew the packed field width")
-                s = -(c * q)
-                if modulus:
-                    s %= modulus
-                work[t] = s
+                work[t] = -(c * q)
                 heappush(heap, -t)
             else:
                 s = s - c * q
-                if modulus:
-                    s %= modulus
                 if s:
                     work[t] = s
                 else:

@@ -4,7 +4,9 @@ there is none.
 Rows are dicts {column index: coefficient}; the coefficients, and the
 right-hand sides, may be ints or Fractions.  ``_integerize`` scales each
 row and its right-hand side to integers with their content divided out,
-so the integer system A' x = b' has the solutions of A x = b.
+so the integer system A' x = b' has the solutions of A x = b.  A row of
+nonzero ints with content 1 is used as it is; the elimination copies a
+row before it changes it.
 
 ``solve_sparse`` eliminates A' modulo a prime p, lifts the answer to Q,
 and checks it exactly before it returns it.
@@ -85,6 +87,14 @@ def _primes():
 
 
 def _integerize(row: dict[int, Fraction | int], rhs: Fraction | int):
+    """(row, rhs) scaled to integers with their content divided out.  A
+    row of nonzero ints with an int right-hand side only loses its
+    content, and comes back as it is (shared) when that is 1."""
+    if type(rhs) is int and all(type(v) is int and v for v in row.values()):
+        content = gcd(rhs, *row.values())
+        if content <= 1:
+            return row, rhs
+        return {c: v // content for c, v in row.items()}, rhs // content
     denom = rhs.denominator
     for v in row.values():
         denom = denom * v.denominator // gcd(denom, v.denominator)

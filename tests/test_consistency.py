@@ -141,6 +141,24 @@ class TestSparseSolverAgainstDenseOracle:
                 infeasibility_witness(rows, rhs, ncols)
             )
 
+    def test_int_rows_are_shared_and_left_unchanged(self):
+        # a row of nonzero ints with content 1 is used as it is, one with
+        # content 2 loses it; entries at or past P make a reduced copy
+        rows = [{0: 1, 1: 2}, {0: 2, 2: 4}, {1: P + 3, 2: 1}, {0: 3, 1: 1, 2: 5}]
+        rhs = [1, 6, 1, 8]  # x = (1, 0, 1)
+        kept = [dict(row) for row in rows]
+        irows = [linalg._integerize(row, b) for row, b in zip(rows, rhs)]
+        assert irows[0][0] is rows[0]
+        assert irows[1] == ({0: 1, 2: 2}, 3)
+        fractions = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+        got = self._check(rows, rhs, 3)
+        assert got == [1, 0, 1] == self._check(fractions, [Fraction(b) for b in rhs], 3)
+        assert rows == kept
+        rhs[3] = 9
+        assert solve_sparse(rows, rhs, 3) is None
+        assert_witness(rows, rhs, 3, infeasibility_witness(rows, rhs, 3))
+        assert rows == kept
+
     @staticmethod
     def _combination(rng, rows):
         """a*r + b*s for two earlier rows, with b chosen so that a column

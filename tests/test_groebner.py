@@ -292,6 +292,30 @@ class TestEdgeCases:
             got = list(pool.map(G.normal_form, polys))
         assert got == want
 
+    def test_concurrent_normal_forms_fill_one_memo(self):
+        # threads that fill a fresh basis's first-divisor memo at once,
+        # with a short switch interval, get the answers of bases that
+        # start with an empty memo for each polynomial
+        import concurrent.futures
+        import sys
+
+        rng = random.Random(22)
+        ideal = corpus_ideals()[2]
+        basis = buchberger(ideal).basis
+        polys = [rand_poly(ideal.ring, rng, max_deg=6) for _ in range(60)]
+        want = [GroebnerBasis(ideal.ring, grevlex(), basis).normal_form(p) for p in polys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                G = GroebnerBasis(ideal.ring, grevlex(), basis)
+                with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(G.normal_form, p) for p in polys]
+                    got = [f.result(timeout=60) for f in futures]
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_basis_is_immutable(self):
         R = PolyRing(("x", "y"))
         G = buchberger(Ideal(R, [R.var(0)]))

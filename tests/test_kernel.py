@@ -2,7 +2,9 @@
 sum and guard-bit divisor test against exponent tuples, and the normal
 form in its three coefficient domains: packed division against a tuple
 division, fraction-free pseudo-division over Z against the Fraction
-remainder, and ints mod p against GFElement."""
+remainder, and ints mod p, with residues reduced only when they lead,
+against GFElement.  A first-divisor memo shared across calls, while
+reducers are appended, gives the remainders of calls without it."""
 
 import random
 from fractions import Fraction
@@ -280,3 +282,86 @@ def test_mod_p_remainder_equals_the_gfelement_remainder():
         want = kernel.normal_form({e: field(c) for e, c in f.items()}, packed_reducers(as_gf, pk), pk)
         assert all(type(c) is int and 0 < c < P for c in got.values())
         assert {e: field(c) for e, c in got.items()} == want
+
+
+@pytest.mark.parametrize("p", [P, (1 << 61) - 1], ids=["32003", "2^61-1"])
+def test_lazy_residues_equal_the_gfelement_remainder(p):
+    # tail updates leave sums unreduced; a coefficient is reduced when it
+    # is popped, and dropped when that gives 0
+    field = GF(p)
+    spec = grevlex().spec()
+    pk = kernel.packing(spec, 4, kernel.MIN_BITS)
+
+    def as_gf(terms):
+        return {e: field(c) for e, c in terms.items()}
+
+    # x + a, y + a, z + a with 3a = 1 mod p: the constant of x + y + z + 1
+    # is 1 - a, 1 - 2a, then 1 - 3a, nonzero over Z but 0 mod p
+    a = pow(3, -1, p)
+    one = (0, 0, 0, 0)
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
+    reds = [(u, {u: 1, one: a}) for u in units]
+    f = pk.pack_terms({**{u: 1 for u in units}, one: 1})
+    assert kernel.normal_form(f, packed_reducers(reds, pk), pk, p) == {}
+    gf_reds = packed_reducers([(u, as_gf(t)) for u, t in reds], pk)
+    assert kernel.normal_form(as_gf(f), gf_reds, pk) == {}
+
+    rng = random.Random(p % 1000)
+    used = [0, 1, 2, 3]
+
+    def residue(r):
+        return r.randrange(p)
+
+    for _ in range(60):
+        reds = rand_reducers(rng, 4, used, spec, rng.randint(1, 5), residue)
+        reds = [(lead, {e: c * pow(t[lead], -1, p) % p for e, c in t.items()}) for lead, t in reds]
+        f = pk.pack_terms(rand_terms(rng, 4, used, 6, 8, residue))
+        got = kernel.normal_form(f, packed_reducers(reds, pk), pk, p)
+        gf_reds = packed_reducers([(lead, as_gf(t)) for lead, t in reds], pk)
+        assert all(type(c) is int and 0 < c < p for c in got.values())
+        assert as_gf(got) == kernel.normal_form(as_gf(f), gf_reds, pk)
+
+
+# ------------------------------------------------------ first-divisor memo
+
+
+def test_memo_resumes_the_scan_after_reducers_are_appended():
+    # x*y has no divisor among [y^2 - x]; x - z, appended later, divides it
+    spec = grevlex().spec()
+    pk = kernel.packing(spec, 3, kernel.MIN_BITS)
+    xy, yz = pk.pack((1, 1, 0)), pk.pack((0, 1, 1))
+    reducers = packed_reducers([((0, 2, 0), {(0, 2, 0): 1, (1, 0, 0): -1})], pk)
+    firsts = {}
+    assert kernel.normal_form({xy: 5}, reducers, pk, None, firsts) == {xy: 5}
+    assert firsts[xy] == 1  # none among the first reducer
+    reducers += packed_reducers([((1, 0, 0), {(1, 0, 0): 1, (0, 0, 1): -1})], pk)
+    assert kernel.normal_form({xy: 5}, reducers, pk, None, firsts) == {yz: 5}
+    assert firsts[xy] is reducers[1]
+
+
+@pytest.mark.parametrize("modulus", [None, P])
+def test_memo_shared_across_calls_gives_the_fresh_remainders(modulus):
+    # one memo for a reducer list that grows by appending, as in the
+    # Buchberger loop: every call gives the remainder of a call without it
+    rng = random.Random(31)
+    spec = grevlex().spec()
+    pk = kernel.packing(spec, 3, kernel.MIN_BITS)
+    used = [0, 1, 2]
+    coeff = small_int if modulus is None else (lambda r: r.randrange(P))
+    resumed = 0
+    for _ in range(30):
+        reds = rand_reducers(rng, 3, used, spec, 6, coeff)
+        if modulus:
+            reds = [(lead, {e: c * pow(t[lead], -1, P) % P for e, c in t.items()}) for lead, t in reds]
+        else:
+            reds = [(lead, t if t[lead] > 0 else {e: -c for e, c in t.items()}) for lead, t in reds]
+        reducers = []
+        firsts = {}
+        for r in packed_reducers(reds, pk):
+            reducers.append(r)
+            for _ in range(3):
+                f = pk.pack_terms(rand_terms(rng, 3, used, 5, 6, coeff))
+                resumed += sum(type(firsts.get(m)) is int for m in f)
+                want = kernel.normal_form(f, reducers, pk, modulus)
+                assert kernel.normal_form(f, reducers, pk, modulus, firsts) == want
+    assert resumed > 50
