@@ -148,6 +148,8 @@ def _normalize_caps(per_gen_caps, m: int, ell: int) -> dict[tuple[int, ...], int
         return caps
     for key, cap in per_gen_caps.items():
         if isinstance(key, int):
+            if not 0 <= key < m:
+                raise ValueError(f"cap key {key} is not a generator index in 0..{m - 1}")
             key = _singleton(key, m)
         key = tuple(key)
         if len(key) != m or sum(key) != ell:

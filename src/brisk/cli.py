@@ -109,6 +109,14 @@ def _pipeline_invariants(inst: InstanceFile, budget: Budget, char: int | None):
     }
 
 
+def _empty_at_infinity(inst: InstanceFile, computed: dict, budget: Budget) -> bool:
+    """Whether the homogenized generators of ``inst`` have no common zero
+    at infinity on the closure that ``_pipeline_invariants`` computed."""
+    d = max(int(g.degree()) for g in inst.gens)
+    fs = [homogenize(g, d, computed["hvar"]) for g in inst.gens]
+    return empty_at_infinity(fs, computed["j_x"], budget)
+
+
 def cmd_membership(args) -> int:
     budget = _budget(args)
     inst_file = parse_instance(_read(args.file))
@@ -116,10 +124,12 @@ def cmd_membership(args) -> int:
     caps = {}
     for spec in args.cap_gen or []:
         try:
-            j, cap = spec.split(":")
-            caps[int(j) - 1] = int(cap)
+            j, cap = map(int, spec.split(":"))
         except ValueError:
             raise ParseError(f"bad --cap-gen {spec!r}; expected j:k")
+        if not 1 <= j <= inst.m:
+            raise ParseError(f"bad --cap-gen {spec!r}; j must be in 1..{inst.m}")
+        caps[j - 1] = cap
     if args.min:
         rho_max = args.rho_max if args.rho_max is not None else (args.rho or 20)
         found = minimal_degree(inst, rho_max, caps or None, budget)
@@ -149,10 +159,7 @@ def cmd_bounds(args) -> int:
     if args.compute_invariants:
         computed = _pipeline_invariants(inst_file, budget, args.char)
         if inst_file.gens:
-            d = max(int(g.degree()) for g in inst_file.gens)
-            var = computed["hvar"]
-            fs = [homogenize(g, d, var) for g in inst_file.gens]
-            macaulay_ok = macaulay_ok or empty_at_infinity(fs, computed["j_x"], budget)
+            macaulay_ok = macaulay_ok or _empty_at_infinity(inst_file, computed, budget)
     inputs = inst_file.bound_inputs(computed)
     report = comparison_bounds(
         inputs,
@@ -165,9 +172,14 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _is_instance(text: str) -> bool:
+    """True for an instance file, False for a bare ideal file."""
+    return "variety:" in text or "generators:" in text or "target:" in text
+
+
 def _load_homogeneous_ideal(args, budget: Budget) -> Ideal:
     text = _read(args.file)
-    if "variety:" in text or "generators:" in text or "target:" in text:
+    if _is_instance(text):
         inst_file = parse_instance(text)
         ideal = inst_file.variety
     else:
@@ -206,9 +218,8 @@ def cmd_resolve(args) -> int:
 def cmd_invariants(args) -> int:
     budget = _budget(args)
     text = _read(args.file)
-    is_instance = "variety:" in text or "generators:" in text or "target:" in text
-    inst_file = parse_instance(text) if is_instance else None
-    if inst_file is not None:
+    if _is_instance(text):
+        inst_file = parse_instance(text)
         computed = _pipeline_invariants(inst_file, budget, args.char)
         data = computed["hilbert"]
         print(f"hilbert numerator: {_poly_in_t(data.numerator)}")
@@ -216,10 +227,7 @@ def cmd_invariants(args) -> int:
         print(f"projective degree: {computed['deg_x']}")
         print(f"regularity: {computed['reg_x']}")
         if inst_file.gens:
-            d = max(int(g.degree()) for g in inst_file.gens)
-            var = computed["hvar"]
-            fs = [homogenize(g, d, var) for g in inst_file.gens]
-            flag = empty_at_infinity(fs, computed["j_x"], budget)
+            flag = _empty_at_infinity(inst_file, computed, budget)
             print(f"empty at infinity: {'true' if flag else 'false'}")
         return 0
     ideal = _load_homogeneous_ideal(args, budget)

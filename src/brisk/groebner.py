@@ -24,8 +24,9 @@ outgrows it, the computation starts again with fields twice as wide.
 The pair criteria work on the exponent tuples of the leads.  The
 finished basis is minimalized and tail-reduced on ints as well, and only
 then goes back to monic Fraction or GFElement coefficients and exponent
-tuples.  A ``GroebnerBasis`` keeps its own packed copy for
-``normal_form``.
+tuples.  A ``GroebnerBasis`` packs its elements once, when it is made,
+for ``normal_form``, which packs them wider for one call when that call
+outgrows them.
 
 Over Q the loop is guided by a trace modulo ``TRACE_PRIME`` = 32749
 (Traverso 1988, "Groebner trace algorithms"), the largest prime below
@@ -131,13 +132,13 @@ class Ideal:
 class GroebnerBasis:
     """A reduced, monic Groebner basis (canonical for the given order).
 
-    The constructor makes its elements monic: ``normal_form`` divides by
-    monic field reducers, packed by a ``kernel.Packing`` that widens when
-    an input or a remainder outgrows it.  ``_packed`` holds the packing,
-    the reducers and the first-divisor memo of ``kernel.normal_form``
-    for them, replaced together when the fields widen; concurrent callers
-    share the memo and write the same entries.  An empty basis packs
-    nothing."""
+    The constructor makes its elements monic and packs them once:
+    ``_packed`` is the (packing, reducers) pair of ``reducers`` at the
+    width of the basis degrees.  The basis never changes after
+    construction, so it is safe to share between threads.
+    ``normal_form`` widens through ``kernel.widening``: when an input or
+    a remainder outgrows the packed fields, that call divides by reducers
+    packed wider, which it builds for itself."""
 
     __slots__ = ("ring", "order", "basis", "_packed")
 
@@ -145,10 +146,8 @@ class GroebnerBasis:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "basis", tuple(g.monic(order) for g in basis))
-        packed = None
-        if self.basis:
-            packed = (*self.reducers(kernel.bits_for(max(g.degree() for g in self.basis))), {})
-        object.__setattr__(self, "_packed", packed)
+        degree = max((g.degree() for g in self.basis), default=0)
+        object.__setattr__(self, "_packed", self.reducers(kernel.bits_for(degree)))
 
     def __setattr__(self, *a):
         raise AttributeError("GroebnerBasis is immutable")
@@ -165,25 +164,22 @@ class GroebnerBasis:
         return packing, tuple(reducers)
 
     def leading_exponents(self) -> list[tuple[int, ...]]:
-        if self._packed is None:
-            return []
-        packing, reducers, _ = self._packed
+        packing, reducers = self._packed
         return [packing.unpack(r[0]) for r in reducers]
 
     def normal_form(self, p: MultiPoly) -> MultiPoly:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the basis ring")
-        if self._packed is None:
+        if not self.basis:
             return MultiPoly(self.ring, kernel.normal_form(p.terms, (), None))
-        while True:
-            packing, reducers, firsts = self._packed
-            try:
-                nf = kernel.normal_form(packing.pack_terms(p.terms), reducers, packing, None, firsts)
-            except OverflowError:
-                # one attribute, so a concurrent caller sees either copy whole
-                object.__setattr__(self, "_packed", (*self.reducers(2 * packing.bits), {}))
-                continue
+        bits = self._packed[0].bits
+
+        def run(width):
+            packing, reducers = self._packed if width == bits else self.reducers(width)
+            nf = kernel.normal_form(packing.pack_terms(p.terms), reducers, packing)
             return MultiPoly(self.ring, packing.unpack_terms(nf))
+
+        return kernel.widening(run, bits)
 
     def contains(self, p: MultiPoly) -> bool:
         return not self.normal_form(p)

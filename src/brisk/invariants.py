@@ -56,8 +56,7 @@ def hilbert_numerator(gb: GroebnerBasis) -> tuple[int, ...]:
     """Coefficients of the Hilbert-series numerator of S/J, from the
     leading-term ideal of any Groebner basis of J (coefficient list,
     index = power of t)."""
-    gens = kernel.minimal_generators(gb.leading_exponents())
-    num = _numerator(tuple(gens), {})
+    num = module_hilbert_numerator([(0, e) for e in gb.leading_exponents()], (0,))
     if not num:
         return ()
     degree = max(num)

@@ -25,13 +25,14 @@ domains: field elements by monic reducers, plain ints mod a prime by
 monic reducers, or plain ints by integer reducers (fraction-free
 pseudo-division, used for Groebner bases over Q).  Mod p the tail
 updates leave their sums unreduced, and a coefficient is reduced only
-when it leads.  A caller that divides many polynomials by one growing
-reducer list keeps a memo of each monomial's first divisor across the
-calls, so a monomial seen before skips the lead tests it has already
-made.  The one S-pair loop of ideal and module bases
-(``groebner._basis_loop``) uses the int conversions around it
-(``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``) and the
-S-polynomial ``s_poly``.
+when it leads.  A memo of each monomial's first divisor spares the lead
+tests already made; it lasts one call unless the caller owns it across
+calls on one reducer list that only grows, as the S-pair loop (reducers
+and trace images), ``groebner._proves_basis`` and ``modules._relations``
+do.  A ``GroebnerBasis`` owns none.  The one S-pair loop of ideal and
+module bases (``groebner._basis_loop``) uses the int conversions around
+it (``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``) and
+the S-polynomial ``s_poly``.
 """
 
 from __future__ import annotations
@@ -92,15 +93,7 @@ def minimal_generators(gens):
 
 def leading_exponent(terms, spec):
     """Largest exponent in ``terms`` (None for the zero polynomial)."""
-    if not terms:
-        return None
-    best = None
-    best_key = None
-    for e in terms:
-        k = key_of(e, spec)
-        if best_key is None or k > best_key:
-            best, best_key = e, k
-    return best
+    return max(terms, key=lambda e: key_of(e, spec), default=None)
 
 
 # ------------------------------------------------------------- arithmetic

@@ -91,6 +91,12 @@ class TestSearchAtDegree:
         # forcing deg Q1 <= 1 kills feasibility at any degree
         assert search_at_degree(kollar_instance(), 10, {0: 1}) is None
 
+    @pytest.mark.parametrize("key", [-1, 2])
+    def test_cap_on_a_generator_outside_the_instance(self, key):
+        # kollar has two generators: -1 must not wrap to the last one
+        with pytest.raises(ValueError, match="generator index"):
+            search_at_degree(kollar_instance(), 4, {key: 1})
+
     def test_generator_membership_trivial(self):
         inst = MembershipInstance(R, Ideal(R, []), (Z1**2, Z2), Z1**2)
         cert = search_at_degree(inst, 2)

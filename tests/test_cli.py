@@ -80,6 +80,14 @@ class TestMembership:
                      "--cap-gen", "1:1"]) == 0
         assert "not in ideal" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("spec", ["0:1", "-1:1", "9:1"])
+    def test_cap_gen_outside_the_generators_exit_2(self, kollar_file, capsys, spec):
+        # j is 1-based; 0 and -1 must not wrap to the last generator
+        assert main(["membership", kollar_file, "--rho", "4", f"--cap-gen={spec}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bad --cap-gen '{spec}'; j must be in 1..2" in captured.err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("vars: x\ngenerators:\n  (\ntarget: x\n")

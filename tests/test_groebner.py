@@ -293,9 +293,9 @@ class TestEdgeCases:
         assert got == want
 
     def test_concurrent_normal_forms_fill_one_memo(self):
-        # threads that fill a fresh basis's first-divisor memo at once,
-        # with a short switch interval, get the answers of bases that
-        # start with an empty memo for each polynomial
+        # threads that divide by one fresh basis at once, with a short
+        # switch interval, get the answers of a separate basis per
+        # polynomial: the basis holds no state that the calls change
         import concurrent.futures
         import sys
 
@@ -707,3 +707,33 @@ class TestExponentGrowth:
         assert max(g.degree() for g in G) == 32
         assert G.normal_form(x[0] ** 5) == x[5] ** 160
         assert G.normal_form(x[0] ** 5 * x[1]) == x[5] ** 176
+
+    def test_widened_normal_form_leaves_the_packed_basis(self):
+        R, gens = chain(5)
+        x = R.gens()
+        G = buchberger(Ideal(R, gens), lex())
+        packed = G._packed
+        # x5^160 outgrows the fields sized for the basis degree 32
+        assert G.normal_form(x[0] ** 5) == x[5] ** 160
+        assert G._packed is packed
+
+    def test_concurrent_widened_normal_forms(self):
+        # eight threads whose normal forms all outgrow the packed fields
+        import concurrent.futures
+        import sys
+
+        R, gens = chain(5)
+        x = R.gens()
+        basis = buchberger(Ideal(R, gens), lex()).basis
+        polys = [x[0] ** a * x[i] ** b for a in (4, 5) for i in range(1, 6) for b in (1, 3)]
+        want = [GroebnerBasis(R, lex(), basis).normal_form(p) for p in polys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            G = GroebnerBasis(R, lex(), basis)
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(G.normal_form, p) for p in polys]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
