@@ -5,8 +5,8 @@ on an affine variety V, and their power-ideal generalization
 
 ``search_at_degree`` parametrizes every admissible cofactor completely
 (all monomials up to the degree cap) and solves the resulting linear
-system with ``linalg.solve_sparse``: elimination modulo a word-size
-prime (the next prime when one fails), lifted to Q and checked exactly.
+system with ``linalg.solve_sparse``: elimination modulo a prime below
+2^30 (the next prime when one fails), lifted to Q and checked exactly.
 A solution satisfies every row over Q, and a NotFound answer (None)
 rests on a left-kernel witness checked over Q, so it is a proof of
 infeasibility at that degree, not a heuristic failure.
@@ -20,7 +20,13 @@ not the whole space.  Whole coefficients enter the rows as ints.
 
 ``minimal_degree`` scans upward; feasibility is monotone in the degree
 because the cap sets only grow, and the columns reduced on the variety
-at one degree are reused at the next.
+at one degree are reused at the next.  So one NotFound proves every
+lower degree: the scan defers the witness lifts and, at its end, lifts
+and checks only the last one, at rho_min - 1 or at rho_max.  Its None,
+and the minimality of its rho_min, rest on that one witness (or on a
+degree with no admissible column, which needs none).  A prime that lied
+(the kept system is feasible over Q) sends the scan round again with
+every NotFound proven at once.
 
 ``projective_lift`` rechecks a found certificate as the equivalent
 homogeneous identity  sum f^I q_I = z0^(rho - deg Phi) phi  on the
@@ -43,7 +49,7 @@ from .groebner import (
     buchberger,
     saturate,
 )
-from .linalg import solve_sparse
+from .linalg import prove_infeasible, solve_sparse
 from .orders import grevlex
 from .polyring import NEG_INF, MultiPoly, PolyRing, homogenize
 
@@ -165,6 +171,7 @@ def search_at_degree(
     budget: Budget = DEFAULT_BUDGET,
     _gb: GroebnerBasis | None = None,
     _reduced: dict | None = None,
+    _unproven: list | None = None,
 ) -> Certificate | None:
     """A verified certificate with deg(F^I Q_I) <= rho, or None when no
     such certificate exists (definitive: the cofactor space is enumerated
@@ -174,7 +181,11 @@ def search_at_degree(
     scan: the columns {(I, key of alpha): terms} reduced so far on the
     variety, by field width.  The columns at rho are among those at
     rho + 1.  Over C^N a column is only a shift, as cheap as a lookup,
-    and none is kept."""
+    and none is kept.
+
+    With an ``_unproven`` list, a system inconsistent mod the prime
+    returns None unproven and leaves its elimination in the list (see
+    ``linalg.solve_sparse``); ``minimal_degree`` proves it later."""
     gb = _gb if _gb is not None else inst.groebner(budget)
     nf_phi = gb.normal_form(inst.phi)
     if not nf_phi:
@@ -228,6 +239,7 @@ def search_at_degree(
         [rhs.get(k, 0) for k in row_keys],
         len(labels),
         budget.max_matrix_entries,
+        unproven=_unproven,
     )
     if solution is None:
         return None
@@ -287,7 +299,12 @@ def minimal_degree(
     """(rho_min, certificate) for the smallest feasible degree <= rho_max,
     or None when there is none (NotFound below rho_max).
 
-    Feasibility is monotone in rho, so the ascending scan is exact."""
+    Feasibility is monotone in rho, so the ascending scan is exact, and
+    the NotFound at the last degree scanned below the answer (rho_min - 1,
+    or rho_max) proves every one below it.  So the scan defers the proofs
+    and, at its end, proves that NotFound alone with a witness checked
+    over Q.  Should that system be feasible after all, the scan runs
+    again with every NotFound proven at once."""
     if rho_max < 0:
         raise ValueError("rho_max must be >= 0")
     gb = inst.groebner(budget)
@@ -299,11 +316,25 @@ def minimal_degree(
         for index in multi_indices(inst.m, inst.power)
     )
     reduced: dict = {}
-    for rho in range(start, rho_max + 1):
-        cert = search_at_degree(inst, rho, per_gen_caps, budget, _gb=gb, _reduced=reduced)
-        if cert is not None:
-            return rho, cert
-    return None
+
+    def scan(defer: bool):
+        # (answer, the last NotFound's unproven elimination or an empty
+        # list when it was proven or had no admissible column)
+        kept: list = []
+        for rho in range(start, rho_max + 1):
+            unproven = [] if defer else None
+            cert = search_at_degree(
+                inst, rho, per_gen_caps, budget, _gb=gb, _reduced=reduced, _unproven=unproven
+            )
+            if cert is not None:
+                return (rho, cert), kept
+            kept = unproven
+        return None, kept
+
+    found, kept = scan(defer=True)
+    if kept and not prove_infeasible(kept[0]):
+        found, _ = scan(defer=False)
+    return found
 
 
 @dataclass(frozen=True)

@@ -126,9 +126,9 @@ def cmd_membership(args) -> int:
         try:
             j, cap = map(int, spec.split(":"))
         except ValueError:
-            raise ParseError(f"bad --cap-gen {spec!r}; expected j:k")
+            raise ParseError(f"bad --cap-gen {spec!r}; expected j:k", line=None)
         if not 1 <= j <= inst.m:
-            raise ParseError(f"bad --cap-gen {spec!r}; j must be in 1..{inst.m}")
+            raise ParseError(f"bad --cap-gen {spec!r}; j must be in 1..{inst.m}", line=None)
         caps[j - 1] = cap
     if args.min:
         rho_max = args.rho_max if args.rho_max is not None else (args.rho or 20)
@@ -141,7 +141,7 @@ def cmd_membership(args) -> int:
         print(format_certificate(inst, cert))
         return 0
     if args.rho is None:
-        raise ParseError("membership needs --rho R or --min")
+        raise ParseError("membership needs --rho R or --min", line=None)
     cert = search_at_degree(inst, args.rho, caps or None, budget)
     if cert is None:
         print(f"not in ideal at rho<={args.rho}")
@@ -282,7 +282,7 @@ def _parse_range(text: str, odd: bool = False) -> list[int]:
         elif piece:
             out.append(int(piece))
     if not out:
-        raise ParseError(f"empty range {text!r}")
+        raise ParseError(f"empty range {text!r}", line=None)
     return out
 
 
@@ -304,7 +304,7 @@ def _bench_rows(args, budget: Budget):
         for p in _parse_range(args.p or "3,5,7", odd=True):
             rows.append(families.cusp(p))
     else:
-        raise ParseError(f"unknown family {args.family!r}")
+        raise ParseError(f"unknown family {args.family!r}", line=None)
     return rows
 
 

@@ -12,10 +12,12 @@ class RingMismatchError(BriskError, ValueError):
 
 
 class ParseError(BriskError, ValueError):
-    """Malformed textual input; carries a 1-based line/column position."""
+    """Malformed textual input; carries a 1-based line/column position,
+    or none (``line=None``) for a value that comes from no file, such as
+    a command-line option."""
 
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"{message} (line {line}, column {col})")
+    def __init__(self, message: str, line: int | None = 1, col: int = 1):
+        super().__init__(message if line is None else f"{message} (line {line}, column {col})")
         self.line = line
         self.col = col
 

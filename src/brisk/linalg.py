@@ -53,13 +53,27 @@ and checks it exactly before it returns it.
 - **Primes.**  A prime fails when it divides an input entry, when
   lifting passes the bound without a checked answer, or when the exact
   solution of the pivot block fails the check.  The solve then starts
-  again with the next prime of one fixed sequence: P = 2^61 - 1, then
-  the primes below it in descending order.  A prime that divides no
-  nonzero entry or minor of [A' | b'] sees the zero patterns, and so the
-  pivots, of the elimination over Q; its lifted answer is exact and
-  passes the check, and a Found answer is the solution of the
-  elimination over Q.  Only finitely many primes divide one of those
-  finitely many nonzero integers, so the sequence reaches an answer.
+  again with the next prime of one fixed sequence: P = 2^30 - 35, the
+  largest prime below 2^30, then the primes below it in descending
+  order.  Below 2^30 every residue is one CPython digit, so the
+  elimination's products and remainders take the interpreter's
+  single-digit fast paths.  A lift then takes about twice the steps it
+  would with a 61-bit prime, which is why lifts are deferred where they
+  can be (below).  A prime that divides no nonzero entry or minor of
+  [A' | b'] sees the zero patterns, and so the pivots, of the
+  elimination over Q; its lifted answer is exact and passes the check,
+  and a Found answer is the solution of the elimination over Q.  Only
+  finitely many primes divide one of those finitely many nonzero
+  integers, so the sequence reaches an answer.
+- **Deferred proofs.**  A caller that solves a sequence of systems of
+  which only the last NotFound needs a proof (``certificate.
+  minimal_degree``: feasibility is monotone in the degree) passes its
+  own ``unproven`` list.  A system inconsistent mod p then returns None
+  at once and appends its elimination (integer rows, factors, bad row)
+  to the list; ``prove_infeasible`` lifts and checks the witness later,
+  moving on to the next primes if the lift fails, and reports a system
+  that is feasible over Q after all.  A system consistent mod p is
+  lifted and checked at once, as without the list.
 """
 
 from __future__ import annotations
@@ -73,13 +87,13 @@ from math import gcd, isqrt
 from .errors import BudgetExceededError
 from .fields import _is_probable_prime
 
-P = (1 << 61) - 1
+P = (1 << 30) - 35  # the largest prime below 2^30
 
 
-def _primes():
-    """P, then every prime below it, in descending order."""
-    yield P  # a Mersenne prime; its Miller-Rabin test costs as much as a small solve
-    p = P - 2
+def _primes(start: int = P):
+    """The primes from ``start`` (odd) down, in descending order.  Below
+    2^30 the deterministic Miller-Rabin test is a few one-digit powers."""
+    p = start
     while True:
         if _is_probable_prime(p):
             yield p
@@ -119,6 +133,7 @@ def solve_sparse(
     rhs: list[Fraction | int],
     ncols: int,
     max_entries: int | None = None,
+    unproven: list | None = None,
 ) -> list[Fraction] | None:
     """One exact solution of A x = b (free variables set to 0), or None
     when the system is infeasible.  The entries of ``rows`` and ``rhs``
@@ -129,6 +144,12 @@ def solve_sparse(
     row; a None has passed y^T A' = 0 and y^T b' != 0 for a witness y,
     which ``infeasibility_witness`` returns.  A length mismatch between
     ``rows`` and ``rhs`` is a ValueError.
+
+    With a caller-owned ``unproven`` list, a system inconsistent mod the
+    prime returns None at once and its elimination is appended to the
+    list instead of being lifted: that None is a proof only once
+    ``prove_infeasible`` accepts the entry.  A solution is always lifted
+    and checked.
     """
     _check_lengths(rows, rhs)
     if max_entries is not None and len(rows) * ncols > max_entries:
@@ -136,8 +157,21 @@ def solve_sparse(
             f"budget exhausted: linear system {len(rows)}x{ncols} exceeds "
             f"{max_entries} entries (raise max_matrix_entries / --budget-matrix)"
         )
-    feasible, value = _solve([_integerize(row, b) for row, b in zip(rows, rhs)], ncols)
+    irows = [_integerize(row, b) for row, b in zip(rows, rhs)]
+    feasible, value = _solve(irows, ncols, _primes(), unproven)
     return value if feasible else None
+
+
+def prove_infeasible(elimination) -> bool:
+    """True when the system of an ``unproven`` entry of ``solve_sparse``
+    has a witness of infeasibility checked over Q, False when it has a
+    solution after all (the prime of its elimination lied).  A failed
+    lift moves on to the primes below that one."""
+    irows, factors, bad = elimination
+    answer = _lift_witness(irows, bad, factors)
+    if answer is None:
+        answer = _solve(irows, factors.ncols, _primes(factors.p - 2))
+    return not answer[0]
 
 
 def infeasibility_witness(
@@ -151,7 +185,7 @@ def infeasibility_witness(
     """
     _check_lengths(rows, rhs)
     irows = [_integerize(row, b) for row, b in zip(rows, rhs)]
-    feasible, value = _solve(irows, ncols)
+    feasible, value = _solve(irows, ncols, _primes())
     if feasible:
         return None
     y = [Fraction(0)] * len(rows)
@@ -164,19 +198,22 @@ def infeasibility_witness(
     return y
 
 
-def _solve(irows, ncols):
+def _solve(irows, ncols, primes, unproven=None):
     """(True, solution) or (False, witness {row: int}) for the integer
-    system ``irows`` from the first prime that does not fail."""
-    for p in _primes():
-        answer = _solve_modular(irows, ncols, p)
+    system ``irows`` from the first of ``primes`` that does not fail;
+    (False, None) when the elimination went to ``unproven``."""
+    for p in primes:
+        answer = _solve_modular(irows, ncols, p, unproven)
         if answer is not None:
             return answer
 
 
-def _solve_modular(irows, ncols, p):
+def _solve_modular(irows, ncols, p, unproven=None):
     """(True, solution) or (False, witness {row: int} on the integer
     rows) for the integer system ``irows``, each answer checked over Q;
-    None when the prime ``p`` fails."""
+    None when the prime ``p`` fails.  With an ``unproven`` list, an
+    inconsistent system appends (irows, factors, bad row) to it and
+    returns (False, None) unlifted."""
     # a row whose entries lie strictly between -p and p is its own
     # reduction mod p: it is shared with ``irows`` until an operation
     # changes it
@@ -205,10 +242,13 @@ def _solve_modular(irows, ncols, p):
         if n != live[col]:
             continue  # stale key; the column was pivoted or recounted
         holders = where[col]
-        prow = min(
-            (ri for ri in holders if not assigned[ri]),
-            key=lambda ri: (len(work[ri]), ri),
-        )
+        if n == 1:
+            prow = next(ri for ri in holders if not assigned[ri])
+        else:
+            prow = min(
+                (ri for ri in holders if not assigned[ri]),
+                key=lambda ri: (len(work[ri]), ri),
+            )
         pivots.append((col, prow))
         assigned[prow] = True
         pr = work[prow]
@@ -224,7 +264,8 @@ def _solve_modular(irows, ncols, p):
         others = [(c, v) for c, v in pr.items() if c != col]
         for c, _ in others:
             live[c] -= 1
-        for ri in holders:
+        # a column held by its pivot row alone has no live row to clear
+        for ri in holders if n > 1 else ():
             if assigned[ri]:
                 continue  # pivot rows stay as they were chosen: they are U
             row = work[ri]
@@ -234,20 +275,22 @@ def _solve_modular(irows, ncols, p):
             tgt.append(ri)
             src.append(prow)
             fac.append(t)
-            wb[ri] = (wb[ri] - t * pb) % p
+            t = p - t  # the update adds (p - t) v
+            wb[ri] = (wb[ri] + t * pb) % p
             for c, v in others:
-                if c in row:
-                    s = (row[c] - t * v) % p
+                s = row.get(c)
+                if s is None:
+                    row[c] = t * v % p  # nonzero, as p is prime
+                    where[c].append(ri)
+                    live[c] += 1
+                else:
+                    s = (s + t * v) % p
                     if s:
                         row[c] = s
                     else:
                         del row[c]
                         where[c].remove(ri)
                         live[c] -= 1
-                else:
-                    row[c] = -t * v % p  # nonzero, as p is prime
-                    where[c].append(ri)
-                    live[c] += 1
         where[col] = [prow]
         live[col] = 0
         for c, _ in others:
@@ -263,6 +306,9 @@ def _solve_modular(irows, ncols, p):
     bad = next((ri for ri, b in enumerate(wb) if b and not assigned[ri]), None)
     if bad is None:
         return _lift_solution(irows, factors)
+    if unproven is not None:
+        unproven.append((irows, factors, bad))
+        return False, None
     return _lift_witness(irows, bad, factors)
 
 

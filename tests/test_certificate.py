@@ -8,7 +8,7 @@ import pytest
 
 from oracles import dense_rank, monomials_up_to
 
-from brisk import kernel
+from brisk import certificate, kernel, linalg
 from brisk.certificate import (
     Certificate,
     MembershipInstance,
@@ -186,6 +186,85 @@ class TestMinimalDegree:
             assert search_at_degree(inst, later) is not None
         for earlier in range(0, rho):
             assert search_at_degree(inst, earlier) is None
+
+
+class TestDeferredProof:
+    """``minimal_degree`` lifts a witness only for the last NotFound of its
+    scan, which proves every lower degree by monotonicity."""
+
+    SCANS = [(kollar(2, 2, 2).instance, 10, 4), (cusp(5).instance, 12, None)]
+
+    @staticmethod
+    def _spy_lifts(monkeypatch, fail_first_witness=False):
+        lifts = []  # (kind, prime, irows, answer)
+        for kind, name in (("solution", "_lift_solution"), ("witness", "_lift_witness")):
+            real = getattr(linalg, name)
+
+            def spy(irows, *rest, kind=kind, real=real):
+                factors = rest[-1]
+                if kind == "witness" and fail_first_witness and not lifts:
+                    answer = None  # as if the lift had passed its bound
+                else:
+                    answer = real(irows, *rest)
+                lifts.append((kind, factors.p, irows, answer))
+                return answer
+
+            monkeypatch.setattr(linalg, name, spy)
+        return lifts
+
+    @staticmethod
+    def _spy_solves(monkeypatch):
+        passes = []  # per solve of the scan: was its NotFound deferred?
+        solve = certificate.solve_sparse
+
+        def spy(*args, unproven=None):
+            passes.append(unproven is not None)
+            return solve(*args, unproven=unproven)
+
+        monkeypatch.setattr(certificate, "solve_sparse", spy)
+        return passes
+
+    @staticmethod
+    def _same(found, want):
+        if want is None:
+            return found is None
+        return found[0] == want[0] and found[1].cofactors == want[1].cofactors
+
+    @pytest.mark.parametrize("inst, rho_max, rho_min", SCANS, ids=["kollar222", "cusp5"])
+    def test_a_scan_lifts_at_most_two_systems(self, monkeypatch, inst, rho_max, rho_min):
+        lifts = self._spy_lifts(monkeypatch)
+        found = minimal_degree(inst, rho_max)
+        assert (None if found is None else found[0]) == rho_min
+        # Found: the solution at rho_min and the witness at rho_min - 1;
+        # NotFound: the witness at rho_max
+        kinds = ["solution", "witness"] if rho_min else ["witness"]
+        assert sorted(kind for kind, *_ in lifts) == kinds
+        assert all(answer is not None for *_, answer in lifts)
+
+    @pytest.mark.parametrize("inst, rho_max, rho_min", SCANS, ids=["kollar222", "cusp5"])
+    def test_a_lying_prime_rescans_exactly(self, monkeypatch, inst, rho_max, rho_min):
+        want = minimal_degree(inst, rho_max)
+        passes = self._spy_solves(monkeypatch)
+        monkeypatch.setattr(certificate, "prove_infeasible", lambda elimination: False)
+        found = minimal_degree(inst, rho_max)
+        assert self._same(found, want)
+        assert (None if found is None else found[0]) == rho_min
+        assert found is None or found[1].verified
+        # the deferred scan, then the same degrees again, each proven at once
+        half = len(passes) // 2
+        assert passes == [True] * half + [False] * half
+
+    def test_next_prime_proves_after_a_failed_lift(self, monkeypatch):
+        lifts = self._spy_lifts(monkeypatch, fail_first_witness=True)
+        passes = self._spy_solves(monkeypatch)
+        assert minimal_degree(cusp(5).instance, 12) is None
+        (_, p, first, failed), (kind, q, second, answer) = lifts
+        assert failed is None and p == linalg.P
+        # the same system, proven by a witness mod the next prime
+        assert kind == "witness" and second is first
+        assert q == next(linalg._primes(p - 2))
+        assert answer[0] is False and answer[1]
+        assert all(passes)  # no exact rescan
 
 
 class TestVerify:

@@ -88,6 +88,14 @@ class TestMembership:
         assert captured.out == ""
         assert f"bad --cap-gen '{spec}'; j must be in 1..2" in captured.err
 
+    @pytest.mark.parametrize("extra", [["--rho", "4", "--cap-gen", "x"], []])
+    def test_option_error_names_no_file_position(self, kollar_file, capsys, extra):
+        # the value comes from the command line, not from a line of the file
+        assert main(["membership", kollar_file] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "column" not in err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("vars: x\ngenerators:\n  (\ntarget: x\n")

@@ -266,8 +266,8 @@ class TestPrimeFailures:
         tried = []
         solve_modular = linalg._solve_modular
 
-        def spy(irows, ncols, p):
-            answer = solve_modular(irows, ncols, p)
+        def spy(irows, ncols, p, unproven=None):
+            answer = solve_modular(irows, ncols, p, unproven)
             tried.append((p, answer is None))
             return answer
 
