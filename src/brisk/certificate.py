@@ -18,15 +18,14 @@ multi-index; the column of x^alpha F^I is that normal form shifted by
 the key of alpha, reduced again (``kernel.normal_form``) only when V is
 not the whole space.  Whole coefficients enter the rows as ints.
 
-``minimal_degree`` scans upward; feasibility is monotone in the degree
-because the cap sets only grow, and the columns reduced on the variety
-at one degree are reused at the next.  So one NotFound proves every
-lower degree: the scan defers the witness lifts and, at its end, lifts
-and checks only the last one, at rho_min - 1 or at rho_max.  Its None,
-and the minimality of its rho_min, rest on that one witness (or on a
-degree with no admissible column, which needs none).  A prime that lied
-(the kept system is feasible over Q) sends the scan round again with
-every NotFound proven at once.
+``minimal_degree`` rests on two such searches.  The columns at rho are
+among those at rho + 1, so feasibility is monotone in rho, and a
+``linalg.Span`` mod a prime, grown by each degree's new columns, names
+the candidate rho_min: the first degree whose span holds NF(Phi).  The
+search there must be Found and the one at rho_min - 1 NotFound (with no
+candidate, the one at rho_max NotFound); otherwise every degree is
+searched in turn.  So a None, and the minimality of rho_min, rest on a
+witness checked over Q, or on a degree with no admissible column.
 
 ``projective_lift`` rechecks a found certificate as the equivalent
 homogeneous identity  sum f^I q_I = z0^(rho - deg Phi) phi  on the
@@ -49,7 +48,7 @@ from .groebner import (
     buchberger,
     saturate,
 )
-from .linalg import prove_infeasible, solve_sparse
+from .linalg import Span, exceeds, solve_sparse
 from .orders import grevlex
 from .polyring import NEG_INF, MultiPoly, PolyRing, homogenize
 
@@ -105,13 +104,9 @@ class Certificate:
 
     def cofactor(self, index) -> MultiPoly | None:
         if isinstance(index, int):
-            index = _singleton(index, self._width())
+            width = len(next(iter(self.cofactors), ()))
+            index = [int(j == index) for j in range(width)]
         return self.cofactors.get(tuple(index))
-
-    def _width(self) -> int:
-        for key in self.cofactors:
-            return len(key)
-        return 0
 
 
 def _singleton(j: int, m: int) -> tuple[int, ...]:
@@ -164,6 +159,45 @@ def _normalize_caps(per_gen_caps, m: int, ell: int) -> dict[tuple[int, ...], int
     return caps
 
 
+def _packed(gb: GroebnerBasis, nf_phi: MultiPoly, rho: int):
+    """(packing, variety reducers, packed NF(Phi)) for columns up to rho."""
+    top = max(rho, int(nf_phi.degree()), *(int(g.degree()) for g in gb))
+    packing, reducers = gb.reducers(kernel.bits_for(top))
+    return packing, reducers, {packing.pack(e): _whole(c) for e, c in nf_phi.terms.items()}
+
+
+def _columns(inst, gb, rho, caps, packing, reducers, reduced, bases, seen=()):
+    """((I, key of alpha), column) for each x^alpha F^I of degree <= rho,
+    within ``caps`` and not in ``seen``, by I then key: NF(F^I) (kept in
+    ``bases``) shifted by alpha, reduced again on a variety (kept in
+    ``reduced``)."""
+    indices = multi_indices(inst.m, inst.power)
+    if len(indices) > MAX_COFACTORS:
+        raise BudgetExceededError(
+            f"budget exhausted: {len(indices)} cofactors exceed the "
+            f"{MAX_COFACTORS} cap"
+        )
+    for index in indices:
+        cap = rho - sum(e * int(g.degree()) for g, e in zip(inst.gens, index))
+        if index in caps:
+            cap = min(cap, caps[index])
+        if cap < 0:
+            continue
+        base = bases.get(index)
+        if base is None:
+            nf = gb.normal_form(_gen_power(inst, index))
+            base = bases[index] = [(packing.pack(e), _whole(c)) for e, c in nf.terms.items()]
+        for shift in sorted(map(packing.pack, inst.ring.exponents_up_to(cap))):
+            if (index, shift) in seen:
+                continue
+            col = reduced.get((index, shift))
+            if col is None:
+                col = {k + shift: c for k, c in base}
+                if reducers:
+                    col = reduced[index, shift] = kernel.normal_form(col, reducers, packing)
+            yield (index, shift), col
+
+
 def search_at_degree(
     inst: MembershipInstance,
     rho: int,
@@ -171,21 +205,14 @@ def search_at_degree(
     budget: Budget = DEFAULT_BUDGET,
     _gb: GroebnerBasis | None = None,
     _reduced: dict | None = None,
-    _unproven: list | None = None,
 ) -> Certificate | None:
     """A verified certificate with deg(F^I Q_I) <= rho, or None when no
     such certificate exists (definitive: the cofactor space is enumerated
     completely).
 
-    ``minimal_degree`` passes one ``_reduced`` dict to every search of a
-    scan: the columns {(I, key of alpha): terms} reduced so far on the
-    variety, by field width.  The columns at rho are among those at
-    rho + 1.  Over C^N a column is only a shift, as cheap as a lookup,
-    and none is kept.
-
-    With an ``_unproven`` list, a system inconsistent mod the prime
-    returns None unproven and leaves its elimination in the list (see
-    ``linalg.solve_sparse``); ``minimal_degree`` proves it later."""
+    ``minimal_degree`` shares one ``_reduced`` dict between its span and
+    its searches: the columns {(I, key of alpha): terms} reduced on the
+    variety, by field width (none over C^N, where a column is a shift)."""
     gb = _gb if _gb is not None else inst.groebner(budget)
     nf_phi = gb.normal_form(inst.phi)
     if not nf_phi:
@@ -195,51 +222,24 @@ def search_at_degree(
         return _mark_verified(cert)
 
     caps = _normalize_caps(per_gen_caps, inst.m, inst.power)
-    indices = multi_indices(inst.m, inst.power)
-    if len(indices) > MAX_COFACTORS:
-        raise BudgetExceededError(
-            f"budget exhausted: {len(indices)} cofactors exceed the "
-            f"{MAX_COFACTORS} cap"
-        )
-    admissible: list[tuple[tuple[int, ...], int]] = []  # (I, cap)
-    for index in indices:
-        cap = rho - sum(e * int(g.degree()) for g, e in zip(inst.gens, index))
-        if index in caps:
-            cap = min(cap, caps[index])
-        if cap >= 0:
-            admissible.append((index, cap))
-    if not admissible:
-        return None
-
-    # one packing holds every column, NF(Phi) and the variety reducers
-    top = max(rho, int(nf_phi.degree()), *(int(g.degree()) for g in gb))
-    bits = kernel.bits_for(top)
-    packing, reducers = gb.reducers(bits)
-    reduced = {} if _reduced is None else _reduced.setdefault(bits, {})
+    packing, reducers, rhs = _packed(gb, nf_phi, rho)
+    reduced = {} if _reduced is None else _reduced.setdefault(packing.bits, {})
     # rows[key][column] = coefficient
     labels: list[tuple[tuple[int, ...], int]] = []  # (I, key of alpha)
     rows: dict[int, dict[int, Fraction | int]] = defaultdict(dict)
-    for index, cap in admissible:
-        base = gb.normal_form(_gen_power(inst, index))
-        base = [(packing.pack(e), _whole(c)) for e, c in base.terms.items()]
-        for shift in sorted(map(packing.pack, inst.ring.exponents_up_to(cap))):
-            col = reduced.get((index, shift))
-            if col is None:
-                col = {k + shift: c for k, c in base}
-                if reducers:
-                    col = reduced[index, shift] = kernel.normal_form(col, reducers, packing)
-            ci = len(labels)
-            labels.append((index, shift))
-            for k, c in col.items():
-                rows[k][ci] = c
-    rhs = {packing.pack(e): _whole(c) for e, c in nf_phi.terms.items()}
+    columns = _columns(inst, gb, rho, caps, packing, reducers, reduced, {})
+    for ci, (label, col) in enumerate(columns):
+        labels.append(label)
+        for k, c in col.items():
+            rows[k][ci] = c
+    if not labels:
+        return None  # no admissible cofactor
     row_keys = sorted(rows.keys() | rhs.keys(), reverse=True)
     solution = solve_sparse(
         [rows.get(k, {}) for k in row_keys],
         [rhs.get(k, 0) for k in row_keys],
         len(labels),
         budget.max_matrix_entries,
-        unproven=_unproven,
     )
     if solution is None:
         return None
@@ -299,42 +299,60 @@ def minimal_degree(
     """(rho_min, certificate) for the smallest feasible degree <= rho_max,
     or None when there is none (NotFound below rho_max).
 
-    Feasibility is monotone in rho, so the ascending scan is exact, and
-    the NotFound at the last degree scanned below the answer (rho_min - 1,
-    or rho_max) proves every one below it.  So the scan defers the proofs
-    and, at its end, proves that NotFound alone with a witness checked
-    over Q.  Should that system be feasible after all, the scan runs
-    again with every NotFound proven at once."""
+    Feasibility is monotone in rho, so two exact searches decide the
+    scan: a Found at rho_min and a NotFound at rho_min - 1, or a NotFound
+    at rho_max.  ``_span_degree`` picks rho_min mod a prime, or the first
+    degree over the budget, where the search raises its error once the
+    degree below is proven NotFound.  If the prime lied, every degree is
+    searched in turn."""
     if rho_max < 0:
         raise ValueError("rho_max must be >= 0")
     gb = inst.groebner(budget)
-    if not gb.normal_form(inst.phi):
-        cert = search_at_degree(inst, 0, per_gen_caps, budget, _gb=gb)
-        return 0, cert
-    start = min(
-        sum(e * int(g.degree()) for g, e in zip(inst.gens, index))
-        for index in multi_indices(inst.m, inst.power)
-    )
+    nf_phi = gb.normal_form(inst.phi)
+    if not nf_phi:
+        return 0, search_at_degree(inst, 0, per_gen_caps, budget, _gb=gb)
+    caps = _normalize_caps(per_gen_caps, inst.m, inst.power)
     reduced: dict = {}
 
-    def scan(defer: bool):
-        # (answer, the last NotFound's unproven elimination or an empty
-        # list when it was proven or had no admissible column)
-        kept: list = []
-        for rho in range(start, rho_max + 1):
-            unproven = [] if defer else None
-            cert = search_at_degree(
-                inst, rho, per_gen_caps, budget, _gb=gb, _reduced=reduced, _unproven=unproven
-            )
-            if cert is not None:
-                return (rho, cert), kept
-            kept = unproven
-        return None, kept
+    def search(rho):
+        return search_at_degree(inst, rho, per_gen_caps, budget, _gb=gb, _reduced=reduced)
 
-    found, kept = scan(defer=True)
-    if kept and not prove_infeasible(kept[0]):
-        found, _ = scan(defer=False)
-    return found
+    rho = _span_degree(inst, gb, nf_phi, rho_max, caps, budget, reduced)
+    if rho is None:
+        if search(rho_max) is None:
+            return None
+    elif rho == 0 or search(rho - 1) is None:
+        # rho - 1 is proven infeasible, so a Found at rho is minimal, and
+        # a budget error at rho is the one the ascending scan would raise
+        cert = search(rho)
+        if cert is not None:
+            return rho, cert
+    for rho in range(rho_max + 1):
+        cert = search(rho)
+        if cert is not None:
+            return rho, cert
+    return None
+
+
+def _span_degree(inst, gb, nf_phi, rho_max, caps, budget, reduced):
+    """The first degree up to ``rho_max`` whose columns span NF(Phi) mod
+    ``linalg.P``, or whose system is over the matrix budget; None when
+    there is none.  Each degree adds only its new columns."""
+    packing, reducers, phi = _packed(gb, nf_phi, rho_max)
+    reduced = reduced.setdefault(packing.bits, {})
+    span, bases, seen, keys = Span(), {}, set(), set(phi)
+    for rho in range(rho_max + 1):
+        new = dict(_columns(inst, gb, rho, caps, packing, reducers, reduced, bases, seen))
+        seen.update(new)
+        keys.update(*new.values())
+        # the rows (supports and NF(Phi)) and columns solve_sparse meters
+        if exceeds(len(keys), len(seen), budget.max_matrix_entries):
+            return rho
+        for col in new.values():
+            span.add(col)
+        if phi in span:
+            return rho
+    return None
 
 
 @dataclass(frozen=True)

@@ -130,8 +130,10 @@ def cmd_membership(args) -> int:
         if not 1 <= j <= inst.m:
             raise ParseError(f"bad --cap-gen {spec!r}; j must be in 1..{inst.m}", line=None)
         caps[j - 1] = cap
+    if args.rho is not None and args.rho < 0:
+        raise ParseError(f"bad --rho {args.rho}; must be >= 0", line=None)
     if args.min:
-        rho_max = args.rho_max if args.rho_max is not None else (args.rho or 20)
+        rho_max = next(r for r in (args.rho_max, args.rho, 20) if r is not None)
         found = minimal_degree(inst, rho_max, caps or None, budget)
         if found is None:
             print(f"not in ideal at rho<={rho_max}")

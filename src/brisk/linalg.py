@@ -57,23 +57,15 @@ and checks it exactly before it returns it.
   largest prime below 2^30, then the primes below it in descending
   order.  Below 2^30 every residue is one CPython digit, so the
   elimination's products and remainders take the interpreter's
-  single-digit fast paths.  A lift then takes about twice the steps it
-  would with a 61-bit prime, which is why lifts are deferred where they
-  can be (below).  A prime that divides no nonzero entry or minor of
-  [A' | b'] sees the zero patterns, and so the pivots, of the
+  single-digit fast paths.  A prime that divides no nonzero entry or
+  minor of [A' | b'] sees the zero patterns, and so the pivots, of the
   elimination over Q; its lifted answer is exact and passes the check,
   and a Found answer is the solution of the elimination over Q.  Only
   finitely many primes divide one of those finitely many nonzero
   integers, so the sequence reaches an answer.
-- **Deferred proofs.**  A caller that solves a sequence of systems of
-  which only the last NotFound needs a proof (``certificate.
-  minimal_degree``: feasibility is monotone in the degree) passes its
-  own ``unproven`` list.  A system inconsistent mod p then returns None
-  at once and appends its elimination (integer rows, factors, bad row)
-  to the list; ``prove_infeasible`` lifts and checks the witness later,
-  moving on to the next primes if the lift fails, and reports a system
-  that is feasible over Q after all.  A system consistent mod p is
-  lifted and checked at once, as without the list.
+- **Span.**  A ``Span`` adds columns mod P once each and tells whether b
+  lies in their span.  That is no proof (P may divide an entry, or a
+  denominator of the solution); ``solve_sparse`` confirms it.
 """
 
 from __future__ import annotations
@@ -133,7 +125,6 @@ def solve_sparse(
     rhs: list[Fraction | int],
     ncols: int,
     max_entries: int | None = None,
-    unproven: list | None = None,
 ) -> list[Fraction] | None:
     """One exact solution of A x = b (free variables set to 0), or None
     when the system is infeasible.  The entries of ``rows`` and ``rhs``
@@ -143,35 +134,23 @@ def solve_sparse(
     (see the module docstring).  A solution has passed A' x = b' on every
     row; a None has passed y^T A' = 0 and y^T b' != 0 for a witness y,
     which ``infeasibility_witness`` returns.  A length mismatch between
-    ``rows`` and ``rhs`` is a ValueError.
-
-    With a caller-owned ``unproven`` list, a system inconsistent mod the
-    prime returns None at once and its elimination is appended to the
-    list instead of being lifted: that None is a proof only once
-    ``prove_infeasible`` accepts the entry.  A solution is always lifted
-    and checked.
+    ``rows`` and ``rhs`` is a ValueError.  A system of more than
+    ``max_entries`` rows x columns is a BudgetExceededError.
     """
     _check_lengths(rows, rhs)
-    if max_entries is not None and len(rows) * ncols > max_entries:
+    if exceeds(len(rows), ncols, max_entries):
         raise BudgetExceededError(
             f"budget exhausted: linear system {len(rows)}x{ncols} exceeds "
             f"{max_entries} entries (raise max_matrix_entries / --budget-matrix)"
         )
     irows = [_integerize(row, b) for row, b in zip(rows, rhs)]
-    feasible, value = _solve(irows, ncols, _primes(), unproven)
+    feasible, value = _solve(irows, ncols, _primes())
     return value if feasible else None
 
 
-def prove_infeasible(elimination) -> bool:
-    """True when the system of an ``unproven`` entry of ``solve_sparse``
-    has a witness of infeasibility checked over Q, False when it has a
-    solution after all (the prime of its elimination lied).  A failed
-    lift moves on to the primes below that one."""
-    irows, factors, bad = elimination
-    answer = _lift_witness(irows, bad, factors)
-    if answer is None:
-        answer = _solve(irows, factors.ncols, _primes(factors.p - 2))
-    return not answer[0]
+def exceeds(nrows: int, ncols: int, max_entries: int | None) -> bool:
+    """Whether an nrows x ncols system is over ``solve_sparse``'s cap."""
+    return max_entries is not None and nrows * ncols > max_entries
 
 
 def infeasibility_witness(
@@ -198,22 +177,65 @@ def infeasibility_witness(
     return y
 
 
-def _solve(irows, ncols, primes, unproven=None):
+class Span:
+    """The span mod P of the columns added so far, scaled to integers, in
+    reduced echelon form: ``pivots`` maps each lead key to its tail (the
+    lead's entry is 1), no tail holds a lead, and ``holders`` maps every
+    other key to the leads whose tails hold it, or once held it."""
+
+    def __init__(self):
+        self.pivots: dict[int, dict[int, int]] = {}
+        self.holders: dict[int, set[int]] = {}
+
+    def _reduce(self, column) -> dict[int, int]:
+        # one pass: subtracting a pivot brings in no lead, as no tail holds one
+        out: dict[int, int] = {}
+        for k, c in _integerize(column, 0)[0].items():
+            tail = self.pivots.get(k)
+            if tail is None:
+                out[k] = (out.get(k, 0) + c) % P
+            else:
+                for t, a in tail.items():
+                    out[t] = (out.get(t, 0) - c * a) % P
+        return {k: c for k, c in out.items() if c}
+
+    def __contains__(self, vector) -> bool:
+        return not self._reduce(vector)
+
+    def add(self, column) -> None:
+        rest = self._reduce(column)
+        if not rest:
+            return
+        lead = max(rest)
+        inv = pow(rest.pop(lead), -1, P)
+        tail = {k: c * inv % P for k, c in rest.items()}
+        for q in self.holders.pop(lead, ()):
+            qtail = self.pivots[q]
+            a = qtail.pop(lead, 0)  # 0: lead has cancelled from this tail
+            for k, c in tail.items() if a else ():
+                s = qtail[k] = (qtail.get(k, 0) - a * c) % P
+                if s:
+                    self.holders.setdefault(k, set()).add(q)
+                else:
+                    del qtail[k]
+        for k in tail:
+            self.holders.setdefault(k, set()).add(lead)
+        self.pivots[lead] = tail
+
+
+def _solve(irows, ncols, primes):
     """(True, solution) or (False, witness {row: int}) for the integer
-    system ``irows`` from the first of ``primes`` that does not fail;
-    (False, None) when the elimination went to ``unproven``."""
+    system ``irows`` from the first of ``primes`` that does not fail."""
     for p in primes:
-        answer = _solve_modular(irows, ncols, p, unproven)
+        answer = _solve_modular(irows, ncols, p)
         if answer is not None:
             return answer
 
 
-def _solve_modular(irows, ncols, p, unproven=None):
+def _solve_modular(irows, ncols, p):
     """(True, solution) or (False, witness {row: int} on the integer
     rows) for the integer system ``irows``, each answer checked over Q;
-    None when the prime ``p`` fails.  With an ``unproven`` list, an
-    inconsistent system appends (irows, factors, bad row) to it and
-    returns (False, None) unlifted."""
+    None when the prime ``p`` fails."""
     # a row whose entries lie strictly between -p and p is its own
     # reduction mod p: it is shared with ``irows`` until an operation
     # changes it
@@ -306,9 +328,6 @@ def _solve_modular(irows, ncols, p, unproven=None):
     bad = next((ri for ri, b in enumerate(wb) if b and not assigned[ri]), None)
     if bad is None:
         return _lift_solution(irows, factors)
-    if unproven is not None:
-        unproven.append((irows, factors, bad))
-        return False, None
     return _lift_witness(irows, bad, factors)
 
 

@@ -108,6 +108,11 @@ class TestSearchAtDegree:
         cert = search_at_degree(inst, 0)
         assert cert is not None and cert.cofactors == {} and cert.rho == NEG_INF
 
+    def test_zero_certificate_has_no_cofactor(self):
+        inst = MembershipInstance(R, Ideal(R, [Z1**2 - Z2**5]), (Z2,), Z1**2 - Z2**5)
+        cert = search_at_degree(inst, 0)
+        assert cert.cofactor(0) is None and cert.cofactor((1,)) is None
+
     def test_matrix_budget(self):
         with pytest.raises(BudgetExceededError):
             search_at_degree(
@@ -189,8 +194,10 @@ class TestMinimalDegree:
 
 
 class TestDeferredProof:
-    """``minimal_degree`` lifts a witness only for the last NotFound of its
-    scan, which proves every lower degree by monotonicity."""
+    """``minimal_degree`` lifts a witness only at the degree below the
+    answer of its span mod P, which proves every lower degree by
+    monotonicity; a span that the exact searches contradict sends the
+    scan through every degree exactly."""
 
     SCANS = [(kollar(2, 2, 2).instance, 10, 4), (cusp(5).instance, 12, None)]
 
@@ -213,16 +220,16 @@ class TestDeferredProof:
         return lifts
 
     @staticmethod
-    def _spy_solves(monkeypatch):
-        passes = []  # per solve of the scan: was its NotFound deferred?
-        solve = certificate.solve_sparse
+    def _spy_searches(monkeypatch):
+        searched = []  # the degree of each exact search of the scan
+        search = certificate.search_at_degree
 
-        def spy(*args, unproven=None):
-            passes.append(unproven is not None)
-            return solve(*args, unproven=unproven)
+        def spy(inst, rho, *args, **kwargs):
+            searched.append(rho)
+            return search(inst, rho, *args, **kwargs)
 
-        monkeypatch.setattr(certificate, "solve_sparse", spy)
-        return passes
+        monkeypatch.setattr(certificate, "search_at_degree", spy)
+        return searched
 
     @staticmethod
     def _same(found, want):
@@ -244,19 +251,23 @@ class TestDeferredProof:
     @pytest.mark.parametrize("inst, rho_max, rho_min", SCANS, ids=["kollar222", "cusp5"])
     def test_a_lying_prime_rescans_exactly(self, monkeypatch, inst, rho_max, rho_min):
         want = minimal_degree(inst, rho_max)
-        passes = self._spy_solves(monkeypatch)
-        monkeypatch.setattr(certificate, "prove_infeasible", lambda elimination: False)
-        found = minimal_degree(inst, rho_max)
-        assert self._same(found, want)
-        assert (None if found is None else found[0]) == rho_min
-        assert found is None or found[1].verified
-        # the deferred scan, then the same degrees again, each proven at once
-        half = len(passes) // 2
-        assert passes == [True] * half + [False] * half
+        exact = list(range((rho_min or rho_max) + 1))
+        # the span picks one degree too low, one too high or none; on a
+        # NotFound scan, its first degree with a column or its last
+        picks = [rho_min - 1, rho_min + 1, None] if rho_min else [1, rho_max]
+        searched = self._spy_searches(monkeypatch)
+        for pick in picks:
+            monkeypatch.setattr(certificate, "_span_degree", lambda *args, pick=pick: pick)
+            searched.clear()
+            found = minimal_degree(inst, rho_max)
+            assert self._same(found, want)
+            assert found is None or found[1].verified
+            # the exact scan searched every degree up to its answer
+            assert searched[-len(exact):] == exact and len(searched) > len(exact)
 
     def test_next_prime_proves_after_a_failed_lift(self, monkeypatch):
         lifts = self._spy_lifts(monkeypatch, fail_first_witness=True)
-        passes = self._spy_solves(monkeypatch)
+        searched = self._spy_searches(monkeypatch)
         assert minimal_degree(cusp(5).instance, 12) is None
         (_, p, first, failed), (kind, q, second, answer) = lifts
         assert failed is None and p == linalg.P
@@ -264,7 +275,40 @@ class TestDeferredProof:
         assert kind == "witness" and second is first
         assert q == next(linalg._primes(p - 2))
         assert answer[0] is False and answer[1]
-        assert all(passes)  # no exact rescan
+        assert searched == [12]  # no exact rescan
+
+    def test_scan_searches_only_at_the_answer(self, monkeypatch):
+        searched = self._spy_searches(monkeypatch)
+        for (inst, rho_max, rho_min), want in zip(self.SCANS, ([3, 4], [12])):
+            searched.clear()
+            minimal_degree(inst, rho_max)
+            assert searched == want
+
+    def test_span_missing_a_member_mod_p(self, monkeypatch):
+        # z1 = (F1 - F2) / P over Q, but mod P both columns are z2 and the
+        # span never holds z1: the search at rho_max finds a certificate,
+        # and the exact scan answers
+        searched = self._spy_searches(monkeypatch)
+        inst = MembershipInstance(R, Ideal(R, []), (linalg.P * Z1 + Z2, Z2), Z1)
+        rho, cert = minimal_degree(inst, 3)
+        assert searched == [3, 0, 1]
+        assert rho == 1 and cert.verified
+        assert cert.cofactor(0) == R.one() * Fraction(1, linalg.P)
+
+    def test_span_holding_a_non_member_mod_p(self, monkeypatch):
+        # z1 + P z2 is z1 mod P, in the span of F = z1 at rho = 1, but it
+        # lies in no degree of (z1) over Q
+        searched = self._spy_searches(monkeypatch)
+        inst = MembershipInstance(R, Ideal(R, []), (Z1,), Z1 + linalg.P * Z2)
+        assert minimal_degree(inst, 3) is None
+        assert searched == [0, 1, 0, 1, 2, 3]
+
+    def test_budget_error_at_the_degree_of_the_ascending_scan(self):
+        # the scan meters each degree's system before its columns enter
+        # the span, as the search at that degree would
+        message = "linear system 474x440 exceeds 200000 entries"
+        with pytest.raises(BudgetExceededError, match=message):
+            minimal_degree(kollar(4, 2, 3).instance, 17)
 
 
 class TestVerify:

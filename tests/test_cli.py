@@ -96,6 +96,18 @@ class TestMembership:
         assert err.startswith("error: ")
         assert "column" not in err
 
+    def test_min_scans_to_rho_zero(self, kollar_file, capsys):
+        # --rho 0 is a given scan cap, not an unset one
+        assert main(["membership", kollar_file, "--min", "--rho", "0"]) == 0
+        assert capsys.readouterr().out == "not in ideal at rho<=0\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--min"]])
+    def test_negative_rho_exit_2(self, kollar_file, capsys, extra):
+        assert main(["membership", kollar_file, "--rho", "-1"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --rho -1; must be >= 0\n"
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         f = tmp_path / "bad.txt"
         f.write_text("vars: x\ngenerators:\n  (\ntarget: x\n")
