@@ -12,20 +12,21 @@ rests on a left-kernel witness checked over Q, so it is a proof of
 infeasibility at that degree, not a heuristic failure.
 
 The system is built on packed monomials (``kernel.Packing``), whose int
-order is grevlex, the order of the columns and of the rows.  NF(F^I)
-modulo a Groebner basis of the variety ideal is computed once per
-multi-index; the column of x^alpha F^I is that normal form shifted by
+order is grevlex, the order of the columns and of the rows.  NF(Phi)
+and each NF(F^I) modulo a Groebner basis of the variety ideal are
+computed once per scan; the column of x^alpha F^I is NF(F^I) shifted by
 the key of alpha, reduced again (``kernel.normal_form``) only when V is
 not the whole space.  Whole coefficients enter the rows as ints.
 
-``minimal_degree`` rests on two such searches.  The columns at rho are
-among those at rho + 1, so feasibility is monotone in rho, and a
-``linalg.Span`` mod a prime, grown by each degree's new columns, names
-the candidate rho_min: the first degree whose span holds NF(Phi).  The
-search there must be Found and the one at rho_min - 1 NotFound (with no
-candidate, the one at rho_max NotFound); otherwise every degree is
-searched in turn.  So a None, and the minimality of rho_min, rest on a
-witness checked over Q, or on a degree with no admissible column.
+``minimal_degree`` rests on two such searches, which read the columns
+of its span.  The columns at rho are among those at rho + 1, so
+feasibility is monotone in rho, and a ``linalg.Span`` mod a prime, grown
+by the columns each degree first admits, names the candidate rho_min:
+the first degree whose span holds NF(Phi).  The search there must be
+Found and the one at rho_min - 1 NotFound (with no candidate, the one at
+rho_max NotFound); otherwise every degree is searched in turn.  So a
+None, and the minimality of rho_min, rest on a witness checked over Q,
+or on a degree with no admissible column.
 
 ``projective_lift`` rechecks a found certificate as the equivalent
 homogeneous identity  sum f^I q_I = z0^(rho - deg Phi) phi  on the
@@ -35,7 +36,7 @@ projective closure.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import kernel
@@ -109,12 +110,6 @@ class Certificate:
         return self.cofactors.get(tuple(index))
 
 
-def _singleton(j: int, m: int) -> tuple[int, ...]:
-    e = [0] * m
-    e[j] = 1
-    return tuple(e)
-
-
 def multi_indices(m: int, ell: int) -> list[tuple[int, ...]]:
     """All multi-indices of length m and weight ell, lexicographically
     descending, so (ell, 0, ..) labels the first generator's power."""
@@ -151,7 +146,7 @@ def _normalize_caps(per_gen_caps, m: int, ell: int) -> dict[tuple[int, ...], int
         if isinstance(key, int):
             if not 0 <= key < m:
                 raise ValueError(f"cap key {key} is not a generator index in 0..{m - 1}")
-            key = _singleton(key, m)
+            key = [int(j == key) for j in range(m)]
         key = tuple(key)
         if len(key) != m or sum(key) != ell:
             raise ValueError(f"cap key {key} is not a weight-{ell} multi-index")
@@ -159,43 +154,61 @@ def _normalize_caps(per_gen_caps, m: int, ell: int) -> dict[tuple[int, ...], int
     return caps
 
 
-def _packed(gb: GroebnerBasis, nf_phi: MultiPoly, rho: int):
-    """(packing, variety reducers, packed NF(Phi)) for columns up to rho."""
-    top = max(rho, int(nf_phi.degree()), *(int(g.degree()) for g in gb))
-    packing, reducers = gb.reducers(kernel.bits_for(top))
-    return packing, reducers, {packing.pack(e): _whole(c) for e, c in nf_phi.terms.items()}
+class _Columns:
+    """The columns of a ``minimal_degree`` scan, or of one search, up to
+    ``rho_max``, with their basis, caps, packing and packed NF(Phi).  The
+    shifts of degree k are made once, from those of degree k - 1 plus
+    ``packing.weights``; columns reduced on a variety are kept."""
 
+    def __init__(self, inst, rho_max, per_gen_caps, budget):
+        self.inst = inst
+        self.gb = inst.groebner(budget)
+        nf_phi = self.gb.normal_form(inst.phi)
+        self.caps = _normalize_caps(per_gen_caps, inst.m, inst.power)
+        top = max([rho_max, *(int(p.degree()) for p in (nf_phi, *self.gb) if p)])
+        self.packing, self.reducers = self.gb.reducers(kernel.bits_for(top))
+        self.phi = self._pack(nf_phi)
+        self.shifts, self.bases, self.reduced = [[0]], {}, {}
 
-def _columns(inst, gb, rho, caps, packing, reducers, reduced, bases, seen=()):
-    """((I, key of alpha), column) for each x^alpha F^I of degree <= rho,
-    within ``caps`` and not in ``seen``, by I then key: NF(F^I) (kept in
-    ``bases``) shifted by alpha, reduced again on a variety (kept in
-    ``reduced``)."""
-    indices = multi_indices(inst.m, inst.power)
-    if len(indices) > MAX_COFACTORS:
-        raise BudgetExceededError(
-            f"budget exhausted: {len(indices)} cofactors exceed the "
-            f"{MAX_COFACTORS} cap"
-        )
-    for index in indices:
-        cap = rho - sum(e * int(g.degree()) for g, e in zip(inst.gens, index))
-        if index in caps:
-            cap = min(cap, caps[index])
-        if cap < 0:
-            continue
-        base = bases.get(index)
+    def columns(self, rho, first=False):
+        """((I, key of alpha), column) for each x^alpha F^I of degree <= rho
+        within the caps, by I then key; with ``first``, only those of
+        degree rho, the columns rho first admits."""
+        indices = multi_indices(self.inst.m, self.inst.power)
+        if len(indices) > MAX_COFACTORS:
+            raise BudgetExceededError(
+                f"budget exhausted: {len(indices)} cofactors exceed the "
+                f"{MAX_COFACTORS} cap"
+            )
+        for index in indices:
+            top = rho - sum(e * int(g.degree()) for g, e in zip(self.inst.gens, index))
+            cap = min(top, self.caps.get(index, top))
+            for k in range(max(top, 0) if first else 0, cap + 1):
+                for shift in self._shifts(k):
+                    yield (index, shift), self._column(index, shift)
+
+    def _pack(self, poly: MultiPoly) -> dict[int, Fraction | int]:
+        return {self.packing.pack(e): _whole(c) for e, c in poly.terms.items()}
+
+    def _shifts(self, k):
+        """The keys of the monomials of degree k, ascending."""
+        step = self.packing.weights
+        while len(self.shifts) <= k:
+            self.shifts.append(sorted({s + w for s in self.shifts[-1] for w in step}))
+        return self.shifts[k]
+
+    def _column(self, index, shift):
+        base = self.bases.get(index)
         if base is None:
-            nf = gb.normal_form(_gen_power(inst, index))
-            base = bases[index] = [(packing.pack(e), _whole(c)) for e, c in nf.terms.items()]
-        for shift in sorted(map(packing.pack, inst.ring.exponents_up_to(cap))):
-            if (index, shift) in seen:
-                continue
-            col = reduced.get((index, shift))
-            if col is None:
-                col = {k + shift: c for k, c in base}
-                if reducers:
-                    col = reduced[index, shift] = kernel.normal_form(col, reducers, packing)
-            yield (index, shift), col
+            nf = self.gb.normal_form(_gen_power(self.inst, index))
+            base = self.bases[index] = self._pack(nf)
+        col = self.reduced.get((index, shift))
+        if col is None:
+            col = {k + shift: c for k, c in base.items()}
+            if self.reducers:
+                col = kernel.normal_form(col, self.reducers, self.packing)
+                self.reduced[index, shift] = col
+        return col
 
 
 def search_at_degree(
@@ -203,41 +216,32 @@ def search_at_degree(
     rho: int,
     per_gen_caps: dict | None = None,
     budget: Budget = DEFAULT_BUDGET,
-    _gb: GroebnerBasis | None = None,
-    _reduced: dict | None = None,
+    _source: _Columns | None = None,
 ) -> Certificate | None:
     """A verified certificate with deg(F^I Q_I) <= rho, or None when no
     such certificate exists (definitive: the cofactor space is enumerated
-    completely).
-
-    ``minimal_degree`` shares one ``_reduced`` dict between its span and
-    its searches: the columns {(I, key of alpha): terms} reduced on the
-    variety, by field width (none over C^N, where a column is a shift)."""
-    gb = _gb if _gb is not None else inst.groebner(budget)
-    nf_phi = gb.normal_form(inst.phi)
-    if not nf_phi:
+    completely).  A ``minimal_degree`` scan passes its column source, built
+    for its rho_max and caps, as ``_source``."""
+    source = _Columns(inst, rho, per_gen_caps, budget) if _source is None else _source
+    if not source.phi:
         cert = Certificate(power=inst.power, cofactors={}, rho=NEG_INF, verified=False)
-        if not verify(inst, cert, budget=budget, _gb=gb):
+        if not verify(inst, cert, budget=budget, _gb=source.gb):
             raise AssertionError("zero certificate failed to verify")
-        return _mark_verified(cert)
+        return replace(cert, verified=True)
 
-    caps = _normalize_caps(per_gen_caps, inst.m, inst.power)
-    packing, reducers, rhs = _packed(gb, nf_phi, rho)
-    reduced = {} if _reduced is None else _reduced.setdefault(packing.bits, {})
     # rows[key][column] = coefficient
     labels: list[tuple[tuple[int, ...], int]] = []  # (I, key of alpha)
     rows: dict[int, dict[int, Fraction | int]] = defaultdict(dict)
-    columns = _columns(inst, gb, rho, caps, packing, reducers, reduced, {})
-    for ci, (label, col) in enumerate(columns):
+    for ci, (label, col) in enumerate(source.columns(rho)):
         labels.append(label)
         for k, c in col.items():
             rows[k][ci] = c
     if not labels:
         return None  # no admissible cofactor
-    row_keys = sorted(rows.keys() | rhs.keys(), reverse=True)
+    row_keys = sorted(rows.keys() | source.phi.keys(), reverse=True)
     solution = solve_sparse(
         [rows.get(k, {}) for k in row_keys],
-        [rhs.get(k, 0) for k in row_keys],
+        [source.phi.get(k, 0) for k in row_keys],
         len(labels),
         budget.max_matrix_entries,
     )
@@ -247,7 +251,7 @@ def search_at_degree(
     cof_terms: dict[tuple[int, ...], dict] = {}
     for (index, shift), c in zip(labels, solution):
         if c:
-            cof_terms.setdefault(index, {})[packing.unpack(shift)] = c
+            cof_terms.setdefault(index, {})[source.packing.unpack(shift)] = c
     cofactors = {
         index: MultiPoly(inst.ring, terms) for index, terms in cof_terms.items()
     }
@@ -258,15 +262,9 @@ def search_at_degree(
     cert = Certificate(
         power=inst.power, cofactors=cofactors, rho=achieved, verified=False
     )
-    if not verify(inst, cert, budget=budget, _gb=gb):
+    if not verify(inst, cert, budget=budget, _gb=source.gb):
         raise AssertionError("solver produced a certificate that fails verification")
-    return _mark_verified(cert)
-
-
-def _mark_verified(cert: Certificate) -> Certificate:
-    return Certificate(
-        power=cert.power, cofactors=dict(cert.cofactors), rho=cert.rho, verified=True
-    )
+    return replace(cert, verified=True)
 
 
 def verify(
@@ -307,17 +305,14 @@ def minimal_degree(
     searched in turn."""
     if rho_max < 0:
         raise ValueError("rho_max must be >= 0")
-    gb = inst.groebner(budget)
-    nf_phi = gb.normal_form(inst.phi)
-    if not nf_phi:
-        return 0, search_at_degree(inst, 0, per_gen_caps, budget, _gb=gb)
-    caps = _normalize_caps(per_gen_caps, inst.m, inst.power)
-    reduced: dict = {}
+    source = _Columns(inst, rho_max, per_gen_caps, budget)
 
     def search(rho):
-        return search_at_degree(inst, rho, per_gen_caps, budget, _gb=gb, _reduced=reduced)
+        return search_at_degree(inst, rho, budget=budget, _source=source)
 
-    rho = _span_degree(inst, gb, nf_phi, rho_max, caps, budget, reduced)
+    if not source.phi:
+        return 0, search(0)
+    rho = _span_degree(source, rho_max, budget)
     if rho is None:
         if search(rho_max) is None:
             return None
@@ -334,23 +329,21 @@ def minimal_degree(
     return None
 
 
-def _span_degree(inst, gb, nf_phi, rho_max, caps, budget, reduced):
+def _span_degree(source: _Columns, rho_max: int, budget: Budget):
     """The first degree up to ``rho_max`` whose columns span NF(Phi) mod
     ``linalg.P``, or whose system is over the matrix budget; None when
-    there is none.  Each degree adds only its new columns."""
-    packing, reducers, phi = _packed(gb, nf_phi, rho_max)
-    reduced = reduced.setdefault(packing.bits, {})
-    span, bases, seen, keys = Span(), {}, set(), set(phi)
+    there is none.  Each degree adds only the columns it first admits."""
+    span, ncols, keys = Span(), 0, set(source.phi)
     for rho in range(rho_max + 1):
-        new = dict(_columns(inst, gb, rho, caps, packing, reducers, reduced, bases, seen))
-        seen.update(new)
-        keys.update(*new.values())
+        new = [col for _, col in source.columns(rho, first=True)]
+        ncols += len(new)
+        keys.update(*new)
         # the rows (supports and NF(Phi)) and columns solve_sparse meters
-        if exceeds(len(keys), len(seen), budget.max_matrix_entries):
+        if exceeds(len(keys), ncols, budget.max_matrix_entries):
             return rho
-        for col in new.values():
+        for col in new:
             span.add(col)
-        if phi in span:
+        if source.phi in span:
             return rho
     return None
 

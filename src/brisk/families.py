@@ -107,6 +107,8 @@ def macaulay_generic(
     homogenized system is empty at infinity.  The classical bound
     d(n+1) - n applies when the system has no affine zero either, which
     a certificate of 1 shows; a sample may have one."""
+    if d < 1 or n < 1:
+        raise ValueError("macaulay-generic family needs d >= 1 and n >= 1")
     ring = _affine_ring(n)
     proj = ring.extend_front("z0")
     for _ in range(retries):

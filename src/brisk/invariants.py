@@ -185,8 +185,9 @@ def empty_at_infinity(
     empty, i.e. the homogenized system has no common zeros at infinity.
 
     Decided by checking that the leading-term ideal of a Groebner basis
-    contains a pure power of every variable (the affine cone is a point).
-    The first ring variable is the homogenizing one.
+    contains a pure power of every variable (the affine cone is a point),
+    or 1 = x_i^0 (the unit ideal, with no zero at all).  The first ring
+    variable is the homogenizing one.
     """
     ring = j_x.ring
     for f in fs:
@@ -200,7 +201,7 @@ def empty_at_infinity(
     leads = gb.leading_exponents()
     for i in range(ring.nvars):
         if not any(
-            e[i] > 0 and all(x == 0 for j, x in enumerate(e) if j != i)
+            all(x == 0 for j, x in enumerate(e) if j != i)
             for e in leads
         ):
             return False

@@ -146,18 +146,85 @@ class TestPackedSystem:
         # has degree p; at p = 129 it outgrows the narrowest packing
         assert search_at_degree(cusp(p).instance, 1) is None
 
-    def test_scan_keeps_reduced_columns_per_width(self):
-        # rho = 64 needs wider fields than rho = 63; a column reduced under
-        # the narrower packing must not be looked up under the wider one
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_columns_are_the_packed_and_sorted_shifts(self, nvars):
+        # shifts grown degree by degree from packing.weights come per I in
+        # the order of the packed and sorted exponents, and each column is
+        # NF(x^alpha F^I); the columns a degree first admits are those
+        # the degree below lacks
+        ring = PolyRing(tuple(f"z{i}" for i in range(1, nvars + 1)))
+        z1, zn = ring.var(0), ring.var(nvars - 1)
+        gens = (z1, zn**2 + 1)  # caps rho - 1 and rho - 2
+        for variety in ([], [z1**3 - zn - 1]):
+            for caps in (None, {0: 4, 1: 0}):
+                inst = MembershipInstance(ring, Ideal(ring, variety), gens, ring.one())
+                source = certificate._Columns(inst, 10, caps, Budget())
+                gb, pack = buchberger(inst.variety), source.packing.pack
+                before = []
+                for rho in range(11):
+                    want = []
+                    for j, index in enumerate(multi_indices(2, 1)):
+                        cap = rho - int(gens[j].degree())
+                        cap = min(cap, (caps or {}).get(j, cap))
+                        shifts = sorted(map(pack, ring.exponents_up_to(cap)))
+                        want += [(index, shift) for shift in shifts]
+                    got = dict(source.columns(rho))
+                    assert list(got) == want
+                    first = [label for label, _ in source.columns(rho, first=True)]
+                    assert first == [label for label in want if label not in before]
+                    before = want
+                for (index, shift), col in got.items():
+                    g = gens[index.index(1)]
+                    nf = gb.normal_form(ring.monomial(source.packing.unpack(shift), 1) * g)
+                    assert col == source.packing.pack_terms(nf.terms)
+
+    def test_scan_packs_no_shift(self, monkeypatch):
+        # over C^N a scan packs NF(Phi) and each NF(F^I), and no shift
+        packed = []
+        pack = kernel.Packing.pack
+        monkeypatch.setattr(
+            kernel.Packing, "pack", lambda self, e: packed.append(e) or pack(self, e)
+        )
+        inst = kollar(3, 3, 3).instance
+        assert minimal_degree(inst, 20, budget=Budget(max_matrix_entries=10**9)) is None
+        assert len(packed) == len(inst.phi.terms) + sum(len(g.terms) for g in inst.gens)
+
+    def test_search_on_a_wider_scan_source(self):
+        # a scan to rho = 64 packs wider fields than rho = 63 needs; its
+        # searches read the scan's packing and reduced columns
         inst = MembershipInstance(
             R, Ideal(R, [Z1**2 - Z2**3]), (Z2, Z1 + Z2**2), Z1**2 * Z2 + Z1
         )
         caps = {0: 3, 1: 3}
-        reduced = {}
+        source = certificate._Columns(inst, 64, caps, Budget())
+        assert source.packing.bits > kernel.bits_for(63)
         for rho in (63, 64):
-            cert = search_at_degree(inst, rho, caps, _reduced=reduced)
+            cert = search_at_degree(inst, rho, _source=source)
             assert cert is not None and cert == search_at_degree(inst, rho, caps)
-        assert len(reduced) == 2
+        assert source.reduced
+
+
+class TestCofactorCap:
+    """More than ``MAX_COFACTORS`` multi-indices is a budget error, raised
+    when the columns are first enumerated: a target in the variety ideal
+    needs none."""
+
+    GENS = (Z1, Z2, Z1 + Z2, Z1 - Z2)  # m = 4, power 13: 560 multi-indices
+    MESSAGE = "560 cofactors exceed the 500 cap"
+
+    def test_too_many_cofactors(self):
+        assert len(multi_indices(4, 13)) == 560 > certificate.MAX_COFACTORS
+        inst = MembershipInstance(R, Ideal(R, []), self.GENS, R.one(), power=13)
+        with pytest.raises(BudgetExceededError, match=self.MESSAGE):
+            search_at_degree(inst, 13)
+        with pytest.raises(BudgetExceededError, match=self.MESSAGE):
+            minimal_degree(inst, 13)
+
+    def test_zero_target_needs_no_cofactor(self):
+        inst = MembershipInstance(R, Ideal(R, []), self.GENS, R.zero(), power=13)
+        cert = search_at_degree(inst, 13)
+        assert cert.verified and not cert.cofactors and cert.rho == NEG_INF
+        assert minimal_degree(inst, 13) == (0, cert)
 
 
 class TestMinimalDegree:

@@ -113,6 +113,21 @@ class TestMembership:
         f.write_text("vars: x\ngenerators:\n  (\ntarget: x\n")
         assert main(["membership", str(f), "--rho", "2"]) == 2
 
+    @pytest.mark.parametrize("target, code", [("1", 3), ("0", 0)])
+    @pytest.mark.parametrize("extra", [["--rho", "13"], ["--min", "--rho-max", "13"]])
+    def test_cofactor_cap(self, tmp_path, capsys, target, code, extra):
+        # 4 generators to the power 13 have 560 multi-indices, over the
+        # 500-cofactor cap; the target 0 needs none of them
+        f = tmp_path / "power.txt"
+        f.write_text("vars: z1, z2\ngenerators:\n  z1\n  z2\n  z1 + z2\n  z1 - z2\n"
+                     f"target: {target}\npower: 13\n")
+        assert main(["membership", str(f), *extra]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "560 cofactors exceed the 500 cap" in captured.err
+        else:
+            assert "rho: -1\nverified: true" in captured.out
+
     def test_budget_exit_3(self, kollar_file):
         assert main(["membership", kollar_file, "--rho", "12",
                      "--budget-matrix", "5"]) == 3
@@ -239,6 +254,12 @@ class TestInvariants:
         main(["invariants", cusp_file])
         assert "empty at infinity: false" in capsys.readouterr().out
 
+    def test_constant_generator_is_empty_at_infinity(self, tmp_path, capsys):
+        f = tmp_path / "unit.txt"
+        f.write_text("vars: z1, z2\ngenerators:\n  2\ntarget: 1\n")
+        assert main(["invariants", str(f)]) == 0
+        assert "empty at infinity: true" in capsys.readouterr().out
+
 
 class TestCharDividesDenominator:
     @pytest.mark.parametrize(
@@ -319,6 +340,11 @@ class TestBench:
 
     def test_cusp_listed_even_p_exit_2(self, capsys):
         assert main(["bench", "cusp", "--p", "3,4"]) == 2
+
+    @pytest.mark.parametrize("extra", [["--n", "0"], ["--n", "-1"], ["--d", "0"]])
+    def test_macaulay_parameters_exit_2(self, capsys, extra):
+        assert main(["bench", "macaulay-generic", *extra]) == 2
+        assert "needs d >= 1 and n >= 1" in capsys.readouterr().err
 
     def test_deterministic_modulo_ms(self, tmp_path, capsys):
         args = ["bench", "macaulay-generic", "--d", "2", "--n", "2",

@@ -107,6 +107,12 @@ class TestEmptyAtInfinity:
         z0, _ = P1.gens()
         assert not empty_at_infinity([z0], Ideal(P1, []))
 
+    def test_unit_ideal_is_empty(self):
+        # a nonzero constant vanishes nowhere, at infinity included
+        P1 = PolyRing(("z0", "z1"))
+        assert empty_at_infinity([P1.one() * 2], Ideal(P1, []))
+        assert not empty_at_infinity([P1.zero()], Ideal(P1, []))
+
     def test_inhomogeneous_rejected(self):
         P1 = PolyRing(("z0", "z1"))
         z0, z1 = P1.gens()
