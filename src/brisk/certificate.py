@@ -9,7 +9,9 @@ system with ``linalg.solve_sparse``: elimination modulo a prime below
 2^30 (the next prime when one fails), lifted to Q and checked exactly.
 A solution satisfies every row over Q, and a NotFound answer (None)
 rests on a left-kernel witness checked over Q, so it is a proof of
-infeasibility at that degree, not a heuristic failure.
+infeasibility at that degree, not a heuristic failure.  Every returned
+certificate has passed ``verify``, which recomputes Phi - sum F^I Q_I
+from the instance alone, on integers.
 
 The system is built on packed monomials (``kernel.Packing``), whose int
 order is grevlex, the order of the columns and of the rows.  NF(Phi)
@@ -38,6 +40,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
 from . import kernel
 from .errors import BudgetExceededError
@@ -273,19 +276,39 @@ def verify(
     budget: Budget = DEFAULT_BUDGET,
     _gb: GroebnerBasis | None = None,
 ) -> bool:
-    """Recompute NF(Phi - sum F^I Q_I) from scratch; independent of how
-    the certificate was produced."""
+    """Recompute Phi - sum F^I Q_I from scratch and check that it lies in
+    the variety ideal; independent of how the certificate was produced.
+
+    The arithmetic is on integers: Phi, each F_j and each Q_I are cleared
+    to one denominator, and the residual is formed as an integer multiple
+    of the one over Q (``kernel.poly_mul``, ``poly_scale``, ``poly_sub``).
+    A zero residual passes; a nonzero one is reduced modulo the Groebner
+    basis of the variety ideal when V is not the whole space."""
     if cert.power != inst.power:
         return False
-    residual = inst.phi
     for index, q in cert.cofactors.items():
-        if len(index) != inst.m or sum(index) != inst.power:
+        if len(index) != inst.m or sum(index) != inst.power or q.ring != inst.ring:
             return False
-        if q.ring != inst.ring:
-            return False
-        residual = residual - _gen_power(inst, index) * q
+    phi, den = kernel.cleared(inst.phi.terms)
+    gens = [kernel.cleared(g.terms) for g in inst.gens]
+    cofactors = []  # (I, integer terms, d) with F^I Q_I = F'^I terms / d
+    for index, q in cert.cofactors.items():
+        terms, d = kernel.cleared(q.terms)
+        for (_, dg), e in zip(gens, index):
+            d *= dg**e
+        cofactors.append((index, terms, d))
+    common = lcm(den, *(d for *_, d in cofactors))
+    residual = kernel.poly_scale(phi, common // den)
+    for index, terms, d in cofactors:
+        terms = kernel.poly_scale(terms, common // d)
+        for (g, _), e in zip(gens, index):
+            for _ in range(e):
+                terms = kernel.poly_mul(terms, g)
+        residual = kernel.poly_sub(residual, terms)
+    if not residual or inst.variety.is_zero():
+        return not residual
     gb = _gb if _gb is not None else inst.groebner(budget)
-    return not gb.normal_form(residual)
+    return not gb.normal_form(MultiPoly(inst.ring, residual))
 
 
 def minimal_degree(

@@ -195,16 +195,6 @@ class GroebnerBasis:
         return f"GroebnerBasis[{self.order}]{{{inside}}}"
 
 
-def s_polynomial(g1: MultiPoly, g2: MultiPoly, order: MonomialOrder) -> MultiPoly:
-    """S(g1, g2) = (lcm/lt1) g1 - (lcm/lt2) g2."""
-    e1, c1 = g1.leading(order)
-    e2, c2 = g2.leading(order)
-    lcm = kernel.mono_lcm(e1, e2)
-    m1 = g1.ring.monomial(kernel.mono_div(lcm, e1), 1 / c1)
-    m2 = g2.ring.monomial(kernel.mono_div(lcm, e2), 1 / c2)
-    return m1 * g1 - m2 * g2
-
-
 def _nf_terms(terms, reducers, packing, modulus=None, firsts=None):
     return kernel.normal_form(terms, reducers, packing, modulus, firsts)
 

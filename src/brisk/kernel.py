@@ -263,8 +263,14 @@ def to_ints(terms: dict, modulus: int | None) -> dict:
     if modulus:
         field = GF(modulus)
         return {e: field(c).v for e, c in terms.items()}
+    return cleared(terms)[0]
+
+
+def cleared(terms: dict) -> tuple[dict, int]:
+    """(integer terms, d) with ``terms`` = integer terms / d, for int or
+    Fraction coefficients; d is the least common denominator."""
     den = lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def normalized(terms: dict, lead, modulus: int | None) -> dict:

@@ -25,26 +25,31 @@ and checks it exactly before it returns it.
   pivot updates the bookkeeping, and pushes a fresh heap key, for those
   columns alone.  The choice reads only the live rows' zero patterns.
 - **Elimination mod p.**  Each pivot row is made monic and its column is
-  cleared from the live rows only.  Every operation is recorded in three
-  flat arrays as (target row, source row, factor): ``v[t] -= f * v[s]``,
-  or ``v[t] *= f`` when a pivot row is scaled (target = source).  The
-  pivot rows on the pivot columns form a square block B = L U,
-  invertible mod p: replaying the operations on rows that became pivots
-  applies L^-1, and the pivot rows as they were chosen are U, unit upper
-  triangular in pivot order.  So B^-1 u is a replay and a back
-  substitution, and B^-T u a forward substitution with U^T and the
-  transposed operations replayed in reverse order.
+  cleared from the live rows only.  Every reduction is recorded in
+  three flat arrays as (row t, pivot row s, factor f): ``v[t] -= f *
+  v[s]``, and the factor that made each pivot row monic in a fourth.
+  The pivot rows on the pivot columns form a square block B = L U,
+  invertible mod p.  After the elimination ``_Factors`` builds L, U and
+  B over Z once, indexed by pivot position, and the rows as eliminated
+  are freed.  L is lower triangular, read off the reductions of the
+  rows that became pivots.  U is the pivot rows as they were chosen,
+  unit upper triangular in pivot order.  U and B are held on the pivot
+  columns only: their entries in free columns, which hold 0 in every
+  solution, are dropped.  So B^-1 u is a forward and a back
+  substitution, and B^-T u the same with the transposes in reverse.
 - **Found.**  Dixon lifting: x_k = B^-1 r_k mod p in balanced digits and
   r_{k+1} = (r_k - B x_k) / p from r_0 = b' on the pivot rows, so that
-  sum x_k p^k = B^-1 b' mod p^(k+1).  After each step the sum goes
-  through rational reconstruction with one common denominator; a zero
-  residual means the sum is exact.  A candidate is returned only when
-  A' x = b' holds exactly on every row.  Free columns are 0.
+  sum x_k p^k = B^-1 b' mod p^(k+1).  No step reads a free column.
+  After each step the sum goes through rational reconstruction with one
+  common denominator; a zero residual means the sum is exact.  A
+  candidate is returned only when A' x = b' holds exactly on every row.
+  Free columns are 0.
 - **NotFound.**  A row that is no pivot and whose right-hand side is
   nonzero mod p reads 0 = c.  Over Q the row combination behind it is
   y = e_i - lambda, with B^T lambda = (row i on the pivot columns);
-  lambda is lifted in the same way from B^-T.  ``None`` is returned only
-  when y^T A' = 0 on every column and y^T b' != 0 exactly.
+  lambda is lifted in the same way from B^-T and B^T.  ``None`` is
+  returned only when y^T A' = 0 on every column and y^T b' != 0
+  exactly.
 - **Lifting bound.**  By Hadamard's inequality the Cramer numerators and
   the denominator of B^-1 b' are at most N, N^2 = prod_k (|A'_k|^2 +
   b'_k^2) over the pivot rows (for lambda, N^2 = |a|^2 prod_k |A'_k|^2),
@@ -73,8 +78,9 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import accumulate, pairwise
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import BudgetExceededError
 from .fields import _is_probable_prime
@@ -256,7 +262,10 @@ def _solve_modular(irows, ncols, p):
     heap = [n * ncols + c for c, n in enumerate(live) if n]
     heapify(heap)
 
+    # each reduction as (row, pivot row, factor), and the factor that
+    # made each pivot row monic
     tgt, src, fac = array("q"), array("q"), array("q")
+    scaled = array("q", [1]) * len(work)
     pivots: list[tuple[int, int]] = []  # (column, row index)
     assigned = [False] * len(work)
     while heap:
@@ -279,9 +288,7 @@ def _solve_modular(irows, ncols, p):
             inv = pow(a, -1, p)
             pr = work[prow] = {c: v * inv % p for c, v in pr.items()}
             wb[prow] = wb[prow] * inv % p
-            tgt.append(prow)
-            src.append(prow)
-            fac.append(inv)
+            scaled[prow] = inv
         pb = wb[prow]
         others = [(c, v) for c, v in pr.items() if c != col]
         for c, _ in others:
@@ -318,74 +325,124 @@ def _solve_modular(irows, ncols, p):
         for c, _ in others:
             if live[c]:
                 heappush(heap, live[c] * ncols + c)
-    del where, heap  # lifting allocates; free what it does not read
-
-    # only the operations on rows that became pivots act on B
-    mask = [assigned[t] for t in tgt]
-    ops = tuple(array("q", compress(seq, mask)) for seq in (tgt, src, fac))
-    del tgt, src, fac, mask
-    factors = _Factors(p, pivots, ncols, work, ops)
     bad = next((ri for ri, b in enumerate(wb) if b and not assigned[ri]), None)
+    # the factors and the lifting allocate; free what they do not read
+    del where, heap, live, assigned, wb
+    factors = _Factors(p, irows, pivots, ncols, work, (tgt, src, fac), scaled)
+    del work, tgt, src, fac, scaled
     if bad is None:
         return _lift_solution(irows, factors)
     return _lift_witness(irows, bad, factors)
 
 
 class _Factors:
-    """B = L U mod p for the pivot block B, the pivot rows on the pivot
-    columns.  L^-1 is the recorded operations on rows that became pivots,
-    replayed in order.  U is the pivot rows as they were when chosen:
-    monic in their own column, with other entries only in later pivot
-    columns and in free columns, which hold 0 in every solution."""
+    """B = L U mod p, and B over Z, for the pivot block B: the pivot rows
+    on the pivot columns, with rows and columns indexed by pivot
+    position.  The rows that never became pivots, and every entry in a
+    free column, are left out.
 
-    def __init__(self, p, pivots, ncols, work, ops):
+    Pivot row i as chosen is its original row less the multiples f_is of
+    the earlier pivot rows s it was reduced by, scaled by ``scale[i]`` to
+    be monic; so L has the diagonal 1 / scale[i] and the entries f_is.
+    ``lower`` holds (i, earlier pivots s, f_is, scale[i]) for each row of
+    L with an entry off the diagonal, and ``upper`` (i, later pivots,
+    entries) for each row of U with one: pivot row i as chosen, on the
+    pivot columns other than its own, which are all later pivots.  Both
+    are in pivot order.  ``block`` is B over Z in compressed rows:
+    (bounds, positions, entries), row i at ``bounds[i]:bounds[i + 1]``."""
+
+    def __init__(self, p, irows, pivots, ncols, work, ops, scaled):
         self.p = p
         self.pivots = pivots
         self.ncols = ncols
-        self.work = work
-        self.ops = ops
+        # the pivot position of each column and of each row, -1 for none
+        position = array("q", [-1]) * ncols
+        at = array("q", [-1]) * len(work)
+        for i, (col, ri) in enumerate(pivots):
+            position[col] = at[ri] = i
+        self.scale = array("q", [scaled[ri] for _, ri in pivots])
+        # the operations on each row that became a pivot, by position; a
+        # pivot row was reduced by earlier pivots only
+        reduced: dict[int, list[int]] = {}
+        for t, s, f in zip(*ops):
+            i = at[t]
+            if i >= 0:
+                row = reduced.get(i)
+                if row is None:
+                    reduced[i] = [at[s], f]
+                else:
+                    row += at[s], f
+        self.upper, self.lower = [], []
+        bounds, bjs, bvs = array("q", [0]), [], []
+        for i, (_, ri) in enumerate(pivots):
+            js = None
+            for c, f in work[ri].items():
+                j = position[c]
+                if j <= i:  # the pivot's own column is at i, a free one at -1
+                    continue
+                if js is None:
+                    js, fs = [j], [f]
+                    self.upper.append((i, js, fs))
+                else:
+                    js.append(j)
+                    fs.append(f)
+            row = reduced.get(i)
+            if row:
+                self.lower.append((i, row[::2], row[1::2], self.scale[i]))
+            for c, v in irows[ri][0].items():
+                j = position[c]
+                if j >= 0:
+                    bjs.append(j)
+                    bvs.append(v)
+            bounds.append(len(bvs))
+        self.block = bounds, bjs, bvs
 
     def solve(self, u):
         """B^-1 u mod p.  u holds one entry per pivot row and the result
         one per pivot column, both in pivot order."""
         p = self.p
-        v = [0] * len(self.work)
-        for (_, ri), e in zip(self.pivots, u):
-            v[ri] = e % p
-        for t, s, f in zip(*self.ops):
-            if t == s:
-                v[t] = v[t] * f % p
-            else:
-                v[t] = (v[t] - f * v[s]) % p
-        x = [0] * self.ncols
-        for col, ri in reversed(self.pivots):
-            e = v[ri]
-            for c, f in self.work[ri].items():
-                e -= f * x[c]  # x[col] is still 0 here
-            x[col] = e % p
-        return [x[col] for col, _ in self.pivots]
+        # forward substitution with L, then back substitution with U, in
+        # place: each row reads only entries already final
+        v = [e * scale % p for e, scale in zip(u, self.scale)]
+        for i, js, fs, scale in self.lower:
+            v[i] = (v[i] - scale * sum(map(mul, fs, map(v.__getitem__, js)))) % p
+        for i, js, fs in reversed(self.upper):
+            v[i] = (v[i] - sum(map(mul, fs, map(v.__getitem__, js)))) % p
+        return v
 
     def solve_transposed(self, u):
-        """B^-T u mod p: U^-T, then the row operations transposed and in
-        reverse order.  u holds one entry per pivot column and the result
-        one per pivot row, both in pivot order."""
+        """B^-T u mod p: forward substitution with U^T, then back
+        substitution with L^T, each entry pushed, once final, into the
+        entries it feeds.  u holds one entry per pivot column and the
+        result one per pivot row, both in pivot order."""
         p = self.p
-        a = [0] * self.ncols
-        for (col, _), e in zip(self.pivots, u):
-            a[col] = e
-        v = [0] * len(self.work)
-        for col, ri in self.pivots:
-            w = v[ri] = a[col] % p
-            if w:
-                for c, f in self.work[ri].items():
-                    a[c] -= f * w
-        tgt, src, fac = self.ops
-        for t, s, f in zip(reversed(tgt), reversed(src), reversed(fac)):
-            if t == s:
-                v[t] = v[t] * f % p
-            else:
-                v[s] = (v[s] - f * v[t]) % p
-        return [v[ri] for _, ri in self.pivots]
+        v = list(u)
+        for i, js, fs in self.upper:
+            w = v[i] = v[i] % p
+            for j, f in zip(js, fs):
+                v[j] -= f * w
+        for i, js, fs, scale in reversed(self.lower):
+            w = v[i] % p * scale % p
+            for j, f in zip(js, fs):
+                v[j] -= f * w
+        return [e * scale % p for e, scale in zip(v, self.scale)]
+
+    def multiply(self, x):
+        """B x over Z, x and the result in pivot order."""
+        bounds, js, vs = self.block
+        # row sums as differences of the running sum over all entries
+        sums = [0, *accumulate(map(mul, vs, map(x.__getitem__, js)))]
+        return [sums[b] - sums[a] for a, b in pairwise(bounds)]
+
+    def multiply_transposed(self, y):
+        """B^T y over Z, y and the result in pivot order."""
+        bounds, js, vs = self.block
+        out = [0] * len(y)
+        for e, (a, b) in zip(y, pairwise(bounds)):
+            if e:
+                for j, v in zip(js[a:b], vs[a:b]):
+                    out[j] += v * e
+        return out
 
 
 def _dixon(p, residual, solve_mod, multiply, bound, accept):
@@ -454,18 +511,10 @@ def _lift_solution(irows, factors):
     for irow, b in prows:
         bound *= sum(v * v for v in irow.values()) + b * b
 
-    def spread(values):
-        x = [0] * ncols
-        for (col, _), v in zip(pivots, values):
-            x[col] = v
-        return x
-
-    def multiply(digits):
-        x = spread(digits)
-        return [sum(v * x[c] for c, v in irow.items()) for irow, _ in prows]
-
     def accept(nums, den):
-        x = spread(nums)
+        x = [0] * ncols
+        for (col, _), v in zip(pivots, nums):
+            x[col] = v
         for irow, ib in irows:
             if sum(v * x[c] for c, v in irow.items()) != den * ib:
                 return None
@@ -474,7 +523,7 @@ def _lift_solution(irows, factors):
             solution[col] = Fraction(x[col], den)
         return True, solution
 
-    return _dixon(factors.p, [b for _, b in prows], factors.solve, multiply, bound, accept)
+    return _dixon(factors.p, [b for _, b in prows], factors.solve, factors.multiply, bound, accept)
 
 
 def _lift_witness(irows, bad, factors):
@@ -484,14 +533,6 @@ def _lift_witness(irows, bad, factors):
     bound = 2 * max(1, sum(v * v for v in a))
     for _, ri in pivots:
         bound *= sum(v * v for v in irows[ri][0].values())
-
-    def multiply(lam):
-        out = [0] * ncols
-        for (_, ri), e in zip(pivots, lam):
-            if e:
-                for c, v in irows[ri][0].items():
-                    out[c] += v * e
-        return [out[col] for col, _ in pivots]
 
     def accept(nums, den):
         # y = den e_bad - nums on the pivot rows
@@ -510,5 +551,7 @@ def _lift_witness(irows, bad, factors):
             return None
         return False, y
 
-    return _dixon(factors.p, a, factors.solve_transposed, multiply, bound, accept)
+    return _dixon(
+        factors.p, a, factors.solve_transposed, factors.multiply_transposed, bound, accept
+    )
 

@@ -32,6 +32,20 @@ def monomials_up_to(nvars: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def s_polynomial(g1: MultiPoly, g2: MultiPoly, order) -> MultiPoly:
+    """S(g1, g2) = (lcm / lt(g1)) g1 - (lcm / lt(g2)) g2, with the lead
+    terms under ``order``, written out on exponent tuples."""
+    (e1, c1), (e2, c2) = g1.leading(order), g2.leading(order)
+    lcm = tuple(max(a, b) for a, b in zip(e1, e2))
+    out: dict[tuple[int, ...], Fraction] = {}
+    for g, e, c, sign in ((g1, e1, c1, 1), (g2, e2, c2, -1)):
+        shift = tuple(a - b for a, b in zip(lcm, e))
+        for exp, v in g.terms.items():
+            key = tuple(a + b for a, b in zip(exp, shift))
+            out[key] = out.get(key, 0) + sign * v / c
+    return MultiPoly(g1.ring, out)
+
+
 def dense_solve(rows: list[list[Fraction]], rhs: list[Fraction]):
     """Plain dense Gauss-Jordan; returns a solution or None if infeasible."""
     m = [list(r) + [b] for r, b in zip(rows, rhs)]

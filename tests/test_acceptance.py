@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import corpus_ideals, skew_lines_ideal, twisted_cubic_ideal
-from oracles import standard_monomial_count, syzygy_dimension_at_degree
+from oracles import s_polynomial, standard_monomial_count, syzygy_dimension_at_degree
 
 from brisk.bounds import BoundInputs, CInf, hickel_bound_i, power_bound
 from brisk.certificate import (
@@ -27,7 +27,6 @@ from brisk.groebner import (
     Ideal,
     buchberger,
     membership,
-    s_polynomial,
 )
 from brisk.invariants import empty_at_infinity, hilbert_data
 from brisk.localorder import BranchParam, bs_exponent_check

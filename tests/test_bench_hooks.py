@@ -2,10 +2,11 @@
 
 The tracer wraps brisk functions by name, private ones among them
 (``groebner._nf_terms``, ``groebner._reduce_basis``,
-``resolution._minimalize``).  A hook whose name is gone only lands in
-``Tracer.missing``, and the counts it carries then read 0 in a traced
-benchmark run with no error.  The tracer runs in a subprocess, so the
-patched functions never reach this test process.
+``resolution._minimalize``), also where another module imported them by
+name (``linalg.solve_sparse`` in ``certificate``).  A hook whose name is
+gone only lands in ``Tracer.missing``, and the counts it carries then
+read 0 in a traced benchmark run with no error.  The tracer runs in a
+subprocess, so the patched functions never reach this test process.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ SCRIPT = """
 import json
 
 import brisk.cli
-from brisk import groebner, resolution
+from brisk import certificate, families, groebner, resolution
 from brisk.polyring import PolyRing
 from spans import Tracer
 
@@ -34,6 +35,8 @@ R = PolyRing(("x", "y", "z", "w"))
 cubic = groebner.Ideal(R, [R.parse(g) for g in ("x*z - y^2", "y*w - z^2", "x*w - y*z")])
 groebner.buchberger(cubic)
 resolution.bef_codims(resolution.minimal_resolution(cubic))
+# Found at rho_min = 4, NotFound at 3
+assert certificate.minimal_degree(families.kollar(2, 2, 2).instance, 6)[0] == 4
 print(json.dumps({"missing": tracer.missing, "metrics": tracer.metrics()}))
 """
 
@@ -60,3 +63,13 @@ def test_traced_counts_are_recorded(traced):
     assert metrics["kernel.normal_form_calls"] > 0
     assert metrics["modules.frame_rank"] > 0
     assert metrics["resolution.betti_total"] > 0
+
+
+def test_certificate_hooks_are_recorded(traced):
+    # solve_sparse, search_at_degree and verify are patched where the
+    # scan looks them up; a hook that misses reads 0
+    metrics = traced["metrics"]
+    assert metrics["linalg.solves"] == 2
+    assert metrics["linalg.infeasible"] == 1
+    assert metrics["certificate.searches"] == 2
+    assert metrics["certificate.verify_s"] > 0

@@ -2,6 +2,7 @@
 monotone feasibility, projective lifts."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -403,6 +404,59 @@ class TestVerify:
         assert cert is not None
         assert cert.cofactor((2, 0)) == R.one()
         assert verify(inst, cert)
+
+    @staticmethod
+    def _with(cert, index, q):
+        cofactors = dict(cert.cofactors)
+        cofactors[index] = q
+        return replace(cert, cofactors=cofactors)
+
+    def test_rational_coefficients(self):
+        # F, Phi and the cofactors all have denominators, and they differ
+        f1 = Fraction(1, 2) * Z1**2 - Fraction(2, 3) * Z2
+        f2 = Fraction(3, 4) * Z1 * Z2 + Fraction(1, 5)
+        q1 = Fraction(5, 7) * Z2 + Fraction(1, 9)
+        q2 = Fraction(-1, 3) * Z1 + Fraction(2, 11) * Z2**2
+        inst = MembershipInstance(R, Ideal(R, []), (f1, f2), f1 * q1 + f2 * q2)
+        cert = Certificate(power=1, cofactors={(1, 0): q1, (0, 1): q2}, rho=4)
+        assert verify(inst, cert)
+        assert not verify(inst, self._with(cert, (0, 1), q2 + Fraction(1, 13) * Z1))
+        # a searched certificate of a scaled Kollar system
+        inst = MembershipInstance(
+            R, Ideal(R, []), (Fraction(1, 2) * Z1**2, Fraction(2, 3) * Z1 * Z2 - Fraction(5, 7)),
+            R.const(Fraction(3, 4)),
+        )
+        rho, cert = minimal_degree(inst, 6)
+        assert rho == 4 and verify(inst, cert)
+        assert any(c.denominator > 1 for q in cert.cofactors.values() for c in q.terms.values())
+
+    def test_perturbed_power_certificate_fails(self):
+        inst = MembershipInstance(R, Ideal(R, []), (Z1**2, Z1 * Z2 - 1), R.one(), power=2)
+        rho, cert = minimal_degree(inst, 8)
+        assert rho == 8 and verify(inst, cert)
+        q = cert.cofactor((1, 1))
+        assert not verify(inst, self._with(cert, (1, 1), q + Fraction(1, 3) * Z2))
+
+    def test_residual_in_the_variety_ideal(self):
+        # on the cusp z1^2 = z2^5, z1^2 = z2 * z2^4: the residual
+        # z1^2 - z2^5 is nonzero in the ring and lies in I(V)
+        inst = MembershipInstance(
+            R, Ideal(R, [Z1**2 - Z2**5]), (Fraction(2, 3) * Z2,), Fraction(1, 2) * Z1**2
+        )
+        cert = Certificate(power=1, cofactors={(1,): Fraction(3, 4) * Z2**4}, rho=5)
+        assert inst.phi - inst.gens[0] * cert.cofactor(0)
+        assert verify(inst, cert)
+        assert not verify(inst, self._with(cert, (1,), Fraction(3, 4) * Z2**4 + Z2))
+
+    def test_malformed_certificates(self):
+        inst = kollar_instance()
+        _, cert = minimal_degree(inst, 6)
+        q = cert.cofactor(0)
+        assert not verify(inst, replace(cert, power=2))
+        assert not verify(inst, self._with(cert, (1, 0, 0), q))  # index length
+        assert not verify(inst, self._with(cert, (2, 0), q))  # index weight
+        other = PolyRing(("a", "b"))
+        assert not verify(inst, self._with(cert, (1, 0), other.one()))
 
 
 class TestPowerCase:

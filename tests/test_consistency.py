@@ -5,8 +5,10 @@ import random
 import time
 from fractions import Fraction
 from itertools import islice
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import dense_rank, dense_solve, markowitz_solve
 
@@ -378,6 +380,113 @@ class TestPrimeFailures:
             solve_sparse(rows[:1], [Fraction(1), Fraction(2)], 1)
         with pytest.raises(ValueError):
             infeasibility_witness(rows, [Fraction(1)], 1)
+
+
+@st.composite
+def wide_systems(draw):
+    """Small integer systems with at least twice as many columns as rows,
+    so most pivot rows hold free columns, and a vector to solve for."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.integers(2 * nrows, 2 * nrows + 3))
+    entry = st.integers(-9, 9).filter(bool)
+    rows = [
+        draw(st.dictionaries(st.integers(0, ncols - 1), entry, min_size=1, max_size=4))
+        for _ in range(nrows)
+    ]
+    rhs = draw(st.lists(st.integers(-9, 9), min_size=nrows, max_size=nrows))
+    u = draw(st.lists(st.integers(-(10**6), 10**6), min_size=nrows, max_size=nrows))
+    return rows, rhs, ncols, u
+
+
+class TestRestrictedFactors:
+    """``_Factors`` holds L, U and B on the pivot columns only.  Its
+    solves are B^-1 u and B^-T u mod P for the pivot block B over Z, and
+    a solution and a witness that each take three lifting steps keep
+    their exact values."""
+
+    @staticmethod
+    def _factors(rows, rhs, ncols):
+        irows = [linalg._integerize(row, b) for row, b in zip(rows, rhs)]
+        caught = []
+
+        def catch(irows, *rest):
+            caught.append(rest[-1])
+            return True, None
+
+        with mock.patch.object(linalg, "_lift_solution", catch), mock.patch.object(
+            linalg, "_lift_witness", catch
+        ):
+            linalg._solve_modular(irows, ncols, P)
+        return irows, caught[0]
+
+    @staticmethod
+    def _mod_p(values):
+        return [v.numerator * pow(v.denominator, -1, P) % P for v in values]
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_systems())
+    def test_solves_against_the_dense_block(self, system):
+        rows, rhs, ncols, u = system
+        irows, factors = self._factors(rows, rhs, ncols)
+        block = [
+            [Fraction(irows[ri][0].get(col, 0)) for col, _ in factors.pivots]
+            for _, ri in factors.pivots
+        ]
+        u = [Fraction(e) for e in u[: len(block)]]
+        assert factors.solve(u) == self._mod_p(dense_solve(block, u))
+        transposed = [list(col) for col in zip(*block)]
+        assert factors.solve_transposed(u) == self._mod_p(dense_solve(transposed, u))
+
+    @staticmethod
+    def _system(seed):
+        """Five rows on ten columns with four entries of up to 12 bits, and
+        a sixth row that combines them with 16-bit fractions and whose
+        right-hand side is off by one."""
+        rng = random.Random(seed)
+        rows = [
+            {c: rng.choice([-1, 1]) * rng.randint(1, 4095) for c in rng.sample(range(10), 4)}
+            for _ in range(5)
+        ]
+        rhs = [rng.randint(-4095, 4095) for _ in range(5)]
+        k = [Fraction(rng.randint(1, 2**16), rng.randint(1, 2**16)) for _ in range(5)]
+        last: dict[int, Fraction] = {}
+        for kk, row in zip(k, rows):
+            for c, v in row.items():
+                last[c] = last.get(c, 0) + kk * v
+        return rows, rhs, rows + [last], rhs + [sum(a * b for a, b in zip(k, rhs)) + 1]
+
+    @staticmethod
+    def _count_steps(monkeypatch):
+        steps = []
+        for name in ("solve", "solve_transposed"):
+            real = getattr(linalg._Factors, name)
+
+            def counted(self, u, real=real):
+                steps.append(None)
+                return real(self, u)
+
+            monkeypatch.setattr(linalg._Factors, name, counted)
+        return steps
+
+    def test_found_after_three_lifting_steps(self, monkeypatch):
+        rows, rhs, _, _ = self._system(2202)
+        steps = self._count_steps(monkeypatch)
+        F = Fraction
+        assert solve_sparse(rows, rhs, 10) == [
+            F(184287, 240956), F(-2027, 3063), 0, F(-67, 88), F(-3206125, 1517206),
+            0, F(918796585, 1116108192), 0, 0, 0,
+        ]
+        assert len(steps) == 3
+
+    def test_not_found_after_three_lifting_steps(self, monkeypatch):
+        _, _, rows, rhs = self._system(2202)
+        steps = self._count_steps(monkeypatch)
+        assert infeasibility_witness(rows, rhs, 10) == [
+            -1306282563227693832330, -77944847890139993180, -97606626663377476040,
+            -60590646889104212496, -1111099987090141200855, 121372995202836114210,
+        ]
+        assert len(steps) == 3
+        assert_witness(rows, rhs, 10, infeasibility_witness(rows, rhs, 10))
 
 
 class TestEliminationAgainstLex:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import corpus_ideals
-from oracles import membership_by_linear_algebra, substitute_eliminate_oracle
+from oracles import membership_by_linear_algebra, s_polynomial, substitute_eliminate_oracle
 
 from brisk import groebner, kernel
 from brisk.errors import BudgetExceededError
@@ -22,7 +22,6 @@ from brisk.groebner import (
     eliminate,
     membership,
     normal_form,
-    s_polynomial,
     saturate,
 )
 from brisk.kernel import mono_divides
