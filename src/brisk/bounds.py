@@ -191,14 +191,6 @@ def hermann_bound(inp: BoundInputs) -> int:
     return inp.deg_phi + 2 * (2 * inp.d) ** (2**inp.ambient - 1)
 
 
-def multiplicity_cap(d: int, codim_z: int, deg_x: int) -> int:
-    """Upper bound d^codim * deg X for the multiplicity of a distinguished
-    variety of codimension codim."""
-    if codim_z < 0:
-        raise ValueError("codimension must be >= 0")
-    return d**codim_z * deg_x
-
-
 def cusp_mu_zero(p: int) -> int:
     """Documented value of mu_zero for the plane cusp z1^2 = z2^p (odd
     p > 2): max((p-1)/2, ceil((p-3)(p-1)/(p-2)))."""

@@ -363,6 +363,10 @@ def _run_bench_row(fam: families.FamilyInstance, budget: Budget, rho_cap: int):
 
 
 def cmd_bench(args) -> int:
+    if args.count < 1:
+        raise ParseError(f"bad --count {args.count}; must be >= 1", line=None)
+    if args.rho_cap < 0:
+        raise ParseError(f"bad --rho-cap {args.rho_cap}; must be >= 0", line=None)
     budget = _budget(args)
     rows = [_run_bench_row(f, budget, args.rho_cap) for f in _bench_rows(args, budget)]
     cols = CSV_HEADER.split(",")

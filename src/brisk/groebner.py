@@ -47,13 +47,16 @@ of the loop runs over Q alone.
 A skipped pair may be a false zero, an S-polynomial whose remainder over
 Q is nonzero but divisible by p.  So a basis that skipped a pair is
 checked over Q before it is returned (Arnold 2003, "Modular algorithms
-for computing Groebner bases").  Each element is a generator or the
-remainder over Q of an S-polynomial of earlier ones, so it lies in the
-ideal; the check reduces every generator to 0 by the reduced basis, and,
-inserting the basis in ascending lead order through the same
-Gebauer-Moeller update as the loop, every pair left to 0 (Buchberger's
-criterion).  If a check fails, the loop runs again over Q without the
-trace, so a basis over Q that has not been checked is never returned.
+for computing Groebner bases"), on the skipped pairs and no others: the
+loop records each as (i, j, lcm), and ``_proves_basis`` reduces one
+S-polynomial per record by the reduced basis.  A pair takes the reduced
+form of each of its loop elements that survived minimalization, tracked
+by loop index since two generators may share a lead, and the loop
+element itself otherwise.  Every other pair of the loop was reduced
+exactly over Q or discarded by a criterion, so zero remainders for the
+skipped ones prove the basis (the argument is in ``_proves_basis``).  If
+a check fails, the loop runs again over Q without the trace, so a basis
+over Q that has not been checked is never returned.
 
 All computations respect a configurable resource budget; exceeding it
 raises BudgetExceededError rather than ever returning a wrong basis.
@@ -223,26 +226,30 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[di
     monic field terms; OverflowError when ``packing`` is too narrow.
 
     Over Q the loop runs with the trace; a basis that skipped a pair is
-    returned only once ``_proves_basis`` has checked it, and otherwise
-    the loop runs again without the trace."""
+    returned only once ``_proves_basis`` has checked the pairs skipped,
+    and otherwise the loop runs again without the trace."""
     gens = [(packing.pack_terms(t), d) for t, d in gens]
-    basis, skipped = _basis_loop(gens, packing, modulus, budget, modulus is None)
-    basis = basis and _reduce_basis(basis, packing, modulus)
-    if skipped and (basis is None or not _proves_basis(basis, gens, packing)):
-        basis, _ = _basis_loop(gens, packing, modulus, budget, False)
-        basis = _reduce_basis(basis, packing, modulus)
-    return [kernel.from_ints(t, max(t), modulus) for t in basis]
+    loop, skipped = _basis_loop(gens, packing, modulus, budget, modulus is None)
+    reduced = None if loop is None else _reduce_basis(loop, packing, modulus)
+    if skipped and (reduced is None or not _proves_basis(reduced, loop, skipped, packing)):
+        loop, _ = _basis_loop(gens, packing, modulus, budget, False)
+        reduced = _reduce_basis(loop, packing, modulus)
+    # the loop's coefficients can be far longer than the reduced ones;
+    # free them before the conversion, which would otherwise set the peak
+    del loop
+    return [kernel.from_ints(t, max(t), modulus) for t in reduced.values()]
 
 
 def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=None):
     """(basis, skipped) for packed integer ``gens`` (terms and sugar): the
     basis as normalized integer terms (primitive over Z, monic mod p) in
-    the order found, and whether the trace skipped a pair; ``(None,
-    True)`` when a cap fires after a skipped pair, because the pairs taken
-    may then differ from those of the run without the trace.  ``layout``
-    is an ideal's ``kernel.Packing``, or a module's ``modules.Layout``
-    with its ``pair_key(pos, lcm, sugar)``; elements with no term at or
-    above ``layout.flag`` (only relation terms) never join the basis."""
+    the order found, and the pairs (i, j, packed lcm) that the trace
+    skipped, in the order taken; ``(None, skipped)`` when a cap fires
+    after a skipped pair, because the pairs taken may then differ from
+    those of the run without the trace.  ``layout`` is an ideal's
+    ``kernel.Packing``, or a module's ``modules.Layout`` with its
+    ``pair_key(pos, lcm, sugar)``; elements with no term at or above
+    ``layout.flag`` (only relation terms) never join the basis."""
     if pair_key is None:
         flag, coprime, pair_key = 0, True, _sugar_key
         lead = lambda key: (0, layout.unpack(key))
@@ -289,13 +296,13 @@ def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=Non
         push(terms, sugar)
 
     taken = 0
-    skipped = False
+    skipped: list[tuple] = []
     while pending:
         _, i, j, lcm_exp, sugar = heapq.heappop(pending)
         taken += 1
         if taken > budget.max_pairs:
             if skipped:
-                return None, True
+                return None, skipped
             raise BudgetExceededError(
                 f"budget exhausted: more than {budget.max_pairs} S-pairs "
                 "(raise max_pairs / --budget-pairs)"
@@ -304,7 +311,7 @@ def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=Non
         if images:
             s = kernel.s_poly(images[i], images[j], lcm_key, guard, TRACE_PRIME)
             if not kernel.normal_form(s, images, layout, TRACE_PRIME, image_firsts):
-                skipped = True
+                skipped.append((i, j, lcm_key))
                 continue
         s = kernel.s_poly(reducers[i], reducers[j], lcm_key, guard, modulus)
         nf = _nf_terms(s, reducers, layout, modulus, firsts)
@@ -370,50 +377,61 @@ def _update(pending: list, active: list, leads: list, sugars: list, pair_key, co
     active.append(h)
 
 
-def _reduce_basis(basis_terms: list[dict], packing, modulus: int | None) -> list[dict]:
+def _reduce_basis(basis_terms: list[dict], packing, modulus: int | None) -> dict[int, dict]:
     """Minimalize and tail-reduce a packed integer basis into the reduced
     GB: fraction-free over Z, ints mod p over GF(p), each element
-    normalized as in the loop."""
+    normalized as in the loop.  Keyed by the index in ``basis_terms`` of
+    the element each one reduces, in ascending lead order; of elements
+    with equal leads the first survives."""
     guard = packing.guard
-    entries = [(max(t), t) for t in basis_terms if t]
-    entries.sort(key=lambda it: it[0])
+    leads = [max(t) for t in basis_terms]
     minimal = []
-    for lead, t in entries:
-        if any(not (lead - l2) & guard for l2, _ in minimal):
+    for k in sorted(range(len(leads)), key=leads.__getitem__):
+        lead = leads[k]
+        if any(not (lead - l2) & guard for _, l2, _ in minimal):
             continue
-        minimal.append((lead, t))
-    reducers = [kernel.reducer(lead, t) for lead, t in minimal]
-    return [
-        kernel.normalized(
+        minimal.append((k, lead, basis_terms[k]))
+    reducers = [kernel.reducer(lead, t) for _, lead, t in minimal]
+    return {
+        k: kernel.normalized(
             _nf_terms(t, reducers[:idx] + reducers[idx + 1 :], packing, modulus), lead, modulus
         )
-        for idx, (lead, t) in enumerate(minimal)
-    ]
+        for idx, (k, lead, t) in enumerate(minimal)
+    }
 
 
-def _proves_basis(basis: list[dict], gens, packing) -> bool:
-    """True when the reduced integer ``basis`` (ascending leads) is a
-    Groebner basis over Q of the ideal of the packed ``gens``.
+def _proves_basis(reduced: dict[int, dict], loop: list[dict], skipped, packing) -> bool:
+    """True when every pair (i, j, lcm) that the trace ``skipped`` has an
+    S-polynomial that the ``reduced`` integer basis of ``_reduce_basis``
+    reduces to 0 over Q; then that basis is the reduced Groebner basis of
+    the ideal of the ``loop`` elements, which include the generators.
 
-    The loop made every element from the generators by S-polynomials and
-    remainders over Q, so it lies in the ideal.  It remains to see that
-    every generator reduces to 0 and, inserting the basis in ascending
-    lead order through the Gebauer-Moeller update, that every pair left
-    reduces to 0."""
-    reducers = [kernel.reducer(max(t), t) for t in basis]
+    Each pair takes the reduced forms of g_i and g_j where those loop
+    elements survived minimalization, and the loop elements themselves
+    otherwise; survival goes by loop index, since two generators may
+    share a lead.  This proves the basis (Buchberger's criterion with
+    t-representations and the Gebauer-Moeller criteria; Becker and
+    Weispfenning, "Groebner Bases", 1993, section 5.5):
+
+    - Every element of ``loop`` is a generator or the remainder over Q of
+      an S-polynomial of earlier ones, so it lies in the ideal.
+    - Every pair of the loop was reduced exactly over Q, discarded by a
+      criterion, or skipped.  An exact reduction writes the S-polynomial
+      of the pair over the loop elements with every term below the lcm
+      t of its leads, the remainder (0 or a pushed element) included.
+    - Tail reduction leaves the lead of g_i and only subtracts multiples
+      of loop elements with smaller leads.  So a skipped pair whose
+      S-polynomial of reduced forms reduces to 0 by the reduced basis has
+      such a representation below t over the loop elements as well.
+    - The Gebauer-Moeller criteria then cover the pairs they discarded,
+      so the loop elements form a Groebner basis of the ideal, and the
+      reduced basis made from them is its reduced one."""
+    reducers = [kernel.reducer(max(t), t) for t in reduced.values()]
     firsts: dict = {}
-    if any(_nf_terms(terms, reducers, packing, None, firsts) for terms, _ in gens):
-        return False
-    leads: list[tuple] = []
-    sugars: list[int] = []
-    active: list[int] = []
-    pending: list[tuple] = []
-    for r in reducers:
-        leads.append((0, packing.unpack(r[0])))
-        sugars.append(kernel.mono_deg(leads[-1][1]))
-        _update(pending, active, leads, sugars, _sugar_key, True)
-    for _, i, j, lcm_exp, _ in pending:
-        s = kernel.s_poly(reducers[i], reducers[j], packing.pack(lcm_exp), packing.guard, None)
+    for i, j, lcm_key in skipped:
+        ti, tj = reduced.get(i, loop[i]), reduced.get(j, loop[j])
+        ri, rj = kernel.reducer(max(ti), ti), kernel.reducer(max(tj), tj)
+        s = kernel.s_poly(ri, rj, lcm_key, packing.guard, None)
         if _nf_terms(s, reducers, packing, None, firsts):
             return False
     return True

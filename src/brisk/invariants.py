@@ -17,7 +17,6 @@ leading module monomials, gives the numerator of a graded module F/U
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from . import kernel
 from .groebner import DEFAULT_BUDGET, Budget, GroebnerBasis, Ideal, buchberger
@@ -131,38 +130,6 @@ class HilbertData:
         if self.is_unit_ideal or self.cone_dim == 0:
             raise ValueError("empty projective scheme has no degree")
         return sum(self.reduced)
-
-    def series_coefficient(self, d: int) -> int:
-        """Coefficient of t^d in the Hilbert series = dim_k (S/J)_d."""
-        if d < 0:
-            return 0
-        v = self.nvars
-        return sum(
-            c * comb(d - i + v - 1, v - 1)
-            for i, c in enumerate(self.numerator)
-            if d - i >= 0
-        )
-
-    def hilbert_polynomial_value(self, d: int) -> int:
-        """Value of the Hilbert polynomial at d (agrees with the series
-        for large d)."""
-        dim = self.cone_dim
-        if dim == 0:
-            return 0
-        total = 0
-        for i, c in enumerate(self.reduced):
-            total += c * _binom_poly(d - i + dim - 1, dim - 1)
-        return total
-
-
-def _binom_poly(top: int, k: int) -> int:
-    """binomial(top, k) as a polynomial in top (valid for negative top)."""
-    num = 1
-    for j in range(k):
-        num *= top - j
-    for j in range(2, k + 1):
-        num //= j
-    return num
 
 
 def hilbert_data(gb: GroebnerBasis) -> HilbertData:

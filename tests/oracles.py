@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import prod
+from math import comb, prod
 
 from brisk.polyring import MultiPoly, PolyRing
 
@@ -279,6 +279,49 @@ def standard_monomial_count(
         if not any(all(x >= y for x, y in zip(e, l)) for l in lead_exponents):
             count += 1
     return count
+
+
+def series_coefficient(data, d: int) -> int:
+    """Coefficient of t^d in the Hilbert series of ``invariants.HilbertData``
+    ``data``, that is dim_k (S/J)_d, from its numerator over (1-t)^nvars."""
+    if d < 0:
+        return 0
+    v = data.nvars
+    return sum(
+        c * comb(d - i + v - 1, v - 1)
+        for i, c in enumerate(data.numerator)
+        if d - i >= 0
+    )
+
+
+def hilbert_polynomial_value(data, d: int) -> int:
+    """Value at d of the Hilbert polynomial of ``invariants.HilbertData``
+    ``data`` (agrees with the series for large d)."""
+    dim = data.cone_dim
+    if dim == 0:
+        return 0
+    total = 0
+    for i, c in enumerate(data.reduced):
+        total += c * _binom_poly(d - i + dim - 1, dim - 1)
+    return total
+
+
+def _binom_poly(top: int, k: int) -> int:
+    """binomial(top, k) as a polynomial in top (valid for negative top)."""
+    num = 1
+    for j in range(k):
+        num *= top - j
+    for j in range(2, k + 1):
+        num //= j
+    return num
+
+
+def multiplicity_cap(d: int, codim_z: int, deg_x: int) -> int:
+    """Upper bound d^codim * deg X for the multiplicity of a distinguished
+    variety of codimension codim."""
+    if codim_z < 0:
+        raise ValueError("codimension must be >= 0")
+    return d**codim_z * deg_x
 
 
 def substitute_eliminate_oracle(

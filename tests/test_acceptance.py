@@ -11,7 +11,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from conftest import corpus_ideals, skew_lines_ideal, twisted_cubic_ideal
-from oracles import s_polynomial, standard_monomial_count, syzygy_dimension_at_degree
+from oracles import (
+    s_polynomial,
+    series_coefficient,
+    standard_monomial_count,
+    syzygy_dimension_at_degree,
+)
 
 from brisk.bounds import BoundInputs, CInf, hickel_bound_i, power_bound
 from brisk.certificate import (
@@ -152,7 +157,7 @@ def test_criterion_5_regularity_resolution_suite():
         gb = buchberger(cubic)
         data = hilbert_data(gb)
         for d in range(8):
-            assert data.series_coefficient(d) == standard_monomial_count(
+            assert series_coefficient(data, d) == standard_monomial_count(
                 gb.leading_exponents(), cubic.ring.nvars, d
             )
         # drop-rank codimension bounds over the homogeneous corpus

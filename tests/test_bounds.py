@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from oracles import multiplicity_cap
 
 from brisk.bounds import (
     BoundInputs,
@@ -14,7 +15,6 @@ from brisk.bounds import (
     hickel_bound_ii,
     jelonek_bound,
     macaulay_bound,
-    multiplicity_cap,
     power_bound,
 )
 

@@ -346,6 +346,19 @@ class TestBench:
         assert main(["bench", "macaulay-generic", *extra]) == 2
         assert "needs d >= 1 and n >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_1_exit_2(self, capsys, count):
+        assert main(["bench", "macaulay-generic", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad --count {count}; must be >= 1\n"
+
+    def test_negative_rho_cap_exit_2(self, capsys):
+        assert main(["bench", "kollar", "--rho-cap", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad --rho-cap -1; must be >= 0\n"
+
     def test_deterministic_modulo_ms(self, tmp_path, capsys):
         args = ["bench", "macaulay-generic", "--d", "2", "--n", "2",
                 "--count", "2", "--seed", "7"]

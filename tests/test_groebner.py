@@ -625,9 +625,60 @@ class TestModularTrace:
         checks = spy(monkeypatch, groebner, "_proves_basis")
         G = buchberger(Ideal(R, gens))
         assert [result for _, result in checks] == [False]
-        assert [(args[4], skipped) for args, (_, skipped) in loops] == [(True, True), (False, False)]
+        assert [(args[4], bool(skipped)) for args, (_, skipped) in loops] == [(True, True), (False, False)]
         assert as_sets(G) == reference_basis(gens, grevlex())
         assert R.parse("x*z") in G.basis
+
+    def test_katsura4_check_reduces_only_the_skipped_pairs(self, monkeypatch):
+        loops = spy(monkeypatch, groebner, "_basis_loop")
+        nf_terms, proves = groebner._nf_terms, groebner._proves_basis
+        checking, reduced = [False], []
+
+        def counted(*args):
+            if checking[0]:
+                reduced.append(args[0])
+            return nf_terms(*args)
+
+        def check(*args):
+            checking[0] = True
+            try:
+                return proves(*args)
+            finally:
+                checking[0] = False
+
+        monkeypatch.setattr(groebner, "_nf_terms", counted)
+        monkeypatch.setattr(groebner, "_proves_basis", check)
+        buchberger(katsura(4))
+        [((gens, *_), (_, skipped))] = loops
+        assert skipped and len(reduced) == len(skipped)
+        assert not any(terms == g for terms in reduced for g, _ in gens)
+
+    def test_dropped_twin_pairs_as_itself(self):
+        # x^2 and x^2 + y share a lead; minimalization keeps loop element
+        # 0, so the skipped pair (0, 1) is S(x^2, x^2 + y) = -y, not 0
+        R = PolyRing(("x", "y"))
+        packing = kernel.packing(grevlex().spec(), 2, 8)
+        loop = [
+            packing.pack_terms(kernel.to_ints(R.parse(g).terms, None)) for g in ("x^2", "x^2 + y")
+        ]
+        reduced = groebner._reduce_basis(loop, packing, None)
+        assert list(reduced) == [0]
+        skipped = [(0, 1, packing.pack((2, 0)))]
+        assert not groebner._proves_basis(reduced, loop, skipped, packing)
+        # taking the survivor of the shared lead for element 1 would pass
+        assert groebner._proves_basis(reduced, [loop[0]] * 2, skipped, packing)
+
+    def test_false_zero_beside_a_dropped_element_fails_the_check(self, monkeypatch):
+        # S(x^2*y - 32749*x, x*y) = -32749*x is 0 mod p but not over Q;
+        # minimalization drops x^2*y - 32749*x, the first of the pair
+        R = PolyRing(("x", "y", "z", "w"))
+        gens = [R.parse(g) for g in ("2*w - 1", "x^2*y - 32749*x", "x*y")]
+        checks = spy(monkeypatch, groebner, "_proves_basis")
+        G = buchberger(Ideal(R, gens))
+        [((reduced, _, skipped, _), result)] = checks
+        assert [(i, j) for i, j, _ in skipped] == [(1, 2)]
+        assert 1 not in reduced and result is False
+        assert list(G) == [R.parse("w - 1/2"), R.parse("x")]
 
 
 def test_negative_budget_caps_are_rejected():
