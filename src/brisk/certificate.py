@@ -32,7 +32,7 @@ or on a degree with no admissible column.
 
 ``projective_lift`` rechecks a found certificate as the equivalent
 homogeneous identity  sum f^I q_I = z0^(rho - deg Phi) phi  on the
-projective closure.
+projective closure, by ``verify`` on the lifted instance.
 """
 
 from __future__ import annotations
@@ -407,9 +407,10 @@ def projective_lift(
     var: str = "z0",
 ) -> ProjectiveLift:
     """Homogenize a verified certificate and check the identity
-    sum f^I q_I = z0^(rho - deg Phi) phi exactly (modulo J_X when the
-    variety is nonzero; J_X is computed from the variety ideal when not
-    supplied)."""
+    sum f^I q_I = z0^(rho - deg Phi) phi exactly by ``verify`` on the
+    lifted instance: modulo J_X when the variety is nonzero (J_X is
+    computed from the variety ideal when not supplied), over the full
+    ring otherwise."""
     if not cert.verified or not verify(inst, cert, budget=budget):
         raise LiftError("certificate does not verify; cannot lift")
     if cert.rho != NEG_INF and cert.rho > rho:
@@ -430,23 +431,14 @@ def projective_lift(
                 "at this rho"
             )
         qs[index] = homogenize(q, rho - ell * d, var)
-    lhs = ring.zero()
-    for index, q_h in qs.items():
-        prod = q_h
-        for f, e in zip(fs, index):
-            if e:
-                prod = prod * f**e
-        lhs = lhs + prod
     z0_power = rho - deg_phi
-    rhs = ring.var(0) ** z0_power * phi_h
-    residual = lhs - rhs
     if inst.variety.is_zero():
-        if residual:
-            raise LiftError("homogeneous identity failed over the full ring")
+        closure = Ideal(ring, [])
     else:
         closure = j_x if j_x is not None else projective_closure(inst.variety, budget, var)
-        if not buchberger(closure, grevlex(), budget).contains(residual):
-            raise LiftError("homogeneous identity failed modulo the closure ideal")
+    lifted = MembershipInstance(ring, closure, fs, ring.var(0) ** z0_power * phi_h, ell)
+    if not verify(lifted, Certificate(ell, qs), budget):
+        raise LiftError("homogeneous identity failed")
     return ProjectiveLift(
         ring=ring,
         degree=rho,

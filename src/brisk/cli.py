@@ -28,7 +28,7 @@ from .certificate import (
 )
 from .errors import BudgetExceededError, ParseError
 from .fields import GF, poly_to_gf
-from .groebner import Budget, Ideal, buchberger
+from .groebner import DEFAULT_BUDGET, Budget, Ideal, buchberger
 from .instances import (
     InstanceFile,
     format_certificate,
@@ -43,10 +43,10 @@ from .resolution import bef_codims, betti_table_text, minimal_resolution, regula
 
 
 def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--budget-pairs", type=int, default=200_000,
+    p.add_argument("--budget-pairs", type=int, default=DEFAULT_BUDGET.max_pairs,
                    help="cap on Groebner S-pairs taken for reduction "
                         "(pairs the criteria discard do not count)")
-    p.add_argument("--budget-matrix", type=int, default=200_000,
+    p.add_argument("--budget-matrix", type=int, default=DEFAULT_BUDGET.max_matrix_entries,
                    help="cap on linear-system entries before failing")
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
@@ -126,12 +126,12 @@ def cmd_membership(args) -> int:
         try:
             j, cap = map(int, spec.split(":"))
         except ValueError:
-            raise ParseError(f"bad --cap-gen {spec!r}; expected j:k", line=None)
+            raise ParseError(f"bad --cap-gen {spec!r}; expected j:k")
         if not 1 <= j <= inst.m:
-            raise ParseError(f"bad --cap-gen {spec!r}; j must be in 1..{inst.m}", line=None)
+            raise ParseError(f"bad --cap-gen {spec!r}; j must be in 1..{inst.m}")
         caps[j - 1] = cap
     if args.rho is not None and args.rho < 0:
-        raise ParseError(f"bad --rho {args.rho}; must be >= 0", line=None)
+        raise ParseError(f"bad --rho {args.rho}; must be >= 0")
     if args.min:
         rho_max = next(r for r in (args.rho_max, args.rho, 20) if r is not None)
         found = minimal_degree(inst, rho_max, caps or None, budget)
@@ -143,7 +143,7 @@ def cmd_membership(args) -> int:
         print(format_certificate(inst, cert))
         return 0
     if args.rho is None:
-        raise ParseError("membership needs --rho R or --min", line=None)
+        raise ParseError("membership needs --rho R or --min")
     cert = search_at_degree(inst, args.rho, caps or None, budget)
     if cert is None:
         print(f"not in ideal at rho<={args.rho}")
@@ -284,7 +284,7 @@ def _parse_range(text: str, odd: bool = False) -> list[int]:
         elif piece:
             out.append(int(piece))
     if not out:
-        raise ParseError(f"empty range {text!r}", line=None)
+        raise ParseError(f"empty range {text!r}")
     return out
 
 
@@ -306,7 +306,7 @@ def _bench_rows(args, budget: Budget):
         for p in _parse_range(args.p or "3,5,7", odd=True):
             rows.append(families.cusp(p))
     else:
-        raise ParseError(f"unknown family {args.family!r}", line=None)
+        raise ParseError(f"unknown family {args.family!r}")
     return rows
 
 
@@ -364,9 +364,9 @@ def _run_bench_row(fam: families.FamilyInstance, budget: Budget, rho_cap: int):
 
 def cmd_bench(args) -> int:
     if args.count < 1:
-        raise ParseError(f"bad --count {args.count}; must be >= 1", line=None)
+        raise ParseError(f"bad --count {args.count}; must be >= 1")
     if args.rho_cap < 0:
-        raise ParseError(f"bad --rho-cap {args.rho_cap}; must be >= 0", line=None)
+        raise ParseError(f"bad --rho-cap {args.rho_cap}; must be >= 0")
     budget = _budget(args)
     rows = [_run_bench_row(f, budget, args.rho_cap) for f in _bench_rows(args, budget)]
     cols = CSV_HEADER.split(",")
@@ -445,10 +445,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as ex:
+    except (ValueError, OSError) as ex:  # ParseError is a ValueError
         print(f"error: {ex}", file=sys.stderr)
         return 2
     except BudgetExceededError as ex:

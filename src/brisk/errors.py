@@ -12,12 +12,15 @@ class RingMismatchError(BriskError, ValueError):
 
 
 class ParseError(BriskError, ValueError):
-    """Malformed textual input; carries a 1-based line/column position,
-    or none (``line=None``) for a value that comes from no file, such as
-    a command-line option."""
+    """Malformed textual input.  ``message`` is the bare message; ``line``
+    and ``col`` are a 1-based position, and ``line`` is None (the
+    default) for an error that has no place in a text, such as a missing
+    section or a command-line option.  The string form appends the
+    position when there is one."""
 
-    def __init__(self, message: str, line: int | None = 1, col: int = 1):
+    def __init__(self, message: str, line: int | None = None, col: int = 1):
         super().__init__(message if line is None else f"{message} (line {line}, column {col})")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -166,7 +166,7 @@ class GroebnerBasis:
             reducers.append(kernel.reducer(max(terms), terms))
         return packing, tuple(reducers)
 
-    def leading_exponents(self) -> list[tuple[int, ...]]:
+    def lead_monomials(self) -> list[tuple[int, ...]]:
         packing, reducers = self._packed
         return [packing.unpack(r[0]) for r in reducers]
 

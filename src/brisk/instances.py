@@ -131,8 +131,21 @@ def _strip_comment(line: str) -> str:
     return line.strip()
 
 
-def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
-    sections: dict[str, list[tuple[int, str]]] = {}
+def _column(raw: str, text: str) -> int:
+    """The 1-based column in the line ``raw`` of ``text``, which ends
+    where the line ends once its comment and trailing blanks are cut."""
+    return len(raw.split("#", 1)[0].rstrip()) - len(text) + 1
+
+
+def _at(ex: ParseError, lineno: int, col: int) -> ParseError:
+    """``ex``, raised on one line of text, placed in a file where that
+    text starts at column ``col`` of line ``lineno``."""
+    return ParseError(ex.message, lineno, col + (ex.col - 1 if ex.line else 0))
+
+
+def _split_sections(text: str) -> dict[str, list[tuple[int, int, str]]]:
+    """Each section's lines as (line number, column, text)."""
+    sections: dict[str, list[tuple[int, int, str]]] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw)
@@ -146,30 +159,27 @@ def _split_sections(text: str) -> dict[str, list[tuple[int, str]]]:
             sections[current] = []
             rest = line.split(":", 1)[1].strip()
             if rest:
-                sections[current].append((lineno, rest))
+                sections[current].append((lineno, _column(raw, rest), rest))
         else:
             if current is None:
                 raise ParseError(
                     f"content before any section header: {line!r}", lineno
                 )
-            sections[current].append((lineno, line))
+            sections[current].append((lineno, _column(raw, line), line))
     return sections
 
 
-def _parse_polys(ring: PolyRing, items: list[tuple[int, str]]) -> list[MultiPoly]:
+def _parse_polys(ring: PolyRing, items: list[tuple[int, int, str]]) -> list[MultiPoly]:
     out = []
-    for lineno, line in items:
+    for lineno, col, line in items:
         try:
             out.append(ring.parse(line))
         except ParseError as ex:
-            raise ParseError(f"{ex.args[0]}", lineno) from ex
+            raise _at(ex, lineno, col) from ex
     return out
 
 
-def parse_ring_header(items: list[tuple[int, str]]) -> PolyRing:
-    if not items:
-        raise ParseError("empty vars: header")
-    lineno, line = items[0]
+def parse_ring_header(line: str, lineno: int) -> PolyRing:
     names = tuple(n.strip() for n in line.split(",") if n.strip())
     if not names:
         raise ParseError("vars: header names no variables", lineno)
@@ -183,7 +193,10 @@ def parse_instance(text: str) -> InstanceFile:
     sections = _split_sections(text)
     if "vars" not in sections:
         raise ParseError("instance file needs a vars: header")
-    ring = parse_ring_header(sections["vars"])
+    if not sections["vars"]:
+        raise ParseError("empty vars: header")
+    lineno, _, line = sections["vars"][0]
+    ring = parse_ring_header(line, lineno)
     variety = Ideal(ring, _parse_polys(ring, sections.get("variety", [])))
     gens = _parse_polys(ring, sections.get("generators", []))
     phis = _parse_polys(ring, sections.get("target", []))
@@ -191,19 +204,19 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError("target: section must hold a single polynomial")
     power = 1
     if "power" in sections:
-        lineno, line = sections["power"][0]
+        lineno, _, line = sections["power"][0]
         try:
             power = int(line)
         except ValueError as ex:
             raise ParseError(f"bad power {line!r}", lineno) from ex
     branches = []
-    for lineno, line in sections.get("branches", []):
+    for lineno, col, line in sections.get("branches", []):
         try:
             branches.append(BranchParam.parse(ring, line))
         except ParseError as ex:
-            raise ParseError(str(ex.args[0]), lineno) from ex
+            raise _at(ex, lineno, col) from ex
     params: dict[str, str] = {}
-    for lineno, line in sections.get("params", []):
+    for lineno, _, line in sections.get("params", []):
         if "=" not in line:
             raise ParseError(f"params line {line!r} lacks '='", lineno)
         key, val = line.split("=", 1)
@@ -231,12 +244,12 @@ def parse_ideal_file(text: str) -> Ideal:
         if ring is None:
             if not line.startswith("vars:"):
                 raise ParseError("ideal file must start with a vars: header", lineno)
-            ring = parse_ring_header([(lineno, line[len("vars:") :].strip())])
+            ring = parse_ring_header(line[len("vars:") :].strip(), lineno)
             continue
         try:
             polys.append(ring.parse(line))
         except ParseError as ex:
-            raise ParseError(str(ex.args[0]), lineno) from ex
+            raise _at(ex, lineno, _column(raw, line)) from ex
     if ring is None:
         raise ParseError("ideal file is empty")
     return Ideal(ring, polys)
@@ -264,7 +277,7 @@ def parse_certificate(text: str, inst: MembershipInstance) -> Certificate:
     lines = [l for l in (_strip_comment(raw) for raw in text.splitlines()) if l]
     if not lines or not lines[0].startswith("vars:"):
         raise ParseError("certificate must start with a vars: header")
-    ring = parse_ring_header([(1, lines[0][len("vars:") :].strip())])
+    ring = parse_ring_header(lines[0][len("vars:") :].strip(), 1)
     if ring != inst.ring:
         raise ParseError("certificate ring differs from the instance ring")
     trailer = {}

@@ -55,7 +55,7 @@ def hilbert_numerator(gb: GroebnerBasis) -> tuple[int, ...]:
     """Coefficients of the Hilbert-series numerator of S/J, from the
     leading-term ideal of any Groebner basis of J (coefficient list,
     index = power of t)."""
-    num = module_hilbert_numerator([(0, e) for e in gb.leading_exponents()], (0,))
+    num = module_hilbert_numerator([(0, e) for e in gb.lead_monomials()], (0,))
     if not num:
         return ()
     degree = max(num)
@@ -165,7 +165,7 @@ def empty_at_infinity(
     z0 = ring.var(0)
     big = Ideal(ring, tuple(j_x.gens) + tuple(fs) + (z0,))
     gb = buchberger(big, grevlex(), budget)
-    leads = gb.leading_exponents()
+    leads = gb.lead_monomials()
     for i in range(ring.nvars):
         if not any(
             all(x == 0 for j, x in enumerate(e) if j != i)

@@ -3,12 +3,13 @@
 Terms are plain dicts mapping monomials to nonzero coefficients.  The
 dict arithmetic works on any coefficient with arithmetic dunders and a
 falsy zero: Fraction, GFElement or int.  Outside the Groebner engine a
-monomial is an exponent tuple, and ``leading_exponent`` takes the
-``spec`` tuple of ``MonomialOrder.spec()``, which ``orders.key_of`` turns
-into a sort key.
+monomial is an exponent tuple.
 
 Inside the Groebner engine a monomial is one int, made by a ``Packing``
-(Bachmann and Schoenemann 1998).  Each monomial order here compares
+(Bachmann and Schoenemann 1998).  That int is the monomial order of the
+whole package: every comparison of monomials, inside the engine or out
+(``MultiPoly.leading``, ``format_poly``), compares packed ints of the
+``spec`` tuple of ``MonomialOrder.spec()``.  Each monomial order compares
 blocks of variables by grevlex: grevlex is one block, lex one block per
 variable, elim(k) two.  The packing lays out the prefix sums of each
 block, most significant first, and below them every exponent not
@@ -44,7 +45,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .fields import GF, GFElement
-from .orders import GREVLEX, LEX, key_of
+from .orders import GREVLEX, LEX
 
 # strip the content of an integer remainder after this many scalings
 CONTENT_EVERY = 8
@@ -86,14 +87,6 @@ def minimal_generators(gens):
         if not any(mono_divides(h, g) for h in out):
             out.append(g)
     return out
-
-
-# ---------------------------------------------------------- leading term
-
-
-def leading_exponent(terms, spec):
-    """Largest exponent in ``terms`` (None for the zero polynomial)."""
-    return max(terms, key=lambda e: key_of(e, spec), default=None)
 
 
 # ------------------------------------------------------------- arithmetic

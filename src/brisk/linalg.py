@@ -25,18 +25,18 @@ and checks it exactly before it returns it.
   pivot updates the bookkeeping, and pushes a fresh heap key, for those
   columns alone.  The choice reads only the live rows' zero patterns.
 - **Elimination mod p.**  Each pivot row is made monic and its column is
-  cleared from the live rows only.  Every reduction is recorded in
-  three flat arrays as (row t, pivot row s, factor f): ``v[t] -= f *
-  v[s]``, and the factor that made each pivot row monic in a fourth.
-  The pivot rows on the pivot columns form a square block B = L U,
+  cleared from the live rows only.  Each reduction ``v[t] -= f * v[s]``
+  is recorded with its row t as (pivot position of s, f), and the
+  factor that made each pivot row monic is kept in pivot order.  The
+  pivot rows on the pivot columns form a square block B = L U,
   invertible mod p.  After the elimination ``_Factors`` builds L, U and
   B over Z once, indexed by pivot position, and the rows as eliminated
-  are freed.  L is lower triangular, read off the reductions of the
-  rows that became pivots.  U is the pivot rows as they were chosen,
-  unit upper triangular in pivot order.  U and B are held on the pivot
-  columns only: their entries in free columns, which hold 0 in every
-  solution, are dropped.  So B^-1 u is a forward and a back
-  substitution, and B^-T u the same with the transposes in reverse.
+  are freed.  L is lower triangular; its entries are the reductions
+  recorded for the rows that became pivots.  U is the pivot rows as
+  they were chosen, unit upper triangular in pivot order.  U and B are
+  held on the pivot columns only: their entries in free columns, which
+  hold 0 in every solution, are dropped.  So B^-1 u is a forward and a
+  back substitution, and B^-T u the same with the transposes in reverse.
 - **Found.**  Dixon lifting: x_k = B^-1 r_k mod p in balanced digits and
   r_{k+1} = (r_k - B x_k) / p from r_0 = b' on the pivot rows, so that
   sum x_k p^k = B^-1 b' mod p^(k+1).  No step reads a free column.
@@ -76,6 +76,7 @@ and checks it exactly before it returns it.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, pairwise
@@ -262,10 +263,10 @@ def _solve_modular(irows, ncols, p):
     heap = [n * ncols + c for c, n in enumerate(live) if n]
     heapify(heap)
 
-    # each reduction as (row, pivot row, factor), and the factor that
-    # made each pivot row monic
-    tgt, src, fac = array("q"), array("q"), array("q")
-    scaled = array("q", [1]) * len(work)
+    # the reductions of each row as flat (pivot position, factor) pairs,
+    # and the factor that made each pivot row monic, in pivot order
+    reductions: defaultdict[int, list[int]] = defaultdict(list)
+    scales: list[int] = []
     pivots: list[tuple[int, int]] = []  # (column, row index)
     assigned = [False] * len(work)
     while heap:
@@ -280,15 +281,17 @@ def _solve_modular(irows, ncols, p):
                 (ri for ri in holders if not assigned[ri]),
                 key=lambda ri: (len(work[ri]), ri),
             )
+        k = len(pivots)
         pivots.append((col, prow))
         assigned[prow] = True
         pr = work[prow]
         a = pr[col]
+        inv = 1
         if a != 1:
             inv = pow(a, -1, p)
             pr = work[prow] = {c: v * inv % p for c, v in pr.items()}
             wb[prow] = wb[prow] * inv % p
-            scaled[prow] = inv
+        scales.append(inv)
         pb = wb[prow]
         others = [(c, v) for c, v in pr.items() if c != col]
         for c, _ in others:
@@ -301,9 +304,7 @@ def _solve_modular(irows, ncols, p):
             if row is irows[ri][0]:
                 row = work[ri] = dict(row)
             t = row.pop(col)
-            tgt.append(ri)
-            src.append(prow)
-            fac.append(t)
+            reductions[ri] += k, t
             t = p - t  # the update adds (p - t) v
             wb[ri] = (wb[ri] + t * pb) % p
             for c, v in others:
@@ -328,8 +329,8 @@ def _solve_modular(irows, ncols, p):
     bad = next((ri for ri, b in enumerate(wb) if b and not assigned[ri]), None)
     # the factors and the lifting allocate; free what they do not read
     del where, heap, live, assigned, wb
-    factors = _Factors(p, irows, pivots, ncols, work, (tgt, src, fac), scaled)
-    del work, tgt, src, fac, scaled
+    factors = _Factors(p, irows, pivots, ncols, work, reductions, scales)
+    del work, reductions, scales
     if bad is None:
         return _lift_solution(irows, factors)
     return _lift_witness(irows, bad, factors)
@@ -343,7 +344,8 @@ class _Factors:
 
     Pivot row i as chosen is its original row less the multiples f_is of
     the earlier pivot rows s it was reduced by, scaled by ``scale[i]`` to
-    be monic; so L has the diagonal 1 / scale[i] and the entries f_is.
+    be monic; so L has the diagonal 1 / scale[i] and the entries f_is,
+    which ``reductions`` holds by row as flat (s, f_is) pairs.
     ``lower`` holds (i, earlier pivots s, f_is, scale[i]) for each row of
     L with an entry off the diagonal, and ``upper`` (i, later pivots,
     entries) for each row of U with one: pivot row i as chosen, on the
@@ -351,27 +353,15 @@ class _Factors:
     are in pivot order.  ``block`` is B over Z in compressed rows:
     (bounds, positions, entries), row i at ``bounds[i]:bounds[i + 1]``."""
 
-    def __init__(self, p, irows, pivots, ncols, work, ops, scaled):
+    def __init__(self, p, irows, pivots, ncols, work, reductions, scale):
         self.p = p
         self.pivots = pivots
         self.ncols = ncols
-        # the pivot position of each column and of each row, -1 for none
+        self.scale = scale
+        # the pivot position of each column, -1 for none
         position = array("q", [-1]) * ncols
-        at = array("q", [-1]) * len(work)
-        for i, (col, ri) in enumerate(pivots):
-            position[col] = at[ri] = i
-        self.scale = array("q", [scaled[ri] for _, ri in pivots])
-        # the operations on each row that became a pivot, by position; a
-        # pivot row was reduced by earlier pivots only
-        reduced: dict[int, list[int]] = {}
-        for t, s, f in zip(*ops):
-            i = at[t]
-            if i >= 0:
-                row = reduced.get(i)
-                if row is None:
-                    reduced[i] = [at[s], f]
-                else:
-                    row += at[s], f
+        for i, (col, _) in enumerate(pivots):
+            position[col] = i
         self.upper, self.lower = [], []
         bounds, bjs, bvs = array("q", [0]), [], []
         for i, (_, ri) in enumerate(pivots):
@@ -386,9 +376,10 @@ class _Factors:
                 else:
                     js.append(j)
                     fs.append(f)
-            row = reduced.get(i)
+            # a pivot row was reduced by earlier pivots only
+            row = reductions.get(ri)
             if row:
-                self.lower.append((i, row[::2], row[1::2], self.scale[i]))
+                self.lower.append((i, row[::2], row[1::2], scale[i]))
             for c, v in irows[ri][0].items():
                 j = position[c]
                 if j >= 0:

@@ -1,4 +1,4 @@
-"""Monomial orders on exponent tuples.
+"""Monomial orders: names and specs.
 
 Three total orders are provided, each refining divisibility and compatible
 with monomial multiplication:
@@ -12,9 +12,8 @@ An optional variable permutation is applied before comparison, so any
 subset of variables can be moved to the front of an elimination block.
 
 An order is described by a small ``spec`` tuple ``(kind, block, perm)``.
-``key_of(exp, spec)`` is the one sort key (max() gives the leading
-monomial), and ``MonomialOrder.key`` delegates to it.  Inside the
-Groebner engine, ``kernel.Packing`` encodes the same orders as ints.
+This module compares nothing: ``kernel.Packing`` turns a spec into one
+int per monomial, and comparing those ints is the order.
 """
 
 from __future__ import annotations
@@ -26,19 +25,6 @@ LEX = 1
 ELIM = 2
 
 _KIND_NAMES = {GREVLEX: "grevlex", LEX: "lex", ELIM: "elim"}
-
-
-def key_of(exp: tuple[int, ...], spec):
-    """Sort key of ``exp`` under the order ``spec``; max(key) leads."""
-    kind, block, perm = spec
-    if perm is not None:
-        exp = tuple(exp[i] for i in perm)
-    if kind == GREVLEX:
-        return (sum(exp), tuple(-x for x in reversed(exp)))
-    if kind == LEX:
-        return exp
-    a, b = exp[:block], exp[block:]
-    return (sum(a), tuple(-x for x in reversed(a)), sum(b), tuple(-x for x in reversed(b)))
 
 
 @dataclass(frozen=True)
@@ -67,14 +53,6 @@ class MonomialOrder:
     def spec(self) -> tuple[int, int, tuple[int, ...] | None]:
         """Kernel-facing description of this order."""
         return (self.kind, self.block, self.perm)
-
-    def key(self, exp: tuple[int, ...]):
-        """Sort key; max(key) is the leading monomial."""
-        return key_of(exp, (self.kind, self.block, self.perm))
-
-    def sorted_exponents(self, exps, reverse: bool = True) -> list:
-        """Exponents sorted descending (leading monomial first) by default."""
-        return sorted(exps, key=self.key, reverse=reverse)
 
     def __str__(self) -> str:
         if self.perm is not None:

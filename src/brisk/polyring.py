@@ -4,6 +4,8 @@ A polynomial is a dict mapping exponent tuples to nonzero coefficients;
 the default field is Q via fractions.Fraction, with an optional prime
 field for accelerated invariant computations (see brisk.fields).  Values
 are immutable after construction and safe to share between threads.
+``leading``, ``monic`` and ``format_poly`` order the terms by the int of
+``kernel.Packing``, the one monomial-order comparison of the package.
 
 The module also owns the affine/projective dictionary: ``homogenize``
 turns F(z1..zN) of degree <= d into the degree-d form z0^d F(z'/z0) in
@@ -25,6 +27,12 @@ NEG_INF = float("-inf")
 _DISPLAY_ORDER = grevlex()
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def _order_key(p: "MultiPoly", order: MonomialOrder):
+    """Sort key of the exponents of nonzero ``p`` under ``order``: the
+    int of ``kernel.Packing``, which is the monomial order."""
+    return kernel.packing(order.spec(), p.ring.nvars, kernel.bits_for(p.degree())).pack
 
 
 @dataclass(frozen=True)
@@ -209,9 +217,9 @@ class MultiPoly:
 
     def leading(self, order: MonomialOrder = _DISPLAY_ORDER):
         """(exponent, coefficient) of the leading term; None for zero."""
-        e = kernel.leading_exponent(self.terms, order.spec())
-        if e is None:
+        if not self.terms:
             return None
+        e = max(self.terms, key=_order_key(self, order))
         return e, self.terms[e]
 
     def monic(self, order: MonomialOrder = _DISPLAY_ORDER) -> "MultiPoly":
@@ -223,9 +231,6 @@ class MultiPoly:
         if c == one:
             return self
         return MultiPoly(self.ring, {e: v / c for e, v in self.terms.items()})
-
-    def coefficient(self, exp: tuple[int, ...]):
-        return self.terms.get(exp, Fraction(0))
 
     def map_coefficients(self, fn) -> "MultiPoly":
         return MultiPoly(self.ring, {e: fn(c) for e, c in self.terms.items()})
@@ -431,7 +436,7 @@ def format_poly(p: MultiPoly) -> str:
     if not p.terms:
         return "0"
     parts = []
-    for e in _DISPLAY_ORDER.sorted_exponents(p.terms):
+    for e in sorted(p.terms, key=_order_key(p, _DISPLAY_ORDER), reverse=True):
         c = p.terms[e]
         factors = [
             name if k == 1 else f"{name}^{k}"

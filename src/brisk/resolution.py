@@ -120,7 +120,7 @@ class FreeResolution:
         gb = buchberger(self.ideal)
         if not all(gb.contains(p) for p in self.steps[0].matrix[0]):
             raise AssertionError("an entry of the first map is not in the ideal")
-        leads = [(0, e) for e in gb.leading_exponents()]
+        leads = [(0, e) for e in gb.lead_monomials()]
         quotient = invariants.module_hilbert_numerator(leads, (0,))
         if coker[0] != quotient:
             raise AssertionError("the first map's cokernel is not S/J: Hilbert series differ")

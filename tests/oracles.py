@@ -12,7 +12,21 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 
+from brisk.orders import GREVLEX, LEX
 from brisk.polyring import MultiPoly, PolyRing
+
+
+def key_of(exp: tuple[int, ...], spec):
+    """Sort key of ``exp`` under the order ``spec``; max(key) leads."""
+    kind, block, perm = spec
+    if perm is not None:
+        exp = tuple(exp[i] for i in perm)
+    if kind == GREVLEX:
+        return (sum(exp), tuple(-x for x in reversed(exp)))
+    if kind == LEX:
+        return exp
+    a, b = exp[:block], exp[block:]
+    return (sum(a), tuple(-x for x in reversed(a)), sum(b), tuple(-x for x in reversed(b)))
 
 
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
@@ -333,10 +347,10 @@ def substitute_eliminate_oracle(
 
 def base_module_key(ring_order, twists, m):
     """Tuple key of the module monomial m = (pos, e) in a free module with
-    generator twists ``twists``: degree, then the ring order, then the
-    lower position."""
+    generator twists ``twists``: degree, then the ring order by ``key_of``,
+    then the lower position."""
     pos, e = m
-    return (sum(e) + twists[pos], ring_order.key(e), -pos)
+    return (sum(e) + twists[pos], key_of(e, ring_order.spec()), -pos)
 
 
 def schreyer_key(prev_key, images, m):

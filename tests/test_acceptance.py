@@ -158,7 +158,7 @@ def test_criterion_5_regularity_resolution_suite():
         data = hilbert_data(gb)
         for d in range(8):
             assert series_coefficient(data, d) == standard_monomial_count(
-                gb.leading_exponents(), cubic.ring.nvars, d
+                gb.lead_monomials(), cubic.ring.nvars, d
             )
         # drop-rank codimension bounds over the homogeneous corpus
         P2 = PolyRing(("z0", "z1", "z2"))

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from brisk.cli import main
+from brisk.cli import _budget, build_parser, main
 from brisk.errors import BudgetExceededError
 from brisk.groebner import Budget
 from brisk.instances import parse_ideal_file
@@ -414,3 +414,40 @@ class TestBenchBudgetRows:
         out = capsys.readouterr().out
         assert "budget_exhausted" in out
         assert out.count("kollar") == 1  # the row survives, marked
+
+
+class TestParseErrorPositions:
+    """A parse error names the file line and the column in the raw line,
+    once, and an error with no place in the file names none."""
+
+    @pytest.mark.parametrize("text, message", [
+        (KOLLAR.replace("target: 1\n", ""), "instance file has no target: section"),
+        ("vars: z1, z2\ngenerators:\n  z1 + $\ntarget: 1\n",
+         "unexpected character '$' (line 3, column 8)"),
+        ("vars: z1, z2\ngenerators:\n  z2\ntarget: z1 + $\n",
+         "unexpected character '$' (line 4, column 14)"),
+        ("vars: z1, z2\ngenerators:\n  z2\ntarget: z1\nbranches:\n  branch: q = t^2\n",
+         "unknown branch variable 'q' (line 6, column 3)"),
+    ])
+    def test_instance_file(self, tmp_path, capsys, text, message):
+        f = tmp_path / "bad.txt"
+        f.write_text(text)
+        assert main(["membership", str(f), "--rho", "4"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_ideal_file(self, tmp_path, capsys):
+        f = tmp_path / "bad.txt"
+        f.write_text("vars: z1, z2\nz1^2\n  z2 + $  # comment\n")
+        assert main(["resolve", str(f)]) == 2
+        assert capsys.readouterr().err == "error: unexpected character '$' (line 3, column 8)\n"
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["membership", str(tmp_path / "absent.txt"), "--rho", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ")
+        assert "line" not in err
+
+
+def test_budget_flags_default_to_the_default_budget():
+    args = build_parser().parse_args(["resolve", "ideal.txt"])
+    assert _budget(args) == Budget()

@@ -266,6 +266,31 @@ NA_MACAULAY = "caller did not assert the no-common-zeros hypothesis"
         "projective dimension: 1\n"
         "projective degree: 3\n"
     )),
+    # certificates are printed by format_poly in the display order
+    (["membership", "kollar.txt", "--min"], (
+        "rho_min: 4\n"
+        "vars: z1, z2\n"
+        "z2^2  # Q1 (1, 0)\n"
+        "-z1*z2 - 1  # Q2 (0, 1)\n"
+        "rho: 4\n"
+        "verified: true\n"
+    )),
+    (["membership", "macaulay_pair.txt", "--min"], (
+        "rho_min: 3\n"
+        "vars: z1\n"
+        "-2*z1 + 3  # Q1 (1, 0)\n"
+        "2*z1 + 1  # Q2 (0, 1)\n"
+        "rho: 3\n"
+        "verified: true\n"
+    )),
+    (["membership", "cusp5.txt", "--rho", "20"], "not in ideal at rho<=20\n"),
+    (["invariants", "cusp5.txt"], (
+        "hilbert numerator: 1 - t^5\n"
+        "projective dimension: 1\n"
+        "projective degree: 5\n"
+        "regularity: 5\n"
+        "empty at infinity: false\n"
+    )),
 ])
 def test_cli_resolution_output(argv, stdout, capsys):
     command, name, *flags = argv

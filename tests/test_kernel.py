@@ -1,5 +1,6 @@
-"""The kernel's packed monomials and its normal form: the int order,
-sum and guard-bit divisor test against exponent tuples, and the normal
+"""The kernel's packed monomials and its normal form: the int order
+against the textbook tuple key ``oracles.key_of``, the int sum and the
+guard-bit divisor test against exponent tuples, and the normal
 form in its three coefficient domains: packed division against a tuple
 division, fraction-free pseudo-division over Z against the Fraction
 remainder, and ints mod p, with residues reduced only when they lead,
@@ -11,9 +12,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import key_of
+
 from brisk import kernel
 from brisk.fields import GF
-from brisk.orders import elim, grevlex, key_of, lex
+from brisk.orders import elim, grevlex, lex
 
 P = 32003
 
@@ -63,7 +66,7 @@ def rand_reducers(rng, nvars, used, spec, count, coeff):
     while len(out) < count:
         terms = rand_terms(rng, nvars, used, 3, rng.randint(1, 4), coeff)
         if terms:
-            out.append((kernel.leading_exponent(terms, spec), terms))
+            out.append((max(terms, key=lambda e: key_of(e, spec)), terms))
     return out
 
 
@@ -90,16 +93,17 @@ def is_multiple(a, b):
 # ------------------------------------------------------------ packing
 
 NVARS = (1, 3, 7, 70)
-KINDS = ["grevlex", "lex", "elim(2)", "grevlex[perm]"]
+KINDS = ["grevlex", "lex", "elim(2)", "grevlex[perm]", "lex[perm]", "elim(2)[perm]"]
 
 
 def make_packing(kind, nvars, bits=kernel.MIN_BITS):
-    if kind == "grevlex[perm]":
+    name, permuted, _ = kind.partition("[perm]")
+    perm = None
+    if permuted:
         perm = list(range(nvars))
         random.Random(nvars).shuffle(perm)
-        order = grevlex(tuple(perm))
-    else:
-        order = {"grevlex": grevlex(), "lex": lex(), "elim(2)": elim(2)}[kind]
+        perm = tuple(perm)
+    order = {"grevlex": grevlex(perm), "lex": lex(perm), "elim(2)": elim(2, perm)}[name]
     return kernel.packing(order.spec(), nvars, bits)
 
 
