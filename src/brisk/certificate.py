@@ -392,8 +392,10 @@ class LiftError(AssertionError):
 
 def projective_closure(ideal: Ideal, budget: Budget = DEFAULT_BUDGET, var: str = "z0") -> Ideal:
     """Ideal of the projective closure: homogenize the generators and
-    saturate by the homogenizing variable."""
+    saturate by the homogenizing variable; the zero ideal closes to zero."""
     ring = ideal.ring.extend_front(var)
+    if ideal.is_zero():
+        return Ideal(ring, [])
     hom = [homogenize(g, int(g.degree()), var) for g in ideal.gens]
     return saturate(Ideal(ring, hom), ring.var(0), budget)
 
@@ -402,15 +404,11 @@ def projective_lift(
     inst: MembershipInstance,
     cert: Certificate,
     rho: int,
-    j_x: Ideal | None = None,
     budget: Budget = DEFAULT_BUDGET,
-    var: str = "z0",
 ) -> ProjectiveLift:
-    """Homogenize a verified certificate and check the identity
+    """Homogenize a verified certificate with ``z0`` and check the identity
     sum f^I q_I = z0^(rho - deg Phi) phi exactly by ``verify`` on the
-    lifted instance: modulo J_X when the variety is nonzero (J_X is
-    computed from the variety ideal when not supplied), over the full
-    ring otherwise."""
+    lifted instance, modulo J_X, the ideal of the projective closure."""
     if not cert.verified or not verify(inst, cert, budget=budget):
         raise LiftError("certificate does not verify; cannot lift")
     if cert.rho != NEG_INF and cert.rho > rho:
@@ -419,10 +417,10 @@ def projective_lift(
     ell = inst.power
     if rho < ell * d and cert.cofactors:
         raise LiftError(f"rho = {rho} below the generator degree {ell * d}")
-    ring = inst.ring.extend_front(var)
-    fs = tuple(homogenize(g, d, var) for g in inst.gens)
+    ring = inst.ring.extend_front("z0")
+    fs = tuple(homogenize(g, d, "z0") for g in inst.gens)
     deg_phi = 0 if not inst.phi else int(inst.phi.degree())
-    phi_h = homogenize(inst.phi, deg_phi, var)
+    phi_h = homogenize(inst.phi, deg_phi, "z0")
     qs: dict[tuple[int, ...], MultiPoly] = {}
     for index, q in cert.cofactors.items():
         if q.degree() > rho - ell * d:
@@ -430,12 +428,9 @@ def projective_lift(
                 "cofactor degree exceeds rho - ell*d; certificate not liftable "
                 "at this rho"
             )
-        qs[index] = homogenize(q, rho - ell * d, var)
+        qs[index] = homogenize(q, rho - ell * d, "z0")
     z0_power = rho - deg_phi
-    if inst.variety.is_zero():
-        closure = Ideal(ring, [])
-    else:
-        closure = j_x if j_x is not None else projective_closure(inst.variety, budget, var)
+    closure = projective_closure(inst.variety, budget)
     lifted = MembershipInstance(ring, closure, fs, ring.var(0) ** z0_power * phi_h, ell)
     if not verify(lifted, Certificate(ell, qs), budget):
         raise LiftError("homogeneous identity failed")

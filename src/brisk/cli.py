@@ -42,20 +42,11 @@ from .polyring import PolyRing, homogenize
 from .resolution import bef_codims, betti_table_text, minimal_resolution, regularity
 
 
-def _common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--budget-pairs", type=int, default=DEFAULT_BUDGET.max_pairs,
-                   help="cap on Groebner S-pairs taken for reduction "
-                        "(pairs the criteria discard do not count)")
-    p.add_argument("--budget-matrix", type=int, default=DEFAULT_BUDGET.max_matrix_entries,
-                   help="cap on linear-system entries before failing")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
-
-
 def _budget(args) -> Budget:
-    return Budget(
-        max_pairs=args.budget_pairs,
-        max_matrix_entries=args.budget_matrix,
-    )
+    """The caps of the budget flags; a command without ``--budget-matrix``
+    builds no linear system and keeps the default."""
+    matrix = getattr(args, "budget_matrix", DEFAULT_BUDGET.max_matrix_entries)
+    return Budget(max_pairs=args.budget_pairs, max_matrix_entries=matrix)
 
 
 def _hvar(ring: PolyRing) -> str:
@@ -87,17 +78,12 @@ def _over_gf(ideal: Ideal, char: int) -> Ideal:
 
 def _pipeline_invariants(inst: InstanceFile, budget: Budget, char: int | None):
     """saturation -> Groebner -> Hilbert -> resolution -> regularity."""
-    ring = inst.ring
-    var = _hvar(ring)
-    proj = ring.extend_front(var)
-    if inst.variety.is_zero():
-        j_x = Ideal(proj, [])
-    else:
-        j_x = projective_closure(inst.variety, budget, var)
+    var = _hvar(inst.ring)
+    j_x = projective_closure(inst.variety, budget, var)
     work = j_x if char is None else _over_gf(j_x, char)
     gb = buchberger(work, grevlex(), budget)
     data = hilbert_data(gb)
-    res = minimal_resolution(work, grevlex(), budget)
+    res = minimal_resolution(work, budget)
     return {
         "dim": data.proj_dimension(),
         "deg_x": data.proj_degree(),
@@ -187,8 +173,6 @@ def _load_homogeneous_ideal(args, budget: Budget) -> Ideal:
     else:
         ideal = parse_ideal_file(text)
     if args.homogenize_saturate:
-        if ideal.is_zero():
-            return Ideal(ideal.ring.extend_front(_hvar(ideal.ring)), [])
         return projective_closure(ideal, budget, _hvar(ideal.ring))
     if not ideal.is_homogeneous():
         raise ParseError(
@@ -203,7 +187,7 @@ def cmd_resolve(args) -> int:
     ideal = _load_homogeneous_ideal(args, budget)
     if args.char is not None:
         ideal = _over_gf(ideal, args.char)
-    res = minimal_resolution(ideal, grevlex(), budget)
+    res = minimal_resolution(ideal, budget)
     print(betti_table_text(res))
     print(f"regularity: {regularity(res)}")
     codims = bef_codims(res, budget)
@@ -302,11 +286,9 @@ def _bench_rows(args, budget: Budget):
             n = int(args.n) if args.n else 2
             for _ in range(count):
                 rows.append(families.macaulay_generic(d, n, rng, budget))
-    elif args.family == "cusp":
+    else:
         for p in _parse_range(args.p or "3,5,7", odd=True):
             rows.append(families.cusp(p))
-    else:
-        raise ParseError(f"unknown family {args.family!r}")
     return rows
 
 
@@ -392,41 +374,50 @@ def build_parser() -> argparse.ArgumentParser:
         "and projective invariants for polynomial systems on affine varieties.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # every command takes --budget-pairs; only the two that build linear
+    # systems take --budget-matrix
+    pairs = argparse.ArgumentParser(add_help=False)
+    pairs.add_argument("--budget-pairs", type=int, default=DEFAULT_BUDGET.max_pairs,
+                       help="cap on Groebner S-pairs taken for reduction "
+                            "(pairs the criteria discard do not count)")
+    matrix = argparse.ArgumentParser(add_help=False, parents=[pairs])
+    matrix.add_argument("--budget-matrix", type=int, default=DEFAULT_BUDGET.max_matrix_entries,
+                        help="cap on linear-system entries before failing")
+    closure = argparse.ArgumentParser(add_help=False, parents=[pairs])
+    closure.add_argument("--homogenize-saturate", action="store_true",
+                         help="work on the projective closure of an affine ideal")
+    closure.add_argument("--char", type=int, help="prime field for the computation")
 
-    p = sub.add_parser("membership", help="search for degree-bounded certificates")
+    p = sub.add_parser("membership", parents=[matrix],
+                       help="search for degree-bounded certificates")
     p.add_argument("file")
     p.add_argument("--rho", type=int, help="search at this degree")
     p.add_argument("--min", action="store_true", help="scan for the minimal degree")
     p.add_argument("--rho-max", type=int, help="scan cap for --min (default: --rho or 20)")
     p.add_argument("--cap-gen", action="append", metavar="J:K",
                    help="cap deg Q_j <= K for generator j (1-based); repeatable")
-    _common_flags(p)
     p.set_defaults(func=cmd_membership)
 
-    p = sub.add_parser("bounds", help="evaluate all degree bounds side by side")
+    p = sub.add_parser("bounds", parents=[pairs],
+                       help="evaluate all degree bounds side by side")
     p.add_argument("file")
     p.add_argument("--compute-invariants", action="store_true",
                    help="fill dim/deg/reg via saturation+resolution pipeline")
     p.add_argument("--char", type=int, help="prime field for invariant computations")
-    _common_flags(p)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("resolve", help="Betti table, regularity, drop-rank codims")
+    p = sub.add_parser("resolve", parents=[closure],
+                       help="Betti table, regularity, drop-rank codims")
     p.add_argument("file")
-    p.add_argument("--homogenize-saturate", action="store_true",
-                   help="resolve the projective closure of an affine ideal")
-    p.add_argument("--char", type=int, help="prime field for the resolution")
-    _common_flags(p)
     p.set_defaults(func=cmd_resolve)
 
-    p = sub.add_parser("invariants", help="Hilbert data of the projective closure")
+    p = sub.add_parser("invariants", parents=[closure],
+                       help="Hilbert data of the projective closure")
     p.add_argument("file")
-    p.add_argument("--homogenize-saturate", action="store_true")
-    p.add_argument("--char", type=int)
-    _common_flags(p)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("bench", help="run an instance family, emit a table/CSV")
+    p = sub.add_parser("bench", parents=[matrix],
+                       help="run an instance family, emit a table/CSV")
     p.add_argument("family", choices=["kollar", "macaulay-generic", "cusp"])
     p.add_argument("--d", help="degree or range (e.g. 2:3)")
     p.add_argument("--m", help="generator count or range")
@@ -435,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=5, help="samples per parameter point")
     p.add_argument("--rho-cap", type=int, default=40, help="certificate scan cap")
     p.add_argument("--csv", help="write rows to this CSV file")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_bench)
 
     return ap

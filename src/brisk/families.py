@@ -25,6 +25,9 @@ from .invariants import empty_at_infinity
 from .localorder import BranchParam
 from .polyring import MultiPoly, PolyRing, homogenize
 
+# samples macaulay_generic draws before it gives up
+RETRIES = 50
+
 
 @dataclass(frozen=True)
 class FamilyInstance:
@@ -101,7 +104,6 @@ def macaulay_generic(
     n: int,
     rng: random.Random,
     budget: Budget = DEFAULT_BUDGET,
-    retries: int = 50,
 ) -> FamilyInstance:
     """n+1 random degree-d generators with Phi = 1, resampled until the
     homogenized system is empty at infinity.  The classical bound
@@ -111,18 +113,13 @@ def macaulay_generic(
         raise ValueError("macaulay-generic family needs d >= 1 and n >= 1")
     ring = _affine_ring(n)
     proj = ring.extend_front("z0")
-    for _ in range(retries):
+    for _ in range(RETRIES):
         gens = [_random_poly(ring, d, rng) for _ in range(n + 1)]
         if any(not g for g in gens):
             continue
         fs = [homogenize(g, d, "z0") for g in gens]
         if empty_at_infinity(fs, Ideal(proj, []), budget):
-            inst = MembershipInstance(
-                ring=ring,
-                variety=Ideal(ring, []),
-                gens=tuple(gens),
-                phi=ring.one(),
-            )
+            inst = MembershipInstance(ring, Ideal(ring, []), tuple(gens), ring.one())
             inputs = BoundInputs(
                 ambient=n,
                 dim=n,
@@ -143,7 +140,7 @@ def macaulay_generic(
                 macaulay_applicable=True,
             )
     raise BudgetExceededError(
-        f"budget exhausted: no empty-at-infinity sample found in {retries} draws"
+        f"budget exhausted: no empty-at-infinity sample found in {RETRIES} draws"
     )
 
 

@@ -159,7 +159,7 @@ class GroebnerBasis:
         """(packing, reducers) of the basis with fields ``bits`` wide: the
         monic ``kernel.normal_form`` reducers under this order.  Raises
         OverflowError when an element does not fit the width."""
-        packing = kernel.packing(self.order.spec(), self.ring.nvars, bits)
+        packing = kernel.packing(self.order, self.ring.nvars, bits)
         reducers = []
         for g in self.basis:
             terms = packing.pack_terms(g.terms)
@@ -213,7 +213,7 @@ def buchberger(
     gens = [(kernel.to_ints(g.terms, modulus), g.degree()) for g in ideal.gens]
 
     def run(bits):
-        packing = kernel.packing(order.spec(), ring.nvars, bits)
+        packing = kernel.packing(order, ring.nvars, bits)
         basis = _packed_basis(gens, packing, modulus, budget)
         return [MultiPoly(ring, packing.unpack_terms(t)) for t in basis]
 

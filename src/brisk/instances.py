@@ -126,9 +126,7 @@ class InstanceFile:
 
 
 def _strip_comment(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+    return line.split("#", 1)[0].strip()
 
 
 def _column(raw: str, text: str) -> int:
@@ -179,14 +177,16 @@ def _parse_polys(ring: PolyRing, items: list[tuple[int, int, str]]) -> list[Mult
     return out
 
 
-def parse_ring_header(line: str, lineno: int) -> PolyRing:
+def parse_ring_header(item: tuple[int, int, str]) -> PolyRing:
+    """The ring of a ``vars:`` item (line number, column, names)."""
+    lineno, col, line = item
     names = tuple(n.strip() for n in line.split(",") if n.strip())
     if not names:
-        raise ParseError("vars: header names no variables", lineno)
+        raise ParseError("vars: header names no variables", lineno, col)
     try:
         return PolyRing(names)
     except ValueError as ex:
-        raise ParseError(str(ex), lineno) from ex
+        raise ParseError(str(ex), lineno, col) from ex
 
 
 def parse_instance(text: str) -> InstanceFile:
@@ -195,8 +195,7 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError("instance file needs a vars: header")
     if not sections["vars"]:
         raise ParseError("empty vars: header")
-    lineno, _, line = sections["vars"][0]
-    ring = parse_ring_header(line, lineno)
+    ring = parse_ring_header(sections["vars"][0])
     variety = Ideal(ring, _parse_polys(ring, sections.get("variety", [])))
     gens = _parse_polys(ring, sections.get("generators", []))
     phis = _parse_polys(ring, sections.get("target", []))
@@ -204,11 +203,11 @@ def parse_instance(text: str) -> InstanceFile:
         raise ParseError("target: section must hold a single polynomial")
     power = 1
     if "power" in sections:
-        lineno, _, line = sections["power"][0]
+        lineno, col, line = sections["power"][0]
         try:
             power = int(line)
         except ValueError as ex:
-            raise ParseError(f"bad power {line!r}", lineno) from ex
+            raise ParseError(f"bad power {line!r}", lineno, col) from ex
     branches = []
     for lineno, col, line in sections.get("branches", []):
         try:
@@ -216,9 +215,9 @@ def parse_instance(text: str) -> InstanceFile:
         except ParseError as ex:
             raise _at(ex, lineno, col) from ex
     params: dict[str, str] = {}
-    for lineno, _, line in sections.get("params", []):
+    for lineno, col, line in sections.get("params", []):
         if "=" not in line:
-            raise ParseError(f"params line {line!r} lacks '='", lineno)
+            raise ParseError(f"params line {line!r} lacks '='", lineno, col)
         key, val = line.split("=", 1)
         params[key.strip()] = val.strip()
     return InstanceFile(
@@ -244,7 +243,8 @@ def parse_ideal_file(text: str) -> Ideal:
         if ring is None:
             if not line.startswith("vars:"):
                 raise ParseError("ideal file must start with a vars: header", lineno)
-            ring = parse_ring_header(line[len("vars:") :].strip(), lineno)
+            rest = line[len("vars:") :].strip()
+            ring = parse_ring_header((lineno, _column(raw, rest), rest))
             continue
         try:
             polys.append(ring.parse(line))
@@ -277,7 +277,7 @@ def parse_certificate(text: str, inst: MembershipInstance) -> Certificate:
     lines = [l for l in (_strip_comment(raw) for raw in text.splitlines()) if l]
     if not lines or not lines[0].startswith("vars:"):
         raise ParseError("certificate must start with a vars: header")
-    ring = parse_ring_header(lines[0][len("vars:") :].strip(), 1)
+    ring = parse_ring_header((1, 1, lines[0][len("vars:") :].strip()))
     if ring != inst.ring:
         raise ParseError("certificate ring differs from the instance ring")
     trailer = {}

@@ -8,15 +8,15 @@ monomial is an exponent tuple.
 Inside the Groebner engine a monomial is one int, made by a ``Packing``
 (Bachmann and Schoenemann 1998).  That int is the monomial order of the
 whole package: every comparison of monomials, inside the engine or out
-(``MultiPoly.leading``, ``format_poly``), compares packed ints of the
-``spec`` tuple of ``MonomialOrder.spec()``.  Each monomial order compares
-blocks of variables by grevlex: grevlex is one block, lex one block per
-variable, elim(k) two.  The packing lays out the prefix sums of each
-block, most significant first, and below them every exponent not
-already a field, in fields of equal width.  Every field is a sum of
-exponents, so int comparison is the monomial order and int addition is
-monomial multiplication.  The top bit of each field is a guard bit that
-valid monomials leave clear: ``lead`` divides ``m`` exactly when
+(``MultiPoly.leading``, ``format_poly``), compares packed ints of one
+``MonomialOrder``.  Each monomial order compares blocks of variables, in
+ring order, by grevlex: grevlex is one block, lex one block per variable,
+elim(k) two.  The packing lays out the prefix sums of each block, most
+significant first, and below them every exponent not already a field, in
+fields of equal width.  Every field is a sum of exponents, so int
+comparison is the monomial order and int addition is monomial
+multiplication.  The top bit of each field is a guard bit that valid
+monomials leave clear: ``lead`` divides ``m`` exactly when
 ``(m - lead) & guard`` is zero, and a product that outgrows its fields
 sets a guard bit.  The engine then raises OverflowError, and its caller
 starts again with fields twice as wide (``widening``).
@@ -45,7 +45,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .fields import GF, GFElement
-from .orders import GREVLEX, LEX
+from .orders import GREVLEX, LEX, MonomialOrder
 
 # strip the content of an integer remainder after this many scalings
 CONTENT_EVERY = 8
@@ -167,17 +167,16 @@ class Packing:
     shift of the field that holds its exponent, ``guard`` the mask of all
     guard bits."""
 
-    __slots__ = ("spec", "bits", "limit", "guard", "weights", "offsets")
+    __slots__ = ("order", "bits", "limit", "guard", "weights", "offsets")
 
-    def __init__(self, spec, nvars: int, bits: int):
-        kind, block, perm = spec
-        ranked = list(range(nvars)) if perm is None else list(perm)
-        if kind == GREVLEX:
+    def __init__(self, order: MonomialOrder, nvars: int, bits: int):
+        ranked = list(range(nvars))
+        if order.kind == GREVLEX:
             blocks = [ranked]
-        elif kind == LEX:
+        elif order.kind == LEX:
             blocks = [[v] for v in ranked]
         else:
-            blocks = [ranked[:block], ranked[block:]]
+            blocks = [ranked[:order.block], ranked[order.block:]]
         fields = [b[:k] for b in blocks for k in range(len(b), 0, -1)]
         # the divisor test needs a field per exponent; below fields that
         # already fix the monomial, these never decide a comparison
@@ -192,7 +191,7 @@ class Packing:
                 weights[v] |= 1 << shift
             if len(field) == 1:
                 offsets[field[0]] = shift
-        self.spec = spec
+        self.order = order
         self.bits = bits
         self.limit = 1 << (bits - 1)
         self.guard = guard
@@ -218,9 +217,9 @@ class Packing:
 
 
 @lru_cache(maxsize=64)
-def packing(spec, nvars: int, bits: int) -> Packing:
-    """The one ``Packing`` for an order spec, a variable count and a width."""
-    return Packing(spec, nvars, bits)
+def packing(order: MonomialOrder, nvars: int, bits: int) -> Packing:
+    """The one ``Packing`` for an order, a variable count and a width."""
+    return Packing(order, nvars, bits)
 
 
 def bits_for(degree: int) -> int:

@@ -193,7 +193,7 @@ def monomial_integral_closure(phi, region: NewtonRegion, k: int = 1) -> bool:
     return value == 0
 
 
-def _simplex_min(rows, rhs, basis, cost, max_iter: int = 10_000):
+def _simplex_min(rows, rhs, basis, cost):
     """Minimize cost.x over Ax = b, x >= 0 from the given basic feasible
     basis, with Bland's rule; returns the optimal value."""
     m = len(rows)
@@ -206,7 +206,7 @@ def _simplex_min(rows, rhs, basis, cost, max_iter: int = 10_000):
             f = obj[b]
             obj = [o - f * a for o, a in zip(obj, rows[r])]
             obj_val -= f * rhs[r]
-    for _ in range(max_iter):
+    for _ in range(10_000):
         entering = next((j for j in range(ncols) if obj[j] < 0), None)
         if entering is None:
             return -obj_val

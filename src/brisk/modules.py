@@ -106,10 +106,10 @@ class Layout:
         return self.packing.guard.bit_length()
 
     @classmethod
-    def free(cls, spec, nvars: int, bits: int, twists) -> Layout:
-        """⊕ S(-twists[i]) under degree, then the ring order ``spec``, then
-        the lower position."""
-        packing = kernel.packing(spec, nvars, bits)
+    def free(cls, order, nvars: int, bits: int, twists) -> Layout:
+        """⊕ S(-twists[i]) under degree, then the ring order ``order``,
+        then the lower position."""
+        packing = kernel.packing(order, nvars, bits)
         ring_bits = packing.guard.bit_length()
         offset = max(0, -min(twists, default=0))
         bases = []

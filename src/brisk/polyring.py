@@ -32,7 +32,7 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 def _order_key(p: "MultiPoly", order: MonomialOrder):
     """Sort key of the exponents of nonzero ``p`` under ``order``: the
     int of ``kernel.Packing``, which is the monomial order."""
-    return kernel.packing(order.spec(), p.ring.nvars, kernel.bits_for(p.degree())).pack
+    return kernel.packing(order, p.ring.nvars, kernel.bits_for(p.degree())).pack
 
 
 @dataclass(frozen=True)

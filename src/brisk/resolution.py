@@ -26,7 +26,7 @@ from . import invariants, kernel, modules
 from .errors import BudgetExceededError
 from .groebner import DEFAULT_BUDGET, Budget, Ideal, buchberger
 from .modules import FreeModule
-from .orders import MonomialOrder, grevlex
+from .orders import grevlex
 from .polyring import MultiPoly, PolyRing
 
 
@@ -59,18 +59,21 @@ class FreeResolution:
     (the zero ideal).
     """
 
-    ring: PolyRing
     ideal: Ideal
     steps: tuple[ResolutionStep, ...]
-    minimal: bool
+
+    @property
+    def ring(self) -> PolyRing:
+        return self.ideal.ring
 
     @property
     def length(self) -> int:
         return len(self.steps)
 
     def validate(self, check_exact: bool = False) -> None:
-        """Assert gradedness, composition zero and (optionally) exactness:
-        every homology H_k vanishes and coker(phi_1) = S/J.
+        """Assert gradedness, composition zero, minimality (no unit entry)
+        and (optionally) exactness: every homology H_k vanishes and
+        coker(phi_1) = S/J.
 
         The exactness check reads Hilbert series.  From the exact sequence
         0 -> H_k -> coker(phi_{k+1}) -> F_{k-1} -> coker(phi_k) -> 0,
@@ -89,12 +92,9 @@ class FreeResolution:
             prod = _mat_mul(a.matrix, b.matrix, self.ring)
             if any(p for row in prod for p in row):
                 raise AssertionError("consecutive resolution steps do not compose to zero")
-        if self.minimal:
-            for step in self.steps:
-                for row in step.matrix:
-                    for p in row:
-                        if p and p.is_constant():
-                            raise AssertionError("minimal resolution has a unit entry")
+        for step in self.steps:
+            if any(p and p.is_constant() for row in step.matrix for p in row):
+                raise AssertionError("minimal resolution has a unit entry")
         if check_exact:
             self._check_exact()
 
@@ -153,7 +153,7 @@ def _coker_numerators(ring, matrices, twists, budget):
     def run(bits):
         out = []
         for matrix, tw in zip(matrices, twists):
-            layout = modules.Layout.free(grevlex().spec(), ring.nvars, bits, tw)
+            layout = modules.Layout.free(grevlex(), ring.nvars, bits, tw)
             columns = modules.columns_to_elements(matrix, layout)
             columns = [kernel.to_ints(c, modulus) for c in columns]
             basis = modules.module_groebner(columns, layout, modulus, budget)
@@ -164,13 +164,9 @@ def _coker_numerators(ring, matrices, twists, budget):
     return kernel.widening(run, kernel.MIN_BITS)
 
 
-def syzygies(
-    source,
-    order: MonomialOrder = grevlex(),
-    budget: Budget = DEFAULT_BUDGET,
-) -> ResolutionStep:
+def syzygies(source, budget: Budget = DEFAULT_BUDGET) -> ResolutionStep:
     """Syzygy step of a homogeneous matrix (or of a tuple of polynomials,
-    read as a single-row matrix).
+    read as a single-row matrix), in grevlex.
 
     The returned step's columns generate all relations among the columns
     of the input and compose with it to zero.
@@ -191,12 +187,12 @@ def syzygies(
     modulus = kernel.field_modulus(p for row in matrix for p in row)
 
     def run(bits):
-        ambient = modules.Layout.free(order.spec(), ring.nvars, bits, ambient_twists)
+        ambient = modules.Layout.free(grevlex(), ring.nvars, bits, ambient_twists)
         columns = modules.columns_to_elements(matrix, ambient)
         if any(len({ambient.degree(t) for t in c}) > 1 for c in columns):
             raise ValueError("input matrix is not homogeneous")
         twists = column_twists or tuple(ambient.degree(max(c)) if c else 0 for c in columns)
-        relations = modules.Layout.free(order.spec(), ring.nvars, bits, twists)
+        relations = modules.Layout.free(grevlex(), ring.nvars, bits, twists)
         syz = modules.syzygies_of_columns(columns, ambient, relations, modulus, budget)
         return twists, relations, syz
 
@@ -214,17 +210,17 @@ def syzygies(
 
 def minimal_resolution(
     ideal: Ideal,
-    order: MonomialOrder = grevlex(),
     budget: Budget = DEFAULT_BUDGET,
     max_steps: int | None = None,
 ) -> FreeResolution:
-    """Minimal graded free resolution of S/ideal (ideal homogeneous)."""
+    """Minimal graded free resolution of S/ideal (ideal homogeneous), in
+    grevlex."""
     ring = ideal.ring
     if not ideal.is_homogeneous():
         raise ValueError("minimal_resolution needs a homogeneous ideal")
     if ideal.is_zero():
-        return FreeResolution(ring, ideal, (), True)
-    gb = buchberger(ideal, order, budget)
+        return FreeResolution(ideal, ())
+    gb = buchberger(ideal, budget=budget)
     if any(g.is_constant() for g in gb):
         raise ValueError("unit ideal has no resolution of S/J (S/J = 0)")
 
@@ -236,7 +232,7 @@ def minimal_resolution(
         # cleared ints are primitive), each further step the syzygies of
         # the previous one (already a basis in the induced order), each
         # element tracking lc(g_k) e_k of the next layout
-        layout = modules.Layout.free(order.spec(), ring.nvars, bits, (0,))
+        layout = modules.Layout.free(grevlex(), ring.nvars, bits, (0,))
         current = modules.columns_to_elements([gb.basis], layout)
         current = [kernel.to_ints(c, modulus) for c in current]
         target = FreeModule((0,))
@@ -256,7 +252,7 @@ def minimal_resolution(
         return steps
 
     steps = kernel.widening(frame, kernel.MIN_BITS)
-    return FreeResolution(ring, ideal, tuple(_minimalize(ring, steps)), True)
+    return FreeResolution(ideal, tuple(_minimalize(ring, steps)))
 
 
 def _minimalize(ring: PolyRing, steps: list[ResolutionStep]) -> list[ResolutionStep]:
@@ -326,8 +322,6 @@ def _minimalize(ring: PolyRing, steps: list[ResolutionStep]) -> list[ResolutionS
 
 def betti(res: FreeResolution) -> dict[tuple[int, int], int]:
     """{(homological index k >= 1, twist d): multiplicity}."""
-    if not res.minimal:
-        raise ValueError("betti table needs a minimal resolution")
     table: dict[tuple[int, int], int] = {}
     for k, step in enumerate(res.steps, start=1):
         for d in step.source.twists:
@@ -358,8 +352,6 @@ def betti_table_text(res: FreeResolution) -> str:
 def regularity(res: FreeResolution) -> int:
     """max (twist - homological index) + 1 over the minimal resolution of
     S/J; equals 1 for the zero ideal."""
-    if not res.minimal:
-        raise ValueError("regularity needs a minimal resolution")
     best = 0
     for k, step in enumerate(res.steps, start=1):
         for d in step.source.twists:

@@ -16,16 +16,13 @@ from brisk.orders import GREVLEX, LEX
 from brisk.polyring import MultiPoly, PolyRing
 
 
-def key_of(exp: tuple[int, ...], spec):
-    """Sort key of ``exp`` under the order ``spec``; max(key) leads."""
-    kind, block, perm = spec
-    if perm is not None:
-        exp = tuple(exp[i] for i in perm)
-    if kind == GREVLEX:
+def key_of(exp: tuple[int, ...], order):
+    """Sort key of ``exp`` under ``order``; max(key) leads."""
+    if order.kind == GREVLEX:
         return (sum(exp), tuple(-x for x in reversed(exp)))
-    if kind == LEX:
+    if order.kind == LEX:
         return exp
-    a, b = exp[:block], exp[block:]
+    a, b = exp[:order.block], exp[order.block:]
     return (sum(a), tuple(-x for x in reversed(a)), sum(b), tuple(-x for x in reversed(b)))
 
 
@@ -350,7 +347,7 @@ def base_module_key(ring_order, twists, m):
     generator twists ``twists``: degree, then the ring order by ``key_of``,
     then the lower position."""
     pos, e = m
-    return (sum(e) + twists[pos], key_of(e, ring_order.spec()), -pos)
+    return (sum(e) + twists[pos], key_of(e, ring_order), -pos)
 
 
 def schreyer_key(prev_key, images, m):

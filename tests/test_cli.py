@@ -234,6 +234,18 @@ class TestResolve:
         with pytest.raises(BudgetExceededError, match="max_pairs"):
             bef_codims(res, Budget(max_pairs=0))
 
+    @pytest.mark.parametrize("command", ["resolve", "invariants"])
+    def test_closure_variable_when_z0_is_taken(self, command, tmp_path, capsys):
+        # the homogenizing variable takes a fresh name when z0 is a ring
+        # variable; the output names no variable, so it is the same
+        outs = []
+        for name in ("z0", "a"):
+            f = tmp_path / f"{name}.txt"
+            f.write_text(f"vars: {name}, x, y\n{name}*x - y^2 + 1\n")
+            assert main([command, str(f), "--homogenize-saturate"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
     def test_zero_ideal_is_an_empty_resolution(self, tmp_path, capsys):
         f = tmp_path / "zero.txt"
         f.write_text("vars: x, y\n0\n")
@@ -428,6 +440,12 @@ class TestParseErrorPositions:
          "unexpected character '$' (line 4, column 14)"),
         ("vars: z1, z2\ngenerators:\n  z2\ntarget: z1\nbranches:\n  branch: q = t^2\n",
          "unknown branch variable 'q' (line 6, column 3)"),
+        (CUSP.replace("target: z1\n", "target: z1\npower: x\n"),
+         "bad power 'x' (line 7, column 8)"),
+        (KOLLAR.replace("  deg_x = 1\n", "  mu0 3\n"),
+         "params line 'mu0 3' lacks '=' (line 8, column 3)"),
+        (KOLLAR.replace("vars: z1, z2", "vars: z1, 2x"),
+         "invalid variable name '2x' (line 1, column 7)"),
     ])
     def test_instance_file(self, tmp_path, capsys, text, message):
         f = tmp_path / "bad.txt"
@@ -441,11 +459,30 @@ class TestParseErrorPositions:
         assert main(["resolve", str(f)]) == 2
         assert capsys.readouterr().err == "error: unexpected character '$' (line 3, column 8)\n"
 
+    def test_ideal_file_ring_header(self, tmp_path, capsys):
+        f = tmp_path / "bad.txt"
+        f.write_text("vars: z1, 2x\nz1\n")
+        assert main(["resolve", str(f)]) == 2
+        assert capsys.readouterr().err == "error: invalid variable name '2x' (line 1, column 7)\n"
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["membership", str(tmp_path / "absent.txt"), "--rho", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot read ")
         assert "line" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "F", "--seed", "1"],
+    ["membership", "F", "--seed", "1"],
+    ["bounds", "F", "--budget-matrix", "5"],
+    ["invariants", "F", "--budget-matrix", "5"],
+])
+def test_flag_the_command_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_budget_flags_default_to_the_default_budget():

@@ -572,7 +572,7 @@ def _module_basis_lines(ideal):
         lines = []
         for k, step in enumerate(res.steps, start=1):
             dual = tuple(-b for b in step.source.twists)
-            layout = Layout.free(grevlex().spec(), res.ring.nvars, bits, dual)
+            layout = Layout.free(grevlex(), res.ring.nvars, bits, dual)
             columns = columns_to_elements(list(zip(*step.matrix)), layout)
             basis = module_groebner([kernel.to_ints(c, modulus) for c in columns], layout, modulus)
             lines.append(f"step {k}: {dual}, {len(basis)} elements")

@@ -236,6 +236,17 @@ class TestSaturate:
         G = buchberger(sat)
         assert list(G.basis) == [cusp.monic()]
 
+    def test_ring_variable_named_t(self):
+        # the Rabinowitsch variable takes a fresh name when t is taken
+        with_t, with_s = PolyRing(("t", "x", "y")), PolyRing(("s", "x", "y"))
+        gens = ["t*x^2 - x*y", "x*y^2"]
+        sats = [
+            saturate(Ideal(R, [R.parse(g.replace("t", R.names[0])) for g in gens]), R.var(1))
+            for R in (with_t, with_s)
+        ]
+        renamed = tuple(MultiPoly(with_t, g.terms) for g in sats[1].gens)
+        assert sats[0].gens and sats[0].gens == renamed
+
     def test_saturation_contains_ideal_and_absorbs(self):
         rng = random.Random(11)
         R = PolyRing(("x", "y"))
@@ -359,7 +370,7 @@ class TestCanonicalForm:
 
 
 def _lead(terms, order):
-    return max(terms, key=lambda e: key_of(e, order.spec()))
+    return max(terms, key=lambda e: key_of(e, order))
 
 
 def _monic(terms, order):
@@ -453,7 +464,7 @@ def oracle_cases():
             lower = {
                 e: c
                 for e, c in rand_poly(ring, rng, sum(m), 3).terms.items()
-                if key_of(e, order.spec()) < key_of(m, order.spec())
+                if key_of(e, order) < key_of(m, order)
             }
             gens.append(MultiPoly(ring, {**lower, m: Fraction(rng.randint(1, 4))}))
         if over_gf:
@@ -657,7 +668,7 @@ class TestModularTrace:
         # x^2 and x^2 + y share a lead; minimalization keeps loop element
         # 0, so the skipped pair (0, 1) is S(x^2, x^2 + y) = -y, not 0
         R = PolyRing(("x", "y"))
-        packing = kernel.packing(grevlex().spec(), 2, 8)
+        packing = kernel.packing(grevlex(), 2, 8)
         loop = [
             packing.pack_terms(kernel.to_ints(R.parse(g).terms, None)) for g in ("x^2", "x^2 + y")
         ]
@@ -712,12 +723,12 @@ class TestExponentGrowth:
     def test_s_polynomial_past_the_field_width_raises(self):
         # S(x - y^120, x*y^10 - 1) = -y^130 + 1 under lex; 8-bit fields
         # hold exponents below 128
-        pk = kernel.packing(lex().spec(), 2, 8)
+        pk = kernel.packing(lex(), 2, 8)
         ri = kernel.reducer(pk.pack((1, 0)), {pk.pack((1, 0)): 1, pk.pack((0, 120)): -1})
         rj = kernel.reducer(pk.pack((1, 10)), {pk.pack((1, 10)): 1, pk.pack((0, 0)): -1})
         with pytest.raises(OverflowError):
             kernel.s_poly(ri, rj, pk.pack((1, 10)), pk.guard, None)
-        pk = kernel.packing(lex().spec(), 2, 16)
+        pk = kernel.packing(lex(), 2, 16)
         ri = kernel.reducer(pk.pack((1, 0)), {pk.pack((1, 0)): 1, pk.pack((0, 120)): -1})
         rj = kernel.reducer(pk.pack((1, 10)), {pk.pack((1, 10)): 1, pk.pack((0, 0)): -1})
         s = kernel.s_poly(ri, rj, pk.pack((1, 10)), pk.guard, None)

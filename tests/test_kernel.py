@@ -21,13 +21,13 @@ from brisk.orders import elim, grevlex, lex
 P = 32003
 
 
-def reference_nf(terms, reducers, spec):
+def reference_nf(terms, reducers, order):
     """Division of exponent tuples by monic (lead, tail) pairs, first
     divisor in sequence order."""
     work = dict(terms)
     out = {}
     while work:
-        m = max(work, key=lambda e: key_of(e, spec))
+        m = max(work, key=lambda e: key_of(e, order))
         c = work.pop(m)
         for lead, tail in reducers:
             if all(x <= y for x, y in zip(lead, m)):
@@ -59,14 +59,14 @@ def rand_terms(rng, nvars, used, max_deg, nterms, coeff):
     return {e: c for e, c in terms.items() if c}
 
 
-def rand_reducers(rng, nvars, used, spec, count, coeff):
-    """Random polynomials as (lead, terms) with the lead under ``spec``;
+def rand_reducers(rng, nvars, used, order, count, coeff):
+    """Random polynomials as (lead, terms) with the lead under ``order``;
     not a Groebner basis, so the remainder depends on the order."""
     out = []
     while len(out) < count:
         terms = rand_terms(rng, nvars, used, 3, rng.randint(1, 4), coeff)
         if terms:
-            out.append((max(terms, key=lambda e: key_of(e, spec)), terms))
+            out.append((max(terms, key=lambda e: key_of(e, order)), terms))
     return out
 
 
@@ -93,18 +93,12 @@ def is_multiple(a, b):
 # ------------------------------------------------------------ packing
 
 NVARS = (1, 3, 7, 70)
-KINDS = ["grevlex", "lex", "elim(2)", "grevlex[perm]", "lex[perm]", "elim(2)[perm]"]
+KINDS = ["grevlex", "lex", "elim(2)"]
 
 
 def make_packing(kind, nvars, bits=kernel.MIN_BITS):
-    name, permuted, _ = kind.partition("[perm]")
-    perm = None
-    if permuted:
-        perm = list(range(nvars))
-        random.Random(nvars).shuffle(perm)
-        perm = tuple(perm)
-    order = {"grevlex": grevlex(perm), "lex": lex(perm), "elim(2)": elim(2, perm)}[name]
-    return kernel.packing(order.spec(), nvars, bits)
+    order = {"grevlex": grevlex(), "lex": lex(), "elim(2)": elim(2)}[kind]
+    return kernel.packing(order, nvars, bits)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -123,7 +117,7 @@ def test_int_order_is_the_monomial_order(kind, nvars):
         monos.append(tuple(b))
     keys = {e: pk.pack(e) for e in monos}
     assert len(set(keys.values())) == len(keys)
-    assert sorted(monos, key=keys.get) == sorted(monos, key=lambda e: key_of(e, pk.spec))
+    assert sorted(monos, key=keys.get) == sorted(monos, key=lambda e: key_of(e, pk.order))
     assert all(pk.unpack(k) == e for e, k in keys.items())
 
 
@@ -177,13 +171,13 @@ def test_field_overflow_is_caught(kind):
 
 def test_normal_form_raises_instead_of_wrapping():
     # under lex, x -> y^2 doubles the exponent past an 8-bit field
-    pk = kernel.packing(lex().spec(), 2, 8)
+    pk = kernel.packing(lex(), 2, 8)
     x, y2 = pk.pack((1, 0)), pk.pack((0, 2))
     red = kernel.reducer(x, {x: Fraction(1), y2: Fraction(-1)})
     f = {pk.pack((100, 0)): Fraction(1)}
     with pytest.raises(OverflowError):
         kernel.normal_form(f, [red], pk)
-    pk = kernel.packing(lex().spec(), 2, 16)
+    pk = kernel.packing(lex(), 2, 16)
     red = kernel.reducer(pk.pack((1, 0)), {pk.pack((1, 0)): Fraction(1), pk.pack((0, 2)): Fraction(-1)})
     got = kernel.normal_form({pk.pack((100, 0)): Fraction(1)}, [red], pk)
     assert pk.unpack_terms(got) == {(0, 200): Fraction(1)}
@@ -208,22 +202,22 @@ def test_masks_skip_no_divisor(nvars, used):
     # the guard-bit divisor test finds the same first reducer as a
     # componentwise comparison of exponent tuples
     rng = random.Random(nvars)
-    spec = grevlex().spec()
-    pk = kernel.packing(spec, nvars, kernel.MIN_BITS)
+    order = grevlex()
+    pk = kernel.packing(order, nvars, kernel.MIN_BITS)
     for _ in range(40):
-        reds = rand_reducers(rng, nvars, used, spec, rng.randint(1, 5), small_int)
+        reds = rand_reducers(rng, nvars, used, order, rng.randint(1, 5), small_int)
         reds = [(lead, monic(lead, t)) for lead, t in reds]
         # a constant lead divides everything
         if rng.random() < 0.3:
             reds.append(((0,) * nvars, {(0,) * nvars: Fraction(1)}))
         f = rand_terms(rng, nvars, used, 5, 6, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 4)))
-        want = reference_nf(f, [(lead, [(e, c) for e, c in t.items() if e != lead]) for lead, t in reds], spec)
+        want = reference_nf(f, [(lead, [(e, c) for e, c in t.items() if e != lead]) for lead, t in reds], order)
         got = kernel.normal_form(pk.pack_terms(f), packed_reducers(reds, pk), pk)
         assert pk.unpack_terms(got) == want
 
 
 def test_constant_lead_reduces_everything():
-    pk = kernel.packing(grevlex().spec(), 70, kernel.MIN_BITS)
+    pk = kernel.packing(grevlex(), 70, kernel.MIN_BITS)
     one = (0,) * 70
     f = {(1,) + (0,) * 69: Fraction(3), (0,) * 69 + (4,): Fraction(-1), one: Fraction(2)}
     reducers = packed_reducers([(one, {one: Fraction(1)})], pk)
@@ -238,12 +232,11 @@ def test_constant_lead_reduces_everything():
 def test_integer_remainder_is_a_multiple_of_the_fraction_remainder(order, content_every, monkeypatch):
     monkeypatch.setattr(kernel, "CONTENT_EVERY", content_every)
     rng = random.Random(7)
-    spec = order.spec()
-    pk = kernel.packing(spec, 3, kernel.MIN_BITS)
+    pk = kernel.packing(order, 3, kernel.MIN_BITS)
     used = [0, 1, 2]
     nonzero = 0
     for _ in range(60):
-        reds = rand_reducers(rng, 3, used, spec, rng.randint(1, 4), small_int)
+        reds = rand_reducers(rng, 3, used, order, rng.randint(1, 4), small_int)
         # positive integer leads, as the Buchberger loop keeps them
         reds = [
             (lead, t if t[lead] > 0 else {e: -c for e, c in t.items()})
@@ -265,15 +258,15 @@ def test_integer_remainder_is_a_multiple_of_the_fraction_remainder(order, conten
 def test_mod_p_remainder_equals_the_gfelement_remainder():
     rng = random.Random(11)
     field = GF(P)
-    spec = grevlex().spec()
-    pk = kernel.packing(spec, 4, kernel.MIN_BITS)
+    order = grevlex()
+    pk = kernel.packing(order, 4, kernel.MIN_BITS)
     used = [0, 1, 2, 3]
 
     def residue(r):
         return r.randrange(P)
 
     for _ in range(60):
-        reds = rand_reducers(rng, 4, used, spec, rng.randint(1, 5), residue)
+        reds = rand_reducers(rng, 4, used, order, rng.randint(1, 5), residue)
         as_ints = []
         as_gf = []
         for lead, t in reds:
@@ -293,8 +286,8 @@ def test_lazy_residues_equal_the_gfelement_remainder(p):
     # tail updates leave sums unreduced; a coefficient is reduced when it
     # is popped, and dropped when that gives 0
     field = GF(p)
-    spec = grevlex().spec()
-    pk = kernel.packing(spec, 4, kernel.MIN_BITS)
+    order = grevlex()
+    pk = kernel.packing(order, 4, kernel.MIN_BITS)
 
     def as_gf(terms):
         return {e: field(c) for e, c in terms.items()}
@@ -317,7 +310,7 @@ def test_lazy_residues_equal_the_gfelement_remainder(p):
         return r.randrange(p)
 
     for _ in range(60):
-        reds = rand_reducers(rng, 4, used, spec, rng.randint(1, 5), residue)
+        reds = rand_reducers(rng, 4, used, order, rng.randint(1, 5), residue)
         reds = [(lead, {e: c * pow(t[lead], -1, p) % p for e, c in t.items()}) for lead, t in reds]
         f = pk.pack_terms(rand_terms(rng, 4, used, 6, 8, residue))
         got = kernel.normal_form(f, packed_reducers(reds, pk), pk, p)
@@ -331,8 +324,8 @@ def test_lazy_residues_equal_the_gfelement_remainder(p):
 
 def test_memo_resumes_the_scan_after_reducers_are_appended():
     # x*y has no divisor among [y^2 - x]; x - z, appended later, divides it
-    spec = grevlex().spec()
-    pk = kernel.packing(spec, 3, kernel.MIN_BITS)
+    order = grevlex()
+    pk = kernel.packing(order, 3, kernel.MIN_BITS)
     xy, yz = pk.pack((1, 1, 0)), pk.pack((0, 1, 1))
     reducers = packed_reducers([((0, 2, 0), {(0, 2, 0): 1, (1, 0, 0): -1})], pk)
     firsts = {}
@@ -348,13 +341,13 @@ def test_memo_shared_across_calls_gives_the_fresh_remainders(modulus):
     # one memo for a reducer list that grows by appending, as in the
     # Buchberger loop: every call gives the remainder of a call without it
     rng = random.Random(31)
-    spec = grevlex().spec()
-    pk = kernel.packing(spec, 3, kernel.MIN_BITS)
+    order = grevlex()
+    pk = kernel.packing(order, 3, kernel.MIN_BITS)
     used = [0, 1, 2]
     coeff = small_int if modulus is None else (lambda r: r.randrange(P))
     resumed = 0
     for _ in range(30):
-        reds = rand_reducers(rng, 3, used, spec, 6, coeff)
+        reds = rand_reducers(rng, 3, used, order, 6, coeff)
         if modulus:
             reds = [(lead, {e: c * pow(t[lead], -1, P) % P for e, c in t.items()}) for lead, t in reds]
         else:

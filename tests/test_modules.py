@@ -40,7 +40,7 @@ def assert_agrees(layout, key, degree, monomials):
 def test_free_and_schreyer_layouts_match_the_tuple_keys(order):
     rng = random.Random(3)
     twists = (-3, 0, 2, -1)  # dual twists are negative
-    free = Layout.free(order.spec(), NVARS, 8, twists)
+    free = Layout.free(order, NVARS, 8, twists)
 
     def base(m):
         return base_module_key(order, twists, m)
@@ -78,7 +78,7 @@ def test_rank_that_fills_the_pair_field():
     rng = random.Random(5)
     rank = 126
     twists = tuple(rng.randint(-2, 2) for _ in range(rank))
-    free = Layout.free(grevlex().spec(), NVARS, 8, twists)
+    free = Layout.free(grevlex(), NVARS, 8, twists)
     monomials = random_monomials(rng, rank, 50) + [(0, (1, 0, 0)), (rank - 1, (1, 0, 0))]
     assert_agrees(
         free,
@@ -95,7 +95,7 @@ def test_rank_that_fills_the_pair_field():
         random_monomials(rng, rank, 50) + [(0, (0, 0, 0)), (rank - 1, (0, 0, 0))],
     )
     with pytest.raises(OverflowError):
-        Layout.free(grevlex().spec(), NVARS, 8, (0,) * (rank + 1))
+        Layout.free(grevlex(), NVARS, 8, (0,) * (rank + 1))
     with pytest.raises(OverflowError):
         free.extend([free.pack(0, (0, 0, 0))] * (rank + 1))
 
@@ -105,12 +105,12 @@ def test_tracked_relations_sort_below_and_divide_by_no_lead(schreyer):
     rng = random.Random(7)
     rank = 126  # the tag (0, n + 1) fills the field
     twists = tuple(rng.randint(-2, 2) for _ in range(4))
-    inner = Layout.free(grevlex().spec(), NVARS, 8, twists)
+    inner = Layout.free(grevlex(), NVARS, 8, twists)
     if schreyer:
         images = random_monomials(rng, len(twists), rank, top=2)
         relations = inner.extend([inner.pack(*m) for m in images])
     else:
-        relations = Layout.free(grevlex().spec(), NVARS, 8, tuple(rng.randint(-2, 2) for _ in range(rank)))
+        relations = Layout.free(grevlex(), NVARS, 8, tuple(rng.randint(-2, 2) for _ in range(rank)))
     tracked, elems = relations.track(inner, [{}] * rank, [1] * rank)
     assert elems[5] == {relations.bases[5]: 1}
     # constants divide every module monomial in their position

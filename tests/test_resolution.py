@@ -12,6 +12,7 @@ from conftest import random_forms_ideal, skew_lines_ideal, twisted_cubic_ideal
 from oracles import fitting_ideal_gens, generic_rank, syzygy_dimension_at_degree
 
 from brisk import kernel, modules, resolution
+from brisk.errors import BudgetExceededError
 from brisk.fields import GF, GFElement, poly_to_gf
 from brisk.groebner import Ideal, buchberger, membership
 from brisk.invariants import hilbert_data
@@ -90,7 +91,7 @@ class TestSyzygies:
                 acc = acc + q * step.matrix[i][j]
             assert not acc
         # any extra generators lie in the module spanned by the linear two
-        layout = modules.Layout.free(grevlex().spec(), P3.nvars, 8, step.target.twists)
+        layout = modules.Layout.free(grevlex(), P3.nvars, 8, step.target.twists)
         cols = modules.columns_to_elements([list(r) for r in step.matrix], layout)
         cols = [kernel.to_ints(c, None) for c in cols]
         basis = modules.module_groebner([cols[j] for j in linear], layout, None)
@@ -142,9 +143,9 @@ class TestMinimalResolution:
         # which the first two steps fit, so the frame is rebuilt wider
         R = PolyRing(("x", "y", "z"))
         gens = [v**50 for v in R.gens()]
-        modules.Layout.free(grevlex().spec(), R.nvars, kernel.MIN_BITS, (100,))
+        modules.Layout.free(grevlex(), R.nvars, kernel.MIN_BITS, (100,))
         with pytest.raises(OverflowError):
-            modules.Layout.free(grevlex().spec(), R.nvars, kernel.MIN_BITS, (150,))
+            modules.Layout.free(grevlex(), R.nvars, kernel.MIN_BITS, (150,))
         res = minimal_resolution(Ideal(R, gens))
         assert betti(res) == {(1, 50): 3, (2, 100): 3, (3, 150): 1}
         assert [c for _, c in bef_codims(res)] == [3, 3, 3]
@@ -153,6 +154,11 @@ class TestMinimalResolution:
     def test_unit_ideal_rejected(self):
         with pytest.raises(ValueError):
             minimal_resolution(Ideal(P3, [P3.one()]))
+
+    def test_step_cap(self):
+        # the twisted cubic's Schreyer frame has 2 steps
+        with pytest.raises(BudgetExceededError, match="resolution exceeded 1 steps"):
+            minimal_resolution(twisted_cubic_ideal(), max_steps=1)
 
     def test_inhomogeneous_rejected(self):
         R = PolyRing(("x", "y"))
@@ -219,7 +225,7 @@ class TestMinimalFrame:
 
 def replace_step(res: FreeResolution, k: int, step: ResolutionStep) -> FreeResolution:
     steps = res.steps[: k - 1] + (step,) + res.steps[k:]
-    return FreeResolution(res.ring, res.ideal, steps, res.minimal)
+    return FreeResolution(res.ideal, steps)
 
 
 class TestExactnessCheck:
@@ -242,14 +248,14 @@ class TestExactnessCheck:
     def test_labelled_with_a_smaller_ideal(self):
         res = minimal_resolution(twisted_cubic_ideal())
         smaller = Ideal(P3, list(twisted_cubic_ideal().gens[:2]))
-        mislabelled = FreeResolution(res.ring, smaller, res.steps, res.minimal)
+        mislabelled = FreeResolution(smaller, res.steps)
         with pytest.raises(AssertionError, match="not in the ideal"):
             mislabelled.validate(check_exact=True)
 
     def test_labelled_with_a_larger_ideal(self):
         res = minimal_resolution(twisted_cubic_ideal())
         larger = Ideal(P3, list(twisted_cubic_ideal().gens) + [P3.parse("z0^3")])
-        mislabelled = FreeResolution(res.ring, larger, res.steps, res.minimal)
+        mislabelled = FreeResolution(larger, res.steps)
         with pytest.raises(AssertionError, match="Hilbert series differ"):
             mislabelled.validate(check_exact=True)
 
@@ -265,9 +271,9 @@ class TestExactnessCheck:
             broken.validate(check_exact=True)
 
     def test_empty_resolution_is_exact_only_for_the_zero_ideal(self):
-        FreeResolution(P3, Ideal(P3, []), (), True).validate(check_exact=True)
+        FreeResolution(Ideal(P3, []), ()).validate(check_exact=True)
         with pytest.raises(AssertionError, match="nonzero ideal"):
-            FreeResolution(P3, skew_lines_ideal(), (), True).validate(check_exact=True)
+            FreeResolution(skew_lines_ideal(), ()).validate(check_exact=True)
 
 
 class TestBetti:
@@ -304,12 +310,6 @@ class TestRegularity:
 
     def test_twisted_cubic(self):
         assert regularity(minimal_resolution(twisted_cubic_ideal())) == 2
-
-    def test_non_minimal_rejected(self):
-        res = minimal_resolution(twisted_cubic_ideal())
-        fake = FreeResolution(res.ring, res.ideal, res.steps, minimal=False)
-        with pytest.raises(ValueError):
-            regularity(fake)
 
     def test_invariant_under_generator_permutation(self):
         gens = list(twisted_cubic_ideal().gens)
@@ -407,10 +407,10 @@ class TestModuleGroebner:
             ideal = random_forms_ideal(rng)
             for member in (ideal, over_gf32003(ideal)):
                 modulus = kernel.field_modulus(member.gens)
-                spec, nvars = grevlex().spec(), member.ring.nvars
+                order, nvars = grevlex(), member.ring.nvars
                 for step in minimal_resolution(member).steps:
-                    layout = modules.Layout.free(spec, nvars, 16, [-b for b in step.source.twists])
-                    relations = modules.Layout.free(spec, nvars, 16, [-a for a in step.target.twists])
+                    layout = modules.Layout.free(order, nvars, 16, [-b for b in step.source.twists])
+                    relations = modules.Layout.free(order, nvars, 16, [-a for a in step.target.twists])
                     rows = modules.columns_to_elements([list(c) for c in zip(*step.matrix)], layout)
                     tracked, inputs = relations.track(layout, rows, [1] * len(rows))
                     inputs = [kernel.to_ints(e, modulus) for e in inputs]
