@@ -18,17 +18,21 @@ order is grevlex, the order of the columns and of the rows.  NF(Phi)
 and each NF(F^I) modulo a Groebner basis of the variety ideal are
 computed once per scan; the column of x^alpha F^I is NF(F^I) shifted by
 the key of alpha, reduced again (``kernel.normal_form``) only when V is
-not the whole space.  Whole coefficients enter the rows as ints.
+not the whole space.  Whole coefficients enter the rows as ints.  The
+matrix budget is checked as each column enters: rows and columns only
+grow, so the first column that takes rows x columns past the cap
+refuses the system, and no refused system is built whole.
 
-``minimal_degree`` rests on two such searches, which read the columns
-of its span.  The columns at rho are among those at rho + 1, so
-feasibility is monotone in rho, and a ``linalg.Span`` mod a prime, grown
-by the columns each degree first admits, names the candidate rho_min:
-the first degree whose span holds NF(Phi).  The search there must be
-Found and the one at rho_min - 1 NotFound (with no candidate, the one at
-rho_max NotFound); otherwise every degree is searched in turn.  So a
-None, and the minimality of rho_min, rest on a witness checked over Q,
-or on a degree with no admissible column.
+``minimal_degree`` picks rho_min exactly, from one Groebner basis over Q
+(``_pick_degree``): homogenize with a new last variable h, and rho_min
+is deg NF(Phi) plus the least k with h^k NF(Phi)^h in the ideal K of the
+homogenized F^I and variety basis, read off the basis truncated at
+rho_max.  The columns at rho are among those at rho + 1, so feasibility
+is monotone in rho, and two searches prove the pick: Found at rho_min
+and NotFound at rho_min - 1, or NotFound at rho_max.  So a None, and the
+minimality of rho_min, rest on a witness checked over Q, or on a degree
+with no admissible column.  Per-generator caps do not homogenize, so a
+capped scan searches each degree in turn.
 
 ``projective_lift`` rechecks a found certificate as the equivalent
 homogeneous identity  sum f^I q_I = z0^(rho - deg Phi) phi  on the
@@ -49,10 +53,11 @@ from .groebner import (
     Budget,
     GroebnerBasis,
     Ideal,
+    _packed_basis,
     buchberger,
     saturate,
 )
-from .linalg import Span, exceeds, solve_sparse
+from .linalg import solve_sparse
 from .orders import grevlex
 from .polyring import NEG_INF, MultiPoly, PolyRing, homogenize
 
@@ -173,22 +178,34 @@ class _Columns:
         self.phi = self._pack(nf_phi)
         self.shifts, self.bases, self.reduced = [[0]], {}, {}
 
-    def columns(self, rho, first=False):
-        """((I, key of alpha), column) for each x^alpha F^I of degree <= rho
-        within the caps, by I then key; with ``first``, only those of
-        degree rho, the columns rho first admits."""
+    def indices(self):
+        """(I, deg F^I) for each multi-index I, lexicographically
+        descending; a budget error past ``MAX_COFACTORS``."""
         indices = multi_indices(self.inst.m, self.inst.power)
         if len(indices) > MAX_COFACTORS:
             raise BudgetExceededError(
                 f"budget exhausted: {len(indices)} cofactors exceed the "
                 f"{MAX_COFACTORS} cap"
             )
-        for index in indices:
-            top = rho - sum(e * int(g.degree()) for g, e in zip(self.inst.gens, index))
-            cap = min(top, self.caps.get(index, top))
-            for k in range(max(top, 0) if first else 0, cap + 1):
+        degrees = [int(g.degree()) for g in self.inst.gens]
+        return [(index, sum(e * d for e, d in zip(index, degrees))) for index in indices]
+
+    def columns(self, rho):
+        """((I, key of alpha), column) for each x^alpha F^I of degree <= rho
+        within the caps, by I then key."""
+        for index, degree in self.indices():
+            top = rho - degree
+            for k in range(min(top, self.caps.get(index, top)) + 1):
                 for shift in self._shifts(k):
                     yield (index, shift), self._column(index, shift)
+
+    def base(self, index):
+        """NF(F^I), packed."""
+        base = self.bases.get(index)
+        if base is None:
+            nf = self.gb.normal_form(_gen_power(self.inst, index))
+            base = self.bases[index] = self._pack(nf)
+        return base
 
     def _pack(self, poly: MultiPoly) -> dict[int, Fraction | int]:
         return {self.packing.pack(e): _whole(c) for e, c in poly.terms.items()}
@@ -201,13 +218,9 @@ class _Columns:
         return self.shifts[k]
 
     def _column(self, index, shift):
-        base = self.bases.get(index)
-        if base is None:
-            nf = self.gb.normal_form(_gen_power(self.inst, index))
-            base = self.bases[index] = self._pack(nf)
         col = self.reduced.get((index, shift))
         if col is None:
-            col = {k + shift: c for k, c in base.items()}
+            col = {k + shift: c for k, c in self.base(index).items()}
             if self.reducers:
                 col = kernel.normal_form(col, self.reducers, self.packing)
                 self.reduced[index, shift] = col
@@ -232,21 +245,28 @@ def search_at_degree(
             raise AssertionError("zero certificate failed to verify")
         return replace(cert, verified=True)
 
-    # rows[key][column] = coefficient
+    # rows[key][column] = coefficient; a row for each term of NF(Phi)
     labels: list[tuple[tuple[int, ...], int]] = []  # (I, key of alpha)
-    rows: dict[int, dict[int, Fraction | int]] = defaultdict(dict)
+    rows: dict[int, dict[int, Fraction | int]] = defaultdict(dict, {k: {} for k in source.phi})
+    cap = budget.max_matrix_entries
     for ci, (label, col) in enumerate(source.columns(rho)):
         labels.append(label)
         for k, c in col.items():
             rows[k][ci] = c
+        # rows and columns only grow: the first excess refuses the system
+        if len(rows) * len(labels) > cap:
+            raise BudgetExceededError(
+                f"budget exhausted: the linear system at rho = {rho} reaches "
+                f"{len(rows)}x{len(labels)}, over {cap} entries "
+                "(raise max_matrix_entries / --budget-matrix)"
+            )
     if not labels:
         return None  # no admissible cofactor
-    row_keys = sorted(rows.keys() | source.phi.keys(), reverse=True)
+    row_keys = sorted(rows, reverse=True)
     solution = solve_sparse(
-        [rows.get(k, {}) for k in row_keys],
+        [rows[k] for k in row_keys],
         [source.phi.get(k, 0) for k in row_keys],
         len(labels),
-        budget.max_matrix_entries,
     )
     if solution is None:
         return None
@@ -320,12 +340,11 @@ def minimal_degree(
     """(rho_min, certificate) for the smallest feasible degree <= rho_max,
     or None when there is none (NotFound below rho_max).
 
-    Feasibility is monotone in rho, so two exact searches decide the
-    scan: a Found at rho_min and a NotFound at rho_min - 1, or a NotFound
-    at rho_max.  ``_span_degree`` picks rho_min mod a prime, or the first
-    degree over the budget, where the search raises its error once the
-    degree below is proven NotFound.  If the prime lied, every degree is
-    searched in turn."""
+    Feasibility is monotone in rho, so two exact searches prove the
+    answer of ``_pick_degree``: a Found at rho_min and a NotFound at
+    rho_min - 1, or a NotFound at rho_max.  A search that contradicts the
+    pick is a bug (AssertionError).  Per-generator caps do not
+    homogenize, so a capped scan searches each degree in turn."""
     if rho_max < 0:
         raise ValueError("rho_max must be >= 0")
     source = _Columns(inst, rho_max, per_gen_caps, budget)
@@ -335,39 +354,64 @@ def minimal_degree(
 
     if not source.phi:
         return 0, search(0)
-    rho = _span_degree(source, rho_max, budget)
-    if rho is None:
-        if search(rho_max) is None:
-            return None
-    elif rho == 0 or search(rho - 1) is None:
-        # rho - 1 is proven infeasible, so a Found at rho is minimal, and
-        # a budget error at rho is the one the ascending scan would raise
-        cert = search(rho)
-        if cert is not None:
-            return rho, cert
-    for rho in range(rho_max + 1):
-        cert = search(rho)
-        if cert is not None:
-            return rho, cert
-    return None
+    if source.caps:
+        for rho in range(rho_max + 1):
+            cert = search(rho)
+            if cert is not None:
+                return rho, cert
+        return None
+    rho = _pick_degree(source, rho_max, budget)
+    below = search(rho - 1) if rho else None
+    cert = search(rho_max if rho is None else rho)
+    if below is not None or (cert is None) != (rho is None):
+        raise AssertionError(f"the exact searches contradict the pick rho_min = {rho}")
+    return None if rho is None else (rho, cert)
 
 
-def _span_degree(source: _Columns, rho_max: int, budget: Budget):
-    """The first degree up to ``rho_max`` whose columns span NF(Phi) mod
-    ``linalg.P``, or whose system is over the matrix budget; None when
-    there is none.  Each degree adds only the columns it first admits."""
-    span, ncols, keys = Span(), 0, set(source.phi)
-    for rho in range(rho_max + 1):
-        new = [col for _, col in source.columns(rho, first=True)]
-        ncols += len(new)
-        keys.update(*new)
-        # the rows (supports and NF(Phi)) and columns solve_sparse meters
-        if exceeds(len(keys), ncols, budget.max_matrix_entries):
-            return rho
-        for col in new:
-            span.add(col)
-        if source.phi in span:
-            return rho
+def _pick_degree(source: _Columns, rho_max: int, budget: Budget):
+    """rho_min up to ``rho_max``, or None when no degree up to it has a
+    certificate, from a homogeneous Groebner basis over Q.
+
+    With a new last variable h, K is generated by each NF(F^I)
+    homogenized at deg F^I and the homogenized grevlex basis of the
+    variety ideal, which generates its homogenization (Cox, Little and
+    O'Shea, ch. 8 section 4).  For rho >= deg Phi', Phi' = NF(Phi), a
+    certificate of degree rho homogenizes into h^(rho - deg Phi') Phi'^h
+    in K, and h = 1 takes one back: rho_min is deg Phi' plus the least k
+    with h^k Phi'^h in K.  The basis stops at degree ``rho_max``
+    (``groebner._basis_loop``), which decides membership up to there."""
+    nvars = source.inst.ring.nvars
+    unpack = source.packing.unpack_terms
+
+    def homogenized(terms, degree):
+        # on integers, which scale each generator and Phi'
+        return {e + (degree - sum(e),): c for e, c in kernel.cleared(terms)[0].items()}
+
+    phi = unpack(source.phi)
+    deg_phi = max(map(sum, phi))
+    if deg_phi > rho_max:
+        return None
+    gens = [
+        (homogenized(unpack(base), degree), degree)
+        for index, degree in source.indices()
+        if degree <= rho_max and (base := source.base(index))
+    ]
+    gens += [
+        (homogenized(g.terms, degree), degree)
+        for g in source.gb
+        if (degree := int(g.degree())) <= rho_max
+    ]
+
+    # no element passes degree rho_max, so the fields never overflow
+    packing = kernel.packing(grevlex(), nvars + 1, kernel.bits_for(rho_max))
+    basis = _packed_basis(gens, packing, None, budget, rho_max)
+    reducers = [kernel.reducer(max(t), t) for t in basis]
+    rest = packing.pack_terms(homogenized(phi, deg_phi))
+    for degree in range(deg_phi, rho_max + 1):
+        rest = kernel.normal_form(rest, reducers, packing)
+        if not rest:
+            return degree
+        rest = {k + packing.weights[nvars]: c for k, c in rest.items()}
     return None
 
 

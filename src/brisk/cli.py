@@ -38,7 +38,7 @@ from .instances import (
 from .invariants import empty_at_infinity, hilbert_data
 from .localorder import max_bs_exponent
 from .orders import grevlex
-from .polyring import PolyRing, homogenize
+from .polyring import homogenize
 from .resolution import bef_codims, betti_table_text, minimal_resolution, regularity
 
 
@@ -47,15 +47,6 @@ def _budget(args) -> Budget:
     builds no linear system and keeps the default."""
     matrix = getattr(args, "budget_matrix", DEFAULT_BUDGET.max_matrix_entries)
     return Budget(max_pairs=args.budget_pairs, max_matrix_entries=matrix)
-
-
-def _hvar(ring: PolyRing) -> str:
-    if "z0" not in ring.names:
-        return "z0"
-    i = 0
-    while f"h{i}_" in ring.names:
-        i += 1
-    return f"h{i}_"
 
 
 def _read(path: str) -> str:
@@ -78,7 +69,7 @@ def _over_gf(ideal: Ideal, char: int) -> Ideal:
 
 def _pipeline_invariants(inst: InstanceFile, budget: Budget, char: int | None):
     """saturation -> Groebner -> Hilbert -> resolution -> regularity."""
-    var = _hvar(inst.ring)
+    var = inst.ring.fresh_name("z0")
     j_x = projective_closure(inst.variety, budget, var)
     work = j_x if char is None else _over_gf(j_x, char)
     gb = buchberger(work, grevlex(), budget)
@@ -173,7 +164,7 @@ def _load_homogeneous_ideal(args, budget: Budget) -> Ideal:
     else:
         ideal = parse_ideal_file(text)
     if args.homogenize_saturate:
-        return projective_closure(ideal, budget, _hvar(ideal.ring))
+        return projective_closure(ideal, budget, ideal.ring.fresh_name("z0"))
     if not ideal.is_homogeneous():
         raise ParseError(
             "ideal is not homogeneous; pass --homogenize-saturate to take the "

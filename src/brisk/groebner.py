@@ -10,7 +10,9 @@ does not hold for modules.  Ideals take pairs smallest sugar first
 (Giovini et al.), ties broken by lcm degree and then by index, so output
 is deterministic for a fixed input; modules take the smallest packed lcm
 first.  For homogeneous input the sugar of a pair is its lcm degree,
-which makes the selection the normal strategy.
+which makes the selection the normal strategy, and the loop can stop
+at a degree with a basis truncated there (``certificate.minimal_degree``
+picks its degree from one).
 
 The Buchberger loop runs on plain ints, for coefficients and monomials
 alike.  Over Q every basis element is a primitive integer polynomial with
@@ -84,9 +86,12 @@ class Budget:
     skips it or not, so the trace takes and counts the pairs of the loop
     without it.  A run that reaches a cap after skipping a pair runs again
     without the trace, and a failed check does too; each run is metered
-    afresh.  The check of a finished basis is not metered.
-    ``max_matrix_entries`` caps the linear systems of certificate
-    searches.  A cap may be 0 but not negative.
+    afresh.  The check of a finished basis is not metered.  The truncated
+    basis that picks a scan's rho_min counts its pairs in the same way,
+    up to the degree where it stops.  ``max_matrix_entries`` caps the
+    rows x columns of the linear system of a certificate search; the
+    search checks it as each column enters, so a system over the cap is
+    refused before it is built whole.  A cap may be 0 but not negative.
     """
 
     max_pairs: int = 200_000
@@ -221,18 +226,20 @@ def buchberger(
     return GroebnerBasis(ring, order, polys)
 
 
-def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[dict]:
+def _packed_basis(gens, packing, modulus: int | None, budget: Budget, stop=None) -> list[dict]:
     """The reduced basis of integer ``gens`` (terms and sugar) as packed,
-    monic field terms; OverflowError when ``packing`` is too narrow.
+    monic field terms; OverflowError when ``packing`` is too narrow.  With
+    a degree ``stop`` the gens must be homogeneous, and the basis is
+    truncated there (see ``_basis_loop``).
 
     Over Q the loop runs with the trace; a basis that skipped a pair is
     returned only once ``_proves_basis`` has checked the pairs skipped,
     and otherwise the loop runs again without the trace."""
     gens = [(packing.pack_terms(t), d) for t, d in gens]
-    loop, skipped = _basis_loop(gens, packing, modulus, budget, modulus is None)
+    loop, skipped = _basis_loop(gens, packing, modulus, budget, modulus is None, stop)
     reduced = None if loop is None else _reduce_basis(loop, packing, modulus)
     if skipped and (reduced is None or not _proves_basis(reduced, loop, skipped, packing)):
-        loop, _ = _basis_loop(gens, packing, modulus, budget, False)
+        loop, _ = _basis_loop(gens, packing, modulus, budget, False, stop)
         reduced = _reduce_basis(loop, packing, modulus)
     # the loop's coefficients can be far longer than the reduced ones;
     # free them before the conversion, which would otherwise set the peak
@@ -240,7 +247,7 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget) -> list[di
     return [kernel.from_ints(t, max(t), modulus) for t in reduced.values()]
 
 
-def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=None):
+def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, stop=None, pair_key=None):
     """(basis, skipped) for packed integer ``gens`` (terms and sugar): the
     basis as normalized integer terms (primitive over Z, monic mod p) in
     the order found, and the pairs (i, j, packed lcm) that the trace
@@ -249,7 +256,12 @@ def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=Non
     those of the run without the trace.  ``layout`` is an ideal's
     ``kernel.Packing``, or a module's ``modules.Layout`` with its
     ``pair_key(pos, lcm, sugar)``; elements with no term at or above
-    ``layout.flag`` (only relation terms) never join the basis."""
+    ``layout.flag`` (only relation terms) never join the basis.
+
+    A degree ``stop`` truncates the basis of homogeneous ``gens``, whose
+    sugar is their degree: a new element has the degree of its pair, so
+    pairs leave the heap in nondecreasing degree, and the loop ends, with
+    no pair counted, at the first pair of degree above ``stop``."""
     if pair_key is None:
         flag, coprime, pair_key = 0, True, _sugar_key
         lead = lambda key: (0, layout.unpack(key))
@@ -298,6 +310,8 @@ def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, pair_key=Non
     taken = 0
     skipped: list[tuple] = []
     while pending:
+        if stop is not None and pending[0][-1] > stop:
+            break
         _, i, j, lcm_exp, sugar = heapq.heappop(pending)
         taken += 1
         if taken > budget.max_pairs:
@@ -425,7 +439,14 @@ def _proves_basis(reduced: dict[int, dict], loop: list[dict], skipped, packing) 
       such a representation below t over the loop elements as well.
     - The Gebauer-Moeller criteria then cover the pairs they discarded,
       so the loop elements form a Groebner basis of the ideal, and the
-      reduced basis made from them is its reduced one."""
+      reduced basis made from them is its reduced one.
+    - A loop on homogeneous elements truncated at a degree D (``stop``)
+      took every pair of degree at most D, the skipped ones among them.
+      An element of the ideal of degree e <= D is a sum of degree-e
+      multiples of loop elements, and the criterion's proof rewrites it
+      with pairs of degree at most e only.  So the basis is proven up to
+      D: an element of degree at most D is in the ideal exactly when the
+      basis reduces it to 0."""
     reducers = [kernel.reducer(max(t), t) for t in reduced.values()]
     firsts: dict = {}
     for i, j, lcm_key in skipped:
@@ -474,15 +495,6 @@ def _restrict_away_front(p: MultiPoly, target: PolyRing) -> MultiPoly:
     return MultiPoly(target, {e[drop:]: c for e, c in p.terms.items()})
 
 
-def _fresh_name(ring: PolyRing, stem: str = "t") -> str:
-    if stem not in ring.names:
-        return stem
-    i = 0
-    while f"{stem}{i}_" in ring.names:
-        i += 1
-    return f"{stem}{i}_"
-
-
 def saturate(
     ideal: Ideal, f: MultiPoly, budget: Budget = DEFAULT_BUDGET
 ) -> Ideal:
@@ -491,7 +503,7 @@ def saturate(
     if not f:
         raise ValueError("cannot saturate by the zero polynomial")
     ring = ideal.ring
-    big = ring.extend_front(_fresh_name(ring))
+    big = ring.extend_front(ring.fresh_name("t"))
     lift = [MultiPoly(big, {(0,) + e: c for e, c in g.terms.items()}) for g in ideal.gens]
     t = big.var(0)
     f_big = MultiPoly(big, {(0,) + e: c for e, c in f.terms.items()})

@@ -274,30 +274,32 @@ def format_certificate(inst: MembershipInstance, cert: Certificate) -> str:
 
 
 def parse_certificate(text: str, inst: MembershipInstance) -> Certificate:
-    lines = [l for l in (_strip_comment(raw) for raw in text.splitlines()) if l]
-    if not lines or not lines[0].startswith("vars:"):
+    lines = [
+        (lineno, raw, line)
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if (line := _strip_comment(raw))
+    ]
+    if not lines or not lines[0][2].startswith("vars:"):
         raise ParseError("certificate must start with a vars: header")
-    ring = parse_ring_header((1, 1, lines[0][len("vars:") :].strip()))
+    lineno, raw, line = lines[0]
+    rest = line[len("vars:") :].strip()
+    ring = parse_ring_header((lineno, _column(raw, rest), rest))
     if ring != inst.ring:
         raise ParseError("certificate ring differs from the instance ring")
     trailer = {}
     body = []
-    for line in lines[1:]:
+    for lineno, raw, line in lines[1:]:
         if line.startswith("rho:") or line.startswith("verified:"):
             key, val = line.split(":", 1)
             trailer[key.strip()] = val.strip()
         else:
-            body.append(line)
+            body.append((lineno, _column(raw, line), line))
     indices = multi_indices(inst.m, inst.power)
     if len(body) != len(indices):
         raise ParseError(
             f"expected {len(indices)} cofactor lines, found {len(body)}"
         )
-    cofactors = {}
-    for index, line in zip(indices, body):
-        q = ring.parse(line)
-        if q:
-            cofactors[index] = q
+    cofactors = {index: q for index, q in zip(indices, _parse_polys(ring, body)) if q}
     rho = int(trailer.get("rho", "-1"))
     return Certificate(
         power=inst.power,

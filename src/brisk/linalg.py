@@ -1,5 +1,6 @@
 """Sparse linear algebra over Q: one solution of A x = b or a proof that
-there is none.
+there is none.  The solver takes any system it is given; a caller that
+caps the size of its systems meters them while it builds them.
 
 Rows are dicts {column index: coefficient}; the coefficients, and the
 right-hand sides, may be ints or Fractions.  ``_integerize`` scales each
@@ -68,9 +69,6 @@ and checks it exactly before it returns it.
   and a Found answer is the solution of the elimination over Q.  Only
   finitely many primes divide one of those finitely many nonzero
   integers, so the sequence reaches an answer.
-- **Span.**  A ``Span`` adds columns mod P once each and tells whether b
-  lies in their span.  That is no proof (P may divide an entry, or a
-  denominator of the solution); ``solve_sparse`` confirms it.
 """
 
 from __future__ import annotations
@@ -83,7 +81,6 @@ from itertools import accumulate, pairwise
 from math import gcd, isqrt
 from operator import mul
 
-from .errors import BudgetExceededError
 from .fields import _is_probable_prime
 
 P = (1 << 30) - 35  # the largest prime below 2^30
@@ -131,7 +128,6 @@ def solve_sparse(
     rows: list[dict[int, Fraction | int]],
     rhs: list[Fraction | int],
     ncols: int,
-    max_entries: int | None = None,
 ) -> list[Fraction] | None:
     """One exact solution of A x = b (free variables set to 0), or None
     when the system is infeasible.  The entries of ``rows`` and ``rhs``
@@ -141,23 +137,12 @@ def solve_sparse(
     (see the module docstring).  A solution has passed A' x = b' on every
     row; a None has passed y^T A' = 0 and y^T b' != 0 for a witness y,
     which ``infeasibility_witness`` returns.  A length mismatch between
-    ``rows`` and ``rhs`` is a ValueError.  A system of more than
-    ``max_entries`` rows x columns is a BudgetExceededError.
+    ``rows`` and ``rhs`` is a ValueError.
     """
     _check_lengths(rows, rhs)
-    if exceeds(len(rows), ncols, max_entries):
-        raise BudgetExceededError(
-            f"budget exhausted: linear system {len(rows)}x{ncols} exceeds "
-            f"{max_entries} entries (raise max_matrix_entries / --budget-matrix)"
-        )
     irows = [_integerize(row, b) for row, b in zip(rows, rhs)]
     feasible, value = _solve(irows, ncols, _primes())
     return value if feasible else None
-
-
-def exceeds(nrows: int, ncols: int, max_entries: int | None) -> bool:
-    """Whether an nrows x ncols system is over ``solve_sparse``'s cap."""
-    return max_entries is not None and nrows * ncols > max_entries
 
 
 def infeasibility_witness(
@@ -182,52 +167,6 @@ def infeasibility_witness(
         s = Fraction(irow[c]) / rows[r][c] if c is not None else Fraction(ib) / rhs[r]
         y[r] = v * s
     return y
-
-
-class Span:
-    """The span mod P of the columns added so far, scaled to integers, in
-    reduced echelon form: ``pivots`` maps each lead key to its tail (the
-    lead's entry is 1), no tail holds a lead, and ``holders`` maps every
-    other key to the leads whose tails hold it, or once held it."""
-
-    def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
-        self.holders: dict[int, set[int]] = {}
-
-    def _reduce(self, column) -> dict[int, int]:
-        # one pass: subtracting a pivot brings in no lead, as no tail holds one
-        out: dict[int, int] = {}
-        for k, c in _integerize(column, 0)[0].items():
-            tail = self.pivots.get(k)
-            if tail is None:
-                out[k] = (out.get(k, 0) + c) % P
-            else:
-                for t, a in tail.items():
-                    out[t] = (out.get(t, 0) - c * a) % P
-        return {k: c for k, c in out.items() if c}
-
-    def __contains__(self, vector) -> bool:
-        return not self._reduce(vector)
-
-    def add(self, column) -> None:
-        rest = self._reduce(column)
-        if not rest:
-            return
-        lead = max(rest)
-        inv = pow(rest.pop(lead), -1, P)
-        tail = {k: c * inv % P for k, c in rest.items()}
-        for q in self.holders.pop(lead, ()):
-            qtail = self.pivots[q]
-            a = qtail.pop(lead, 0)  # 0: lead has cancelled from this tail
-            for k, c in tail.items() if a else ():
-                s = qtail[k] = (qtail.get(k, 0) - a * c) % P
-                if s:
-                    self.holders.setdefault(k, set()).add(q)
-                else:
-                    del qtail[k]
-        for k in tail:
-            self.holders.setdefault(k, set()).add(lead)
-        self.pivots[lead] = tail
 
 
 def _solve(irows, ncols, primes):

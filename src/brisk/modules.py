@@ -214,7 +214,7 @@ def module_groebner(
     """
     gens = [(elem, layout.degree(max(elem))) for elem in inputs if elem]
     key = lambda pos, lcm_exp, sugar: layout.pack(pos, lcm_exp)
-    return _basis_loop(gens, layout, modulus, budget, False, key)[0]
+    return _basis_loop(gens, layout, modulus, budget, False, pair_key=key)[0]
 
 
 def _canonical(elems, modulus: int | None) -> list[dict]:

@@ -98,6 +98,14 @@ class PolyRing:
             raise ValueError(f"variable {name!r} already in ring")
         return PolyRing((name,) + self.names)
 
+    def fresh_name(self, name: str) -> str:
+        """``name`` when the ring lacks it, else the first of ``name0_``,
+        ``name1_``, ... that it lacks."""
+        fresh, i = name, 0
+        while fresh in self.names:
+            fresh, i = f"{name}{i}_", i + 1
+        return fresh
+
     def drop_front(self) -> "PolyRing":
         if self.nvars < 1:
             raise ValueError("cannot drop a variable from the empty ring")

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch against the plain
 definitions (dense linear algebra, monomial enumeration, substitution),
-sharing no code path with the package internals it cross-checks.
+sharing no code path with the package internals it cross-checks.  The
+one exception is ``ascending_minimal_degree``, which reads rho_min off
+the package's exact search at every degree, and so shares the search
+but not the degree pick of ``minimal_degree``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 
+from brisk.certificate import search_at_degree
 from brisk.orders import GREVLEX, LEX
 from brisk.polyring import MultiPoly, PolyRing
 
@@ -363,3 +367,13 @@ def module_divides(a, b) -> bool:
     """True if the module monomial a divides b: same position and
     componentwise <= exponents."""
     return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+
+def ascending_minimal_degree(inst, rho_max: int):
+    """(rho, certificate) at the first degree up to ``rho_max`` whose exact
+    search finds one, or None: the scan that searches every degree."""
+    for rho in range(rho_max + 1):
+        cert = search_at_degree(inst, rho)
+        if cert is not None:
+            return rho, cert
+    return None

@@ -4,10 +4,11 @@ monotone feasibility, projective lifts."""
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import dense_rank, key_of, monomials_up_to
+from oracles import ascending_minimal_degree, dense_rank, key_of, monomials_up_to
 
 from brisk import certificate, kernel, linalg
 from brisk.certificate import (
@@ -21,7 +22,8 @@ from brisk.certificate import (
     verify,
 )
 from brisk.errors import BudgetExceededError
-from brisk.families import cusp, kollar
+from brisk.families import cusp, kollar, macaulay_generic
+from brisk.instances import parse_instance
 from brisk.groebner import Budget, Ideal, buchberger
 from brisk.orders import grevlex
 from brisk.polyring import NEG_INF, PolyRing
@@ -151,8 +153,7 @@ class TestPackedSystem:
     def test_columns_are_the_packed_and_sorted_shifts(self, nvars):
         # shifts grown degree by degree from packing.weights come per I in
         # the order of the packed and sorted exponents, and each column is
-        # NF(x^alpha F^I); the columns a degree first admits are those
-        # the degree below lacks
+        # NF(x^alpha F^I)
         ring = PolyRing(tuple(f"z{i}" for i in range(1, nvars + 1)))
         z1, zn = ring.var(0), ring.var(nvars - 1)
         gens = (z1, zn**2 + 1)  # caps rho - 1 and rho - 2
@@ -161,7 +162,6 @@ class TestPackedSystem:
                 inst = MembershipInstance(ring, Ideal(ring, variety), gens, ring.one())
                 source = certificate._Columns(inst, 10, caps, Budget())
                 gb, pack = buchberger(inst.variety), source.packing.pack
-                before = []
                 for rho in range(11):
                     want = []
                     for j, index in enumerate(multi_indices(2, 1)):
@@ -171,16 +171,14 @@ class TestPackedSystem:
                         want += [(index, shift) for shift in shifts]
                     got = dict(source.columns(rho))
                     assert list(got) == want
-                    first = [label for label, _ in source.columns(rho, first=True)]
-                    assert first == [label for label in want if label not in before]
-                    before = want
                 for (index, shift), col in got.items():
                     g = gens[index.index(1)]
                     nf = gb.normal_form(ring.monomial(source.packing.unpack(shift), 1) * g)
                     assert col == source.packing.pack_terms(nf.terms)
 
     def test_scan_packs_no_shift(self, monkeypatch):
-        # over C^N a scan packs NF(Phi) and each NF(F^I), and no shift
+        # over C^N a scan packs NF(Phi) and each NF(F^I), and no shift;
+        # the pick packs its homogenized generators, with one more variable
         packed = []
         pack = kernel.Packing.pack
         monkeypatch.setattr(
@@ -188,7 +186,9 @@ class TestPackedSystem:
         )
         inst = kollar(3, 3, 3).instance
         assert minimal_degree(inst, 20, budget=Budget(max_matrix_entries=10**9)) is None
-        assert len(packed) == len(inst.phi.terms) + sum(len(g.terms) for g in inst.gens)
+        affine = [e for e in packed if len(e) == inst.ring.nvars]
+        assert len(affine) == len(inst.phi.terms) + sum(len(g.terms) for g in inst.gens)
+        assert all(len(e) == inst.ring.nvars + 1 for e in packed if e not in affine)
 
     def test_search_on_a_wider_scan_source(self):
         # a scan to rho = 64 packs wider fields than rho = 63 needs; its
@@ -262,10 +262,9 @@ class TestMinimalDegree:
 
 
 class TestDeferredProof:
-    """``minimal_degree`` lifts a witness only at the degree below the
-    answer of its span mod P, which proves every lower degree by
-    monotonicity; a span that the exact searches contradict sends the
-    scan through every degree exactly."""
+    """``minimal_degree`` lifts a witness only at the degree below its
+    exact pick, which proves every lower degree by monotonicity; a pick
+    that the exact searches contradict is a bug."""
 
     SCANS = [(kollar(2, 2, 2).instance, 10, 4), (cusp(5).instance, 12, None)]
 
@@ -317,21 +316,18 @@ class TestDeferredProof:
         assert all(answer is not None for *_, answer in lifts)
 
     @pytest.mark.parametrize("inst, rho_max, rho_min", SCANS, ids=["kollar222", "cusp5"])
-    def test_a_lying_prime_rescans_exactly(self, monkeypatch, inst, rho_max, rho_min):
-        want = minimal_degree(inst, rho_max)
-        exact = list(range((rho_min or rho_max) + 1))
-        # the span picks one degree too low, one too high or none; on a
-        # NotFound scan, its first degree with a column or its last
+    def test_a_wrong_pick_is_a_bug(self, monkeypatch, inst, rho_max, rho_min):
+        # the pick one degree too low, one too high or none; on a NotFound
+        # scan, the first degree with a column or the last
         picks = [rho_min - 1, rho_min + 1, None] if rho_min else [1, rho_max]
         searched = self._spy_searches(monkeypatch)
         for pick in picks:
-            monkeypatch.setattr(certificate, "_span_degree", lambda *args, pick=pick: pick)
+            monkeypatch.setattr(certificate, "_pick_degree", lambda *args, pick=pick: pick)
             searched.clear()
-            found = minimal_degree(inst, rho_max)
-            assert self._same(found, want)
-            assert found is None or found[1].verified
-            # the exact scan searched every degree up to its answer
-            assert searched[-len(exact):] == exact and len(searched) > len(exact)
+            with pytest.raises(AssertionError):
+                minimal_degree(inst, rho_max)
+            # no degree is searched again
+            assert len(searched) == len(set(searched)) <= 2
 
     def test_next_prime_proves_after_a_failed_lift(self, monkeypatch):
         lifts = self._spy_lifts(monkeypatch, fail_first_witness=True)
@@ -353,30 +349,114 @@ class TestDeferredProof:
             assert searched == want
 
     def test_span_missing_a_member_mod_p(self, monkeypatch):
-        # z1 = (F1 - F2) / P over Q, but mod P both columns are z2 and the
-        # span never holds z1: the search at rho_max finds a certificate,
-        # and the exact scan answers
+        # z1 = (F1 - F2) / P over Q, but mod P both columns are z2: the
+        # exact pick is not misled by the prime
         searched = self._spy_searches(monkeypatch)
         inst = MembershipInstance(R, Ideal(R, []), (linalg.P * Z1 + Z2, Z2), Z1)
         rho, cert = minimal_degree(inst, 3)
-        assert searched == [3, 0, 1]
+        assert searched == [0, 1]
         assert rho == 1 and cert.verified
         assert cert.cofactor(0) == R.one() * Fraction(1, linalg.P)
 
     def test_span_holding_a_non_member_mod_p(self, monkeypatch):
-        # z1 + P z2 is z1 mod P, in the span of F = z1 at rho = 1, but it
-        # lies in no degree of (z1) over Q
+        # z1 + P z2 is z1 mod P, in the span mod P of F = z1 at rho = 1,
+        # but it lies in no degree of (z1) over Q
         searched = self._spy_searches(monkeypatch)
         inst = MembershipInstance(R, Ideal(R, []), (Z1,), Z1 + linalg.P * Z2)
         assert minimal_degree(inst, 3) is None
-        assert searched == [0, 1, 0, 1, 2, 3]
+        assert searched == [3]
 
     def test_budget_error_at_the_degree_of_the_ascending_scan(self):
-        # the scan meters each degree's system before its columns enter
-        # the span, as the search at that degree would
-        message = "linear system 474x440 exceeds 200000 entries"
+        # rho_min is 16; the search at 15 refuses its system while it is
+        # built, at the first column that takes rows x columns past the cap
+        message = (
+            r"the linear system at rho = 15 reaches 470x426, over 200000 entries "
+            r"\(raise max_matrix_entries"
+        )
         with pytest.raises(BudgetExceededError, match=message):
             minimal_degree(kollar(4, 2, 3).instance, 17)
+
+    def test_a_refused_system_reads_few_columns(self, monkeypatch):
+        # kollar(7, 4, 4) has no certificate up to 40; the system at 40
+        # would have 4 * C(37, 4) = 264180 columns, and the meter stops
+        # it when rows x columns first passes the cap
+        read = []
+        column = certificate._Columns._column
+        monkeypatch.setattr(
+            certificate._Columns, "_column", lambda self, *a: read.append(a) or column(self, *a)
+        )
+        with pytest.raises(BudgetExceededError, match="at rho = 40"):
+            minimal_degree(kollar(7, 4, 4).instance, 40)
+        assert len(read) <= 500
+
+
+def _random_on_a_quadric(seed):
+    """Two generators and a target on V(q), each of degree <= 2.  By seed
+    mod 3: the target is a combination of the generators; it is random;
+    or q and the generators vanish at 0 and the target does not."""
+    rng = random.Random(seed)
+    kind = seed % 3
+
+    def poly(d):
+        exps = R.exponents_up_to(d)[kind == 2:]  # [1:] drops the constant
+        return sum((rng.randint(-2, 2) * R.monomial(e, 1) for e in exps), R.zero())
+
+    q = poly(rng.randint(1, 2)) or Z1
+    gens = tuple(poly(rng.randint(1, 2)) or Z2 for _ in range(2))
+    if kind == 0:
+        phi = gens[0] * poly(1) + gens[1] * poly(1)
+    else:
+        phi = poly(2) + (kind == 2)
+    return MembershipInstance(R, Ideal(R, [q]), gens, phi)
+
+
+def _pick_corpus():
+    cases = [(f"kollar{d}22", kollar(d, 2, 2).instance, d * d + 1) for d in range(2, 6)]
+    cases.append(("kollar233", kollar(2, 3, 3).instance, 9))
+    cases.append(("kollar422_below", kollar(4, 2, 2).instance, 15))
+    for d, n in ((2, 2), (3, 2), (4, 2), (2, 3)):
+        rng = random.Random(10 * d + n)
+        for k in range(3):
+            inst = macaulay_generic(d, n, rng).instance
+            cases.append((f"macaulay_d{d}n{n}_{k}", inst, d * (n + 1) - n + 1))
+    cases += [(f"cusp{p}", cusp(p).instance, 2 * p + 4) for p in range(3, 14, 2)]
+    for path in sorted(Path(__file__).parent.parent.joinpath("instances").glob("*.txt")):
+        parsed = parse_instance(path.read_text(encoding="utf-8"))
+        if parsed.phi is not None:
+            cases.append((path.stem, parsed.membership_instance(), 20))
+    plane, curve = Ideal(R, []), Ideal(R, [Z1**2 - Z2**5])
+    for ell in (2, 3):
+        kollar_power = MembershipInstance(R, plane, (Z1**2, Z1 * Z2 - 1), R.one(), ell)
+        cases.append((f"kollar_power{ell}", kollar_power, 4 * ell + 2))
+        cusp_power = MembershipInstance(R, curve, (Z2, Z1), Z1 * Z2**ell, ell)
+        cases.append((f"cusp_power{ell}", cusp_power, 8))
+    cases += [(f"quadric{seed}", _random_on_a_quadric(seed), 7) for seed in range(9)]
+    return cases
+
+
+class TestPickAgainstAscendingScan:
+    """``minimal_degree`` against the scan that searches every degree:
+    the same rho_min and the same cofactors, or None from both."""
+
+    CORPUS = _pick_corpus()
+
+    @pytest.mark.parametrize("inst, rho_max", [c[1:] for c in CORPUS], ids=[c[0] for c in CORPUS])
+    def test_same_answer(self, inst, rho_max):
+        got, want = minimal_degree(inst, rho_max), ascending_minimal_degree(inst, rho_max)
+        if want is None:
+            assert got is None
+        else:
+            assert got[0] == want[0] and got[1].cofactors == want[1].cofactors
+
+    def test_the_pick_counts_its_pairs(self):
+        # over C^N the variety ideal needs no S-pair, and the pick's basis does
+        with pytest.raises(BudgetExceededError, match="S-pairs"):
+            minimal_degree(kollar(2, 2, 2).instance, 6, budget=Budget(max_pairs=0))
+
+    def test_corpus_has_both_answers(self):
+        answers = [ascending_minimal_degree(inst, rho_max) for _, inst, rho_max in self.CORPUS]
+        assert sum(a is None for a in answers) == 11
+        assert sum(a is not None and a[0] > 0 for a in answers) == len(answers) - 11
 
 
 class TestVerify:

@@ -10,13 +10,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_rank, dense_solve, markowitz_solve
+from oracles import dense_solve, markowitz_solve
 
 from brisk import linalg
 from brisk.certificate import MembershipInstance, minimal_degree, search_at_degree
 from brisk.errors import BudgetExceededError
 from brisk.groebner import Ideal, buchberger, eliminate
-from brisk.linalg import P, Span, _primes, infeasibility_witness, solve_sparse
+from brisk.linalg import P, _primes, infeasibility_witness, solve_sparse
 from brisk.orders import lex
 from brisk.polyring import PolyRing
 
@@ -206,79 +206,6 @@ def assert_witness(rows, rhs, ncols, y):
             total[c] += yr * v
     assert not any(total)
     assert sum(yr * b for yr, b in zip(y, rhs)) != 0
-
-
-class TestSpanAgainstExactRank:
-    """``linalg.Span`` mod P against the rank over Q of small integer
-    columns, where P divides no minor."""
-
-    @staticmethod
-    def _dense(columns, nkeys):
-        return [[Fraction(col.get(k, 0)) for k in range(nkeys)] for col in columns]
-
-    @staticmethod
-    def _assert_reduced(span):
-        for lead, tail in span.pivots.items():
-            assert tail.keys().isdisjoint(span.pivots) and all(tail.values())
-            for k in tail:
-                assert lead in span.holders[k]
-        for k in span.holders:
-            assert k not in span.pivots
-
-    def test_rank_of_random_sparse_columns(self):
-        rng = random.Random(2020)
-        for _ in range(40):
-            nkeys = rng.randint(1, 9)
-            span, columns = Span(), []
-            for _ in range(rng.randint(1, 12)):
-                keys = rng.sample(range(nkeys), rng.randint(1, min(4, nkeys)))
-                col = {k: rng.choice([-3, -2, -1, 1, 2, 3]) for k in keys}
-                columns.append(col)
-                span.add(col)
-                self._assert_reduced(span)
-                assert len(span.pivots) == dense_rank(self._dense(columns, nkeys))
-
-    def test_membership_of_a_vector(self):
-        rng = random.Random(2021)
-        for trial in range(60):
-            nkeys = rng.randint(2, 8)
-            columns = [
-                {
-                    k: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    for k in rng.sample(range(nkeys), rng.randint(1, nkeys))
-                }
-                for _ in range(rng.randint(1, nkeys - 1))
-            ]
-            if trial % 2:
-                # a planted combination with fractional weights
-                vector = {}
-                for col in columns:
-                    w = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                    for k, c in col.items():
-                        vector[k] = vector.get(k, 0) + w * c
-                vector = {k: c for k, c in vector.items() if c}
-            else:
-                vector = {k: Fraction(rng.randint(-3, 3)) or 1 for k in rng.sample(range(nkeys), 2)}
-            span = Span()
-            for col in columns:
-                span.add(col)
-            rank = dense_rank(self._dense(columns, nkeys))
-            member = dense_rank(self._dense(columns + [vector], nkeys)) == rank
-            assert (vector in span) == member
-            assert member or not trial % 2
-
-    def test_column_with_an_entry_divisible_by_p(self):
-        # over Q, (P, 1) and (0, 1) span the plane; mod P both are e_1.  So
-        # the span mod P holds e_1 after the first, which over Q it does
-        # not, and misses e_0 after both: it proves nothing either way
-        first, second = {0: P, 1: 1}, {1: 1}
-        span = Span()
-        span.add(first)
-        assert {1: 1} in span
-        assert dense_rank(self._dense([first, {1: 1}], 2)) == 2
-        span.add(second)
-        assert len(span.pivots) == 1 and {0: 1} not in span
-        assert dense_rank(self._dense([first, second], 2)) == 2
 
 
 class TestPrimeFailures:

@@ -23,6 +23,9 @@ The module basis goldens (every element of ``module_groebner`` on the
 transposed steps of those resolutions, in the order found) were recorded
 while module bases still had an S-pair loop of their own, before they
 ran on the loop of the ideal bases.
+The ``brisk bench`` CSV goldens were recorded while ``minimal_degree``
+picked rho_min with a span mod a prime, before the exact pick from a
+truncated homogeneous Groebner basis replaced it.
 """
 
 import hashlib
@@ -611,3 +614,71 @@ MODULE_BASIS_GOLDENS = {
 @pytest.mark.parametrize("name", sorted(RESOLUTION_CASES))
 def test_module_basis_golden(name):
     assert _digest(_module_basis_lines(RESOLUTION_CASES[name])) == MODULE_BASIS_GOLDENS[name]
+
+
+# the CSV rows of ``brisk bench`` with the ms field blanked
+BENCH_CSV_GOLDENS = {
+    ("kollar", "--d", "2:7", "--m", "2:4"): """
+        kollar,d=2;expected_min=4;m=2;n=2,4,8,,4,128,4,
+        kollar,d=2;expected_min=8;m=3;n=3,8,24,,8,32768,16,
+        kollar,d=2;expected_min=16;m=4;n=4,budget_exhausted,64,,16,2147483648,,
+        kollar,d=3;expected_min=9;m=2;n=2,9,18,,9,432,9,
+        kollar,d=3;expected_min=27;m=3;n=3,budget_exhausted,81,,27,559872,,
+        kollar,d=3;expected_min=81;m=4;n=4,budget_exhausted,324,,81,940369969152,,
+        kollar,d=4;expected_min=16;m=2;n=2,16,32,,16,1024,16,
+        kollar,d=4;expected_min=64;m=3;n=3,budget_exhausted,192,,64,4194304,,
+        kollar,d=4;expected_min=256;m=4;n=4,budget_exhausted,1024,,256,70368744177664,,
+        kollar,d=5;expected_min=25;m=2;n=2,25,50,,25,2000,25,
+        kollar,d=5;expected_min=125;m=3;n=3,budget_exhausted,375,,125,20000000,,
+        kollar,d=5;expected_min=625;m=4;n=4,budget_exhausted,2500,,625,2000000000000000,,
+        kollar,d=6;expected_min=36;m=2;n=2,budget_exhausted,72,,36,3456,,
+        kollar,d=6;expected_min=216;m=3;n=3,budget_exhausted,648,,216,71663616,,
+        kollar,d=6;expected_min=1296;m=4;n=4,budget_exhausted,5184,,1296,30814043149172736,,
+        kollar,d=7;expected_min=49;m=2;n=2,budget_exhausted,98,,49,5488,,
+        kollar,d=7;expected_min=343;m=3;n=3,budget_exhausted,1029,,343,210827008,,
+        kollar,d=7;expected_min=2401;m=4;n=4,budget_exhausted,9604,,2401,311136191115624448,,
+""",
+    ("macaulay-generic", "--d", "2:4", "--n", "2", "--count", "3"): """
+        macaulay-generic,d=2;n=2,4,4,4,8,128,0,
+        macaulay-generic,d=2;n=2,4,4,4,8,128,0,
+        macaulay-generic,d=2;n=2,4,4,4,8,128,0,
+        macaulay-generic,d=3;n=2,7,7,7,18,432,0,
+        macaulay-generic,d=3;n=2,7,7,7,18,432,0,
+        macaulay-generic,d=3;n=2,7,7,7,18,432,0,
+        macaulay-generic,d=4;n=2,10,10,10,32,1024,0,
+        macaulay-generic,d=4;n=2,10,10,10,32,1024,0,
+        macaulay-generic,d=4;n=2,10,10,10,32,1024,0,
+""",
+    ("macaulay-generic", "--d", "2:3", "--n", "3", "--count", "3"): """
+        macaulay-generic,d=2;n=3,5,5,5,16,32768,0,
+        macaulay-generic,d=2;n=3,5,5,5,16,32768,0,
+        macaulay-generic,d=2;n=3,5,5,5,16,32768,0,
+        macaulay-generic,d=3;n=3,9,9,9,54,559872,0,
+        macaulay-generic,d=3;n=3,9,9,9,54,559872,0,
+        macaulay-generic,d=3;n=3,9,9,9,54,559872,0,
+""",
+    ("cusp", "--p", "3:13"): """
+        cusp,mu0=1;p=3;scan_cap=10;bs_exp=3/2,notfound<=7,7,,3,17,,
+        cusp,mu0=3;p=5;scan_cap=14;bs_exp=5/2,notfound<=14,21,,5,17,,
+        cusp,mu0=5;p=7;scan_cap=18;bs_exp=7/2,notfound<=18,43,,7,17,,
+        cusp,mu0=7;p=9;scan_cap=22;bs_exp=9/2,notfound<=22,73,,9,17,,
+        cusp,mu0=9;p=11;scan_cap=26;bs_exp=11/2,notfound<=26,111,,11,17,,
+        cusp,mu0=11;p=13;scan_cap=30;bs_exp=13/2,notfound<=30,157,,13,17,,
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(BENCH_CSV_GOLDENS), ids=" ".join)
+def test_bench_csv_golden(args, tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    assert main(["bench", *args, "--csv", str(path)]) == 0
+    capsys.readouterr()
+    header, columns, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "# brisk bench CSV v1"
+    assert columns == "family,params,rho_min,hickel_i,macaulay,jelonek,hermann,slack,ms"
+    blanked = []
+    for row in rows:
+        row, ms = row.rsplit(",", 1)
+        assert ms.isdigit()
+        blanked.append(row + ",")
+    assert blanked == BENCH_CSV_GOLDENS[args].split()

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corpus_ideals
+from conftest import corpus_ideals, random_forms_ideal, twisted_cubic_ideal
 from oracles import key_of, membership_by_linear_algebra, s_polynomial, substitute_eliminate_oracle
 
 from brisk import groebner, kernel
@@ -690,6 +690,27 @@ class TestModularTrace:
         assert [(i, j) for i, j, _ in skipped] == [(1, 2)]
         assert 1 not in reduced and result is False
         assert list(G) == [R.parse("w - 1/2"), R.parse("x")]
+
+
+class TestDegreeStop:
+    """A basis of homogeneous generators truncated at a degree D holds
+    the elements of degree <= D of the reduced basis, and takes no pair
+    above D."""
+
+    IDEALS = [twisted_cubic_ideal()] + [random_forms_ideal(random.Random(s)) for s in range(6)]
+
+    @pytest.mark.parametrize("ideal", IDEALS, ids=["cubic"] + [f"forms{s}" for s in range(6)])
+    def test_truncated_basis_is_the_low_part_of_the_reduced_one(self, monkeypatch, ideal):
+        gens = [(kernel.to_ints(g.terms, None), int(g.degree())) for g in ideal.gens]
+        packing = kernel.packing(grevlex(), ideal.ring.nvars, 16)
+        degree = lambda terms: sum(packing.unpack(max(terms)))
+        full = groebner._packed_basis(gens, packing, None, Budget())
+        taken = spy(monkeypatch, kernel, "s_poly")
+        for stop in range(1, max(map(degree, full)) + 1):
+            taken.clear()
+            cut = groebner._packed_basis(gens, packing, None, Budget(), stop)
+            assert [t for t in cut if degree(t) <= stop] == [t for t in full if degree(t) <= stop]
+            assert all(sum(packing.unpack(args[2])) <= stop for args, _ in taken)
 
 
 def test_negative_budget_caps_are_rejected():

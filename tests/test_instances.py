@@ -144,3 +144,18 @@ class TestCertificateFormat:
         assert len([l for l in text.splitlines() if not l.startswith(("vars", "rho", "verified"))]) == 3
         back = parse_certificate(text, inst)
         assert back.cofactors == cert.cofactors
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# a comment\nvars: z1, 2x\n", r"invalid variable name '2x' \(line 2, column 7\)"),
+            ("vars: z1, z2\nz1 $ 2\n0\n", r"unexpected character '\$' \(line 2, column 4\)"),
+        ],
+        ids=["header", "cofactor"],
+    )
+    def test_errors_name_their_line_and_column(self, text, message):
+        # as in instance files: comment lines count, and a position is
+        # the one in the file
+        inst = parse_instance(KOLLAR).membership_instance()
+        with pytest.raises(ParseError, match=message):
+            parse_certificate(text, inst)

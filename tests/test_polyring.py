@@ -108,6 +108,12 @@ class TestHomogenize:
         assert str(dehomogenize(P.parse("z1^2 + z2*z0"))) == "z1^2 + z2"
         assert dehomogenize(P.parse("z0^3")) == PolyRing(("z1", "z2")).one()
 
+    def test_fresh_name(self):
+        # the preferred name while the ring lacks it, then name0_, name1_, ...
+        assert R2.fresh_name("z0") == "z0"
+        assert PolyRing(("z0", "x")).fresh_name("z0") == "z00_"
+        assert PolyRing(("t", "t0_", "x")).fresh_name("t") == "t1_"
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(poly_strategy(R2), st.integers(min_value=0, max_value=4))
     def test_round_trip(self, p, extra):
