@@ -4,8 +4,11 @@ Module elements run on the ideal engine: packed int monomials, int
 coefficients (primitive over Q, reduced mod p over GF(p)) and the S-pair
 loop of ``groebner``, whose Gebauer-Moeller update works within each
 lead's position and leaves out the coprimality criterion, which holds
-only for ideals.  Field coefficients appear only at the boundary
-(``columns_to_elements``, ``elements_to_columns``).
+only for ideals.  Field coefficients appear only at the boundary:
+``columns_to_elements`` packs matrix columns, and ``elements_to_columns``
+turns int elements, each with a field scale, back into matrix entries.
+Between the two, ``Layout.move`` carries a term from one layout to a
+position of another, and ``Layout.restrict`` drops positions.
 
 A ``Layout`` packs the module monomial u*e_i as
 
@@ -53,9 +56,11 @@ the caller starts again with wider fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import kernel
+from .fields import GFElement
 from .groebner import DEFAULT_BUDGET, Budget, _basis_loop
 from .polyring import MultiPoly, PolyRing
 
@@ -168,8 +173,38 @@ class Layout:
 
     def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
         """(position, exponent) of a key."""
-        pos = (key >> self.where & (1 << self.packing.bits) - 1) - 1
+        pos = self.position(key)
         return pos, self.packing.unpack((key - self.bases[pos]) >> self.shift)
+
+    def position(self, key: int) -> int:
+        return (key >> self.where & (1 << self.packing.bits) - 1) - 1
+
+    def monomial(self, key: int, to: Layout) -> int:
+        """The ring monomial u of the term u*e_i ``key`` as ``to`` adds it:
+        ``to``'s key of u*e_k is ``to.bases[k]`` plus this."""
+        mono = (key - self.bases[self.position(key)]) >> self.shift
+        if to.packing is not self.packing:
+            exp = self.packing.unpack(mono)
+            mono = to.packing.pack(exp) + (sum(exp) << to.ring_bits)
+        return mono << to.shift
+
+    def move(self, key: int, to: Layout, pos: int) -> int:
+        """The term u*e_i ``key`` as u*e_pos of ``to``."""
+        out = to.bases[pos] + self.monomial(key, to)
+        if out & to.guard:
+            raise OverflowError("module monomial exceeds the packed field width")
+        return out
+
+    def restrict(self, keep) -> Layout:
+        """This layout on the positions ``keep`` alone, renumbered in
+        order: only the pair of fields that holds each position changes,
+        so terms keep their order and divisibility."""
+        n, m = len(self.bases), len(keep)
+        bases = tuple(
+            self.bases[i] + (_pair(m, k, self.packing) - _pair(n, i, self.packing) << self.where)
+            for k, i in enumerate(keep)
+        )
+        return replace(self, bases=bases)
 
     def degree(self, key: int) -> int:
         """Degree of a module monomial, twist included."""
@@ -263,22 +298,24 @@ def syzygies_of_groebner(basis: list[dict], layout: Layout, modulus: int | None)
 
 def syzygies_of_columns(
     columns: list[dict],
+    scales,
     layout: Layout,
     relations: Layout,
     modulus: int | None,
     budget: Budget = DEFAULT_BUDGET,
 ) -> list[dict]:
-    """Generating set for the relations sum_j h_j * columns[j] = 0, as
-    canonical int elements of the free layout ``relations`` (generator j
-    for column j).
+    """Generating set for the relations sum_j h_j * v_j = 0 among the
+    vectors v_j = scales[j] * columns[j], as canonical int elements of
+    the free layout ``relations`` (generator j for column j).
 
-    ``columns`` are packed terms of the free layout ``layout`` with field
-    coefficients.  Each column tracks its own generator, so the result
-    combines the Groebner-basis syzygies, mapped back to the columns by
-    the tracked relations, with the relation each column leaves when it
-    reduces to zero modulo the basis (a zero column is its own relation).
+    ``columns`` are packed int terms of the free layout ``layout``, and
+    ``scales`` nonzero Fractions over Q, ints mod p.  Each column tracks
+    its own generator, e_j / scales[j], so the result combines the
+    Groebner-basis syzygies, mapped back to the columns by the tracked
+    relations, with the relation each column leaves when it reduces to
+    zero modulo the basis (a zero column is its own relation).
     """
-    tracked, inputs = relations.track(layout, columns, [1] * len(columns))
+    tracked, inputs = relations.track(layout, columns, [1 / Fraction(s) for s in scales])
     inputs = [kernel.to_ints(e, modulus) for e in inputs]
     basis = module_groebner(inputs, tracked, modulus, budget)
     reducers = [kernel.reducer(max(g), g) for g in basis]
@@ -301,16 +338,16 @@ def columns_to_elements(matrix: list[list[MultiPoly]], layout: Layout) -> list[d
 
 
 def elements_to_columns(
-    elems: list[dict], layout: Layout, modulus: int | None, ring: PolyRing, target_rank: int
+    elems: list[dict], scales, layout: Layout, modulus: int | None, ring: PolyRing, target_rank: int
 ) -> list[list[MultiPoly]]:
-    """Normalized int elements as matrix columns with monic field
-    coefficients; result[i][j] = entry (row i, col j)."""
+    """Int elements as matrix columns, column j scaled by scales[j] (a
+    Fraction over Q, an int mod p); result[i][j] = entry (row i, col j)."""
     rows = [[ring.zero() for _ in elems] for _ in range(target_rank)]
-    for j, elem in enumerate(elems):
+    for j, (elem, scale) in enumerate(zip(elems, scales)):
         per_row: dict[int, dict] = {}
-        for key, c in kernel.from_ints(elem, max(elem), modulus).items():
+        for key, v in elem.items():
             pos, e = layout.unpack(key)
-            per_row.setdefault(pos, {})[e] = c
+            per_row.setdefault(pos, {})[e] = GFElement(v * scale, modulus) if modulus else v * scale
         for pos, terms in per_row.items():
             rows[pos][j] = MultiPoly(ring, terms)
     return rows

@@ -2,9 +2,12 @@
 
 ``minimal_resolution`` resolves S/J for a homogeneous ideal J by iterated
 syzygy steps in the induced Schreyer orders, then cancels unit entries by
-exact row/column operations until the resolution is minimal.  Syzygies
-and module bases come from ``modules`` on packed ints, restarted with
-wider fields when a value outgrows them (``kernel.widening``).  From the
+fraction-free column operations until the resolution is minimal.
+Syzygies and module bases come from ``modules`` on packed ints,
+restarted with wider fields when a value outgrows them
+(``kernel.widening``).  A step keeps the packed int columns that
+computed it, and every check below reads them; its polynomial matrix is
+built only when it is read (``ResolutionStep.matrix``).  From the
 minimal twists come the Betti table and the regularity
 
     reg = max over steps k and twists d of (d - k) + 1,
@@ -21,34 +24,105 @@ each codim Ext^j is read off Hilbert series of the dual complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from . import invariants, kernel, modules
 from .errors import BudgetExceededError
 from .groebner import DEFAULT_BUDGET, Budget, Ideal, buchberger
-from .modules import FreeModule
+from .modules import FreeModule, Layout
 from .orders import grevlex
 from .polyring import MultiPoly, PolyRing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolutionStep:
-    """A graded map F_source -> F_target given by a polynomial matrix.
+    """A graded map F_source -> F_target.
 
-    matrix[i][j] (row i, column j) is zero or homogeneous of degree
-    source.twists[j] - target.twists[i].
+    Column j is scales[j] (a Fraction over Q, an int mod ``modulus``)
+    times the int element columns[j] of ``layout``, whose positions are
+    the generators of the target.  ``matrix[i][j]`` (row i, column j) is
+    zero or homogeneous of degree source.twists[j] - target.twists[i].
+    Two steps are equal when their twists and matrices are.
     """
 
     source: FreeModule
     target: FreeModule
-    matrix: tuple[tuple[MultiPoly, ...], ...]
+    ring: PolyRing
+    layout: Layout
+    modulus: int | None
+    columns: tuple[dict, ...]
+    scales: tuple
+
+    @classmethod
+    def from_matrix(cls, ring: PolyRing, source: FreeModule, target: FreeModule, matrix) -> ResolutionStep:
+        """The step of a polynomial matrix, given row by row."""
+        rows = [list(row) for row in matrix]
+        modulus = kernel.field_modulus(p for row in rows for p in row)
+
+        def run(bits):
+            layout = Layout.free(grevlex(), ring.nvars, bits, target.twists)
+            return layout, modules.columns_to_elements(rows, layout)
+
+        layout, cols = kernel.widening(run, kernel.MIN_BITS)
+        columns = tuple(kernel.to_ints(c, modulus) for c in cols)
+        scales = tuple(1 if modulus else Fraction(1, kernel.cleared(c)[1]) for c in cols)
+        return cls(source, target, ring, layout, modulus, columns, scales)
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[MultiPoly, ...], ...]:
+        rows = modules.elements_to_columns(
+            self.columns, self.scales, self.layout, self.modulus, self.ring, self.target.rank
+        )
+        return tuple(tuple(row) for row in rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, ResolutionStep):
+            return NotImplemented
+        return (self.source, self.target, self.matrix) == (other.source, other.target, other.matrix)
+
+    def __hash__(self):
+        return hash((self.source, self.target))
 
     def is_graded(self) -> bool:
-        for i, row in enumerate(self.matrix):
-            for j, p in enumerate(row):
-                want = self.source.twists[j] - self.target.twists[i]
-                if p and (not p.is_homogeneous() or p.degree() != want):
+        layout, source, target = self.layout, self.source.twists, self.target.twists
+        for j, col in enumerate(self.columns):
+            for t in col:
+                i = layout.position(t)
+                if layout.degree(t) - layout.degree(layout.bases[i]) != source[j] - target[i]:
                     return False
         return True
+
+
+def _first_unit(layout: Layout, columns, source_twists, target_twists):
+    """(row i, column j, key) of the first nonzero constant entry in
+    row-major order, or None.  In a graded step, entry (i, j) is a
+    nonzero constant exactly when column j has a term in row i and
+    source_twists[j] == target_twists[i]."""
+    targets = set(target_twists)
+    best = None
+    for j, col in enumerate(columns):
+        if source_twists[j] in targets:
+            for t in col:
+                i = layout.position(t)
+                if target_twists[i] == source_twists[j] and (best is None or (i, j) < best[:2]):
+                    best = (i, j, t)
+    return best
+
+
+def _moved(step: ResolutionStep, layout: Layout, dual: bool = False) -> list[dict]:
+    """The int columns of ``step`` in the free layout ``layout`` of its
+    target or, with ``dual``, its rows (row i as the element
+    sum_j entry_ij e_j) in that of the dual of its source."""
+    inner = step.layout
+    if not dual:
+        return [{inner.move(t, layout, inner.position(t)): c for t, c in col.items()} for col in step.columns]
+    rows = [{} for _ in step.target.twists]
+    for j, col in enumerate(step.columns):
+        for t, c in col.items():
+            rows[inner.position(t)][inner.move(t, layout, j)] = c
+    return rows
 
 
 @dataclass(frozen=True)
@@ -89,11 +163,10 @@ class FreeResolution:
             if not step.is_graded():
                 raise AssertionError("resolution step is not graded-compatible")
         for a, b in zip(self.steps, self.steps[1:]):
-            prod = _mat_mul(a.matrix, b.matrix, self.ring)
-            if any(p for row in prod for p in row):
+            if any(_compose(a, b)[1]):
                 raise AssertionError("consecutive resolution steps do not compose to zero")
         for step in self.steps:
-            if any(p and p.is_constant() for row in step.matrix for p in row):
+            if _first_unit(step.layout, step.columns, step.source.twists, step.target.twists):
                 raise AssertionError("minimal resolution has a unit entry")
         if check_exact:
             self._check_exact()
@@ -103,12 +176,7 @@ class FreeResolution:
             if not self.ideal.is_zero():
                 raise AssertionError("empty resolution of a nonzero ideal")
             return
-        coker = _coker_numerators(
-            self.ring,
-            [step.matrix for step in self.steps],
-            [step.target.twists for step in self.steps],
-            DEFAULT_BUDGET,
-        )
+        coker = _coker_numerators(self.steps, False, DEFAULT_BUDGET)
         coker.append(invariants.module_hilbert_numerator((), self.steps[-1].source.twists))
         for k, step in enumerate(self.steps, start=1):
             free = invariants.module_hilbert_numerator((), step.target.twists)
@@ -126,42 +194,68 @@ class FreeResolution:
             raise AssertionError("the first map's cokernel is not S/J: Hilbert series differ")
 
 
-def _mat_mul(a, b, ring: PolyRing):
-    rows = len(a)
-    mid = len(b)
-    cols = len(b[0]) if mid else 0
-    out = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        for j in range(cols):
-            acc = ring.zero()
-            for t in range(mid):
-                if a[i][t] and b[t][j]:
-                    acc = acc + a[i][t] * b[t][j]
-            out[i][j] = acc
-    return out
+def _compose(a: ResolutionStep, b: ResolutionStep):
+    """(layout, elements, scales) of a∘b: its column j is scales[j] times
+    elements[j], an int element of the free layout of a's target.  That
+    element is one product, the sum over the terms c*u*e_m of b's column
+    of c*u*w_m*(column m of a), with w_m a's scale over Q times the
+    common denominator of a's scales."""
+    modulus = a.modulus
+    den = lcm(*(s.denominator for s in a.scales))
+    weights = [s.numerator * (den // s.denominator) for s in a.scales]
+
+    def run(bits):
+        layout = Layout.free(grevlex(), a.ring.nvars, bits, a.target.twists)
+        cols = [list(col.items()) for col in _moved(a, layout)]
+        out = []
+        for col in b.columns:
+            acc: dict = {}
+            for t, c in col.items():
+                m = b.layout.position(t)
+                u, cw = b.layout.monomial(t, layout), c * weights[m]
+                for key, v in cols[m]:
+                    s = acc.pop(key + u, 0) + cw * v
+                    if modulus:
+                        s %= modulus
+                    if s:
+                        acc[key + u] = s
+            if any(key & layout.guard for key in acc):
+                raise OverflowError("module monomial exceeds the packed field width")
+            out.append(acc)
+        return layout, out
+
+    layout, out = kernel.widening(run, a.layout.packing.bits)
+    return layout, out, b.scales if modulus else [s / den for s in b.scales]
 
 
 # ------------------------------------------------------------- syzygies
 
 
-def _coker_numerators(ring, matrices, twists, budget):
-    """Hilbert numerators of coker(M) on F = ⊕ S(-twists[i]), one per
-    matrix M whose row i lives in degree twists[i], each from one module
-    Groebner basis of the columns of M; the fields are widened together."""
-    modulus = kernel.field_modulus(p for matrix in matrices for row in matrix for p in row)
+def _coker_numerators(steps, dual: bool, budget):
+    """Hilbert numerators of coker(phi) on F_target, one per step phi, or
+    with ``dual`` of coker(phi^T) on the dual of F_source, each from one
+    module Groebner basis of the int columns (rows) of phi; the fields are
+    widened together.  The scales are left out: a column scaled by a unit
+    spans the same module, and scaling rows of phi^T keeps every leading
+    term."""
 
     def run(bits):
         out = []
-        for matrix, tw in zip(matrices, twists):
-            layout = modules.Layout.free(grevlex(), ring.nvars, bits, tw)
-            columns = modules.columns_to_elements(matrix, layout)
-            columns = [kernel.to_ints(c, modulus) for c in columns]
-            basis = modules.module_groebner(columns, layout, modulus, budget)
+        for step in steps:
+            twists = tuple(-b for b in step.source.twists) if dual else step.target.twists
+            layout = Layout.free(grevlex(), step.ring.nvars, bits, twists)
+            basis = modules.module_groebner(_moved(step, layout, dual), layout, step.modulus, budget)
             leads = [layout.unpack(max(g)) for g in basis]
-            out.append(invariants.module_hilbert_numerator(leads, tw))
+            out.append(invariants.module_hilbert_numerator(leads, twists))
         return out
 
     return kernel.widening(run, kernel.MIN_BITS)
+
+
+def _monic_scales(elems, modulus: int | None) -> tuple:
+    """The scales that make normalized elements monic: 1 mod p, where
+    they are monic already, and 1/lc over Q."""
+    return tuple(1 if modulus else Fraction(1, e[max(e)]) for e in elems)
 
 
 def syzygies(source, budget: Budget = DEFAULT_BUDGET) -> ResolutionStep:
@@ -171,38 +265,29 @@ def syzygies(source, budget: Budget = DEFAULT_BUDGET) -> ResolutionStep:
     The returned step's columns generate all relations among the columns
     of the input and compose with it to zero.
     """
-    if isinstance(source, ResolutionStep):
-        if not source.matrix:
-            raise ValueError("cannot take syzygies of an empty matrix")
-        matrix = [list(r) for r in source.matrix]
-        ambient_twists = source.target.twists   # where the columns live
-        column_twists = source.source.twists    # where the relations live
-    else:
-        matrix = [list(source)]
-        if not matrix[0]:
+    if not isinstance(source, ResolutionStep):
+        polys = list(source)
+        if not polys:
             raise ValueError("no polynomials given")
-        ambient_twists = (0,)
-        column_twists = None
-    ring = matrix[0][0].ring
-    modulus = kernel.field_modulus(p for row in matrix for p in row)
+        degrees = FreeModule(tuple(p.degree() if p else 0 for p in polys))
+        source = ResolutionStep.from_matrix(polys[0].ring, degrees, FreeModule((0,)), [polys])
+    if not source.target.rank:
+        raise ValueError("cannot take syzygies of an empty matrix")
+    if not source.is_graded():
+        raise ValueError("input matrix is not homogeneous")
+    ring, modulus = source.ring, source.modulus
 
     def run(bits):
-        ambient = modules.Layout.free(grevlex(), ring.nvars, bits, ambient_twists)
-        columns = modules.columns_to_elements(matrix, ambient)
-        if any(len({ambient.degree(t) for t in c}) > 1 for c in columns):
-            raise ValueError("input matrix is not homogeneous")
-        twists = column_twists or tuple(ambient.degree(max(c)) if c else 0 for c in columns)
-        relations = modules.Layout.free(grevlex(), ring.nvars, bits, twists)
-        syz = modules.syzygies_of_columns(columns, ambient, relations, modulus, budget)
-        return twists, relations, syz
+        ambient = Layout.free(grevlex(), ring.nvars, bits, source.target.twists)
+        relations = Layout.free(grevlex(), ring.nvars, bits, source.source.twists)
+        columns = _moved(source, ambient)
+        syz = modules.syzygies_of_columns(columns, source.scales, ambient, relations, modulus, budget)
+        return relations, syz
 
-    twists, relations, syz = kernel.widening(run, kernel.MIN_BITS)
-    cols = modules.elements_to_columns(syz, relations, modulus, ring, len(twists))
-    return ResolutionStep(
-        source=FreeModule(tuple(relations.degree(max(s)) for s in syz)),
-        target=FreeModule(twists),
-        matrix=tuple(tuple(row) for row in cols),
-    )
+    relations, syz = kernel.widening(run, kernel.MIN_BITS)
+    found = FreeModule(tuple(relations.degree(max(s)) for s in syz))
+    scales = _monic_scales(syz, modulus)
+    return ResolutionStep(found, source.source, ring, relations, modulus, tuple(syz), scales)
 
 
 # ---------------------------------------------------- minimal resolution
@@ -232,7 +317,7 @@ def minimal_resolution(
         # cleared ints are primitive), each further step the syzygies of
         # the previous one (already a basis in the induced order), each
         # element tracking lc(g_k) e_k of the next layout
-        layout = modules.Layout.free(grevlex(), ring.nvars, bits, (0,))
+        layout = Layout.free(grevlex(), ring.nvars, bits, (0,))
         current = modules.columns_to_elements([gb.basis], layout)
         current = [kernel.to_ints(c, modulus) for c in current]
         target = FreeModule((0,))
@@ -242,11 +327,12 @@ def minimal_resolution(
                 raise BudgetExceededError(
                     f"budget exhausted: resolution exceeded {cap} steps"
                 )
-            source = FreeModule(tuple(layout.degree(max(e)) for e in current))
-            cols = modules.elements_to_columns(current, layout, modulus, ring, target.rank)
-            steps.append(ResolutionStep(source, target, tuple(tuple(r) for r in cols)))
-            nxt = layout.extend([max(e) for e in current])
-            tracked, elems = nxt.track(layout, current, [e[max(e)] for e in current])
+            leads = [max(e) for e in current]
+            source = FreeModule(tuple(layout.degree(t) for t in leads))
+            scales = _monic_scales(current, modulus)
+            steps.append(ResolutionStep(source, target, ring, layout, modulus, tuple(current), scales))
+            nxt = layout.extend(leads)
+            tracked, elems = nxt.track(layout, current, [e[t] for e, t in zip(current, leads)])
             current = modules.syzygies_of_groebner(elems, tracked, modulus)
             layout, target = nxt, source
         return steps
@@ -256,65 +342,79 @@ def minimal_resolution(
 
 
 def _minimalize(ring: PolyRing, steps: list[ResolutionStep]) -> list[ResolutionStep]:
-    """Cancel unit entries by exact row/column operations (Schur
-    complements) until no step matrix contains a nonzero constant."""
+    """Cancel unit entries until no step has a nonzero constant entry,
+    the first in step, row and column order first.
+
+    A unit a at (i, j) is cancelled fraction-free, by the Schur
+    complement on a: each other column with a term in row i becomes a
+    times itself minus its row i times column j, and its scale is divided
+    by a.  Then row i and column j go, with row j of the step above and
+    column i of the step below."""
+    modulus = steps[0].modulus
     twists = [list(steps[0].target.twists)] + [list(s.source.twists) for s in steps]
-    mats = [[list(row) for row in s.matrix] for s in steps]
+    layouts = [s.layout for s in steps]
+    cols = [list(s.columns) for s in steps]
+    scales = [list(s.scales) for s in steps]
 
     def find_unit():
-        for k, mat in enumerate(mats):
-            for i, row in enumerate(mat):
-                for j, p in enumerate(row):
-                    if p and p.is_constant():
-                        return k, i, j
+        for k in range(len(cols)):
+            hit = _first_unit(layouts[k], cols[k], twists[k + 1], twists[k])
+            if hit:
+                return k, hit
         return None
 
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        k, i, j = hit
-        mat = mats[k]
-        a = next(iter(mat[i][j].terms.values()))
-        inv = (a / a) / a
-        # Schur complement on the pivot, then delete row i and column j.
-        for i2 in range(len(mat)):
-            if i2 == i or not mat[i2][j]:
-                continue
-            factor = mat[i2][j] * inv
-            for j2 in range(len(mat[0])):
-                if j2 == j or not mat[i][j2]:
-                    continue
-                mat[i2][j2] = mat[i2][j2] - factor * mat[i][j2]
-        for row in mat:
-            del row[j]
-        del mat[i]
-        del twists[k + 1][j]
-        del twists[k][i]
-        if k + 1 < len(mats):  # F_k lost generator j: drop row j upstairs
-            del mats[k + 1][j]
+    while hit := find_unit():
+        k, (i, j, pivot) = hit
+        layout, col = layouts[k], cols[k][j]
+        for j2, other in enumerate(cols[k]):
+            row = [(t - pivot, c) for t, c in other.items() if layout.position(t) == i]
+            if row and j2 != j:
+                cols[k][j2], scales[k][j2] = _cancel(other, row, col, col[pivot], scales[k][j2], modulus)
+        del cols[k][j], scales[k][j], twists[k + 1][j], twists[k][i]
+        layouts[k], cols[k] = _drop_position(layout, cols[k], i)
+        if k + 1 < len(cols):  # F_k lost generator j: drop row j upstairs
+            layouts[k + 1], cols[k + 1] = _drop_position(layouts[k + 1], cols[k + 1], j)
         if k - 1 >= 0:  # F_{k-1} lost generator i: drop column i downstairs
-            for row in mats[k - 1]:
-                del row[i]
+            del cols[k - 1][i], scales[k - 1][i]
 
     # prune empty trailing modules
-    cut = len(mats)
-    for k in range(len(mats)):
-        if not twists[k + 1]:
-            cut = k
-            break
-    mats = mats[:cut]
-    twists = twists[: cut + 1]
-    out = []
-    for k, mat in enumerate(mats):
-        out.append(
-            ResolutionStep(
-                source=FreeModule(tuple(twists[k + 1])),
-                target=FreeModule(tuple(twists[k])),
-                matrix=tuple(tuple(row) for row in mat),
-            )
+    cut = next((k for k in range(len(cols)) if not twists[k + 1]), len(cols))
+    return [
+        ResolutionStep(
+            FreeModule(tuple(twists[k + 1])), FreeModule(tuple(twists[k])), ring,
+            layouts[k], modulus, tuple(cols[k]), tuple(scales[k]),
         )
-    return out
+        for k in range(cut)
+    ]
+
+
+def _cancel(other: dict, row, col: dict, a: int, scale, modulus):
+    """(a*other - sum of c*u*col over the terms (u, c) of ``row``, and
+    the scale of the result): the row of ``other`` where ``col`` holds
+    the constant a, each term as its monomial u and coefficient c.  That
+    row cancels.  Over Q the result is made primitive."""
+    out = {t: a * c for t, c in other.items()}
+    for u, c2 in row:
+        for t, c in col.items():
+            s = out.pop(t + u, 0) - c2 * c
+            if s:
+                out[t + u] = s
+    if modulus:
+        out = {t: c % modulus for t, c in out.items() if c % modulus}
+        return out, scale * pow(a, -1, modulus) % modulus
+    content = gcd(*out.values()) or 1
+    return {t: c // content for t, c in out.items()}, scale * content / a
+
+
+def _drop_position(layout: Layout, columns: list[dict], i: int):
+    """(layout, columns) without position i: its terms go, and the other
+    positions are renumbered."""
+    keep = [p for p in range(len(layout.bases)) if p != i]
+    smaller = layout.restrict(keep)
+    shift = {p: smaller.bases[k] - layout.bases[p] for k, p in enumerate(keep)}
+    return smaller, [
+        {t + shift[p]: c for t, c in col.items() if (p := layout.position(t)) != i} for col in columns
+    ]
 
 
 # --------------------------------------------------- betti / regularity
@@ -383,8 +483,7 @@ def bef_codims(
     """
     # Hilbert numerators of F_k^* and C_k at index k - 1, zero at k = n + 1
     duals = [tuple(-b for b in step.source.twists) for step in res.steps]
-    transposes = [list(zip(*step.matrix)) for step in res.steps]
-    coker = _coker_numerators(res.ring, transposes, duals, budget) + [{}]
+    coker = _coker_numerators(res.steps, True, budget) + [{}]
     free = [invariants.module_hilbert_numerator((), dual) for dual in duals] + [{}]
     out = []
     best = float("inf")

@@ -339,6 +339,81 @@ def multiplicity_cap(d: int, codim_z: int, deg_x: int) -> int:
     return d**codim_z * deg_x
 
 
+def mat_mul(a, b, ring: PolyRing):
+    """The product of two polynomial matrices, given row by row: a dense
+    triple loop of ``MultiPoly`` products and sums."""
+    rows = len(a)
+    mid = len(b)
+    cols = len(b[0]) if mid else 0
+    out = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            acc = ring.zero()
+            for t in range(mid):
+                if a[i][t] and b[t][j]:
+                    acc = acc + a[i][t] * b[t][j]
+            out[i][j] = acc
+    return out
+
+
+def schur_minimalize(steps):
+    """Cancel unit entries of a chain of polynomial matrices by Schur
+    complements in field arithmetic until no matrix has a nonzero
+    constant entry, the first in step, row and column order first.
+    ``steps`` have ``matrix`` and the twists of ``source`` and ``target``;
+    returns (source twists, target twists, matrix) per step, with empty
+    trailing modules pruned."""
+    twists = [list(steps[0].target.twists)] + [list(s.source.twists) for s in steps]
+    mats = [[list(row) for row in s.matrix] for s in steps]
+
+    def find_unit():
+        for k, mat in enumerate(mats):
+            for i, row in enumerate(mat):
+                for j, p in enumerate(row):
+                    if p and p.is_constant():
+                        return k, i, j
+        return None
+
+    while True:
+        hit = find_unit()
+        if hit is None:
+            break
+        k, i, j = hit
+        mat = mats[k]
+        a = next(iter(mat[i][j].terms.values()))
+        inv = (a / a) / a
+        # Schur complement on the pivot, then delete row i and column j.
+        for i2 in range(len(mat)):
+            if i2 == i or not mat[i2][j]:
+                continue
+            factor = mat[i2][j] * inv
+            for j2 in range(len(mat[0])):
+                if j2 == j or not mat[i][j2]:
+                    continue
+                mat[i2][j2] = mat[i2][j2] - factor * mat[i][j2]
+        for row in mat:
+            del row[j]
+        del mat[i]
+        del twists[k + 1][j]
+        del twists[k][i]
+        if k + 1 < len(mats):  # F_k lost generator j: drop row j upstairs
+            del mats[k + 1][j]
+        if k - 1 >= 0:  # F_{k-1} lost generator i: drop column i downstairs
+            for row in mats[k - 1]:
+                del row[i]
+
+    # prune empty trailing modules
+    cut = len(mats)
+    for k in range(len(mats)):
+        if not twists[k + 1]:
+            cut = k
+            break
+    return [
+        (tuple(twists[k + 1]), tuple(twists[k]), tuple(tuple(row) for row in mats[k]))
+        for k in range(cut)
+    ]
+
+
 def substitute_eliminate_oracle(
     poly: MultiPoly, var_index: int, replacement: MultiPoly
 ) -> MultiPoly:

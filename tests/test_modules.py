@@ -129,3 +129,24 @@ def test_tracked_relations_sort_below_and_divide_by_no_lead(schreyer):
         for p in packed:
             assert r < p
             assert (r - p) & tracked.guard
+
+
+def test_restrict_renumbers_positions_and_move_keeps_the_monomial():
+    rng = random.Random(9)
+    twists = (-3, 0, 2, -1)
+    free = Layout.free(grevlex(), NVARS, 8, twists)
+    images = random_monomials(rng, len(twists), 5, top=2)
+    leads = [free.pack(*m) for m in images]
+    keep = [0, 2, 3]
+    # dropping positions is the layout built on the kept ones alone
+    assert free.restrict(keep) == Layout.free(grevlex(), NVARS, 8, tuple(twists[i] for i in keep))
+    assert free.extend(leads).restrict(keep) == free.extend([leads[i] for i in keep])
+    level = free.extend(leads)
+    wide = Layout.free(grevlex(), NVARS, 16, (1, 5))
+    u = level.monomial(level.pack(0, (1, 0, 2)), level)
+    for pos, exp in random_monomials(rng, len(images), 20):
+        key = level.pack(pos, exp)
+        assert wide.unpack(level.move(key, wide, 1)) == (1, exp)
+        assert level.unpack(key + u) == (pos, (exp[0] + 1, exp[1], exp[2] + 2))
+    with pytest.raises(OverflowError):
+        level.move(level.pack(0, (60, 0, 0)), Layout.free(grevlex(), NVARS, 8, (100,)), 0)

@@ -2,6 +2,7 @@
 regularity, and the drop-rank codimension bounds against the minors of
 the Fitting ideals."""
 
+import dataclasses
 import itertools
 import random
 from math import comb
@@ -9,7 +10,8 @@ from math import comb
 import pytest
 
 from conftest import random_forms_ideal, skew_lines_ideal, twisted_cubic_ideal
-from oracles import fitting_ideal_gens, generic_rank, syzygy_dimension_at_degree
+from oracles import fitting_ideal_gens, generic_rank, mat_mul, schur_minimalize, syzygy_dimension_at_degree
+from test_golden import _resolution_cases
 
 from brisk import kernel, modules, resolution
 from brisk.errors import BudgetExceededError
@@ -237,8 +239,8 @@ class TestExactnessCheck:
     def test_dropped_last_column_of_last_map(self, d):
         res = minimal_resolution(rational_normal_curve(d))
         last = res.steps[-1]
-        cut = ResolutionStep(
-            FreeModule(last.source.twists[:-1]), last.target, tuple(row[:-1] for row in last.matrix)
+        cut = ResolutionStep.from_matrix(
+            res.ring, FreeModule(last.source.twists[:-1]), last.target, [row[:-1] for row in last.matrix]
         )
         broken = replace_step(res, res.length, cut)
         broken.validate()
@@ -264,7 +266,7 @@ class TestExactnessCheck:
         # membership of the entries in J sees the new generator
         res = minimal_resolution(cusp_proj(5))
         step = res.steps[0]
-        changed = ResolutionStep(step.source, step.target, ((P2.parse("z0^5 - z2^5"),),))
+        changed = ResolutionStep.from_matrix(P2, step.source, step.target, [[P2.parse("z0^5 - z2^5")]])
         broken = replace_step(res, 1, changed)
         broken.validate()
         with pytest.raises(AssertionError, match="not in the ideal"):
@@ -473,3 +475,90 @@ class TestExtCodimsAgainstMinors:
                 res = minimal_resolution(member)
                 res.validate(check_exact=True)
                 assert bef_codims(res) == minors_codims(res)
+
+
+# ------------------------------------------------------ integer columns
+
+CASES = _resolution_cases()
+# name -> (frame generators, minimal generators)
+FRAME_SIZES = {"random5_0": (15, 5), "random5_4": (25, 7), "random5_5": (35, 9)}
+
+
+def frame_and_resolution(ideal, monkeypatch):
+    frames = []
+    minimalize = resolution._minimalize
+
+    def spy(ring, steps):
+        frames.append(list(steps))
+        return minimalize(ring, steps)
+
+    monkeypatch.setattr(resolution, "_minimalize", spy)
+    res = minimal_resolution(ideal)
+    monkeypatch.undo()
+    return frames[0], res
+
+
+def bumped(step: ResolutionStep) -> ResolutionStep:
+    """``step`` with one int coefficient of its first column moved by one."""
+    col = dict(step.columns[0])
+    t = max(col)
+    col[t] += 1 if col[t] != -1 else -1
+    if step.modulus:
+        col[t] %= step.modulus
+    return dataclasses.replace(step, columns=(col,) + step.columns[1:])
+
+
+class TestIntegerColumns:
+    """Steps keep packed int columns; minimalization, composition and the
+    checks of ``validate`` run on them and must agree with the field
+    arithmetic on the polynomial matrices."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_minimalization_matches_the_schur_complement(self, name, monkeypatch):
+        frame, res = frame_and_resolution(CASES[name], monkeypatch)
+        got = [(s.source.twists, s.target.twists, s.matrix) for s in res.steps]
+        assert got == schur_minimalize(frame)
+        sizes = (sum(s.source.rank for s in frame), sum(s.source.rank for s in res.steps))
+        assert sizes == FRAME_SIZES.get(name.removesuffix("_gf"), sizes)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_integer_composition_matches_the_matrix_product(self, name, monkeypatch):
+        frame, res = frame_and_resolution(CASES[name], monkeypatch)
+        for steps in (frame, res.steps):
+            for a, b in zip(steps, steps[1:]):
+                for right in (b, bumped(b)):
+                    layout, elems, scales = resolution._compose(a, right)
+                    got = modules.elements_to_columns(elems, scales, layout, a.modulus, a.ring, a.target.rank)
+                    assert got == mat_mul(a.matrix, right.matrix, a.ring)
+                    assert any(elems) == (right is not b)
+
+    @pytest.mark.parametrize("name", ["rnc4", "rnc4_gf", "random5_4", "random5_4_gf"])
+    def test_validate_rejects_on_the_integer_columns(self, name):
+        res = minimal_resolution(CASES[name])
+        res.validate()
+        with pytest.raises(AssertionError, match="do not compose to zero"):
+            replace_step(res, 2, bumped(res.steps[1])).validate()
+        # a trivial summand S(-t) -> S(-t) on top: graded and composing to
+        # zero, with the unit entry 1
+        ring, last = res.ring, res.steps[-1]
+        t = last.source.twists[0]
+        one = ring.const(GFElement(1, last.modulus) if last.modulus else 1)
+        padded_rows = [row + (ring.zero(),) for row in last.matrix]
+        wider_source = FreeModule(last.source.twists + (t,))
+        wider = ResolutionStep.from_matrix(ring, wider_source, last.target, padded_rows)
+        unit_rows = [[ring.zero()]] * last.source.rank + [[one]]
+        unit = ResolutionStep.from_matrix(ring, FreeModule((t,)), wider_source, unit_rows)
+        padded = FreeResolution(res.ideal, res.steps[:-1] + (wider, unit))
+        with pytest.raises(AssertionError, match="unit entry"):
+            padded.validate()
+
+    @pytest.mark.parametrize("name", ["rnc4", "random5_4_gf"])
+    def test_steps_equal_by_twists_and_matrices(self, name):
+        one, two = minimal_resolution(CASES[name]), minimal_resolution(CASES[name])
+        assert one == two
+        assert [hash(s) for s in one.steps] == [hash(s) for s in two.steps]
+        step = one.steps[1]
+        assert step == ResolutionStep.from_matrix(one.ring, step.source, step.target, step.matrix)
+        assert step != bumped(step)
+        assert replace_step(one, 2, bumped(step)) != two
+        assert step != dataclasses.replace(step, source=FreeModule(step.source.twists[::-1] + (0,)))
