@@ -30,35 +30,20 @@ tuples.  A ``GroebnerBasis`` packs its elements once, when it is made,
 for ``normal_form``, which packs them wider for one call when that call
 outgrows them.
 
-Over Q the loop is guided by a trace modulo ``TRACE_PRIME`` = 32749
-(Traverso 1988, "Groebner trace algorithms"), the largest prime below
-2^15, so that a product of two residues fits one 30-bit digit of a
-CPython int; the sums of ``kernel.normal_form``, reduced mod p only
-when they lead, outgrow that digit.  The trace keeps a monic mod-p
-image of every integer reducer.  Each pair taken is first reduced mod
-p; when that gives zero the pair is skipped, and otherwise it is
-reduced over Q and pushed as without the trace.  Unless a skipped pair
-was a false zero (below), the pairs taken are those of the loop without
-the trace, and only the reductions over Q that give zero are saved.
-The trace starts at the first basis element whose primitive lead
-coefficient is not 1: before it no reduction over Z rescales, and one
-costs what a reduction mod p does.  If p divides a lead coefficient,
-when the trace starts or at a later push, the trace stops and the rest
-of the loop runs over Q alone.
-
-A skipped pair may be a false zero, an S-polynomial whose remainder over
-Q is nonzero but divisible by p.  So a basis that skipped a pair is
-checked over Q before it is returned (Arnold 2003, "Modular algorithms
-for computing Groebner bases"), on the skipped pairs and no others: the
-loop records each as (i, j, lcm), and ``_proves_basis`` reduces one
-S-polynomial per record by the reduced basis.  A pair takes the reduced
-form of each of its loop elements that survived minimalization, tracked
-by loop index since two generators may share a lead, and the loop
-element itself otherwise.  Every other pair of the loop was reduced
-exactly over Q or discarded by a criterion, so zero remainders for the
-skipped ones prove the basis (the argument is in ``_proves_basis``).  If
-a check fails, the loop runs again over Q without the trace, so a basis
-over Q that has not been checked is never returned.
+Over Q the loop keeps its basis tail-reduced (Becker and Weispfenning
+1993, section 5.5) from the first element whose primitive lead
+coefficient is not 1; before it no reduction over Z rescales, and tail
+reduction would only add calls.  From then on, after each push, every
+element that still gets new pairs and whose tail holds a multiple of the
+new lead has that tail reduced by the other elements, is made primitive
+again and replaces itself in place, lead and position unchanged.
+Integer remainders then stay near the size of the reduced basis instead
+of growing with every S-polynomial built from stale tails: on katsura-6
+the loop's largest coefficient has 119 bits, as in the reduced basis,
+where a loop that leaves tails alone reaches 925.  Every pair is reduced
+exactly over Q or discarded by a criterion, so the basis is never
+returned unproven (the argument is in ``_basis_loop``).  Over GF(p)
+every element is monic, so tails are left alone there.
 
 All computations respect a configurable resource budget; exceeding it
 raises BudgetExceededError rather than ever returning a wrong basis.
@@ -80,13 +65,9 @@ class Budget:
     """Resource caps for basis computations and certificate searches.
 
     ``max_pairs`` counts the S-pairs taken off the queue for reduction;
-    pairs that the pair criteria discard never count.  Bases of ideals and
-    of modules run on the same loop and count their pairs the same way.
-    Over Q a pair counts when it is taken, whether the modular trace then
-    skips it or not, so the trace takes and counts the pairs of the loop
-    without it.  A run that reaches a cap after skipping a pair runs again
-    without the trace, and a failed check does too; each run is metered
-    afresh.  The check of a finished basis is not metered.  The truncated
+    pairs that the pair criteria discard never count, nor do the tail
+    reductions of a basis over Q.  Bases of ideals and of modules run on
+    the same loop and count their pairs the same way.  The truncated
     basis that picks a scan's rho_min counts its pairs in the same way,
     up to the degree where it stops.  ``max_matrix_entries`` caps the
     rows x columns of the linear system of a certificate search; the
@@ -105,9 +86,6 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
-
-# the prime of the trace over Q (see the module docstring)
-TRACE_PRIME = 32749
 
 
 class Ideal:
@@ -230,38 +208,66 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget, stop=None)
     """The reduced basis of integer ``gens`` (terms and sugar) as packed,
     monic field terms; OverflowError when ``packing`` is too narrow.  With
     a degree ``stop`` the gens must be homogeneous, and the basis is
-    truncated there (see ``_basis_loop``).
-
-    Over Q the loop runs with the trace; a basis that skipped a pair is
-    returned only once ``_proves_basis`` has checked the pairs skipped,
-    and otherwise the loop runs again without the trace."""
+    truncated there (see ``_basis_loop``)."""
     gens = [(packing.pack_terms(t), d) for t, d in gens]
-    loop, skipped = _basis_loop(gens, packing, modulus, budget, modulus is None, stop)
-    reduced = None if loop is None else _reduce_basis(loop, packing, modulus)
-    if skipped and (reduced is None or not _proves_basis(reduced, loop, skipped, packing)):
-        loop, _ = _basis_loop(gens, packing, modulus, budget, False, stop)
-        reduced = _reduce_basis(loop, packing, modulus)
-    # the loop's coefficients can be far longer than the reduced ones;
-    # free them before the conversion, which would otherwise set the peak
+    loop = _basis_loop(gens, packing, modulus, budget, stop)
+    reduced = _reduce_basis(loop, packing, modulus)
+    # free the elements that minimalization dropped, whose tails are not
+    # reduced, before the conversion to field terms sets the peak
     del loop
-    return [kernel.from_ints(t, max(t), modulus) for t in reduced.values()]
+    return [kernel.from_ints(t, max(t), modulus) for t in reduced]
 
 
-def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, stop=None, pair_key=None):
-    """(basis, skipped) for packed integer ``gens`` (terms and sugar): the
-    basis as normalized integer terms (primitive over Z, monic mod p) in
-    the order found, and the pairs (i, j, packed lcm) that the trace
-    skipped, in the order taken; ``(None, skipped)`` when a cap fires
-    after a skipped pair, because the pairs taken may then differ from
-    those of the run without the trace.  ``layout`` is an ideal's
-    ``kernel.Packing``, or a module's ``modules.Layout`` with its
-    ``pair_key(pos, lcm, sugar)``; elements with no term at or above
-    ``layout.flag`` (only relation terms) never join the basis.
+def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None):
+    """The basis of packed integer ``gens`` (terms and sugar) as
+    normalized integer terms (primitive over Z, monic mod p) in the order
+    found.  ``layout`` is an ideal's ``kernel.Packing``, or a module's
+    ``modules.Layout`` with its ``pair_key(pos, lcm, sugar)``; elements
+    with no term at or above ``layout.flag`` (only relation terms) never
+    join the basis.
+
+    An ideal over Q keeps its basis tail-reduced (Becker and
+    Weispfenning, "Groebner Bases", 1993, section 5.5).  At the first
+    lead coefficient other than 1, among the generators or at a later
+    push, each element whose lead no later lead divides (those in
+    ``active``) has its tail reduced by every element whose lead does not
+    divide its own; each later push does the same for every such element
+    whose tail holds a multiple of the new lead.  An element is replaced
+    in place, with its lead and position, so the pair criteria see the
+    same leads.  The result is still a Groebner basis:
+
+    - Every element is a generator, the remainder of an S-polynomial of
+      earlier ones, or such an element minus multiples of others, so it
+      lies in the ideal.
+    - Every pair was reduced exactly, or discarded by a Gebauer-Moeller
+      criterion, which reads the leads only.  An exact reduction writes
+      the S-polynomial of the pair over the elements of that moment with
+      every term below the lcm t of its leads, the remainder (0 or a
+      pushed element) included.
+    - A replacement keeps the lead of g and subtracts multiples of other
+      elements with smaller leads, so g is the new element plus terms
+      below its own multiples.  Rewriting each old element by its
+      replacement, back from the last, turns every representation below
+      t into one below t over the final elements.  So each pair of the
+      final elements has such a representation or is covered by a
+      criterion, and they form a Groebner basis (Buchberger's criterion
+      with t-representations).
+    - A loop on homogeneous elements truncated at a degree D (``stop``)
+      took every pair of degree at most D.  An element of the ideal of
+      degree e <= D is a sum of degree-e multiples of basis elements, and
+      the criterion's proof rewrites it with pairs of degree at most e
+      only.  So the basis is proven up to D: an element of degree at most
+      D is in the ideal exactly when the basis reduces it to 0.
+
+    Over GF(p) every element is monic, so no tail is ever reduced.
+    Module bases never reduce tails: the Schreyer frames read their
+    elements as the loop finds them.
 
     A degree ``stop`` truncates the basis of homogeneous ``gens``, whose
     sugar is their degree: a new element has the degree of its pair, so
     pairs leave the heap in nondecreasing degree, and the loop ends, with
     no pair counted, at the first pair of degree above ``stop``."""
+    reduce_tails = pair_key is None
     if pair_key is None:
         flag, coprime, pair_key = 0, True, _sugar_key
         lead = lambda key: (0, layout.unpack(key))
@@ -277,14 +283,13 @@ def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, stop=None, p
     # while every element stays a reducer in its list position
     active: list[int] = []
     pending: list[tuple] = []  # heap of (key, i, j, lcm, sugar)
-    images = None  # monic mod-p images of ``reducers`` while the trace runs
-    # first-divisor memos of ``kernel.normal_form``, one per reducer list
+    # the first-divisor memo of ``kernel.normal_form`` on ``reducers``;
+    # it maps monomials to reducer tuples, so a replacement clears it
     firsts: dict = {}
-    image_firsts: dict = {}
+    reducing = False  # whether the tails are kept reduced yet
 
     def push(terms: dict, sugar: int):
-        """Append a basis element (and its image while the trace runs)."""
-        nonlocal trace, images
+        """Append a basis element."""
         key = max(terms)
         if key < flag:
             return
@@ -293,54 +298,56 @@ def _basis_loop(gens, layout, modulus, budget: Budget, trace: bool, stop=None, p
         leads.append(lead(key))
         sugars.append(sugar)
         reducers.append(kernel.reducer(key, terms))
-        if trace and (images or terms[key] != 1):
-            # the trace starts or goes on; a lead coefficient that the
-            # prime divides ends it
-            images = images or []
-            for r in reducers[len(images):]:
-                if not r[1] % TRACE_PRIME:
-                    trace, images = False, None
-                    break
-                images.append(_image(r))
         _update(pending, active, leads, sugars, pair_key, coprime)
+
+    def reduce_tail(k: int):
+        """Replace element k by itself with its tail reduced."""
+        key = reducers[k][0]
+        others = [r for r in reducers if (key - r[0]) & guard]
+        terms = kernel.normal_form(basis_terms[k], others, layout, modulus)
+        terms = kernel.normalized(terms, key, modulus)
+        basis_terms[k] = terms
+        reducers[k] = kernel.reducer(key, terms)
+        firsts.clear()
+
+    def keep_tails_reduced():
+        """Reduce the tails that the last push made reducible, or all of
+        them at the first lead coefficient other than 1."""
+        nonlocal reducing
+        if reducing:
+            new = reducers[-1][0]
+            for k in active[:-1]:
+                if any(not (e - new) & guard for e, _ in reducers[k][2]):
+                    reduce_tail(k)
+        elif any(r[1] != 1 for r in reducers):
+            reducing = True
+            for k in active:
+                reduce_tail(k)
 
     for terms, sugar in gens:
         push(terms, sugar)
+    if reduce_tails:
+        keep_tails_reduced()
 
     taken = 0
-    skipped: list[tuple] = []
     while pending:
         if stop is not None and pending[0][-1] > stop:
             break
         _, i, j, lcm_exp, sugar = heapq.heappop(pending)
         taken += 1
         if taken > budget.max_pairs:
-            if skipped:
-                return None, skipped
             raise BudgetExceededError(
                 f"budget exhausted: more than {budget.max_pairs} S-pairs "
                 "(raise max_pairs / --budget-pairs)"
             )
-        lcm_key = pack(leads[i][0], lcm_exp)
-        if images:
-            s = kernel.s_poly(images[i], images[j], lcm_key, guard, TRACE_PRIME)
-            if not kernel.normal_form(s, images, layout, TRACE_PRIME, image_firsts):
-                skipped.append((i, j, lcm_key))
-                continue
-        s = kernel.s_poly(reducers[i], reducers[j], lcm_key, guard, modulus)
+        s = kernel.s_poly(reducers[i], reducers[j], pack(leads[i][0], lcm_exp), guard, modulus)
         nf = _nf_terms(s, reducers, layout, modulus, firsts)
-        if nf:
-            push(nf, sugar)
-    return basis_terms, skipped
-
-
-def _image(r: tuple) -> tuple:
-    """The monic image mod ``TRACE_PRIME`` of an integer reducer whose
-    lead coefficient the prime does not divide."""
-    lead, lc, tail = r
-    inv = pow(lc, -1, TRACE_PRIME)
-    tail = tuple((e, v) for e, c in tail if (v := c * inv % TRACE_PRIME))
-    return lead, 1, tail
+        if not nf:
+            continue
+        push(nf, sugar)
+        if reduce_tails:
+            keep_tails_reduced()
+    return basis_terms
 
 
 def _sugar_key(pos: int, lcm_exp: tuple, sugar: int) -> tuple:
@@ -391,71 +398,25 @@ def _update(pending: list, active: list, leads: list, sugars: list, pair_key, co
     active.append(h)
 
 
-def _reduce_basis(basis_terms: list[dict], packing, modulus: int | None) -> dict[int, dict]:
+def _reduce_basis(basis_terms: list[dict], packing, modulus: int | None) -> list[dict]:
     """Minimalize and tail-reduce a packed integer basis into the reduced
     GB: fraction-free over Z, ints mod p over GF(p), each element
-    normalized as in the loop.  Keyed by the index in ``basis_terms`` of
-    the element each one reduces, in ascending lead order; of elements
-    with equal leads the first survives."""
+    normalized as in the loop, in ascending lead order; of elements with
+    equal leads the first survives."""
     guard = packing.guard
-    leads = [max(t) for t in basis_terms]
     minimal = []
-    for k in sorted(range(len(leads)), key=leads.__getitem__):
-        lead = leads[k]
-        if any(not (lead - l2) & guard for _, l2, _ in minimal):
+    for t in sorted(basis_terms, key=max):
+        lead = max(t)
+        if any(not (lead - l2) & guard for l2, _ in minimal):
             continue
-        minimal.append((k, lead, basis_terms[k]))
-    reducers = [kernel.reducer(lead, t) for _, lead, t in minimal]
-    return {
-        k: kernel.normalized(
+        minimal.append((lead, t))
+    reducers = [kernel.reducer(lead, t) for lead, t in minimal]
+    return [
+        kernel.normalized(
             _nf_terms(t, reducers[:idx] + reducers[idx + 1 :], packing, modulus), lead, modulus
         )
-        for idx, (k, lead, t) in enumerate(minimal)
-    }
-
-
-def _proves_basis(reduced: dict[int, dict], loop: list[dict], skipped, packing) -> bool:
-    """True when every pair (i, j, lcm) that the trace ``skipped`` has an
-    S-polynomial that the ``reduced`` integer basis of ``_reduce_basis``
-    reduces to 0 over Q; then that basis is the reduced Groebner basis of
-    the ideal of the ``loop`` elements, which include the generators.
-
-    Each pair takes the reduced forms of g_i and g_j where those loop
-    elements survived minimalization, and the loop elements themselves
-    otherwise; survival goes by loop index, since two generators may
-    share a lead.  This proves the basis (Buchberger's criterion with
-    t-representations and the Gebauer-Moeller criteria; Becker and
-    Weispfenning, "Groebner Bases", 1993, section 5.5):
-
-    - Every element of ``loop`` is a generator or the remainder over Q of
-      an S-polynomial of earlier ones, so it lies in the ideal.
-    - Every pair of the loop was reduced exactly over Q, discarded by a
-      criterion, or skipped.  An exact reduction writes the S-polynomial
-      of the pair over the loop elements with every term below the lcm
-      t of its leads, the remainder (0 or a pushed element) included.
-    - Tail reduction leaves the lead of g_i and only subtracts multiples
-      of loop elements with smaller leads.  So a skipped pair whose
-      S-polynomial of reduced forms reduces to 0 by the reduced basis has
-      such a representation below t over the loop elements as well.
-    - The Gebauer-Moeller criteria then cover the pairs they discarded,
-      so the loop elements form a Groebner basis of the ideal, and the
-      reduced basis made from them is its reduced one.
-    - A loop on homogeneous elements truncated at a degree D (``stop``)
-      took every pair of degree at most D, the skipped ones among them.
-      An element of the ideal of degree e <= D is a sum of degree-e
-      multiples of loop elements, and the criterion's proof rewrites it
-      with pairs of degree at most e only.  So the basis is proven up to
-      D: an element of degree at most D is in the ideal exactly when the
-      basis reduces it to 0."""
-    reducers = [kernel.reducer(max(t), t) for t in reduced.values()]
-    firsts: dict = {}
-    for i, j, lcm_key in skipped:
-        ti, tj = reduced.get(i, loop[i]), reduced.get(j, loop[j])
-        ri, rj = kernel.reducer(max(ti), ti), kernel.reducer(max(tj), tj)
-        s = kernel.s_poly(ri, rj, lcm_key, packing.guard, None)
-        if _nf_terms(s, reducers, packing, None, firsts):
-            return False
-    return True
+        for idx, (lead, t) in enumerate(minimal)
+    ]
 
 
 def normal_form(p: MultiPoly, G: GroebnerBasis) -> MultiPoly:

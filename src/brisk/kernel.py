@@ -27,10 +27,12 @@ monic reducers, or plain ints by integer reducers (fraction-free
 pseudo-division, used for Groebner bases over Q).  Mod p the tail
 updates leave their sums unreduced, and a coefficient is reduced only
 when it leads.  A memo of each monomial's first divisor spares the lead
-tests already made; it lasts one call unless the caller owns it across
-calls on one reducer list that only grows, as the S-pair loop (reducers
-and trace images), ``groebner._proves_basis`` and ``modules._relations``
-do.  A ``GroebnerBasis`` owns none.  The one S-pair loop of ideal and
+tests already made.  It lasts one call unless the caller owns it across
+calls on one reducer list, as the S-pair loop (``groebner._basis_loop``)
+and ``modules._relations`` do; its owner clears it whenever a reducer of
+that list is replaced, since it holds reducer tuples, and the loop over
+Q replaces an element each time it reduces that element's tail.  A
+``GroebnerBasis`` owns none.  The one S-pair loop of ideal and
 module bases (``groebner._basis_loop``) uses the int conversions around
 it (``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``) and
 the S-polynomial ``s_poly``.

@@ -13,8 +13,8 @@ Groebner bases were recorded with the Buchberger loop on ``Fraction`` and
 basis is canonical, so its text and coefficient types must not move.
 The digests of the bases over Q (katsura, cyclic-5, an elimination, a
 projective closure and exponent growth with lead coefficients other
-than 1) were recorded before the loop over Q was guided by a trace
-modulo a prime.
+than 1) were recorded with the plain loop over Q, before a trace modulo
+a prime guided it and before the tail-reduced loop replaced that trace.
 The resolution goldens (every step matrix, the drop-rank codimensions
 and two syzygy steps, over Q and GF(32003)) were recorded with the
 module engine on ``Fraction`` and ``GFElement`` coefficients that the
@@ -442,8 +442,9 @@ R_XY = PolyRing(("x", "y"))
 _X, _Y = R_XY.gens()
 
 
-# reduced bases over Q, recorded before the Buchberger loop over Q was
-# guided by a trace modulo a prime: (length, digest of _basis_lines)
+# reduced bases over Q, recorded with the plain Buchberger loop over Q,
+# before the trace modulo a prime and the tail-reduced loop that replaced
+# it: (length, digest of _basis_lines)
 Q_BASES = {
     "katsura5": (
         lambda: buchberger(_katsura(5), grevlex()),

@@ -558,7 +558,7 @@ def test_pairs_taken_on_real_ideals(ideal, taken):
         buchberger(ideal, budget=Budget(max_pairs=taken - 1))
 
 
-# ------------------------------------------------------- modular trace
+# ------------------------------------------------- tail-reduced loop over Q
 
 
 def spy(monkeypatch, owner, name):
@@ -575,121 +575,146 @@ def spy(monkeypatch, owner, name):
     return calls
 
 
-def trace_reductions(calls):
-    return sum(len(args) > 3 and args[3] == groebner.TRACE_PRIME for args, _ in calls)
-
-
 def as_sets(G):
     return {frozenset(g.terms.items()) for g in G}
 
 
-class TestModularTrace:
-    """Over Q, pairs whose S-polynomial reduces to zero modulo
-    ``TRACE_PRIME`` are skipped, and the basis is checked over Q."""
+# reduced basis of katsura(4) over Q, recorded while the loop over Q was
+# guided by a trace modulo 32749: (length, digest of the element texts)
+KATSURA4 = (13, "ce5935dd4ded8c67065522b1e80bbd28eb6542928d6e66650de8e2d630e2d398")
 
-    def test_katsura2_skips_pairs(self, monkeypatch):
-        checks = spy(monkeypatch, groebner, "_proves_basis")
-        ideal = katsura(2)
+# (calls, digest of the arguments) of ``kernel.normal_form`` in
+# buchberger(cyclic(5) over GF(32003)), recorded before the loop over Q
+# reduced its tails
+CYCLIC5_GF_NORMAL_FORMS = (132, "51b6c5ad45be80f233cb04b8feb766fd3114fb99ce05a4a6518e50452878cfe9")
+
+
+class TestInterreducedLoop:
+    """Over Q the S-pair loop keeps the tails of its elements reduced."""
+
+    @staticmethod
+    def tail_reductions(monkeypatch):
+        """Count the loop's tail reductions: the ``kernel.normal_form``
+        calls that do not come through ``_nf_terms``."""
+        fn, counts = kernel.normal_form, [0]
+
+        def counted(terms, reducers, packing, modulus=None, firsts=None):
+            counts[0] += 1
+            return fn(terms, reducers, packing, modulus, firsts)
+
+        monkeypatch.setattr(kernel, "normal_form", counted)
+        reductions = spy(monkeypatch, groebner, "_nf_terms")
+        return lambda: counts[0] - len(reductions)
+
+    # inputs whose loop meets a lead coefficient other than 1
+    @pytest.mark.parametrize(
+        "ideal",
+        [katsura(3)] + [random_forms_ideal(random.Random(s)) for s in range(2, 6)],
+        ids=["katsura3"] + [f"forms{s}" for s in range(2, 6)],
+    )
+    def test_no_tail_term_is_divisible_by_another_lead(self, monkeypatch, ideal):
+        tail_reductions = self.tail_reductions(monkeypatch)
+        calls = spy(monkeypatch, groebner, "_reduce_basis")
+        buchberger(ideal)
+        [((loop, packing, _), _)] = calls
+        assert tail_reductions() > 0
+        guard = packing.guard
+        leads = [max(t) for t in loop]
+        divides = lambda j, m: not (m - leads[j]) & guard
+        for k, terms in enumerate(loop):
+            others = [j for j in range(len(loop)) if j != k]
+            if any(divides(j, leads[k]) for j in others):
+                continue
+            assert not any(divides(j, m) for m in terms if m != leads[k] for j in others)
+
+    # inputs whose every lead coefficient is 1: no reduction rescales
+    @pytest.mark.parametrize(
+        "ideal",
+        [twisted_cubic_ideal(), cyclic(4)] + [random_forms_ideal(random.Random(s)) for s in range(2)],
+        ids=["cubic", "cyclic4", "forms0", "forms1"],
+    )
+    def test_leads_of_1_leave_the_tails_alone(self, monkeypatch, ideal):
+        tail_reductions = self.tail_reductions(monkeypatch)
         G = buchberger(ideal)
-        assert [result for _, result in checks] == [True]
+        assert tail_reductions() == 0
         assert as_sets(G) == reference_basis(ideal.gens, grevlex())
 
-    def test_katsura4_skips_pairs_and_matches_the_plain_loop(self, monkeypatch):
-        # reference_basis takes minutes here; the plain loop is the check
-        checks = spy(monkeypatch, groebner, "_proves_basis")
+    def test_katsura2(self):
+        ideal = katsura(2)
+        assert as_sets(buchberger(ideal)) == reference_basis(ideal.gens, grevlex())
+
+    def test_katsura4_matches_its_recorded_digest(self):
+        # reference_basis takes minutes here
         G = buchberger(katsura(4))
-        assert [result for _, result in checks] == [True]
-        loop = groebner._basis_loop
-        monkeypatch.setattr(groebner, "_basis_loop", lambda *a: loop(*a[:4], False))
-        assert list(G) == list(buchberger(katsura(4)))
-        assert len(checks) == 1
+        text = "\n".join(str(g) for g in G).encode()
+        assert (len(G), hashlib.sha256(text).hexdigest()) == KATSURA4
 
     @pytest.mark.parametrize(
-        "gens, images",
+        "gens",
         [
-            # the first lead coefficient other than 1 is divisible by p
-            (["x^2 + y", "32749*x*y + z^2"], 0),
-            # 2*w - 1 starts the trace; S(x^2 - y, x*y - 32749*z^2) has
-            # the remainder 32749*x*z^2 - y^2, whose push ends it
-            (["2*w - 1", "x^2 - y", "x*y - 32749*z^2"], 1),
+            # two generators share a lead; neither may reduce the other's
+            ["x^2", "x^2 + y"],
+            # a lead coefficient divisible by 32749, first or at a later push
+            ["x^2 + y", "32749*x*y + z^2"],
+            ["2*w - 1", "x^2 - y", "x*y - 32749*z^2"],
+            # S(x^2, x*y + 32749*z) = -32749*x*z is 0 mod 32749, not over Q
+            ["2*w - 1", "x^2", "x*y + 32749*z"],
+            # S(x^2*y - 32749*x, x*y) = -32749*x, and x^2*y - 32749*x is
+            # not minimal
+            ["2*w - 1", "x^2*y - 32749*x", "x*y"],
         ],
-        ids=["at_start", "at_a_later_push"],
+        ids=[
+            "twin_leads",
+            "lead_at_start",
+            "lead_at_a_later_push",
+            "zero_mod_p",
+            "zero_mod_p_beside_a_dropped_element",
+        ],
     )
-    def test_prime_dividing_a_lead_coefficient_drops_the_trace(
-        self, monkeypatch, gens, images
-    ):
+    def test_edge_inputs_match_the_reference(self, gens):
         R = PolyRing(("x", "y", "z", "w"))
         gens = [R.parse(g) for g in gens]
-        reductions = spy(monkeypatch, kernel, "normal_form")
-        checks = spy(monkeypatch, groebner, "_proves_basis")
-        G = buchberger(Ideal(R, gens))
-        assert trace_reductions(reductions) == images
-        assert checks == []
-        assert as_sets(G) == reference_basis(gens, grevlex())
+        assert as_sets(buchberger(Ideal(R, gens))) == reference_basis(gens, grevlex())
 
-    def test_false_zero_fails_the_check_and_the_plain_loop_answers(self, monkeypatch):
-        # 2*w - 1 starts the trace; S(x^2, x*y + 32749*z) = -32749*x*z is
-        # 0 mod p but not over Q, so the traced basis misses x*z
-        R = PolyRing(("x", "y", "z", "w"))
-        gens = [R.parse(g) for g in ("2*w - 1", "x^2", "x*y + 32749*z")]
-        loops = spy(monkeypatch, groebner, "_basis_loop")
-        checks = spy(monkeypatch, groebner, "_proves_basis")
-        G = buchberger(Ideal(R, gens))
-        assert [result for _, result in checks] == [False]
-        assert [(args[4], bool(skipped)) for args, (_, skipped) in loops] == [(True, True), (False, False)]
-        assert as_sets(G) == reference_basis(gens, grevlex())
-        assert R.parse("x*z") in G.basis
+    def test_memo_never_holds_a_replaced_reducer(self, monkeypatch):
+        # the loop's memo maps monomials to reducer tuples; each tuple it
+        # hands to a call must still be in the reducer list
+        fn = kernel.normal_form
+        calls = {"memo": 0, "fresh": 0}
 
-    def test_katsura4_check_reduces_only_the_skipped_pairs(self, monkeypatch):
-        loops = spy(monkeypatch, groebner, "_basis_loop")
-        nf_terms, proves = groebner._nf_terms, groebner._proves_basis
-        checking, reduced = [False], []
+        def checked(terms, reducers, packing, modulus=None, firsts=None):
+            if firsts is None:
+                calls["fresh"] += 1
+            else:
+                calls["memo"] += 1
+                live = {id(r) for r in reducers}
+                assert all(id(r) in live for r in firsts.values() if type(r) is tuple)
+            return fn(terms, reducers, packing, modulus, firsts)
 
-        def counted(*args):
-            if checking[0]:
-                reduced.append(args[0])
-            return nf_terms(*args)
+        monkeypatch.setattr(kernel, "normal_form", checked)
+        reductions = spy(monkeypatch, groebner, "_nf_terms")
+        G = buchberger(katsura(4))
+        # 30 pairs taken (test_pairs_taken_on_real_ideals), each reduced
+        # once through _nf_terms, and one tail reduction per element of the
+        # reduced basis; the loop's tail reductions bypass _nf_terms
+        assert len(reductions) == 30 + len(G)
+        assert calls["memo"] == 30 and calls["fresh"] > len(G)
 
-        def check(*args):
-            checking[0] = True
-            try:
-                return proves(*args)
-            finally:
-                checking[0] = False
 
-        monkeypatch.setattr(groebner, "_nf_terms", counted)
-        monkeypatch.setattr(groebner, "_proves_basis", check)
-        buchberger(katsura(4))
-        [((gens, *_), (_, skipped))] = loops
-        assert skipped and len(reduced) == len(skipped)
-        assert not any(terms == g for terms in reduced for g, _ in gens)
+def test_gf_path_makes_the_recorded_normal_forms(monkeypatch):
+    # the terms, reducers, field width and modulus of each call, as made
+    digest, calls = hashlib.sha256(), [0]
+    fn = kernel.normal_form
 
-    def test_dropped_twin_pairs_as_itself(self):
-        # x^2 and x^2 + y share a lead; minimalization keeps loop element
-        # 0, so the skipped pair (0, 1) is S(x^2, x^2 + y) = -y, not 0
-        R = PolyRing(("x", "y"))
-        packing = kernel.packing(grevlex(), 2, 8)
-        loop = [
-            packing.pack_terms(kernel.to_ints(R.parse(g).terms, None)) for g in ("x^2", "x^2 + y")
-        ]
-        reduced = groebner._reduce_basis(loop, packing, None)
-        assert list(reduced) == [0]
-        skipped = [(0, 1, packing.pack((2, 0)))]
-        assert not groebner._proves_basis(reduced, loop, skipped, packing)
-        # taking the survivor of the shared lead for element 1 would pass
-        assert groebner._proves_basis(reduced, [loop[0]] * 2, skipped, packing)
+    def recorded(terms, reducers, packing, modulus=None, firsts=None):
+        calls[0] += 1
+        key = (sorted(terms.items()), tuple(reducers), packing.bits if packing else None, modulus)
+        digest.update(repr(key).encode())
+        return fn(terms, reducers, packing, modulus, firsts)
 
-    def test_false_zero_beside_a_dropped_element_fails_the_check(self, monkeypatch):
-        # S(x^2*y - 32749*x, x*y) = -32749*x is 0 mod p but not over Q;
-        # minimalization drops x^2*y - 32749*x, the first of the pair
-        R = PolyRing(("x", "y", "z", "w"))
-        gens = [R.parse(g) for g in ("2*w - 1", "x^2*y - 32749*x", "x*y")]
-        checks = spy(monkeypatch, groebner, "_proves_basis")
-        G = buchberger(Ideal(R, gens))
-        [((reduced, _, skipped, _), result)] = checks
-        assert [(i, j) for i, j, _ in skipped] == [(1, 2)]
-        assert 1 not in reduced and result is False
-        assert list(G) == [R.parse("w - 1/2"), R.parse("x")]
+    monkeypatch.setattr(kernel, "normal_form", recorded)
+    buchberger(cyclic(5, GF(32003)))
+    assert (calls[0], digest.hexdigest()) == CYCLIC5_GF_NORMAL_FORMS
 
 
 class TestDegreeStop:
@@ -759,7 +784,8 @@ class TestExponentGrowth:
         R, gens = chain(17)
         G = buchberger(Ideal(R, gens), lex())
         assert G.normal_form(R.var(0)) == R.var(17) ** 131072
-        # recorded before the loop over Q was guided by a modular trace
+        # recorded with the plain loop over Q, before the modular trace and
+        # the tail-reduced loop that replaced it
         text = "\n".join(str(g) for g in G).encode()
         assert hashlib.sha256(text).hexdigest() == CHAIN17_DIGEST
 
