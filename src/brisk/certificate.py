@@ -379,7 +379,7 @@ def _pick_degree(source: _Columns, rho_max: int, budget: Budget):
     certificate of degree rho homogenizes into h^(rho - deg Phi') Phi'^h
     in K, and h = 1 takes one back: rho_min is deg Phi' plus the least k
     with h^k Phi'^h in K.  The basis stops at degree ``rho_max``
-    (``groebner._basis_loop``), which decides membership up to there."""
+    (``groebner._packed_basis``), which decides membership up to there."""
     nvars = source.inst.ring.nvars
     unpack = source.packing.unpack_terms
 

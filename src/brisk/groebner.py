@@ -1,49 +1,103 @@
 """Buchberger-based Groebner engine.
 
 Provides reduced Groebner bases, normal forms, ideal membership,
-elimination, and saturation.  One S-pair loop (``_basis_loop``) computes
-these bases and the module bases of ``modules.module_groebner``.  It
-keeps each lead as (position, exponent), position 0 for ideals, and each
-new element goes through the Gebauer-Moeller update within its position:
-criteria B_k, M and F, and for ideals the coprimality criterion, which
-does not hold for modules.  Ideals take pairs smallest sugar first
-(Giovini et al.), ties broken by lcm degree and then by index, so output
-is deterministic for a fixed input; modules take the smallest packed lcm
-first.  For homogeneous input the sugar of a pair is its lcm degree,
-which makes the selection the normal strategy, and the loop can stop
-at a degree with a basis truncated there (``certificate.minimal_degree``
-picks its degree from one).
+elimination, and saturation.  Two S-pair loops compute the bases, and
+``_packed_basis`` picks one from two properties of the input, the order
+and the generator count:
 
-The Buchberger loop runs on plain ints, for coefficients and monomials
-alike.  Over Q every basis element is a primitive integer polynomial with
-a positive lead and S-polynomials are reduced fraction-free; over GF(p)
+- A grevlex ideal with at most nvars generators takes the signature
+  loop (``_signature_loop``).  These are the complete-intersection shape
+  of the membership problems: ``buchberger``'s default-order bases, the
+  truncated basis of ``certificate.minimal_degree`` and the variety and
+  Hilbert-series bases.  Most syzygies of such generators are Koszul
+  syzygies, which the signature criteria discard without a reduction;
+  on a regular sequence no pair reduces to zero.
+- Every other ideal (more generators than variables, or an elim or lex
+  order) and every module basis (``modules.module_groebner``) takes the
+  Gebauer-Moeller loop (``_basis_loop``).  More generators than
+  variables cannot form a complete intersection, most of their syzygies
+  are not Koszul, and a signature basis of them bloats.
+
+Either loop's basis is a Groebner basis and goes through
+``_reduce_basis``, so every ideal basis returned is the same canonical
+reduced basis.
+
+The Gebauer-Moeller loop keeps each lead as (position, exponent),
+position 0 for ideals, and each new element goes through the
+Gebauer-Moeller update within its position: criteria B_k, M and F, and
+for ideals the coprimality criterion, which does not hold for modules.
+Ideals take pairs smallest sugar first (Giovini et al.), ties broken by
+lcm degree and then by index, so output is deterministic for a fixed
+input; modules take the smallest packed lcm first.  For homogeneous
+input the sugar of a pair is its lcm degree, which makes the selection
+the normal strategy, and the loop can stop at a degree with a basis
+truncated there.
+
+The signature loop follows the rewrite-basis algorithm of Eder and
+Faugere ("A survey on signature-based algorithms for computing Groebner
+bases", 2017, section 7) with the J-pairs and Koszul syzygies of Gao,
+Volny and Wang ("A new framework for computing Groebner bases", 2016),
+after Faugere's F5 (2002).  Element g carries a signature sigma_g =
+u*e_i, the lead of a representation g = sum a_j f_j.  Signatures are
+ordered by deg u + deg f_i, then i, then u in grevlex.  On each e_i this
+is grevlex, so it is a module order that extends the ring order and the
+standard theory holds as stated.  The loop looks at signatures in
+increasing order, each once: the e_i of the generators and the J-pair
+signature max(a*sigma_g, b*sigma_h) of each pair with a*lt(g) =
+b*lt(h) = lcm; a pair whose two sides are equal is singular and is
+dropped.  A signature is discarded when a known syzygy signature of its
+position divides it: the Koszul signature max(lt(h)*sigma_g,
+lt(g)*sigma_h) of every two elements, and the signature of every
+reduction to zero.  It is also discarded unless its J-pair comes from
+the latest element r whose signature divides it (the rewrite rule).
+What is left is reduced once, as (sigma/sigma_r)*r, by regular
+reduction: reducer g may cancel monomial m only when (m/lt g)*sigma_g <
+sigma, so the signature stays sigma (``kernel.normal_form`` with a
+signature bound; tails are reduced the same way).  A remainder whose
+lead is t*lt(g) for an element g with t*sigma_g = sigma is singular
+and adds nothing.  A remainder of zero adds sigma to the syzygies, and any
+other one joins the basis with signature sigma.  The elements so found
+form a signature Groebner basis and hence a Groebner basis (Eder and
+Faugere, section 7).  For homogeneous input the signature
+degree is the polynomial degree, so signatures leave the heap in
+nondecreasing degree, and a loop that stops before the first one above
+a degree D has taken every signature of degree at most D: the basis is
+a Groebner basis up to D (``certificate.minimal_degree`` picks its
+degree from one).
+
+Both loops run on plain ints, for coefficients and monomials alike.
+Over Q every basis element is a primitive integer polynomial with a
+positive lead and polynomials are reduced fraction-free; over GF(p)
 (any GFElement among the generators) coefficients are ints mod p and
-basis elements are monic.  Either way each remainder is a nonzero scalar
-multiple of the one over the field, so the pairs, leads and reduction
-counts are those of field arithmetic.  Monomials are packed into ints by
-a ``kernel.Packing`` sized from the input degrees; when an exponent
-outgrows it, the computation starts again with fields twice as wide.
-The pair criteria work on the exponent tuples of the leads.  The
-finished basis is minimalized and tail-reduced on ints as well, and only
-then goes back to monic Fraction or GFElement coefficients and exponent
-tuples.  A ``GroebnerBasis`` packs its elements once, when it is made,
-for ``normal_form``, which packs them wider for one call when that call
-outgrows them.
+basis elements are monic.  Either way each remainder is a nonzero
+scalar multiple of the one over the field, so the pairs, leads and
+reduction counts are those of field arithmetic.  Monomials are packed
+into ints by a ``kernel.Packing`` sized from the input degrees, and
+signatures into ints of the same fields below a position and a degree
+field; when an exponent outgrows them, the computation starts again
+with fields twice as wide.  The Gebauer-Moeller criteria work on the
+exponent tuples of the leads.  The finished basis is minimalized and
+tail-reduced on ints as well, and only then goes back to monic Fraction
+or GFElement coefficients and exponent tuples.  A ``GroebnerBasis``
+packs its elements once, when it is made, for ``normal_form``, which
+packs them wider for one call when that call outgrows them.
 
-Over Q the loop keeps its basis tail-reduced (Becker and Weispfenning
-1993, section 5.5) from the first element whose primitive lead
-coefficient is not 1; before it no reduction over Z rescales, and tail
-reduction would only add calls.  From then on, after each push, every
-element that still gets new pairs and whose tail holds a multiple of the
-new lead has that tail reduced by the other elements, is made primitive
-again and replaces itself in place, lead and position unchanged.
-Integer remainders then stay near the size of the reduced basis instead
-of growing with every S-polynomial built from stale tails: on katsura-6
-the loop's largest coefficient has 119 bits, as in the reduced basis,
-where a loop that leaves tails alone reaches 925.  Every pair is reduced
-exactly over Q or discarded by a criterion, so the basis is never
-returned unproven (the argument is in ``_basis_loop``).  Over GF(p)
-every element is monic, so tails are left alone there.
+Over Q the Gebauer-Moeller loop keeps its ideal basis tail-reduced
+(Becker and Weispfenning 1993, section 5.5) from the first element
+whose primitive lead coefficient is not 1; before it no reduction over
+Z rescales, and tail reduction would only add calls.  From then on,
+after each push, every element that still gets new pairs and whose
+tail holds a multiple of the new lead has that tail reduced by the
+other elements, is made primitive again and replaces itself in place,
+lead and position unchanged.  Integer remainders then stay near the
+size of the reduced basis instead of growing with every S-polynomial
+built from stale tails: on katsura-6 that loop's largest coefficient
+has 119 bits, as in the reduced basis, where a loop that leaves tails
+alone reaches 925.  The signature loop reduces every tail regularly
+when it makes an element and never changes an element after, since
+its signature is what the criteria read; on katsura-6 its largest
+coefficient has 122 bits.  Over GF(p) every element is monic, so tails
+are left alone there.
 
 All computations respect a configurable resource budget; exceeding it
 raises BudgetExceededError rather than ever returning a wrong basis.
@@ -52,11 +106,12 @@ raises BudgetExceededError rather than ever returning a wrong basis.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 
 from . import kernel
 from .errors import BudgetExceededError, RingMismatchError
-from .orders import MonomialOrder, elim, grevlex
+from .orders import GREVLEX, MonomialOrder, elim, grevlex
 from .polyring import MultiPoly, PolyRing
 
 
@@ -64,12 +119,17 @@ from .polyring import MultiPoly, PolyRing
 class Budget:
     """Resource caps for basis computations and certificate searches.
 
-    ``max_pairs`` counts the S-pairs taken off the queue for reduction;
-    pairs that the pair criteria discard never count, nor do the tail
-    reductions of a basis over Q.  Bases of ideals and of modules run on
-    the same loop and count their pairs the same way.  The truncated
-    basis that picks a scan's rho_min counts its pairs in the same way,
-    up to the degree where it stops.  ``max_matrix_entries`` caps the
+    ``max_pairs`` counts the S-pairs that a loop reduces.  On the
+    Gebauer-Moeller loop (module bases, and ideals with more generators
+    than variables or an elim or lex order) these are the pairs taken
+    off the queue; pairs that the Gebauer-Moeller criteria discard never
+    count, nor do the tail reductions of a basis over Q.  On the
+    signature loop (other grevlex ideals) they are the J-pairs reduced
+    after the syzygy criterion and the rewrite rule; a generator's own
+    reduction does not count, so a cap of 0 still admits inputs that
+    need no S-pair, such as [x, y].  The truncated basis that picks
+    a scan's rho_min counts its pairs in the same way, up to the degree
+    where it stops.  ``max_matrix_entries`` caps the
     rows x columns of the linear system of a certificate search; the
     search checks it as each column enters, so a system over the cap is
     refused before it is built whole.  A cap may be 0 but not negative.
@@ -181,8 +241,8 @@ class GroebnerBasis:
         return f"GroebnerBasis[{self.order}]{{{inside}}}"
 
 
-def _nf_terms(terms, reducers, packing, modulus=None, firsts=None):
-    return kernel.normal_form(terms, reducers, packing, modulus, firsts)
+def _nf_terms(terms, reducers, packing, modulus=None, firsts=None, bound=None):
+    return kernel.normal_form(terms, reducers, packing, modulus, firsts, bound)
 
 
 def buchberger(
@@ -208,14 +268,28 @@ def _packed_basis(gens, packing, modulus: int | None, budget: Budget, stop=None)
     """The reduced basis of integer ``gens`` (terms and sugar) as packed,
     monic field terms; OverflowError when ``packing`` is too narrow.  With
     a degree ``stop`` the gens must be homogeneous, and the basis is
-    truncated there (see ``_basis_loop``)."""
+    truncated there.  Grevlex gens no more than the variables take the
+    signature loop, all others the Gebauer-Moeller loop (module
+    docstring)."""
     gens = [(packing.pack_terms(t), d) for t, d in gens]
-    loop = _basis_loop(gens, packing, modulus, budget, stop)
+    if packing.order.kind == GREVLEX and len(gens) <= len(packing.weights):
+        loop = _signature_loop(gens, packing, modulus, budget, stop)
+    else:
+        loop = _basis_loop(gens, packing, modulus, budget, stop)
     reduced = _reduce_basis(loop, packing, modulus)
     # free the elements that minimalization dropped, whose tails are not
     # reduced, before the conversion to field terms sets the peak
     del loop
     return [kernel.from_ints(t, max(t), modulus) for t in reduced]
+
+
+def _check_pairs(taken: int, budget: Budget):
+    """Raise once a loop has taken more pairs than ``budget`` allows."""
+    if taken > budget.max_pairs:
+        raise BudgetExceededError(
+            f"budget exhausted: more than {budget.max_pairs} S-pairs "
+            "(raise max_pairs / --budget-pairs)"
+        )
 
 
 def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None):
@@ -335,11 +409,7 @@ def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None)
             break
         _, i, j, lcm_exp, sugar = heapq.heappop(pending)
         taken += 1
-        if taken > budget.max_pairs:
-            raise BudgetExceededError(
-                f"budget exhausted: more than {budget.max_pairs} S-pairs "
-                "(raise max_pairs / --budget-pairs)"
-            )
+        _check_pairs(taken, budget)
         s = kernel.s_poly(reducers[i], reducers[j], pack(leads[i][0], lcm_exp), guard, modulus)
         nf = _nf_terms(s, reducers, layout, modulus, firsts)
         if not nf:
@@ -348,6 +418,112 @@ def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None)
         if reduce_tails:
             keep_tails_reduced()
     return basis_terms
+
+
+def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
+    """The signature basis of packed integer grevlex ``gens`` (terms and
+    degree) as normalized integer terms (primitive over Z, monic mod p)
+    in signature order; the criteria and the argument that it is a
+    Groebner basis are in the module docstring.
+
+    A signature u*e_i is one int of three fields, deg u + deg f_i, then
+    i, then the packed u, so int order is the signature order and adding
+    key(t) = t + (deg t << lift) multiplies by the monomial t; a guard
+    bit of u signals an overflow.  Each element g keeps rho = sig(g) -
+    key(lt g), so t*g has the signature rho + key(t*lt g): the J-pair
+    and the Koszul syzygy of elements g and h take the larger rho, and
+    equal rhos make a singular pair.  ``found`` and ``syzygies`` hold, per position, the u of each
+    element's signature in the order found and a minimal set of the u of
+    known syzygy signatures.  Elements join in increasing signature, so
+    the latest divisor of a signature is the last one in ``found``.
+
+    A degree ``stop`` truncates the basis of homogeneous ``gens``: the
+    loop ends, with no pair counted, at the first signature of degree
+    above ``stop``.  A form of degree e <= ``stop`` in the ideal is
+    sum a_j f_j with forms a_j of degree e - deg f_j, so it has a
+    representation of signature degree e, and every signature up to
+    that degree was looked at: the basis reduces it to 0."""
+    guard = packing.guard
+    width = guard.bit_length()  # a packed monomial lies below this bit
+    top = width - packing.bits  # its degree field
+    lift = width + len(gens).bit_length()  # the degree field of a signature
+    low, places = (1 << width) - 1, (1 << lift - width) - 1
+    key = lambda m: m + (m >> top << lift)  # the signature int of monomial m
+    weights = packing.weights
+    polys: list[dict] = []
+    leads: list[tuple] = []  # exponent tuples
+    reducers: list[tuple] = []  # kernel reducers with rho as fourth entry
+    found: list[list] = [[] for _ in gens]  # per position: (u, element)
+    syzygies: list[list] = [[] for _ in gens]  # per position: minimal u
+    # the heap of signatures to look at, and for each the latest element
+    # with a J-pair there (any value for the e_i of a generator)
+    heap = [d << lift | i << width for i, (_, d) in enumerate(gens)]
+    heapq.heapify(heap)
+    latest = dict.fromkeys(heap, 0)
+    divisors: dict = {}  # the divisor memo of ``kernel.normal_form``
+
+    def syzygy(sig: int):
+        """Add a syzygy signature to its position's minimal set."""
+        if sig & guard:
+            raise OverflowError("signature outgrew the packed field width")
+        u, known = sig & low, syzygies[sig >> width & places]
+        if not any(not (u - v) & guard for v in known):
+            known[:] = [v for v in known if (v - u) & guard]
+            known.append(u)
+
+    taken = 0
+    while heap:
+        if stop is not None and heap[0] >> lift > stop:
+            break
+        sig = heapq.heappop(heap)
+        k = latest.pop(sig)
+        u, pos = sig & low, sig >> width & places
+        if any(not (u - v) & guard for v in syzygies[pos]):
+            continue
+        if u:
+            # the rewrite rule: only the latest element whose signature
+            # divides sig is multiplied up to it, and only from its J-pair
+            v, r = next(e for e in reversed(found[pos]) if not (u - e[0]) & guard)
+            if r != k:
+                continue
+            taken += 1
+            _check_pairs(taken, budget)
+            terms = {e + u - v: c for e, c in polys[r].items()}
+        else:
+            terms = gens[pos][0]
+        nf = _nf_terms(terms, reducers, packing, modulus, divisors, (sig, top, lift))
+        if nf is None:
+            continue
+        if not nf:
+            syzygy(sig)
+            continue
+        lead = max(nf)
+        nf = kernel.normalized(nf, lead, modulus)
+        exp = packing.unpack(lead)
+        rho = sig - key(lead)
+        h = len(polys)
+        for j, ((lj, _, _, rj), ej) in enumerate(zip(reducers, leads)):
+            if rj == rho:
+                continue
+            high, g = (rho, h) if rho > rj else (rj, j)
+            syzygy(high + key(lead) + key(lj))
+            lcm = sum(map(operator.mul, map(max, ej, exp), weights))
+            if lcm == lead + lj:
+                continue  # coprime leads: the J-pair is the Koszul syzygy
+            pair = high + key(lcm)
+            # the lcm may outgrow the fields where its multiplier fits
+            if (lcm | pair) & guard:
+                raise OverflowError("signature outgrew the packed field width")
+            if pair in latest:
+                latest[pair] = max(latest[pair], g)
+            else:
+                latest[pair] = g
+                heapq.heappush(heap, pair)
+        polys.append(nf)
+        leads.append(exp)
+        reducers.append(kernel.reducer(lead, nf) + (rho,))
+        found[pos].append((u, h))
+    return polys
 
 
 def _sugar_key(pos: int, lcm_exp: tuple, sugar: int) -> tuple:

@@ -28,14 +28,17 @@ pseudo-division, used for Groebner bases over Q).  Mod p the tail
 updates leave their sums unreduced, and a coefficient is reduced only
 when it leads.  A memo of each monomial's first divisor spares the lead
 tests already made.  It lasts one call unless the caller owns it across
-calls on one reducer list, as the S-pair loop (``groebner._basis_loop``)
-and ``modules._relations`` do; its owner clears it whenever a reducer of
-that list is replaced, since it holds reducer tuples, and the loop over
-Q replaces an element each time it reduces that element's tail.  A
-``GroebnerBasis`` owns none.  The one S-pair loop of ideal and
-module bases (``groebner._basis_loop``) uses the int conversions around
-it (``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``) and
-the S-polynomial ``s_poly``.
+calls on one reducer list, as the S-pair loops (``groebner._basis_loop``
+and ``groebner._signature_loop``) and ``modules._relations`` do; its
+owner clears it whenever a reducer of that list is replaced, since it
+holds reducer tuples, and the Gebauer-Moeller loop over Q replaces an
+element each time it reduces that element's tail.  A ``GroebnerBasis``
+owns none.  For the signature loop a signature bound makes the
+division regular: element g may cancel monomial m only when (m / lt g)
+times the signature of g lies below the signature of the polynomial.
+The S-pair loops use the int conversions around
+it (``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``), and
+the Gebauer-Moeller loop the S-polynomial ``s_poly``.
 """
 
 from __future__ import annotations
@@ -319,7 +322,7 @@ def s_poly(ri, rj, lcm_key: int, guard: int, modulus: int | None) -> dict:
     return s
 
 
-def normal_form(terms, reducers, packing, modulus=None, firsts=None):
+def normal_form(terms, reducers, packing, modulus=None, firsts=None, bound=None):
     """Remainder of packed ``terms`` under full multivariate division.
 
     ``reducers`` is a sequence of ``reducer(lead, terms)`` tuples packed
@@ -348,6 +351,22 @@ def normal_form(terms, reducers, packing, modulus=None, firsts=None):
     first n reducers does; the scan then resumes at n, so the reducer
     used is always the one the plain scan picks.
 
+    ``bound`` makes the division regular for the signature S-pair loop
+    (``groebner._signature_loop``): a triple ``(sigma, top, lift)`` of
+    the signature of ``terms`` and the layout of signature ints.  The
+    reducers then carry a fourth entry rho = sigma_g - key(lead g), where
+    ``key(m) = m + (m >> top << lift)`` is the signature int of a
+    monomial, and reducer g may cancel monomial m only when
+    ``rho + key(m) < sigma``, that is (m / lead g) sigma_g < sigma.  The
+    first reducer in sequence order that divides m and passes the test
+    is used; tails are reduced the same way.  When the first monomial
+    that stays has a divisor with ``rho + key(m) == sigma`` the remainder
+    is singular (super top-reducible), and the result is None instead.
+    With a bound the memo maps a monomial to (n, the reducers among the
+    first n whose leads divide it), which serves every bound; one memo
+    serves calls with a bound or calls without, never both.  Without a
+    bound the call makes exactly the reductions of the plain division.
+
     Raises OverflowError when a product outgrows the packing's fields.
     """
     work = dict(terms)
@@ -355,6 +374,8 @@ def normal_form(terms, reducers, packing, modulus=None, firsts=None):
         return work
     if firsts is None:
         firsts = {}
+    if bound is not None:
+        sigma, top, lift = bound
     guard = packing.guard
     n = len(reducers)
     out = {}
@@ -371,17 +392,32 @@ def normal_form(terms, reducers, packing, modulus=None, firsts=None):
             c %= modulus
             if not c:
                 continue
-        r = firsts.get(m, 0)
-        if type(r) is int:
-            for r in reducers[r:] if r else reducers:
-                if not (m - r[0]) & guard:
-                    firsts[m] = r
+        if bound is not None:
+            seen, divisors = firsts.get(m, (0, ()))
+            if seen < n:
+                divisors += tuple(r for r in reducers[seen:] if not (m - r[0]) & guard)
+                firsts[m] = n, divisors
+            ceiling = sigma - m - (m >> top << lift)
+            for r in divisors:
+                if r[3] < ceiling:
                     break
             else:
-                firsts[m] = n
+                if not out and any(r[3] == ceiling for r in divisors):
+                    return None
                 out[m] = c
                 continue
-        lead, lc, tail = r
+        else:
+            r = firsts.get(m, 0)
+            if type(r) is int:
+                for r in reducers[r:] if r else reducers:
+                    if not (m - r[0]) & guard:
+                        firsts[m] = r
+                        break
+                else:
+                    firsts[m] = n
+                    out[m] = c
+                    continue
+        lead, lc, tail = r[0], r[1], r[2]
         if lc != 1:
             g = gcd(c, lc)
             scale = lc // g

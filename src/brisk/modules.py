@@ -239,8 +239,8 @@ def module_groebner(
     elements of ``layout``; tracked relation terms ride along.
 
     Returns normalized elements in the order found.  Inputs without a
-    module term are skipped.  The basis comes from the S-pair loop of the
-    ideal bases (``groebner._basis_loop``), without the tail reduction of
+    module term are skipped.  The basis comes from the Gebauer-Moeller
+    S-pair loop (``groebner._basis_loop``), without the tail reduction of
     ideals over Q: the Schreyer frames read these elements as the loop
     finds them, and the module-basis goldens pin them.  Pairs are taken
     smallest lcm first (the normal strategy, which completes a

@@ -30,6 +30,80 @@ def key_of(exp: tuple[int, ...], order):
     return (sum(a), tuple(-x for x in reversed(a)), sum(b), tuple(-x for x in reversed(b)))
 
 
+def lead_exponent(terms, order):
+    """The exponent of the lead term of a dict of terms under ``order``."""
+    return max(terms, key=lambda e: key_of(e, order))
+
+
+def _divides(b, a) -> bool:
+    return all(x <= y for x, y in zip(b, a))
+
+
+def _monic(terms, order):
+    lead = lead_exponent(terms, order)
+    c = terms[lead]
+    return lead, {e: v / c for e, v in terms.items()}
+
+
+def _ref_remainder(f, basis, order):
+    """Full division of the dict ``f`` by the monic (lead, terms) pairs."""
+    f, rem = dict(f), {}
+    while f:
+        m = lead_exponent(f, order)
+        c = f.pop(m)
+        g = next((g for g in basis if _divides(g[0], m)), None)
+        if g is None:
+            rem[m] = c
+            continue
+        lead, terms = g
+        shift = tuple(a - b for a, b in zip(m, lead))
+        for e, v in terms.items():
+            if e != lead:
+                t = tuple(a + b for a, b in zip(e, shift))
+                s = f.get(t, 0) - c * v
+                if s:
+                    f[t] = s
+                else:
+                    f.pop(t, None)
+    return rem
+
+
+def reference_basis(gens, order):
+    """Reduced Groebner basis, as a set of frozen term sets, from the
+    textbook loop: every pair of every basis element is reduced, with no
+    criterion, in field arithmetic (Fraction or GFElement)."""
+    basis = [_monic(g.terms, order) for g in gens]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop()
+        (li, gi), (lj, gj) = basis[i], basis[j]
+        lcm_exp = tuple(map(max, li, lj))
+        s = {}
+        for lead, terms, sign in ((li, gi, 1), (lj, gj, -1)):
+            shift = tuple(a - b for a, b in zip(lcm_exp, lead))
+            for e, v in terms.items():
+                t = tuple(a + b for a, b in zip(e, shift))
+                c = s.get(t, 0) + sign * v
+                if c:
+                    s[t] = c
+                else:
+                    s.pop(t, None)
+        r = _ref_remainder(s, basis, order)
+        if r:
+            basis.append(_monic(r, order))
+            pairs += [(k, len(basis) - 1) for k in range(len(basis) - 1)]
+    minimal = []
+    for lead, terms in basis:
+        if not any(_divides(l2, lead) for l2, _ in minimal):
+            minimal = [m for m in minimal if not _divides(lead, m[0])]
+            minimal.append((lead, terms))
+    return {
+        frozenset(_ref_remainder(t, minimal[:k] + minimal[k + 1 :], order).items())
+        | {(lead, t[lead])}
+        for k, (lead, t) in enumerate(minimal)
+    }
+
+
 def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
     out = []
     for combo in combinations_with_replacement(range(nvars), d):

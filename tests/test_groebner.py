@@ -1,15 +1,24 @@
 """Groebner engine: bases, normal forms, membership, elimination,
 saturation; the Buchberger criterion and confluence as self-checks, and
-the pair criteria against an all-pairs Buchberger with no criteria."""
+the pair criteria of both S-pair loops, Gebauer-Moeller and signature,
+against an all-pairs Buchberger with no criteria and against each other."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import corpus_ideals, random_forms_ideal, twisted_cubic_ideal
-from oracles import key_of, membership_by_linear_algebra, s_polynomial, substitute_eliminate_oracle
+from oracles import (
+    key_of,
+    lead_exponent,
+    membership_by_linear_algebra,
+    reference_basis,
+    s_polynomial,
+    substitute_eliminate_oracle,
+)
 
 from brisk import groebner, kernel
 from brisk.errors import BudgetExceededError
@@ -37,6 +46,14 @@ def rand_poly(ring, rng, max_deg=4, max_terms=5):
             continue
         terms[e] = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 3))
     return MultiPoly(ring, terms)
+
+
+@pytest.fixture
+def gebauer_moeller(monkeypatch):
+    """Send every ideal basis to ``_basis_loop``, the Gebauer-Moeller
+    loop, for the tests that pin its pairs and normal forms; by default
+    grevlex ideals of at most nvars generators take the signature loop."""
+    loop_calls(monkeypatch, "gebauer_moeller")
 
 
 class TestBuchberger:
@@ -369,75 +386,6 @@ class TestCanonicalForm:
 # ------------------------------------------------------- pair criteria
 
 
-def _lead(terms, order):
-    return max(terms, key=lambda e: key_of(e, order))
-
-
-def _monic(terms, order):
-    lead = _lead(terms, order)
-    c = terms[lead]
-    return lead, {e: v / c for e, v in terms.items()}
-
-
-def _ref_remainder(f, basis, order):
-    """Full division of the dict ``f`` by the monic (lead, terms) pairs."""
-    f, rem = dict(f), {}
-    while f:
-        m = _lead(f, order)
-        c = f.pop(m)
-        g = next((g for g in basis if mono_divides(g[0], m)), None)
-        if g is None:
-            rem[m] = c
-            continue
-        lead, terms = g
-        shift = tuple(a - b for a, b in zip(m, lead))
-        for e, v in terms.items():
-            if e != lead:
-                t = tuple(a + b for a, b in zip(e, shift))
-                s = f.get(t, 0) - c * v
-                if s:
-                    f[t] = s
-                else:
-                    f.pop(t, None)
-    return rem
-
-
-def reference_basis(gens, order):
-    """Reduced Groebner basis, as a set of frozen term sets, from the
-    textbook loop: every pair of every basis element is reduced, with no
-    criterion, in field arithmetic (Fraction or GFElement)."""
-    basis = [_monic(g.terms, order) for g in gens]
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        i, j = pairs.pop()
-        (li, gi), (lj, gj) = basis[i], basis[j]
-        lcm_exp = tuple(map(max, li, lj))
-        s = {}
-        for lead, terms, sign in ((li, gi, 1), (lj, gj, -1)):
-            shift = tuple(a - b for a, b in zip(lcm_exp, lead))
-            for e, v in terms.items():
-                t = tuple(a + b for a, b in zip(e, shift))
-                c = s.get(t, 0) + sign * v
-                if c:
-                    s[t] = c
-                else:
-                    s.pop(t, None)
-        r = _ref_remainder(s, basis, order)
-        if r:
-            basis.append(_monic(r, order))
-            pairs += [(k, len(basis) - 1) for k in range(len(basis) - 1)]
-    minimal = []
-    for lead, terms in basis:
-        if not any(mono_divides(l2, lead) for l2, _ in minimal):
-            minimal = [m for m in minimal if not mono_divides(lead, m[0])]
-            minimal.append((lead, terms))
-    return {
-        frozenset(_ref_remainder(t, minimal[:k] + minimal[k + 1 :], order).items())
-        | {(lead, t[lead])}
-        for k, (lead, t) in enumerate(minimal)
-    }
-
-
 def oracle_cases():
     """Seeded ideals in 2 and 3 variables, most of them non-homogeneous,
     over Q and GF(32003) under grevlex, lex and elim(1).  In every other case a last
@@ -457,7 +405,7 @@ def oracle_cases():
             g = rand_poly(ring, rng, max_deg=4, max_terms=4)
             if g.degree() > 0:
                 gens.append(g)
-        lead = _lead(gens[0].terms, order)
+        lead = lead_exponent(gens[0].terms, order)
         if divisor:
             k = rng.choice([v for v in range(nvars) if lead[v]])
             m = tuple(x - (v == k) for v, x in enumerate(lead))
@@ -492,6 +440,7 @@ def test_pair_criteria_match_all_pairs_reference(ring, order, gens):
         (["x^2*z", "y^2*z", "x*y*z"], 2),
     ],
 )
+@pytest.mark.usefixtures("gebauer_moeller")
 def test_pairs_taken_count_against_max_pairs(gens, taken):
     R = PolyRing(("x", "y", "z"))
     ideal = Ideal(R, [R.parse(g) for g in gens])
@@ -550,6 +499,7 @@ def katsura(n: int) -> Ideal:
     ],
     ids=["katsura4.Q", "cyclic5.GF32003"],
 )
+@pytest.mark.usefixtures("gebauer_moeller")
 def test_pairs_taken_on_real_ideals(ideal, taken):
     # pins the pair selection: a change to the criteria or the order in
     # which pairs are taken moves these counts
@@ -558,7 +508,7 @@ def test_pairs_taken_on_real_ideals(ideal, taken):
         buchberger(ideal, budget=Budget(max_pairs=taken - 1))
 
 
-# ------------------------------------------------- tail-reduced loop over Q
+# ---------------------------------- tail-reduced Gebauer-Moeller loop over Q
 
 
 def spy(monkeypatch, owner, name):
@@ -566,8 +516,8 @@ def spy(monkeypatch, owner, name):
     calls = []
     fn = getattr(owner, name)
 
-    def wrapper(*args):
-        result = fn(*args)
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
         calls.append((args, result))
         return result
 
@@ -589,6 +539,7 @@ KATSURA4 = (13, "ce5935dd4ded8c67065522b1e80bbd28eb6542928d6e66650de8e2d630e2d39
 CYCLIC5_GF_NORMAL_FORMS = (132, "51b6c5ad45be80f233cb04b8feb766fd3114fb99ce05a4a6518e50452878cfe9")
 
 
+@pytest.mark.usefixtures("gebauer_moeller")
 class TestInterreducedLoop:
     """Over Q the S-pair loop keeps the tails of its elements reduced."""
 
@@ -598,9 +549,9 @@ class TestInterreducedLoop:
         calls that do not come through ``_nf_terms``."""
         fn, counts = kernel.normal_form, [0]
 
-        def counted(terms, reducers, packing, modulus=None, firsts=None):
+        def counted(terms, reducers, packing, modulus=None, firsts=None, bound=None):
             counts[0] += 1
-            return fn(terms, reducers, packing, modulus, firsts)
+            return fn(terms, reducers, packing, modulus, firsts, bound)
 
         monkeypatch.setattr(kernel, "normal_form", counted)
         reductions = spy(monkeypatch, groebner, "_nf_terms")
@@ -682,14 +633,14 @@ class TestInterreducedLoop:
         fn = kernel.normal_form
         calls = {"memo": 0, "fresh": 0}
 
-        def checked(terms, reducers, packing, modulus=None, firsts=None):
+        def checked(terms, reducers, packing, modulus=None, firsts=None, bound=None):
             if firsts is None:
                 calls["fresh"] += 1
             else:
                 calls["memo"] += 1
                 live = {id(r) for r in reducers}
                 assert all(id(r) in live for r in firsts.values() if type(r) is tuple)
-            return fn(terms, reducers, packing, modulus, firsts)
+            return fn(terms, reducers, packing, modulus, firsts, bound)
 
         monkeypatch.setattr(kernel, "normal_form", checked)
         reductions = spy(monkeypatch, groebner, "_nf_terms")
@@ -701,41 +652,210 @@ class TestInterreducedLoop:
         assert calls["memo"] == 30 and calls["fresh"] > len(G)
 
 
+@pytest.mark.usefixtures("gebauer_moeller")
 def test_gf_path_makes_the_recorded_normal_forms(monkeypatch):
     # the terms, reducers, field width and modulus of each call, as made
     digest, calls = hashlib.sha256(), [0]
     fn = kernel.normal_form
 
-    def recorded(terms, reducers, packing, modulus=None, firsts=None):
+    def recorded(terms, reducers, packing, modulus=None, firsts=None, bound=None):
         calls[0] += 1
         key = (sorted(terms.items()), tuple(reducers), packing.bits if packing else None, modulus)
         digest.update(repr(key).encode())
-        return fn(terms, reducers, packing, modulus, firsts)
+        return fn(terms, reducers, packing, modulus, firsts, bound)
 
     monkeypatch.setattr(kernel, "normal_form", recorded)
     buchberger(cyclic(5, GF(32003)))
     assert (calls[0], digest.hexdigest()) == CYCLIC5_GF_NORMAL_FORMS
 
 
+def loop_calls(monkeypatch, loop):
+    """The calls of the S-pair loop named by ``loop``; "gebauer_moeller"
+    also routes every ideal basis to it."""
+    if loop == "signature":
+        return spy(monkeypatch, groebner, "_signature_loop")
+    calls = spy(monkeypatch, groebner, "_basis_loop")
+    monkeypatch.setattr(groebner, "_signature_loop", groebner._basis_loop)
+    return calls
+
+
+def degree_stop_cases():
+    """Homogeneous ideals, each on its own loop, and those of at most
+    nvars generators also on the Gebauer-Moeller loop."""
+    ideals = [("cubic", twisted_cubic_ideal())]
+    ideals += [(f"forms{s}", random_forms_ideal(random.Random(s))) for s in range(12)]
+    cases = []
+    for name, ideal in ideals:
+        if len(ideal.gens) <= ideal.ring.nvars:
+            cases.append(pytest.param(ideal, "signature", id=name))
+            cases.append(pytest.param(ideal, "gebauer_moeller", id=f"{name}-gebauer_moeller"))
+        else:
+            cases.append(pytest.param(ideal, "gebauer_moeller", id=name))
+    return cases
+
+
 class TestDegreeStop:
     """A basis of homogeneous generators truncated at a degree D holds
-    the elements of degree <= D of the reduced basis, and takes no pair
-    above D."""
+    the elements of degree <= D of the reduced basis, and reduces no
+    pair above D, on either loop."""
 
-    IDEALS = [twisted_cubic_ideal()] + [random_forms_ideal(random.Random(s)) for s in range(6)]
-
-    @pytest.mark.parametrize("ideal", IDEALS, ids=["cubic"] + [f"forms{s}" for s in range(6)])
-    def test_truncated_basis_is_the_low_part_of_the_reduced_one(self, monkeypatch, ideal):
+    @pytest.mark.parametrize("ideal, loop", degree_stop_cases())
+    def test_truncated_basis_is_the_low_part_of_the_reduced_one(self, monkeypatch, ideal, loop):
         gens = [(kernel.to_ints(g.terms, None), int(g.degree())) for g in ideal.gens]
         packing = kernel.packing(grevlex(), ideal.ring.nvars, 16)
         degree = lambda terms: sum(packing.unpack(max(terms)))
+        runs = loop_calls(monkeypatch, loop)
         full = groebner._packed_basis(gens, packing, None, Budget())
-        taken = spy(monkeypatch, kernel, "s_poly")
+        assert len(runs) == 1
+        # the Gebauer-Moeller loop builds each pair's S-polynomial with
+        # s_poly; the signature loop passes _nf_terms a signature bound
+        # with each multiple of an element it reduces, and of a generator
+        s_polys = spy(monkeypatch, kernel, "s_poly")
+        reduced = spy(monkeypatch, groebner, "_nf_terms")
         for stop in range(1, max(map(degree, full)) + 1):
-            taken.clear()
+            s_polys.clear()
+            reduced.clear()
             cut = groebner._packed_basis(gens, packing, None, Budget(), stop)
             assert [t for t in cut if degree(t) <= stop] == [t for t in full if degree(t) <= stop]
-            assert all(sum(packing.unpack(args[2])) <= stop for args, _ in taken)
+            assert all(sum(packing.unpack(args[2])) <= stop for args, _ in s_polys)
+            assert all(degree(args[0]) <= stop for args, _ in reduced if args[5:])
+
+
+# ------------------------------------------------------- signature loop
+
+
+def over_gf(ideal: Ideal) -> Ideal:
+    return Ideal(ideal.ring, [poly_to_gf(g, GF(32003)) for g in ideal.gens])
+
+
+def signature_cases(reference: bool):
+    """Grevlex ideals of at most nvars generators, over Q and GF(32003):
+    the grevlex oracle cases, random forms, katsura and cyclic.  With
+    ``reference`` only those whose all-pairs reference runs in well
+    under a second: katsura(2) and cyclic(4), not katsura(3..4) and
+    cyclic(5)."""
+    cases = [
+        pytest.param(Ideal(ring, gens), id=case.id)
+        for case in oracle_cases()
+        for ring, order, gens in [case.values]
+        if order == grevlex() and len(gens) <= ring.nvars
+    ]
+    forms = [(s, random_forms_ideal(random.Random(s))) for s in range(12)]
+    named = [(f"forms{s}", ideal) for s, ideal in forms if len(ideal.gens) <= ideal.ring.nvars]
+    named += [(f"katsura{n}", katsura(n)) for n in ((2,) if reference else (2, 3, 4))]
+    named += [(f"cyclic{n}", cyclic(n)) for n in ((4,) if reference else (4, 5))]
+    for name, ideal in named:
+        cases.append(pytest.param(ideal, id=f"{name}.Q"))
+        cases.append(pytest.param(over_gf(ideal), id=f"{name}.GF"))
+    return cases
+
+
+@pytest.mark.parametrize("ideal", signature_cases(reference=True))
+def test_signature_loop_matches_the_all_pairs_reference(monkeypatch, ideal):
+    runs = loop_calls(monkeypatch, "signature")
+    assert as_sets(buchberger(ideal)) == reference_basis(ideal.gens, grevlex())
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("ideal", signature_cases(reference=False))
+def test_signature_loop_matches_the_gebauer_moeller_loop(monkeypatch, ideal):
+    G = buchberger(ideal)
+    loop_calls(monkeypatch, "gebauer_moeller")
+    assert buchberger(ideal).basis == G.basis
+
+
+def generic_forms(nvars: int, degrees, seed: int) -> Ideal:
+    """Forms of the given degrees with every monomial and random
+    coefficients: a regular sequence for almost every seed."""
+    rng = random.Random(seed)
+    R = PolyRing(tuple(f"x{i}" for i in range(nvars)))
+    gens = []
+    for d in degrees:
+        monos = itertools.combinations_with_replacement(range(nvars), d)
+        terms = {}
+        for mono in monos:
+            terms[tuple(mono.count(v) for v in range(nvars))] = Fraction(rng.randint(1, 9))
+        gens.append(MultiPoly(R, terms))
+    return Ideal(R, gens)
+
+
+def loop_reductions(monkeypatch):
+    """The remainders of the signature loop's reductions: the
+    ``_nf_terms`` calls with a signature bound, {} for a reduction to
+    zero and None for a singular discard."""
+    calls = spy(monkeypatch, groebner, "_nf_terms")
+    return lambda: [r for args, r in calls if args[5:]]
+
+
+class TestSignatureCriteria:
+    """The Koszul syzygies and the rewrite rule discard every pair of a
+    regular sequence before it could reduce to zero."""
+
+    @pytest.mark.parametrize("ideal", [katsura(4), over_gf(katsura(4))], ids=["katsura4.Q", "katsura4.GF"])
+    def test_katsura_reduces_nothing_to_zero(self, monkeypatch, ideal):
+        remainders = loop_reductions(monkeypatch)
+        buchberger(ideal)
+        # 5 generators and the 23 pairs of test_signature_pairs_taken
+        assert len(remainders()) == 28
+        assert {} not in remainders()
+
+    def test_generic_forms_truncated_reduce_nothing_to_zero(self, monkeypatch):
+        ideal = generic_forms(3, (2, 3, 3), seed=1)
+        gens = [(kernel.to_ints(g.terms, None), int(g.degree())) for g in ideal.gens]
+        packing = kernel.packing(grevlex(), 3, 16)
+        for stop in (4, 5, 6):
+            remainders = loop_reductions(monkeypatch)
+            cut = groebner._packed_basis(gens, packing, None, Budget(), stop)
+            assert cut and remainders()
+            assert {} not in remainders()
+
+    def test_a_syzygy_that_is_not_koszul_is_learned_once(self, monkeypatch):
+        # the twisted cubic is no complete intersection: its two
+        # non-Koszul syzygies each take one reduction to zero
+        remainders = loop_reductions(monkeypatch)
+        buchberger(twisted_cubic_ideal())
+        assert remainders().count({}) == 2
+
+
+@pytest.mark.parametrize(
+    "gens, taken",
+    [
+        # monomials: each pair taken reduces to zero and teaches one
+        # syzygy that is not Koszul; here the J-pairs z*e_1 and x*e_2,
+        # both at the lcm x2yz
+        (["x^2*z", "x^2*y", "x*y*z"], 2),
+        # x2y reduces to zero as a generator, so its signature e_1 is a
+        # syzygy that discards every pair of its position
+        (["x^2", "x^2*y", "y^2"], 0),
+        (["x^2*z", "y^2*z", "x*y*z"], 3),
+        # 4 of the 11 remainders are singular
+        (["x^3 - 2*x*y", "x^2*y - 2*y^2 + x", "y^3 - z^2 + x"], 11),
+    ],
+)
+def test_signature_pairs_count_against_max_pairs(monkeypatch, gens, taken):
+    # the pairs reduced after the syzygy criterion and the rewrite rule;
+    # the Gebauer-Moeller loop takes 2, 1 and 2 of the first three
+    # (test_pairs_taken_count_against_max_pairs)
+    R = PolyRing(("x", "y", "z"))
+    ideal = Ideal(R, [R.parse(g) for g in gens])
+    runs = loop_calls(monkeypatch, "signature")
+    buchberger(ideal, budget=Budget(max_pairs=taken))
+    assert len(runs) == 1
+    if taken:
+        with pytest.raises(BudgetExceededError):
+            buchberger(ideal, budget=Budget(max_pairs=taken - 1))
+
+
+@pytest.mark.parametrize(
+    "ideal, taken",
+    [(katsura(4), 23), (cyclic(5, GF(32003)), 34)],
+    ids=["katsura4.Q", "cyclic5.GF32003"],
+)
+def test_signature_pairs_taken_on_real_ideals(ideal, taken):
+    # 30 and 112 on the Gebauer-Moeller loop (test_pairs_taken_on_real_ideals)
+    buchberger(ideal, budget=Budget(max_pairs=taken))
+    with pytest.raises(BudgetExceededError):
+        buchberger(ideal, budget=Budget(max_pairs=taken - 1))
 
 
 def test_negative_budget_caps_are_rejected():
@@ -743,7 +863,10 @@ def test_negative_budget_caps_are_rejected():
         Budget(max_pairs=-1)
     with pytest.raises(ValueError, match="max_matrix_entries"):
         Budget(max_matrix_entries=-5)
-    # a cap of 0 is valid: it admits only inputs that need no S-pair
+    # a cap of 0 is valid: it admits only inputs that need no S-pair.
+    # Both ideals take the signature loop, where a generator's own
+    # reduction is not a pair: [x, y] needs none, and [x^2, x*y + 1]
+    # needs the pair at signature x*e_1, which yields x
     R = PolyRing(("x", "y"))
     x, y = R.gens()
     zero = Budget(max_pairs=0, max_matrix_entries=0)
@@ -797,6 +920,26 @@ class TestExponentGrowth:
         want += [x[i] - x[14] ** 2 ** (14 - i) for i in range(13, 0, -1)]
         want += [x[0] - 1]
         assert list(G) == want
+
+    def test_signature_loop_widens_past_its_fields(self, monkeypatch):
+        # katsura(3) fits 3-bit fields (degrees up to 3) but its pairs
+        # and signatures do not: the loop raises, and the run at 6 bits
+        # makes the basis of a run at 16
+        ideal = katsura(3)
+        gens = [(kernel.to_ints(g.terms, None), int(g.degree())) for g in ideal.gens]
+        widths, loop = [], groebner._signature_loop
+
+        def recorded(gens, packing, *args):
+            widths.append(packing.bits)
+            return loop(gens, packing, *args)
+
+        monkeypatch.setattr(groebner, "_signature_loop", recorded)
+        packings = lambda bits: kernel.packing(grevlex(), ideal.ring.nvars, bits)
+        run = lambda bits: groebner._packed_basis(gens, packings(bits), None, Budget())
+        narrow = kernel.widening(run, 3)
+        assert widths == [3, 6]
+        unpacked = lambda basis, bits: [packings(bits).unpack_terms(t) for t in basis]
+        assert unpacked(narrow, 6) == unpacked(run(16), 16)
 
     @pytest.mark.parametrize("order", [grevlex(), lex(), elim(1)], ids=str)
     def test_degree_70000_generator(self, order):
