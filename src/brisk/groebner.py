@@ -76,11 +76,16 @@ into ints by a ``kernel.Packing`` sized from the input degrees, and
 signatures into ints of the same fields below a position and a degree
 field; when an exponent outgrows them, the computation starts again
 with fields twice as wide.  The Gebauer-Moeller criteria work on the
-exponent tuples of the leads.  The finished basis is minimalized and
-tail-reduced on ints as well, and only then goes back to monic Fraction
-or GFElement coefficients and exponent tuples.  A ``GroebnerBasis``
-packs its elements once, when it is made, for ``normal_form``, which
-packs them wider for one call when that call outgrows them.
+exponent tuples of the leads.  The signature loop keeps, per element,
+a record made once when it joins (its rho, key(lt), its lead fields
+laid out for a fieldwise-max lcm and a variable mask that skips coprime
+leads), and per position a hint, the last syzygy signature learned or
+found dividing a candidate, tried before the scan of the syzygy set.
+The finished basis is minimalized and tail-reduced on ints as well,
+and only then goes back to monic Fraction or GFElement coefficients
+and exponent tuples.  A ``GroebnerBasis`` packs its elements once,
+when it is made, for ``normal_form``, which packs them wider for one
+call when that call outgrows them.
 
 Over Q the Gebauer-Moeller loop keeps its ideal basis tail-reduced
 (Becker and Weispfenning 1993, section 5.5) from the first element
@@ -106,7 +111,6 @@ raises BudgetExceededError rather than ever returning a wrong basis.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass
 
 from . import kernel
@@ -432,10 +436,26 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
     bit of u signals an overflow.  Each element g keeps rho = sig(g) -
     key(lt g), so t*g has the signature rho + key(t*lt g): the J-pair
     and the Koszul syzygy of elements g and h take the larger rho, and
-    equal rhos make a singular pair.  ``found`` and ``syzygies`` hold, per position, the u of each
-    element's signature in the order found and a minimal set of the u of
-    known syzygy signatures.  Elements join in increasing signature, so
-    the latest divisor of a signature is the last one in ``found``.
+    equal rhos make a singular pair.  ``found`` and ``syzygies`` hold,
+    per position, the u of each element's signature in the order found
+    and a minimal set of the u of known syzygy signatures.  Elements
+    join in increasing signature, so the latest divisor of a signature
+    is the last one in ``found``.
+
+    The pairs of a new element with every earlier one are the loop's
+    bookkeeping, and most of them are discarded, so each element's
+    record in ``elements`` is made once, when it joins: its rho,
+    key(lt), the int ``both`` from which one fieldwise max gives the
+    packed lcm of two leads, and the mask of the variables in its lead.
+    Leads whose masks share no bit are coprime: their J-pair is their
+    Koszul syzygy, and no lcm is formed.  ``hints`` holds, per
+    position, the last syzygy u learned or found dividing a candidate
+    (a Koszul signature to insert or a popped signature) by a scan of
+    ``syzygies``; each test tries it before the scan.  A hint may since
+    have left the minimal set, but only because a newer u divides it,
+    so it stays a multiple of some kept u and divides only signatures
+    that the scan would also find divisible: every discard, insert and
+    reduction is the one that the scan alone makes.
 
     A degree ``stop`` truncates the basis of homogeneous ``gens``: the
     loop ends, with no pair counted, at the first signature of degree
@@ -448,13 +468,33 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
     top = width - packing.bits  # its degree field
     lift = width + len(gens).bit_length()  # the degree field of a signature
     low, places = (1 << width) - 1, (1 << lift - width) - 1
-    key = lambda m: m + (m >> top << lift)  # the signature int of monomial m
-    weights = packing.weights
+    # the lcm of two leads, fieldwise: grevlex packs x_i alone at shift
+    # (n-1-i)*bits and x_0 + .. + x_{k-1} at (n-2+k)*bits for k >= 2.  An
+    # element keeps ``both``: its n single-variable fields, and above
+    # them from bit ``span`` the same exponents with x_i at i*bits.  One
+    # fieldwise max of two such ints gives the single-variable fields of
+    # the lcm, and its upper half times ``ones`` the prefix sums in order
+    bits = packing.bits
+    span = len(packing.weights) * bits
+    shift = span - bits
+    single = (1 << span) - 1
+    tail = single >> bits  # the single-variable fields below x_0
+    ones = single // ((1 << bits) - 1)  # a 1 in each of the n low fields
+    low_guards = guard & single
+    guards = low_guards << span | low_guards
+    fill = low_guards - ones  # the value bits of each low field
+    value = packing.limit - 1  # the value bits of one field
     polys: list[dict] = []
-    leads: list[tuple] = []  # exponent tuples
     reducers: list[tuple] = []  # kernel reducers with rho as fourth entry
+    # per element: rho, key(lt), the ``both`` int of lt and its mask, the
+    # guard bits of the fields of the variables in lt
+    elements: list[tuple] = []
     found: list[list] = [[] for _ in gens]  # per position: (u, element)
     syzygies: list[list] = [[] for _ in gens]  # per position: minimal u
+    # per position: the last syzygy u learned or found dividing a
+    # candidate by a scan; the guard bit of the lowest field, the first
+    # hint, divides no monomial
+    hints = [guard & -guard] * len(gens)
     # the heap of signatures to look at, and for each the latest element
     # with a J-pair there (any value for the e_i of a generator)
     heap = [d << lift | i << width for i, (_, d) in enumerate(gens)]
@@ -462,14 +502,25 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
     latest = dict.fromkeys(heap, 0)
     divisors: dict = {}  # the divisor memo of ``kernel.normal_form``
 
-    def syzygy(sig: int):
-        """Add a syzygy signature to its position's minimal set."""
-        if sig & guard:
-            raise OverflowError("signature outgrew the packed field width")
-        u, known = sig & low, syzygies[sig >> width & places]
-        if not any(not (u - v) & guard for v in known):
-            known[:] = [v for v in known if (v - u) & guard]
-            known.append(u)
+    def divided(u: int, pos: int) -> bool:
+        """Whether a known syzygy signature of ``pos`` divides u*e_pos:
+        its hint, or else the first divisor in its set, which becomes
+        the hint."""
+        if not (u - hints[pos]) & guard:
+            return True
+        for v in syzygies[pos]:
+            if not (u - v) & guard:
+                hints[pos] = v
+                return True
+        return False
+
+    def syzygy(u: int, pos: int):
+        """Add u*e_pos, which no known syzygy signature divides, to the
+        minimal set of its position, and make it the hint."""
+        known = syzygies[pos]
+        known[:] = [v for v in known if (v - u) & guard]
+        known.append(u)
+        hints[pos] = u
 
     taken = 0
     while heap:
@@ -478,7 +529,7 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
         sig = heapq.heappop(heap)
         k = latest.pop(sig)
         u, pos = sig & low, sig >> width & places
-        if any(not (u - v) & guard for v in syzygies[pos]):
+        if divided(u, pos):
             continue
         if u:
             # the rewrite rule: only the latest element whose signature
@@ -495,22 +546,42 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
         if nf is None:
             continue
         if not nf:
-            syzygy(sig)
+            syzygy(u, pos)
             continue
         lead = max(nf)
         nf = kernel.normalized(nf, lead, modulus)
-        exp = packing.unpack(lead)
-        rho = sig - key(lead)
+        both = lead & single
+        mask = (both + fill) & guard
+        for s in range(0, span, bits):  # x_i, at s = shift - i*bits, to span + i*bits
+            both |= (lead >> s & value) << span + shift - s
+        klead = lead + (lead >> top << lift)
+        rho = sig - klead
         h = len(polys)
-        for j, ((lj, _, _, rj), ej) in enumerate(zip(reducers, leads)):
+        for j, (rj, kj, bj, mj) in enumerate(elements):
             if rj == rho:
                 continue
             high, g = (rho, h) if rho > rj else (rj, j)
-            syzygy(high + key(lead) + key(lj))
-            lcm = sum(map(operator.mul, map(max, ej, exp), weights))
-            if lcm == lead + lj:
+            # the Koszul syzygy signature of the two elements
+            koszul = high + klead + kj
+            if koszul & guard:
+                raise OverflowError("signature outgrew the packed field width")
+            v, p = koszul & low, koszul >> width & places
+            if (v - hints[p]) & guard:
+                for w in syzygies[p]:
+                    if not (v - w) & guard:
+                        hints[p] = w
+                        break
+                else:
+                    syzygy(v, p)
+            if not mask & mj:
                 continue  # coprime leads: the J-pair is the Koszul syzygy
-            pair = high + key(lcm)
+            # fieldwise max: the guard bit of (bj | guards) - both is set
+            # in the fields where bj is the larger
+            d = (bj | guards) - both
+            t = d & guards
+            m = both + (d & t - (t >> bits - 1))
+            lcm = ((m >> span) * ones & single) << shift | m & tail
+            pair = high + lcm + (lcm >> top << lift)
             # the lcm may outgrow the fields where its multiplier fits
             if (lcm | pair) & guard:
                 raise OverflowError("signature outgrew the packed field width")
@@ -520,8 +591,8 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
                 latest[pair] = g
                 heapq.heappush(heap, pair)
         polys.append(nf)
-        leads.append(exp)
         reducers.append(kernel.reducer(lead, nf) + (rho,))
+        elements.append((rho, klead, both, mask))
         found[pos].append((u, h))
     return polys
 

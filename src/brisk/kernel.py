@@ -170,7 +170,10 @@ class Packing:
 
     ``weights[i]`` is the packed form of variable i, ``offsets[i]`` the
     shift of the field that holds its exponent, ``guard`` the mask of all
-    guard bits."""
+    guard bits.  Under grevlex the n low fields hold x_0 .. x_{n-1} alone,
+    x_0 highest, and the field at (n-2+k)*bits holds x_0 + .. + x_{k-1}
+    for k >= 2, the degree on top; ``groebner._signature_loop`` forms
+    lcms fieldwise on this layout."""
 
     __slots__ = ("order", "bits", "limit", "guard", "weights", "offsets")
 

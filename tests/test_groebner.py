@@ -63,6 +63,13 @@ class TestBuchberger:
         G = buchberger(Ideal(R, [x, y]))
         assert list(G) == [y, x] or set(G) == {x, y}
 
+    def test_ring_without_variables(self):
+        # the zero ideal takes the signature loop (0 generators, 0
+        # variables), whose field layout then has no fields
+        R = PolyRing(())
+        assert list(buchberger(Ideal(R, []))) == []
+        assert list(buchberger(Ideal(R, [R.one()]))) == [R.one()]
+
     def test_one_reduction(self):
         R = PolyRing(("x", "y"))
         x, y = R.gens()
@@ -848,14 +855,41 @@ def test_signature_pairs_count_against_max_pairs(monkeypatch, gens, taken):
 
 @pytest.mark.parametrize(
     "ideal, taken",
-    [(katsura(4), 23), (cyclic(5, GF(32003)), 34)],
-    ids=["katsura4.Q", "cyclic5.GF32003"],
+    [(katsura(4), 23), (cyclic(5, GF(32003)), 34), (cyclic(6, GF(32003)), 163)],
+    ids=["katsura4.Q", "cyclic5.GF32003", "cyclic6.GF32003"],
 )
 def test_signature_pairs_taken_on_real_ideals(ideal, taken):
     # 30 and 112 on the Gebauer-Moeller loop (test_pairs_taken_on_real_ideals)
     buchberger(ideal, budget=Budget(max_pairs=taken))
     with pytest.raises(BudgetExceededError):
         buchberger(ideal, budget=Budget(max_pairs=taken - 1))
+
+
+# (calls, digest) of the signature loop's reductions: the signature, the
+# input terms and the remainder (None when singular) of every
+# ``_nf_terms`` call with a signature bound, recorded before the loop
+# cached its per-element keys and kept a syzygy divisor hint
+SIGNATURE_REDUCTIONS = {
+    "cyclic6.GF32003": (169, "12da10111ee0669f687500e35e374fbd9fa5085f7600c3a7c60e2a2b4f87d7d0"),
+    "katsura5.Q": (56, "2520e5fc53db0cd6809c64261f9ed9d315d7b0890012b0f4075b6d6e3ec53b27"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, ideal",
+    [("cyclic6.GF32003", cyclic(6, GF(32003))), ("katsura5.Q", katsura(5))],
+    ids=["cyclic6.GF32003", "katsura5.Q"],
+)
+def test_signature_loop_makes_the_recorded_reductions(monkeypatch, name, ideal):
+    # a change to the criteria, the heap order or the regular reduction
+    # moves the sequence of reductions, and with it this digest
+    digest, calls = hashlib.sha256(), spy(monkeypatch, groebner, "_nf_terms")
+    buchberger(ideal)
+    reductions = [(args, nf) for args, nf in calls if args[5:]]
+    for (terms, *_, bound), nf in reductions:
+        remainder = None if nf is None else sorted(nf.items())
+        digest.update(repr((bound[0], sorted(terms.items()), remainder)).encode())
+    assert (len(reductions), digest.hexdigest()) == SIGNATURE_REDUCTIONS[name]
 
 
 def test_negative_budget_caps_are_rejected():

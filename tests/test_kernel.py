@@ -160,6 +160,18 @@ def test_guard_test_is_the_divisor_test(kind, nvars):
     assert hits > 200 and misses > 200
 
 
+@pytest.mark.parametrize("nvars", NVARS)
+def test_grevlex_fields_are_prefix_sums_over_single_variables(nvars):
+    # the signature loop forms lcms fieldwise on this layout: x_i alone
+    # at (n-1-i)*bits, and x_0 + .. + x_{k-1} at (n-2+k)*bits for k >= 2
+    pk = make_packing("grevlex", nvars)
+    n, bits = nvars, pk.bits
+    for i in range(n):
+        fields = [n - 1 - i] + [n - 2 + k for k in range(max(2, i + 1), n + 1)]
+        assert pk.weights[i] == sum(1 << f * bits for f in fields)
+        assert pk.offsets[i] == (n - 1 - i) * bits
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_field_overflow_is_caught(kind):
     pk = make_packing(kind, 3)
