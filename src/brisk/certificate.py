@@ -7,6 +7,9 @@ on an affine variety V, and their power-ideal generalization
 (all monomials up to the degree cap) and solves the resulting linear
 system with ``linalg.solve_sparse``: elimination modulo a prime below
 2^30 (the next prime when one fails), lifted to Q and checked exactly.
+The solver sees only the block of NF(Phi): the rows and columns that
+the rows of NF(Phi) reach through shared columns; every other column's
+cofactor coefficient is 0.
 A solution satisfies every row over Q, and a NotFound answer (None)
 rests on a left-kernel witness checked over Q, so it is a proof of
 infeasibility at that degree, not a heuristic failure.  Every returned

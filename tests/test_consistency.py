@@ -4,7 +4,7 @@ disagree."""
 import random
 import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 from unittest import mock
 
 import pytest
@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import dense_solve, markowitz_solve
 
-from brisk import linalg
+from brisk import certificate, linalg
 from brisk.certificate import MembershipInstance, minimal_degree, search_at_degree
 from brisk.errors import BudgetExceededError
-from brisk.groebner import Ideal, buchberger, eliminate
+from brisk.families import cusp, kollar
+from brisk.groebner import Budget, Ideal, buchberger, eliminate
 from brisk.linalg import P, _primes, infeasibility_witness, solve_sparse
 from brisk.orders import lex
 from brisk.polyring import PolyRing
@@ -307,6 +308,156 @@ class TestPrimeFailures:
             solve_sparse(rows[:1], [Fraction(1), Fraction(2)], 1)
         with pytest.raises(ValueError):
             infeasibility_witness(rows, [Fraction(1)], 1)
+
+
+def whole_system_route(rows, rhs, ncols):
+    """(solution, witness) from ``linalg._solve`` on the whole integerized
+    system, the witness scaled back to the caller's rows: the answers of
+    a solver that reads every row and column."""
+    irows = [linalg._integerize(row, b) for row, b in zip(rows, rhs)]
+    feasible, value = linalg._solve(irows, ncols, _primes())
+    if feasible:
+        return value, None
+    y = [Fraction(0)] * len(rows)
+    for r, v in value.items():
+        irow, ib = irows[r]
+        c = next(iter(irow), None)
+        s = Fraction(irow[c]) / rows[r][c] if c is not None else Fraction(ib) / rhs[r]
+        y[r] = v * s
+    return None, y
+
+
+class TestBlock:
+    """Only the rows and columns that the nonzero right-hand sides reach
+    are solved, and the answers are those of the whole system."""
+
+    @staticmethod
+    def _same_as_the_whole_system(rows, rhs, ncols):
+        solution, witness = whole_system_route(rows, rhs, ncols)
+        assert solve_sparse(rows, rhs, ncols) == solution
+        assert infeasibility_witness(rows, rhs, ncols) == witness
+        if witness is not None:
+            assert_witness(rows, rhs, ncols, witness)
+        return solution
+
+    @staticmethod
+    def _blocks(rng):
+        """Up to five independent blocks on disjoint, shuffled columns,
+        their rows interleaved; a block's right-hand side is 0, planted
+        feasible or random."""
+        nblocks = rng.randint(1, 5)
+        ncols = rng.randint(nblocks, 30)
+        cols = rng.sample(range(ncols), ncols)
+        cuts = sorted(rng.sample(range(1, ncols), nblocks - 1))
+        rows, rhs = [], []
+        for own in (cols[a:b] for a, b in pairwise([0, *cuts, ncols])):
+            kind = rng.choice(["zero", "planted", "random"])
+            x = {c: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for c in own}
+            for _ in range(rng.randint(1, len(own) + 2)):
+                row = {
+                    c: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+                    for c in rng.sample(own, rng.randint(1, min(3, len(own))))
+                }
+                if kind == "zero":
+                    b = Fraction(0)
+                elif kind == "planted":
+                    b = sum(v * x[c] for c, v in row.items())
+                else:
+                    b = Fraction(rng.randint(-4, 4))
+                at = rng.randint(0, len(rows))
+                rows.insert(at, row)
+                rhs.insert(at, b)
+        return rows, rhs, ncols
+
+    def test_random_block_systems(self):
+        rng = random.Random(3131)
+        found = infeasible = 0
+        for _ in range(300):
+            rows, rhs, ncols = self._blocks(rng)
+            if self._same_as_the_whole_system(rows, rhs, ncols) is None:
+                infeasible += 1
+            else:
+                found += 1
+        assert found > 50 and infeasible > 50
+
+    def test_dense_systems(self):
+        # one block, or rows of zeros and a zero right-hand side off it
+        rng = random.Random(3132)
+        for trial in range(100):
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [
+                {c: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for c in range(ncols)}
+                for _ in range(nrows)
+            ]
+            if trial % 3 == 0:
+                x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+                rhs = [sum(v * x[c] for c, v in row.items()) for row in rows]
+            else:
+                rhs = [Fraction(rng.choice([0, 0, -2, 1, 3])) for _ in range(nrows)]
+            if trial % 4 == 0:
+                rows.insert(rng.randint(0, nrows), {})
+                rhs.insert(rng.randint(0, nrows), Fraction(0))
+            self._same_as_the_whole_system(rows, rhs, ncols)
+
+    def test_all_right_hand_sides_zero(self):
+        rows = [{0: 1, 1: 2}, {1: 3}]
+        assert self._same_as_the_whole_system(rows, [0, 0], 3) == [0, 0, 0]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        sizes = []  # (rows, columns) of each system the modular solve eliminates
+        solve_modular = linalg._solve_modular
+
+        def spy(irows, ncols, p):
+            sizes.append((len(irows), ncols))
+            return solve_modular(irows, ncols, p)
+
+        monkeypatch.setattr(linalg, "_solve_modular", spy)
+        return sizes
+
+    @staticmethod
+    def _whole_system_search(monkeypatch, inst, rho, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(
+                certificate,
+                "solve_sparse",
+                lambda rows, rhs, ncols: whole_system_route(rows, rhs, ncols)[0],
+            )
+            return search_at_degree(inst, rho, **kwargs)
+
+    def test_kollar_system_is_solved_on_its_block(self, monkeypatch):
+        sizes = self._spy(monkeypatch)
+        inst = kollar(3, 3, 3).instance
+        budget = Budget(max_matrix_entries=10**9)
+        want = self._whole_system_search(monkeypatch, inst, 27, budget=budget)
+        assert sizes == [(4057, 8775)]
+        sizes.clear()
+        got = search_at_degree(inst, 27, budget=budget)
+        assert sizes == [(22, 31)]
+        assert got.cofactors == want.cofactors and got.verified
+
+    def test_cusp_row_holding_no_column(self, monkeypatch):
+        # NF(Phi) = z1, and every column is a multiple of z2 or of z1^2
+        sizes = self._spy(monkeypatch)
+        inst = cusp(5).instance
+        systems = []
+        solve = certificate.solve_sparse
+
+        def keep(rows, rhs, ncols):
+            systems.append((rows, rhs, ncols))
+            return solve(rows, rhs, ncols)
+
+        monkeypatch.setattr(certificate, "solve_sparse", keep)
+        assert search_at_degree(inst, 6) is None
+        assert sizes == [(1, 0)]
+        (rows, rhs, ncols), = systems
+        assert ncols > 0
+        r, = (ri for ri, b in enumerate(rhs) if b)
+        assert not rows[r]
+        y = infeasibility_witness(rows, rhs, ncols)
+        assert y == [Fraction(ri == r) for ri in range(len(rows))]
+        assert_witness(rows, rhs, ncols, y)
+        assert y == whole_system_route(rows, rhs, ncols)[1]
 
 
 @st.composite
