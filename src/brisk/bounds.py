@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from math import ceil
 
 
 @dataclass(frozen=True)
@@ -193,10 +192,11 @@ def hermann_bound(inp: BoundInputs) -> int:
 
 def cusp_mu_zero(p: int) -> int:
     """Documented value of mu_zero for the plane cusp z1^2 = z2^p (odd
-    p > 2): max((p-1)/2, ceil((p-3)(p-1)/(p-2)))."""
+    p > 2): max((p-1)/2, ceil((p-3)(p-1)/(p-2))), in integer
+    arithmetic, so exact for every p."""
     if p <= 2 or p % 2 == 0:
         raise ValueError("the cusp family needs odd p > 2")
-    return max((p - 1) // 2, ceil((p - 3) * (p - 1) / (p - 2)))
+    return max((p - 1) // 2, -(-(p - 3) * (p - 1) // (p - 2)))
 
 
 @dataclass(frozen=True)

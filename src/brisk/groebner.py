@@ -79,9 +79,9 @@ with fields twice as wide.  The Gebauer-Moeller criteria work on the
 exponent tuples of the leads.  The signature loop keeps, per element,
 a record made once when it joins (its rho, key(lt), its lead fields
 laid out for a fieldwise-max lcm and a variable mask that skips coprime
-leads), and per position a hint, the last syzygy signature learned or
-found dividing a candidate, tried before the scan of the syzygy set.
-The finished basis is minimalized and tail-reduced on ints as well,
+leads), and per position its minimal syzygy signatures in
+move-to-front order, so a divisor once found is tried first.  The
+finished basis is minimalized and tail-reduced on ints as well,
 and only then goes back to monic Fraction or GFElement coefficients
 and exponent tuples.  A ``GroebnerBasis`` packs its elements once,
 when it is made, for ``normal_form``, which packs them wider for one
@@ -245,8 +245,8 @@ class GroebnerBasis:
         return f"GroebnerBasis[{self.order}]{{{inside}}}"
 
 
-def _nf_terms(terms, reducers, packing, modulus=None, firsts=None, bound=None):
-    return kernel.normal_form(terms, reducers, packing, modulus, firsts, bound)
+def _nf_terms(terms, reducers, packing, modulus=None, memo=None, bound=None):
+    return kernel.normal_form(terms, reducers, packing, modulus, memo, bound)
 
 
 def buchberger(
@@ -361,9 +361,6 @@ def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None)
     # while every element stays a reducer in its list position
     active: list[int] = []
     pending: list[tuple] = []  # heap of (key, i, j, lcm, sugar)
-    # the first-divisor memo of ``kernel.normal_form`` on ``reducers``;
-    # it maps monomials to reducer tuples, so a replacement clears it
-    firsts: dict = {}
     reducing = False  # whether the tails are kept reduced yet
 
     def push(terms: dict, sugar: int):
@@ -386,7 +383,6 @@ def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None)
         terms = kernel.normalized(terms, key, modulus)
         basis_terms[k] = terms
         reducers[k] = kernel.reducer(key, terms)
-        firsts.clear()
 
     def keep_tails_reduced():
         """Reduce the tails that the last push made reducible, or all of
@@ -415,7 +411,7 @@ def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None)
         taken += 1
         _check_pairs(taken, budget)
         s = kernel.s_poly(reducers[i], reducers[j], pack(leads[i][0], lcm_exp), guard, modulus)
-        nf = _nf_terms(s, reducers, layout, modulus, firsts)
+        nf = _nf_terms(s, reducers, layout, modulus)
         if not nf:
             continue
         push(nf, sugar)
@@ -448,14 +444,10 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
     key(lt), the int ``both`` from which one fieldwise max gives the
     packed lcm of two leads, and the mask of the variables in its lead.
     Leads whose masks share no bit are coprime: their J-pair is their
-    Koszul syzygy, and no lcm is formed.  ``hints`` holds, per
-    position, the last syzygy u learned or found dividing a candidate
-    (a Koszul signature to insert or a popped signature) by a scan of
-    ``syzygies``; each test tries it before the scan.  A hint may since
-    have left the minimal set, but only because a newer u divides it,
-    so it stays a multiple of some kept u and divides only signatures
-    that the scan would also find divisible: every discard, insert and
-    reduction is the one that the scan alone makes.
+    Koszul syzygy, and no lcm is formed.  Each list in ``syzygies`` is
+    kept move-to-front: a divisor found by a scan, and a newly learned
+    u, go to index 0; the order changes how long a scan runs, not what
+    it finds.
 
     A degree ``stop`` truncates the basis of homogeneous ``gens``: the
     loop ends, with no pair counted, at the first signature of degree
@@ -491,10 +483,6 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
     elements: list[tuple] = []
     found: list[list] = [[] for _ in gens]  # per position: (u, element)
     syzygies: list[list] = [[] for _ in gens]  # per position: minimal u
-    # per position: the last syzygy u learned or found dividing a
-    # candidate by a scan; the guard bit of the lowest field, the first
-    # hint, divides no monomial
-    hints = [guard & -guard] * len(gens)
     # the heap of signatures to look at, and for each the latest element
     # with a J-pair there (any value for the e_i of a generator)
     heap = [d << lift | i << width for i, (_, d) in enumerate(gens)]
@@ -503,24 +491,21 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
     divisors: dict = {}  # the divisor memo of ``kernel.normal_form``
 
     def divided(u: int, pos: int) -> bool:
-        """Whether a known syzygy signature of ``pos`` divides u*e_pos:
-        its hint, or else the first divisor in its set, which becomes
-        the hint."""
-        if not (u - hints[pos]) & guard:
-            return True
-        for v in syzygies[pos]:
+        """Whether a known syzygy signature of ``pos`` divides u*e_pos;
+        the divisor found moves to the front of its list."""
+        known = syzygies[pos]
+        for i, v in enumerate(known):
             if not (u - v) & guard:
-                hints[pos] = v
+                if i:
+                    known.insert(0, known.pop(i))
                 return True
         return False
 
     def syzygy(u: int, pos: int):
         """Add u*e_pos, which no known syzygy signature divides, to the
-        minimal set of its position, and make it the hint."""
+        front of the minimal list of its position."""
         known = syzygies[pos]
-        known[:] = [v for v in known if (v - u) & guard]
-        known.append(u)
-        hints[pos] = u
+        known[:] = [u] + [v for v in known if (v - u) & guard]
 
     taken = 0
     while heap:
@@ -566,13 +551,14 @@ def _signature_loop(gens, packing, modulus, budget: Budget, stop=None):
             if koszul & guard:
                 raise OverflowError("signature outgrew the packed field width")
             v, p = koszul & low, koszul >> width & places
-            if (v - hints[p]) & guard:
-                for w in syzygies[p]:
-                    if not (v - w) & guard:
-                        hints[p] = w
-                        break
-                else:
-                    syzygy(v, p)
+            known = syzygies[p]
+            for i, w in enumerate(known):
+                if not (v - w) & guard:
+                    if i:
+                        known.insert(0, known.pop(i))
+                    break
+            else:
+                syzygy(v, p)
             if not mask & mj:
                 continue  # coprime leads: the J-pair is the Koszul syzygy
             # fieldwise max: the guard bit of (bj | guards) - both is set

@@ -26,16 +26,14 @@ domains: field elements by monic reducers, plain ints mod a prime by
 monic reducers, or plain ints by integer reducers (fraction-free
 pseudo-division, used for Groebner bases over Q).  Mod p the tail
 updates leave their sums unreduced, and a coefficient is reduced only
-when it leads.  A memo of each monomial's first divisor spares the lead
-tests already made.  It lasts one call unless the caller owns it across
-calls on one reducer list, as the S-pair loops (``groebner._basis_loop``
-and ``groebner._signature_loop``) and ``modules._relations`` do; its
-owner clears it whenever a reducer of that list is replaced, since it
-holds reducer tuples, and the Gebauer-Moeller loop over Q replaces an
-element each time it reduces that element's tail.  A ``GroebnerBasis``
-owns none.  For the signature loop a signature bound makes the
-division regular: element g may cancel monomial m only when (m / lt g)
-times the signature of g lies below the signature of the polynomial.
+when it leads.  Each step of a plain division scans the reducers from
+the first for a lead that divides the monomial; nothing is kept between
+calls.  For the
+signature loop (``groebner._signature_loop``) a signature bound makes
+the division regular: element g may cancel monomial m only when
+(m / lt g) times the signature of g lies below the signature of the
+polynomial.  Such a division collects every divisor of a monomial, not
+the first, and the loop keeps these lists across its calls in a memo.
 The S-pair loops use the int conversions around
 it (``field_modulus``, ``to_ints``, ``normalized``, ``from_ints``), and
 the Gebauer-Moeller loop the S-polynomial ``s_poly``.
@@ -325,7 +323,7 @@ def s_poly(ri, rj, lcm_key: int, guard: int, modulus: int | None) -> dict:
     return s
 
 
-def normal_form(terms, reducers, packing, modulus=None, firsts=None, bound=None):
+def normal_form(terms, reducers, packing, modulus=None, memo=None, bound=None):
     """Remainder of packed ``terms`` under full multivariate division.
 
     ``reducers`` is a sequence of ``reducer(lead, terms)`` tuples packed
@@ -347,13 +345,6 @@ def normal_form(terms, reducers, packing, modulus=None, firsts=None, bound=None)
       ``CONTENT_EVERY`` scalings, so the result is a nonzero integer
       multiple of the remainder over Q.
 
-    ``firsts`` is an optional memo of the divisor scan, owned by the
-    caller and valid for one reducer sequence that only grows by
-    appending.  It maps a packed monomial to the first reducer (the tuple
-    itself) whose lead divides it, or to the int n when none of the
-    first n reducers does; the scan then resumes at n, so the reducer
-    used is always the one the plain scan picks.
-
     ``bound`` makes the division regular for the signature S-pair loop
     (``groebner._signature_loop``): a triple ``(sigma, top, lift)`` of
     the signature of ``terms`` and the layout of signature ints.  The
@@ -365,22 +356,23 @@ def normal_form(terms, reducers, packing, modulus=None, firsts=None, bound=None)
     is used; tails are reduced the same way.  When the first monomial
     that stays has a divisor with ``rho + key(m) == sigma`` the remainder
     is singular (super top-reducible), and the result is None instead.
-    With a bound the memo maps a monomial to (n, the reducers among the
-    first n whose leads divide it), which serves every bound; one memo
-    serves calls with a bound or calls without, never both.  Without a
-    bound the call makes exactly the reductions of the plain division.
+    ``memo`` is the divisor memo of such calls, owned by the caller and
+    valid for one reducer sequence that only grows by appending: it maps
+    a monomial to (n, the reducers among the first n whose leads divide
+    it), which serves every bound, and a call extends it past n.  Without
+    a bound the memo is not used.
 
     Raises OverflowError when a product outgrows the packing's fields.
     """
     work = dict(terms)
     if not work or not reducers:
         return work
-    if firsts is None:
-        firsts = {}
     if bound is not None:
         sigma, top, lift = bound
+        n = len(reducers)
+        if memo is None:
+            memo = {}
     guard = packing.guard
-    n = len(reducers)
     out = {}
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -396,10 +388,10 @@ def normal_form(terms, reducers, packing, modulus=None, firsts=None, bound=None)
             if not c:
                 continue
         if bound is not None:
-            seen, divisors = firsts.get(m, (0, ()))
+            seen, divisors = memo.get(m, (0, ()))
             if seen < n:
                 divisors += tuple(r for r in reducers[seen:] if not (m - r[0]) & guard)
-                firsts[m] = n, divisors
+                memo[m] = n, divisors
             ceiling = sigma - m - (m >> top << lift)
             for r in divisors:
                 if r[3] < ceiling:
@@ -410,16 +402,12 @@ def normal_form(terms, reducers, packing, modulus=None, firsts=None, bound=None)
                 out[m] = c
                 continue
         else:
-            r = firsts.get(m, 0)
-            if type(r) is int:
-                for r in reducers[r:] if r else reducers:
-                    if not (m - r[0]) & guard:
-                        firsts[m] = r
-                        break
-                else:
-                    firsts[m] = n
-                    out[m] = c
-                    continue
+            for r in reducers:
+                if not (m - r[0]) & guard:
+                    break
+            else:
+                out[m] = c
+                continue
         lead, lc, tail = r[0], r[1], r[2]
         if lc != 1:
             g = gcd(c, lc)

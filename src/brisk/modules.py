@@ -267,9 +267,8 @@ def _canonical(elems, modulus: int | None) -> list[dict]:
 def _relations(elems, reducers, layout: Layout, modulus, what: str) -> list[dict]:
     """The relation terms left when ``elems`` reduce to zero."""
     out = []
-    firsts: dict = {}
     for elem in elems:
-        nf = kernel.normal_form(elem, reducers, layout, modulus, firsts)
+        nf = kernel.normal_form(elem, reducers, layout, modulus)
         if nf and max(nf) >= layout.flag:
             raise AssertionError(f"{what} did not reduce to zero")
         if nf:

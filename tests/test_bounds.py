@@ -1,6 +1,8 @@
 """Bound formulas: frozen example values, identities, monotonicity."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from oracles import multiplicity_cap
@@ -242,3 +244,16 @@ def test_cusp_mu_zero_values():
     assert cusp_mu_zero(7) == max(3, 5) == 5
     with pytest.raises(ValueError):
         cusp_mu_zero(4)
+
+
+def test_cusp_mu_zero_is_the_float_formula_on_small_p():
+    # below 2^53 the float quotient and its ceiling are exact
+    for p in range(3, 2001, 2):
+        assert cusp_mu_zero(p) == max((p - 1) // 2, math.ceil((p - 3) * (p - 1) / (p - 2)))
+
+
+def test_cusp_mu_zero_is_exact_above_float_precision():
+    # (p-3)(p-1) = (p-2)^2 - 1, so the ceiling is p - 2; a float
+    # quotient rounds 2^61 - 3 - 1/(2^61 - 3) up to 2^61
+    p = 2**61 - 1
+    assert cusp_mu_zero(p) == math.ceil(Fraction((p - 3) * (p - 1), p - 2)) == 2**61 - 3

@@ -326,7 +326,7 @@ class TestEdgeCases:
             got = list(pool.map(G.normal_form, polys))
         assert got == want
 
-    def test_concurrent_normal_forms_fill_one_memo(self):
+    def test_concurrent_normal_forms_on_one_fresh_basis(self):
         # threads that divide by one fresh basis at once, with a short
         # switch interval, get the answers of a separate basis per
         # polynomial: the basis holds no state that the calls change
@@ -556,9 +556,9 @@ class TestInterreducedLoop:
         calls that do not come through ``_nf_terms``."""
         fn, counts = kernel.normal_form, [0]
 
-        def counted(terms, reducers, packing, modulus=None, firsts=None, bound=None):
+        def counted(*args, **kwargs):
             counts[0] += 1
-            return fn(terms, reducers, packing, modulus, firsts, bound)
+            return fn(*args, **kwargs)
 
         monkeypatch.setattr(kernel, "normal_form", counted)
         reductions = spy(monkeypatch, groebner, "_nf_terms")
@@ -601,11 +601,16 @@ class TestInterreducedLoop:
         ideal = katsura(2)
         assert as_sets(buchberger(ideal)) == reference_basis(ideal.gens, grevlex())
 
-    def test_katsura4_matches_its_recorded_digest(self):
+    def test_katsura4_matches_its_recorded_digest(self, monkeypatch):
         # reference_basis takes minutes here
+        reductions = spy(monkeypatch, groebner, "_nf_terms")
         G = buchberger(katsura(4))
         text = "\n".join(str(g) for g in G).encode()
         assert (len(G), hashlib.sha256(text).hexdigest()) == KATSURA4
+        # 30 pairs taken (test_pairs_taken_on_real_ideals), each reduced
+        # once through _nf_terms, and one tail reduction per element of the
+        # reduced basis; the loop's tail reductions bypass _nf_terms
+        assert len(reductions) == 30 + len(G)
 
     @pytest.mark.parametrize(
         "gens",
@@ -634,30 +639,6 @@ class TestInterreducedLoop:
         gens = [R.parse(g) for g in gens]
         assert as_sets(buchberger(Ideal(R, gens))) == reference_basis(gens, grevlex())
 
-    def test_memo_never_holds_a_replaced_reducer(self, monkeypatch):
-        # the loop's memo maps monomials to reducer tuples; each tuple it
-        # hands to a call must still be in the reducer list
-        fn = kernel.normal_form
-        calls = {"memo": 0, "fresh": 0}
-
-        def checked(terms, reducers, packing, modulus=None, firsts=None, bound=None):
-            if firsts is None:
-                calls["fresh"] += 1
-            else:
-                calls["memo"] += 1
-                live = {id(r) for r in reducers}
-                assert all(id(r) in live for r in firsts.values() if type(r) is tuple)
-            return fn(terms, reducers, packing, modulus, firsts, bound)
-
-        monkeypatch.setattr(kernel, "normal_form", checked)
-        reductions = spy(monkeypatch, groebner, "_nf_terms")
-        G = buchberger(katsura(4))
-        # 30 pairs taken (test_pairs_taken_on_real_ideals), each reduced
-        # once through _nf_terms, and one tail reduction per element of the
-        # reduced basis; the loop's tail reductions bypass _nf_terms
-        assert len(reductions) == 30 + len(G)
-        assert calls["memo"] == 30 and calls["fresh"] > len(G)
-
 
 @pytest.mark.usefixtures("gebauer_moeller")
 def test_gf_path_makes_the_recorded_normal_forms(monkeypatch):
@@ -665,11 +646,11 @@ def test_gf_path_makes_the_recorded_normal_forms(monkeypatch):
     digest, calls = hashlib.sha256(), [0]
     fn = kernel.normal_form
 
-    def recorded(terms, reducers, packing, modulus=None, firsts=None, bound=None):
+    def recorded(terms, reducers, packing, modulus=None, *args, **kwargs):
         calls[0] += 1
         key = (sorted(terms.items()), tuple(reducers), packing.bits if packing else None, modulus)
         digest.update(repr(key).encode())
-        return fn(terms, reducers, packing, modulus, firsts, bound)
+        return fn(terms, reducers, packing, modulus, *args, **kwargs)
 
     monkeypatch.setattr(kernel, "normal_form", recorded)
     buchberger(cyclic(5, GF(32003)))

@@ -4,8 +4,10 @@ guard-bit divisor test against exponent tuples, and the normal
 form in its three coefficient domains: packed division against a tuple
 division, fraction-free pseudo-division over Z against the Fraction
 remainder, and ints mod p, with residues reduced only when they lead,
-against GFElement.  A first-divisor memo shared across calls, while
-reducers are appended, gives the remainders of calls without it."""
+against GFElement.  With a signature bound, a divisor memo shared
+across calls, while reducers are appended, gives the remainders of calls
+with a fresh one, and a remainder that leads with a divisor at the bound
+is singular; without a bound the division is the plain one."""
 
 import random
 from fractions import Fraction
@@ -331,46 +333,102 @@ def test_lazy_residues_equal_the_gfelement_remainder(p):
         assert as_gf(got) == kernel.normal_form(as_gf(f), gf_reds, pk)
 
 
-# ------------------------------------------------------ first-divisor memo
+# ------------------------------------------------------- signature bound
 
 
-def test_memo_resumes_the_scan_after_reducers_are_appended():
-    # x*y has no divisor among [y^2 - x]; x - z, appended later, divides it
-    order = grevlex()
-    pk = kernel.packing(order, 3, kernel.MIN_BITS)
-    xy, yz = pk.pack((1, 1, 0)), pk.pack((0, 1, 1))
-    reducers = packed_reducers([((0, 2, 0), {(0, 2, 0): 1, (1, 0, 0): -1})], pk)
-    firsts = {}
-    assert kernel.normal_form({xy: 5}, reducers, pk, None, firsts) == {xy: 5}
-    assert firsts[xy] == 1  # none among the first reducer
-    reducers += packed_reducers([((1, 0, 0), {(1, 0, 0): 1, (0, 0, 1): -1})], pk)
-    assert kernel.normal_form({xy: 5}, reducers, pk, None, firsts) == {yz: 5}
-    assert firsts[xy] is reducers[1]
+def signature_layout(pk, positions=2):
+    """(top, lift) of signature ints over ``pk``, as the signature loop
+    lays them out: u below bit ``width``, the position above it and the
+    degree from bit ``lift``."""
+    width = pk.guard.bit_length()
+    return width - pk.bits, width + positions.bit_length()
+
+
+def signature_key(m, top, lift):
+    """The signature int of monomial m: m with its degree at ``lift``."""
+    return m + (m >> top << lift)
+
+
+def bounded_reducers(reds, pk, sigs, top, lift):
+    """Packed reducers with rho = sig - key(lead) as their fourth entry."""
+    return [r + (sig - signature_key(r[0], top, lift),) for r, sig in zip(packed_reducers(reds, pk), sigs)]
+
+
+def rand_signature(rng, pk, lift, used, max_deg, positions=2):
+    """A signature u*e_i of a random u and position, with a degree field
+    up to two above deg u."""
+    u = rand_exp(rng, len(pk.weights), used, max_deg)
+    width = pk.guard.bit_length()
+    return (sum(u) + rng.randint(0, 2)) << lift | rng.randrange(positions) << width | pk.pack(u)
 
 
 @pytest.mark.parametrize("modulus", [None, P])
-def test_memo_shared_across_calls_gives_the_fresh_remainders(modulus):
-    # one memo for a reducer list that grows by appending, as in the
-    # Buchberger loop: every call gives the remainder of a call without it
+def test_divisor_memo_shared_across_calls_gives_the_fresh_remainders(modulus):
+    # one divisor memo for a reducer list that grows by appending, as in
+    # the signature loop: every call gives the remainder of a call with a
+    # fresh memo, singular (None) ones included
     rng = random.Random(31)
     order = grevlex()
     pk = kernel.packing(order, 3, kernel.MIN_BITS)
+    top, lift = signature_layout(pk)
     used = [0, 1, 2]
     coeff = small_int if modulus is None else (lambda r: r.randrange(P))
-    resumed = 0
+    resumed = singular = 0
     for _ in range(30):
         reds = rand_reducers(rng, 3, used, order, 6, coeff)
         if modulus:
             reds = [(lead, {e: c * pow(t[lead], -1, P) % P for e, c in t.items()}) for lead, t in reds]
         else:
             reds = [(lead, t if t[lead] > 0 else {e: -c for e, c in t.items()}) for lead, t in reds]
+        sigs = [rand_signature(rng, pk, lift, used, 3) for _ in reds]
         reducers = []
-        firsts = {}
-        for r in packed_reducers(reds, pk):
+        memo = {}
+        for r in bounded_reducers(reds, pk, sigs, top, lift):
             reducers.append(r)
             for _ in range(3):
                 f = pk.pack_terms(rand_terms(rng, 3, used, 5, 6, coeff))
-                resumed += sum(type(firsts.get(m)) is int for m in f)
-                want = kernel.normal_form(f, reducers, pk, modulus)
-                assert kernel.normal_form(f, reducers, pk, modulus, firsts) == want
-    assert resumed > 50
+                bound = (rand_signature(rng, pk, lift, used, 5), top, lift)
+                resumed += sum(m in memo and memo[m][0] < len(reducers) for m in f)
+                want = kernel.normal_form(f, reducers, pk, modulus, {}, bound)
+                assert kernel.normal_form(f, reducers, pk, modulus, memo, bound) == want
+                singular += want is None
+    assert resumed > 50 and singular > 0
+
+
+def test_divisor_at_the_bound_makes_a_leading_remainder_singular():
+    # g = x + z with signature e_0 of degree 1: x*y*g has signature y*e_0,
+    # so g may not cancel x*y below the bound y*e_0, and x*y is its lead
+    order = grevlex()
+    pk = kernel.packing(order, 3, kernel.MIN_BITS)
+    top, lift = signature_layout(pk)
+    x, y, z = (pk.pack(e) for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    sig = 1 << lift
+    [g] = bounded_reducers([((1, 0, 0), {(1, 0, 0): 1, (0, 0, 1): 1})], pk, [sig], top, lift)
+    at = lambda t: (sig + signature_key(t, top, lift), top, lift)
+    assert kernel.normal_form({x + y: 3}, [g], pk, None, {}, at(y)) is None
+    # above the bound g reduces x*y to -y*z
+    assert kernel.normal_form({x + y: 3}, [g], pk, None, {}, at(2 * y)) == {y + z: -3}
+    # y^2 comes first and stays, so x*z, kept at its bound, leaves a
+    # remainder that is not singular
+    f = {2 * y: 2, x + z: 5}
+    assert kernel.normal_form(f, [g], pk, None, {}, at(z)) == f
+
+
+def test_call_without_a_bound_is_the_plain_division():
+    # reducers that carry a rho and a memo passed along change nothing
+    # without a bound: the first divisor in sequence order is used
+    rng = random.Random(37)
+    order = grevlex()
+    pk = kernel.packing(order, 4, kernel.MIN_BITS)
+    top, lift = signature_layout(pk)
+    used = [0, 1, 2, 3]
+    for _ in range(40):
+        reds = rand_reducers(rng, 4, used, order, rng.randint(1, 5), small_int)
+        reds = [(lead, monic(lead, t)) for lead, t in reds]
+        sigs = [rand_signature(rng, pk, lift, used, 3) for _ in reds]
+        f = rand_terms(rng, 4, used, 5, 6, lambda r: Fraction(r.randint(-9, 9), r.randint(1, 4)))
+        want = reference_nf(f, [(lead, [(e, c) for e, c in t.items() if e != lead]) for lead, t in reds], order)
+        memo = {}
+        got = kernel.normal_form(pk.pack_terms(f), bounded_reducers(reds, pk, sigs, top, lift), pk, None, memo)
+        assert pk.unpack_terms(got) == want
+        assert not memo
