@@ -179,9 +179,9 @@ def cmd_resolve(args) -> int:
     if args.char is not None:
         ideal = _over_gf(ideal, args.char)
     res = minimal_resolution(ideal, budget)
+    codims = bef_codims(res, budget)  # a budget error must come before any output
     print(betti_table_text(res))
     print(f"regularity: {regularity(res)}")
-    codims = bef_codims(res, budget)
     if codims:
         report = ", ".join(
             f"k={k}: {'inf' if c == float('inf') else int(c)}" for k, c in codims
@@ -198,25 +198,24 @@ def cmd_invariants(args) -> int:
     if _is_instance(text):
         inst_file = parse_instance(text)
         computed = _pipeline_invariants(inst_file, budget, args.char)
-        data = computed["hilbert"]
-        print(f"hilbert numerator: {_poly_in_t(data.numerator)}")
+        # a budget error must come before any output
+        flag = _empty_at_infinity(inst_file, computed, budget) if inst_file.gens else None
+        print(f"hilbert numerator: {_poly_in_t(computed['hilbert'].numerator)}")
         print(f"projective dimension: {computed['dim']}")
         print(f"projective degree: {computed['deg_x']}")
         print(f"regularity: {computed['reg_x']}")
-        if inst_file.gens:
-            flag = _empty_at_infinity(inst_file, computed, budget)
+        if flag is not None:
             print(f"empty at infinity: {'true' if flag else 'false'}")
         return 0
     ideal = _load_homogeneous_ideal(args, budget)
     if args.char is not None:
         ideal = _over_gf(ideal, args.char)
     data = hilbert_data(buchberger(ideal, grevlex(), budget))
+    dim = data.proj_dimension()  # raises on the unit ideal, so before any output
+    degree = data.proj_degree() if data.cone_dim > 0 else "(empty scheme)"
     print(f"hilbert numerator: {_poly_in_t(data.numerator)}")
-    print(f"projective dimension: {data.proj_dimension()}")
-    if data.cone_dim > 0:
-        print(f"projective degree: {data.proj_degree()}")
-    else:
-        print("projective degree: (empty scheme)")
+    print(f"projective dimension: {dim}")
+    print(f"projective degree: {degree}")
     return 0
 
 
@@ -286,12 +285,10 @@ def _bench_rows(args, budget: Budget):
 def _run_bench_row(fam: families.FamilyInstance, budget: Budget, rho_cap: int):
     t0 = time.perf_counter()
     inp = fam.bound_inputs
-    hickel = hickel_bound_i(inp) if inp and inp.mu_zero is not None else None
-    jelonek = jelonek_bound(inp) if inp else None
-    hermann = hermann_bound(inp) if inp else None
-    cap = min(rho_cap, hickel if hickel is not None else rho_cap)
-    if "scan_cap" in fam.params:
-        cap = min(cap, fam.params["scan_cap"])
+    hickel = hickel_bound_i(inp)
+    jelonek = jelonek_bound(inp)
+    hermann = hermann_bound(inp)
+    cap = min(rho_cap, hickel, fam.params.get("scan_cap", rho_cap))
     status: str
     rho_min: int | None = None
     try:
@@ -306,13 +303,10 @@ def _run_bench_row(fam: families.FamilyInstance, budget: Budget, rho_cap: int):
     # The Macaulay bound needs no common zero in P^n.  The family checks
     # infinity; with Phi = 1 only a certificate rules out an affine zero.
     macaulay = None
-    if inp and fam.macaulay_applicable and rho_min is not None:
+    if fam.macaulay_applicable and rho_min is not None:
         macaulay = macaulay_bound(inp).no_zeros_in_pn
     ms = int((time.perf_counter() - t0) * 1000)
-    governing = hickel if hickel is not None else macaulay
-    slack = (
-        governing - rho_min if (rho_min is not None and governing is not None) else None
-    )
+    slack = None if rho_min is None else hickel - rho_min
     params = ";".join(f"{k}={v}" for k, v in sorted(fam.params.items()))
     extras = {}
     if fam.name == "cusp" and fam.branches:
@@ -325,10 +319,10 @@ def _run_bench_row(fam: families.FamilyInstance, budget: Budget, rho_cap: int):
         "family": fam.name,
         "params": params,
         "rho_min": status,
-        "hickel_i": "" if hickel is None else str(hickel),
+        "hickel_i": str(hickel),
         "macaulay": "" if macaulay is None else str(macaulay),
-        "jelonek": "" if jelonek is None else str(jelonek),
-        "hermann": "" if hermann is None else str(hermann),
+        "jelonek": str(jelonek),
+        "hermann": str(hermann),
         "slack": "" if slack is None else str(slack),
         "ms": str(ms),
         "extras": extras,

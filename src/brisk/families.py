@@ -34,7 +34,7 @@ class FamilyInstance:
     name: str
     params: dict
     instance: MembershipInstance
-    bound_inputs: BoundInputs | None
+    bound_inputs: BoundInputs
     macaulay_applicable: bool = False
     branches: tuple[BranchParam, ...] = ()
 

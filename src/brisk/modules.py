@@ -240,14 +240,13 @@ def module_groebner(
 
     Returns normalized elements in the order found.  Inputs without a
     module term are skipped.  The basis comes from the Gebauer-Moeller
-    S-pair loop (``groebner._basis_loop``), without the tail reduction of
-    ideals over Q: the Schreyer frames read these elements as the loop
-    finds them, and the module-basis goldens pin them.  Pairs are taken
-    smallest lcm first (the normal strategy, which completes a
-    homogeneous module degree by degree), and each new element goes
-    through the Gebauer-Moeller update within its position, criteria B_k,
-    M and F.  The coprimality criterion does not hold for modules and is
-    not used.  The sugar of an element is its degree.
+    S-pair loop (``groebner._basis_loop``), which over Q keeps tails
+    reduced as it does for ideals.  Pairs are taken smallest lcm first
+    (the normal strategy, which completes a homogeneous module degree by
+    degree), and each new element goes through the Gebauer-Moeller
+    update within its position, criteria B_k, M and F.  The coprimality
+    criterion does not hold for modules and is not used.  The sugar of an
+    element is its degree.
     """
     gens = [(elem, layout.degree(max(elem))) for elem in inputs if elem]
     key = lambda pos, lcm_exp, sugar: layout.pack(pos, lcm_exp)

@@ -200,6 +200,13 @@ class TestResolve:
         # a cap of 0 is a real cap: the cubic needs S-pairs
         assert main(["resolve", cubic_file, "--budget-pairs", "0"]) == 3
 
+    def test_budget_error_in_the_codimensions_writes_nothing_to_stdout(self, cubic_file, capsys):
+        # 3 S-pairs suffice for the resolution but not for the Ext modules
+        assert main(["resolve", cubic_file, "--budget-pairs", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_pairs" in captured.err
+
     def test_affine_needs_flag(self, cusp_file, capsys):
         assert main(["resolve", cusp_file]) == 2
         assert main(["resolve", cusp_file, "--homogenize-saturate"]) == 0
@@ -271,6 +278,22 @@ class TestInvariants:
         f.write_text("vars: z1, z2\ngenerators:\n  2\ntarget: 1\n")
         assert main(["invariants", str(f)]) == 0
         assert "empty at infinity: true" in capsys.readouterr().out
+
+    def test_unit_ideal_exit_2_writes_nothing_to_stdout(self, tmp_path, capsys):
+        f = tmp_path / "unit_ideal.txt"
+        f.write_text("vars: x, y\n1\n")
+        assert main(["invariants", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unit ideal: the scheme is not defined" in captured.err
+
+    def test_budget_error_at_infinity_exit_3_writes_nothing_to_stdout(self, kollar_file, capsys):
+        # no S-pair allowed: the invariants of the plane need none, the
+        # emptiness test at infinity does
+        assert main(["invariants", kollar_file, "--budget-pairs", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_pairs" in captured.err
 
 
 class TestCharDividesDenominator:

@@ -1,16 +1,24 @@
 """Packed module monomials (``modules.Layout``) against the tuple keys and
 the divisibility rule of ``oracles``: int order is the module order, the
 guard test is "same position and divides", and tracked relation terms
-sort below every module term and are divisible by none."""
+sort below every module term and are divisible by none.  Then the
+module bases over Q: tails kept reduced once a lead coefficient other
+than 1 appears, and syzygies of generators that span the whole kernel."""
 
 import itertools
 import random
 
 import pytest
+from conftest import twisted_cubic_ideal
 from oracles import base_module_key, module_divides, schreyer_key
+from test_golden import RESOLUTION_CASES, _rnc
 
+from brisk import groebner, kernel, modules
+from brisk.groebner import DEFAULT_BUDGET, buchberger
+from brisk.invariants import hilbert_data
 from brisk.modules import Layout
 from brisk.orders import elim, grevlex, lex
+from brisk.resolution import _coker_numerators, bef_codims, minimal_resolution, syzygies
 
 NVARS = 3
 
@@ -150,3 +158,77 @@ def test_restrict_renumbers_positions_and_move_keeps_the_monomial():
         assert level.unpack(key + u) == (pos, (exp[0] + 1, exp[1], exp[2] + 2))
     with pytest.raises(OverflowError):
         level.move(level.pack(0, (60, 0, 0)), Layout.free(grevlex(), NVARS, 8, (100,)), 0)
+
+
+# ------------------------------------------------------- module bases
+
+
+@pytest.fixture
+def module_bases(monkeypatch):
+    """Each ``modules.module_groebner`` call as (layout, basis, tail
+    reductions), the tail reductions being the ``kernel.normal_form``
+    calls made inside it other than the pair reductions, which go through
+    ``groebner._nf_terms``."""
+    normal_form, module_groebner = kernel.normal_form, modules.module_groebner
+    calls = []
+    tails = {"count": None}  # None outside module_groebner
+
+    def counted(*args, **kwargs):
+        if tails["count"] is not None:
+            tails["count"] += 1
+        return normal_form(*args, **kwargs)
+
+    def basis(inputs, layout, *args, **kwargs):
+        tails["count"] = 0
+        try:
+            out = module_groebner(inputs, layout, *args, **kwargs)
+        finally:
+            count, tails["count"] = tails["count"], None
+        calls.append((layout, out, count))
+        return out
+
+    monkeypatch.setattr(kernel, "normal_form", counted)
+    monkeypatch.setattr(groebner, "_nf_terms", normal_form)
+    monkeypatch.setattr(modules, "module_groebner", basis)
+    return calls
+
+
+def test_module_basis_over_q_keeps_its_tails_reduced(module_bases):
+    # the transposed steps of random5_4 meet lead coefficients other than 1
+    bef_codims(minimal_resolution(RESOLUTION_CASES["random5_4"]))
+    reduced = [(layout, basis) for layout, basis, tails in module_bases if tails]
+    assert reduced
+    for layout, basis in reduced:
+        leads = [max(g) for g in basis]
+        assert any(g[lead] != 1 for g, lead in zip(basis, leads))
+        for i, (g, lead) in enumerate(zip(basis, leads)):
+            others = leads[:i] + leads[i + 1:]
+            if any(not (lead - m) & layout.guard for m in others):
+                continue  # another lead divides this one: no longer kept reduced
+            for term in g:
+                if term != lead:
+                    assert all((term - m) & layout.guard for m in others)
+
+
+@pytest.mark.parametrize("ideal", [twisted_cubic_ideal(), _rnc(4)], ids=["twisted_cubic", "rnc4"])
+def test_module_bases_with_unit_leads_take_no_tail_reduction(ideal, module_bases):
+    res = minimal_resolution(ideal)
+    bef_codims(res)
+    res.validate(check_exact=True)
+    syzygies(ideal.gens)
+    assert module_bases
+    assert all(tails == 0 for _, _, tails in module_bases)
+
+
+@pytest.mark.parametrize("name", sorted(RESOLUTION_CASES))
+def test_syzygies_of_generators_span_the_kernel(name):
+    ideal = RESOLUTION_CASES[name]
+    syz = syzygies(ideal.gens)
+    zero = ideal.ring.zero()
+    for col in zip(*syz.matrix):
+        assert sum((f * h for f, h in zip(ideal.gens, col)), zero).is_zero()
+    # the cokernel of the syzygy map is J: HS(J) = HS(S) - HS(S/J)
+    quotient = dict(enumerate(hilbert_data(buchberger(ideal)).numerator))
+    ideal_series = {k: -v for k, v in quotient.items()}
+    ideal_series[0] = ideal_series.get(0, 0) + 1
+    assert _coker_numerators([syz], False, DEFAULT_BUDGET)[0] == {k: v for k, v in ideal_series.items() if v}
