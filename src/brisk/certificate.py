@@ -7,9 +7,13 @@ on an affine variety V, and their power-ideal generalization
 (all monomials up to the degree cap) and solves the resulting linear
 system with ``linalg.solve_sparse``: elimination modulo a prime below
 2^30 (the next prime when one fails), lifted to Q and checked exactly.
-The solver sees only the block of NF(Phi): the rows and columns that
-the rows of NF(Phi) reach through shared columns; every other column's
-cofactor coefficient is 0.
+It builds and solves only the block of NF(Phi): the rows and columns
+that the rows of NF(Phi) reach through shared columns.  The rest of the
+system is homogeneous and shares no row or column with the block, so
+every other column's cofactor coefficient is 0.  The block keeps the
+system's order of rows and columns, and a pivot's Markowitz count, fill
+and ties read only the rows that hold its column, so its pivots, and
+the answer, are those of an elimination of the whole system.
 A solution satisfies every row over Q, and a NotFound answer (None)
 rests on a left-kernel witness checked over Q, so it is a proof of
 infeasibility at that degree, not a heuristic failure.  Every returned
@@ -22,9 +26,22 @@ and each NF(F^I) modulo a Groebner basis of the variety ideal are
 computed once per scan; the column of x^alpha F^I is NF(F^I) shifted by
 the key of alpha, reduced again (``kernel.normal_form``) only when V is
 not the whole space.  Whole coefficients enter the rows as ints.  The
-matrix budget is checked as each column enters: rows and columns only
-grow, so the first column that takes rows x columns past the cap
-refuses the system, and no refused system is built whole.
+block is found by a walk from the rows of NF(Phi).  Over C^N the
+columns that hold row r are the x^alpha F^I with key(alpha) = r - m for
+a term m of NF(F^I), where r - m sets no guard bit (m divides r) and
+deg alpha is at most rho - deg F^I and the cap of I.  On a variety each
+column is reduced once per scan, and the column source indexes the rows
+of each reduced column as it caches it.
+
+The matrix budget caps rows x columns of the whole system, checked as
+if its columns entered one by one in order: rows and columns only grow,
+so the first column that takes rows x columns past the cap refuses the
+system.  The meter reads row keys only.  A row is a term of NF(Phi) or
+a monomial of degree <= rho, so when (|NF(Phi)| + C(n + rho, n)) times
+the number of columns is within the cap nothing is counted; otherwise
+the keys are counted a batch at a time (one per I and degree of alpha
+over C^N, one per column on a variety), and a batch that passes the cap
+is replayed column by column to name the column that refuses.
 
 ``minimal_degree`` picks rho_min exactly, from one Groebner basis over Q
 (``_pick_degree``): homogenize with a new last variable h, and rho_min
@@ -47,7 +64,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from . import kernel
 from .errors import BudgetExceededError
@@ -169,7 +186,9 @@ class _Columns:
     """The columns of a ``minimal_degree`` scan, or of one search, up to
     ``rho_max``, with their basis, caps, packing and packed NF(Phi).  The
     shifts of degree k are made once, from those of degree k - 1 plus
-    ``packing.weights``; columns reduced on a variety are kept."""
+    ``packing.weights``.  On a variety each column is reduced once, and
+    ``holders`` indexes the rows of the reduced columns: a row key maps
+    to the (I, key of alpha) of each one that holds it."""
 
     def __init__(self, inst, rho_max, per_gen_caps, budget):
         self.inst = inst
@@ -180,6 +199,7 @@ class _Columns:
         self.packing, self.reducers = self.gb.reducers(kernel.bits_for(top))
         self.phi = self._pack(nf_phi)
         self.shifts, self.bases, self.reduced = [[0]], {}, {}
+        self.holders = defaultdict(list)
 
     def indices(self):
         """(I, deg F^I) for each multi-index I, lexicographically
@@ -193,14 +213,37 @@ class _Columns:
         degrees = [int(g.degree()) for g in self.inst.gens]
         return [(index, sum(e * d for e, d in zip(index, degrees))) for index in indices]
 
-    def columns(self, rho):
-        """((I, key of alpha), column) for each x^alpha F^I of degree <= rho
-        within the caps, by I then key."""
+    def tops(self, rho):
+        """(I, the largest degree of alpha) for each I whose x^alpha F^I
+        has a column at rho: of degree <= rho and within the cap of I."""
+        out = []
         for index, degree in self.indices():
             top = rho - degree
-            for k in range(min(top, self.caps.get(index, top)) + 1):
+            top = min(top, self.caps.get(index, top))
+            if top >= 0:
+                out.append((index, top))
+        return out
+
+    def columns(self, rho):
+        """((I, key of alpha), column) for each column of the system at
+        rho, by I then key."""
+        for index, top in self.tops(rho):
+            for k in range(top + 1):
                 for shift in self._shifts(k):
                     yield (index, shift), self._column(index, shift)
+
+    def batches(self, tops):
+        """The row keys of each column of the system at ``tops``, in
+        column order and in batches: one per (I, degree of alpha) over
+        C^N, one per column on a variety, reduced as it is read."""
+        for index, top in tops:
+            for k in range(top + 1):
+                if self.reducers:
+                    for shift in self._shifts(k):
+                        yield [self._column(index, shift)]
+                else:
+                    base = self.base(index)
+                    yield [[m + shift for m in base] for shift in self._shifts(k)]
 
     def base(self, index):
         """NF(F^I), packed."""
@@ -227,7 +270,94 @@ class _Columns:
             if self.reducers:
                 col = kernel.normal_form(col, self.reducers, self.packing)
                 self.reduced[index, shift] = col
+                for k in col:
+                    self.holders[k].append((index, shift))
         return col
+
+
+def _meter(source: _Columns, rho, tops, cap):
+    """Refuse the system at ``tops`` when its rows x columns pass
+    ``cap``, naming the first column, in column order, that takes them
+    past it.  Every column has degree <= rho, so a row is a term of
+    NF(Phi) or a monomial of degree <= rho; when that bound times the
+    number of columns is within the cap nothing is counted.  Otherwise
+    the row keys are counted a batch at a time, and a batch that passes
+    the cap is replayed column by column."""
+    n = source.inst.ring.nvars
+    ncols = sum(comb(n + top, n) for _, top in tops)
+    if (len(source.phi) + comb(n + rho, n)) * ncols <= cap:
+        return
+    rows, ncols = set(source.phi), 0
+    for batch in source.batches(tops):
+        new = {k for keys in batch for k in keys if k not in rows}
+        if (len(rows) + len(new)) * (ncols + len(batch)) > cap:
+            # rows and columns only grow: the first excess refuses the system
+            for keys in batch:
+                rows.update(keys)
+                ncols += 1
+                if len(rows) * ncols > cap:
+                    raise BudgetExceededError(
+                        f"budget exhausted: the linear system at rho = {rho} reaches "
+                        f"{len(rows)}x{ncols}, over {cap} entries "
+                        "(raise max_matrix_entries / --budget-matrix)"
+                    )
+        rows |= new
+        ncols += len(batch)
+
+
+def _reach(source: _Columns, rho, tops):
+    """(labels, rows) of the block of NF(Phi) in the system at ``tops``:
+    the columns and rows that the rows of NF(Phi) reach through shared
+    columns.  ``labels`` holds the (I, key of alpha) of its columns, by I
+    then key, and ``rows`` maps each of its row keys, descending, to
+    {column position: coefficient}.
+
+    Over C^N column x^alpha F^I holds the rows key(alpha) + m for the
+    terms m of NF(F^I), so the columns that hold row r are the r - m
+    that are monomials (no guard bit set) of degree at most the top of
+    I.  On a variety every column of the system is reduced first, and
+    ``holders`` names the columns that hold r."""
+    guard = source.packing.guard
+    # a packed key shifted down by this is its degree, grevlex's top field
+    field = guard.bit_length() - source.packing.bits
+    if source.reducers:
+        for _ in source.columns(rho):
+            pass  # every column of the system reduced and indexed
+        at = {index: (pos, top) for pos, (index, top) in enumerate(tops)}
+
+        def holding(r):
+            for index, shift in source.holders.get(r, ()):
+                if index in at and shift >> field <= at[index][1]:
+                    yield at[index][0], shift
+    else:
+        terms = [
+            [(m, m >> field) for m in source.base(index)] for index, _ in tops
+        ]
+
+        def holding(r):
+            d = r >> field
+            for pos, (_, top) in enumerate(tops):
+                for m, dm in terms[pos]:
+                    if d - dm <= top and not (r - m) & guard:
+                        yield pos, r - m
+
+    reached = dict.fromkeys(source.phi)
+    todo = list(reached)
+    cols = {}  # (position of I, key of alpha) -> column
+    while todo:
+        for label in holding(todo.pop()):
+            if label not in cols:
+                col = cols[label] = source._column(tops[label[0]][0], label[1])
+                for k in col:
+                    if k not in reached:
+                        reached[k] = None
+                        todo.append(k)
+    labels = sorted(cols)
+    rows: dict[int, dict[int, Fraction | int]] = {k: {} for k in sorted(reached, reverse=True)}
+    for ci, label in enumerate(labels):
+        for k, c in cols[label].items():
+            rows[k][ci] = c
+    return [(tops[pos][0], shift) for pos, shift in labels], rows
 
 
 def search_at_degree(
@@ -248,28 +378,13 @@ def search_at_degree(
             raise AssertionError("zero certificate failed to verify")
         return replace(cert, verified=True)
 
-    # rows[key][column] = coefficient; a row for each term of NF(Phi)
-    labels: list[tuple[tuple[int, ...], int]] = []  # (I, key of alpha)
-    rows: dict[int, dict[int, Fraction | int]] = defaultdict(dict, {k: {} for k in source.phi})
-    cap = budget.max_matrix_entries
-    for ci, (label, col) in enumerate(source.columns(rho)):
-        labels.append(label)
-        for k, c in col.items():
-            rows[k][ci] = c
-        # rows and columns only grow: the first excess refuses the system
-        if len(rows) * len(labels) > cap:
-            raise BudgetExceededError(
-                f"budget exhausted: the linear system at rho = {rho} reaches "
-                f"{len(rows)}x{len(labels)}, over {cap} entries "
-                "(raise max_matrix_entries / --budget-matrix)"
-            )
-    if not labels:
+    tops = source.tops(rho)
+    if not tops:
         return None  # no admissible cofactor
-    row_keys = sorted(rows, reverse=True)
+    _meter(source, rho, tops, budget.max_matrix_entries)
+    labels, rows = _reach(source, rho, tops)
     solution = solve_sparse(
-        [rows[k] for k in row_keys],
-        [source.phi.get(k, 0) for k in row_keys],
-        len(labels),
+        list(rows.values()), [source.phi.get(k, 0) for k in rows], len(labels)
     )
     if solution is None:
         return None

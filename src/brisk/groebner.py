@@ -312,10 +312,11 @@ def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None)
     lead coefficient other than 1, among the generators or at a later
     push, each element whose lead no later lead divides (those in
     ``active``) has its tail reduced by every element whose lead does not
-    divide its own; each later push does the same for every such element
-    whose tail holds a multiple of the new lead.  An element is replaced
-    in place, with its lead and position, so the pair criteria see the
-    same leads.  The result is still a Groebner basis:
+    divide its own, when its tail holds a multiple of one of their leads;
+    each later push does the same for every such element whose tail holds
+    a multiple of the new lead.  An element is replaced in place, with
+    its lead and position, so the pair criteria see the same leads.  The
+    result is still a Groebner basis:
 
     - Every element is a generator, the remainder of an S-polynomial of
       earlier ones, or such an element minus multiples of others, so it
@@ -399,7 +400,14 @@ def _basis_loop(gens, layout, modulus, budget: Budget, stop=None, pair_key=None)
         elif any(r[1] != 1 for r in reducers):
             reducing = True
             for k in active:
-                reduce_tail(k)
+                # only a tail that holds a multiple of another lead changes
+                key, _, tail = reducers[k]
+                if any(
+                    not (e - r[0]) & guard and (key - r[0]) & guard
+                    for e, _ in tail
+                    for r in reducers
+                ):
+                    reduce_tail(k)
 
     for terms, sugar in gens:
         push(terms, sugar)

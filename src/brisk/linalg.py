@@ -1,6 +1,7 @@
 """Sparse linear algebra over Q: one solution of A x = b or a proof that
-there is none.  The solver takes any system it is given; a caller that
-caps the size of its systems meters them while it builds them.
+there is none.  The solver eliminates every row and column it is given;
+a caller that wants only part of a system, or caps the size of its
+systems, builds only that part and meters it while it builds it.
 
 Rows are dicts {column index: coefficient}; the coefficients, and the
 right-hand sides, may be ints or Fractions.  ``_integerize`` scales each
@@ -12,18 +13,6 @@ row before it changes it.
 ``solve_sparse`` eliminates A' modulo a prime p, lifts the answer to Q,
 and checks it exactly before it returns it.
 
-- **Block.**  Before ``_integerize``, ``_block`` keeps the rows and
-  columns that the rows with a nonzero right-hand side reach in the
-  row-column graph, in their original order, and renumbers the columns
-  0..k-1; only that block is integerized and solved.  The rest of the
-  system is homogeneous and shares no row or column with the block, so
-  the solution and the witness are 0 there.  The answer is the whole
-  system's: a pivot's Markowitz count, fill and ties read only the rows
-  that hold its column, and the renumbering keeps the lowest-index
-  ties, so the block's pivots are those the whole elimination picks; B
-  is block-diagonal, so the lifting digits, the reconstruction, the bad
-  row and lambda are the same.  A system that is one block pays only
-  the O(nnz) search.
 - **Pivots.**  Markowitz's rule in its simplest form: the next pivot
   column is one held by the fewest live (not yet pivot) rows, lowest
   index first; within it the pivot row is the shortest, lowest index
@@ -67,24 +56,21 @@ and checks it exactly before it returns it.
   the denominator of B^-1 b' are at most N, N^2 = prod_k (|A'_k|^2 +
   b'_k^2) over the pivot rows (for lambda, N^2 = |a|^2 prod_k |A'_k|^2),
   and the reconstruction is unique once p^k > 2 N^2.  Lifting stops
-  there.  The bound is the block's, at most the whole system's; past
-  it the reconstruction only repeats the candidate already checked.
-- **Primes.**  A prime fails when it divides an entry of the block,
-  when lifting passes the bound without a checked answer, or when the
-  exact solution of the pivot block fails the check.  The solve then
+  there; past it the reconstruction only repeats the candidate already
+  checked.
+- **Primes.**  A prime fails when it divides an entry of A', when
+  lifting passes the bound without a checked answer, or when the exact
+  solution of the pivot block fails the check.  The solve then
   starts again with the next prime of one fixed sequence: P = 2^30 -
   35, the largest prime below 2^30, then the primes below it in
   descending order.  Below 2^30 every residue is one CPython digit, so
   the elimination's products and remainders take the interpreter's
   single-digit fast paths.  A prime that divides no nonzero entry or
-  minor of the block's [A' | b'] sees the zero patterns, and so the
-  pivots, of the elimination over Q; its lifted answer is exact and
+  minor of [A' | b'] sees the zero patterns, and so the pivots, of the
+  elimination over Q; its lifted answer is exact and
   passes the check, and a Found answer is the solution of the
   elimination over Q.  Only finitely many primes divide one of those
   finitely many nonzero integers, so the sequence reaches an answer.
-  An entry off the block that a prime divides does not fail the prime:
-  that is the one way the primes tried differ from a solve of the whole
-  system.
 """
 
 from __future__ import annotations
@@ -135,50 +121,6 @@ def _integerize(row: dict[int, Fraction | int], rhs: Fraction | int):
     return irow, irhs
 
 
-def _check_lengths(rows, rhs) -> None:
-    if len(rows) != len(rhs):
-        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-
-
-def _block(rows, rhs, ncols):
-    """(row indices, column indices, rows on the block) for the block of
-    A x = b: the rows and columns that the rows with a nonzero right-hand
-    side reach in the row-column graph, both in their original order, and
-    those rows with their columns renumbered 0..k-1 in that order.  Off
-    the block the system is homogeneous and shares no row or column with
-    it, so there x = 0 and y = 0."""
-    holders: list[list[int]] = [[] for _ in range(ncols)]
-    for ri, row in enumerate(rows):
-        for c in row:
-            holders[c].append(ri)
-    reached = [bool(b) for b in rhs]
-    todo = [ri for ri, b in enumerate(reached) if b]
-    seen = bytearray(ncols)
-    while todo:
-        for c in rows[todo.pop()]:
-            if not seen[c]:
-                seen[c] = 1
-                for ri in holders[c]:
-                    if not reached[ri]:
-                        reached[ri] = True
-                        todo.append(ri)
-    ris = [ri for ri, r in enumerate(reached) if r]
-    cols = [c for c, s in enumerate(seen) if s]
-    if len(cols) == ncols:  # one block: the columns keep their numbers
-        return ris, cols, [rows[ri] for ri in ris]
-    index = dict(zip(cols, range(len(cols))))
-    return ris, cols, [{index[c]: v for c, v in rows[ri].items()} for ri in ris]
-
-
-def _solve_block(rows, rhs, ncols):
-    """``_block``'s row and column indices, the block's integer rows, and
-    ``_solve``'s answer for them."""
-    _check_lengths(rows, rhs)
-    ris, cols, brows = _block(rows, rhs, ncols)
-    irows = [_integerize(row, rhs[ri]) for ri, row in zip(ris, brows)]
-    return ris, cols, irows, _solve(irows, len(cols), _primes())
-
-
 def solve_sparse(
     rows: list[dict[int, Fraction | int]],
     rhs: list[Fraction | int],
@@ -188,22 +130,14 @@ def solve_sparse(
     when the system is infeasible.  The entries of ``rows`` and ``rhs``
     may be ints or Fractions; the solution holds Fractions.
 
-    Only the block that the nonzero right-hand sides reach is solved; the
-    solution is 0 off it.  The block is eliminated modulo a prime and the
-    answer lifted to Q (see the module docstring).  A solution has passed
-    A' x = b' on every row of the block, and every other row holds only
-    columns where x = 0 and has right-hand side 0; a None has passed
-    y^T A' = 0 and y^T b' != 0 for a witness y, which
-    ``infeasibility_witness`` returns.  A length mismatch between
+    The system is eliminated modulo a prime and the answer lifted to Q
+    (see the module docstring).  A solution has passed A' x = b' on every
+    row; a None has passed y^T A' = 0 and y^T b' != 0 for a witness y,
+    which ``infeasibility_witness`` returns.  A length mismatch between
     ``rows`` and ``rhs`` is a ValueError.
     """
-    _, cols, _, (feasible, value) = _solve_block(rows, rhs, ncols)
-    if not feasible:
-        return None
-    solution = [Fraction(0)] * ncols
-    for c, v in zip(cols, value):
-        solution[c] = v
-    return solution
+    _, (feasible, value) = _solve_rows(rows, rhs, ncols)
+    return value if feasible else None
 
 
 def infeasibility_witness(
@@ -212,21 +146,28 @@ def infeasibility_witness(
     """A y with y^T A = 0 and y^T b != 0 on the given rows, which proves
     that A x = b has no solution, or None when it has one.
 
-    The witness is the checked one that ``solve_sparse`` finds on the
-    block, scaled back from the integer rows to these; it is 0 off the
-    block.
+    The witness is the checked one that ``solve_sparse`` finds, scaled
+    back from the integer rows to these.
     """
-    ris, cols, irows, (feasible, value) = _solve_block(rows, rhs, ncols)
+    irows, (feasible, value) = _solve_rows(rows, rhs, ncols)
     if feasible:
         return None
     y = [Fraction(0)] * len(rows)
     for r, v in value.items():
         # A'_r = s * A_r, so y'_r A'_r = (y'_r s) A_r
-        (irow, ib), ri = irows[r], ris[r]
+        irow, ib = irows[r]
         c = next(iter(irow), None)
-        s = Fraction(irow[c]) / rows[ri][cols[c]] if c is not None else Fraction(ib) / rhs[ri]
-        y[ri] = v * s
+        s = Fraction(irow[c]) / rows[r][c] if c is not None else Fraction(ib) / rhs[r]
+        y[r] = v * s
     return y
+
+
+def _solve_rows(rows, rhs, ncols):
+    """The integer rows of A x = b and ``_solve``'s answer for them."""
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    irows = [_integerize(row, b) for row, b in zip(rows, rhs)]
+    return irows, _solve(irows, ncols, _primes())
 
 
 def _solve(irows, ncols, primes):

@@ -3,14 +3,17 @@
 Everything here is deliberately written from scratch against the plain
 definitions (dense linear algebra, monomial enumeration, substitution),
 sharing no code path with the package internals it cross-checks.  The
-one exception is ``ascending_minimal_degree``, which reads rho_min off
-the package's exact search at every degree, and so shares the search
-but not the degree pick of ``minimal_degree``.
+exceptions are ``ascending_minimal_degree``, which reads rho_min off the
+package's exact search at every degree, and so shares the search but
+not the degree pick of ``minimal_degree``, and ``whole_system``, which
+reads the columns of a search's column source but builds every row and
+column of the system, with no meter, for ``block`` to walk.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
@@ -526,3 +529,48 @@ def ascending_minimal_degree(inst, rho_max: int):
         if cert is not None:
             return rho, cert
     return None
+
+
+def whole_system(source, rho: int):
+    """(labels, row keys, rows, rhs) of the whole linear system of a
+    certificate search at ``rho`` on the column source ``source``: a
+    column for each (I, key of alpha) of ``source.columns(rho)``, in that
+    order, and a row for each term of NF(Phi) and of every column, keys
+    descending, as {column index: coefficient}."""
+    labels = []
+    rows = defaultdict(dict, {k: {} for k in source.phi})
+    for ci, (label, col) in enumerate(source.columns(rho)):
+        labels.append(label)
+        for k, c in col.items():
+            rows[k][ci] = c
+    keys = sorted(rows, reverse=True)
+    return labels, keys, [rows[k] for k in keys], [source.phi.get(k, 0) for k in keys]
+
+
+def block(rows, rhs, ncols):
+    """(row indices, column indices, rows on the block) for the block of
+    A x = b: the rows and columns that the rows with a nonzero right-hand
+    side reach in the row-column graph, both in their original order, and
+    those rows with their columns renumbered 0..k-1 in that order.  Off
+    the block the system is homogeneous and shares no row or column with
+    it, so a solution of the block padded with 0 solves A x = b, and a
+    witness of the block padded with 0 proves it infeasible."""
+    holders: list[list[int]] = [[] for _ in range(ncols)]
+    for ri, row in enumerate(rows):
+        for c in row:
+            holders[c].append(ri)
+    reached = [bool(b) for b in rhs]
+    todo = [ri for ri, b in enumerate(reached) if b]
+    seen = bytearray(ncols)
+    while todo:
+        for c in rows[todo.pop()]:
+            if not seen[c]:
+                seen[c] = 1
+                for ri in holders[c]:
+                    if not reached[ri]:
+                        reached[ri] = True
+                        todo.append(ri)
+    ris = [ri for ri, r in enumerate(reached) if r]
+    cols = [c for c, s in enumerate(seen) if s]
+    index = dict(zip(cols, range(len(cols))))
+    return ris, cols, [{index[c]: v for c, v in rows[ri].items()} for ri in ris]

@@ -379,15 +379,68 @@ class TestDeferredProof:
     def test_a_refused_system_reads_few_columns(self, monkeypatch):
         # kollar(7, 4, 4) has no certificate up to 40; the system at 40
         # would have 4 * C(37, 4) = 264180 columns, and the meter stops
-        # it when rows x columns first passes the cap
+        # it in the batch where rows x columns first passes the cap
         read = []
-        column = certificate._Columns._column
-        monkeypatch.setattr(
-            certificate._Columns, "_column", lambda self, *a: read.append(a) or column(self, *a)
-        )
+        batches = certificate._Columns.batches
+
+        def counted(self, tops):
+            for batch in batches(self, tops):
+                read.extend(batch)
+                yield batch
+
+        monkeypatch.setattr(certificate._Columns, "batches", counted)
         with pytest.raises(BudgetExceededError, match="at rho = 40"):
             minimal_degree(kollar(7, 4, 4).instance, 40)
-        assert len(read) <= 500
+        assert 0 < len(read) <= 500
+
+
+# search_at_degree's answer to a ladder of matrix caps, recorded before
+# the search built only the block of NF(Phi): the size in the budget
+# message, or the answer when no cap fires.  The meter counts the whole
+# system as if it were built column by column.  At the cap 10^3,
+# kollar423 refuses at column 32, inside the batch of the first I at the
+# monomials of degree 4 (columns 21 to 35)
+LADDER_CASES = {
+    "kollar423": (lambda: kollar(4, 2, 3).instance, 15),
+    "kollar433": (lambda: kollar(4, 3, 3).instance, 64),
+    "cusp5": (lambda: cusp(5).instance, 12),
+}
+LADDER = {
+    "kollar423": {
+        10**3: "33x32", 10**4: "101x100", 10**5: "317x316", 200_000: "470x426",
+        **dict.fromkeys([10**k for k in range(6, 12)], "none"),
+    },
+    "kollar433": {
+        10**3: "33x32", 10**4: "101x100", 10**5: "317x316", 10**6: "1001x1000",
+        10**7: "3163x3162", 10**8: "10001x10000", 10**9: "31624x31623",
+        2 * 10**9: "42380x47193", 5_700_000_000: "47901x118996",
+        10**10: "found", 10**11: "found",
+    },
+    "cusp5": {
+        10**3: "30x35", 2000: "39x53",
+        **dict.fromkeys([10**k for k in range(4, 12)], "none"),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "name, cap", [(name, cap) for name, caps in LADDER.items() for cap in caps]
+)
+def test_matrix_cap_ladder(name, cap):
+    make, rho = LADDER_CASES[name]
+    inst, want = make(), LADDER[name][cap]
+    budget = Budget(max_matrix_entries=cap)
+    if want in ("found", "none"):
+        cert = search_at_degree(inst, rho, budget=budget)
+        assert (cert is not None and cert.verified) == (want == "found")
+        return
+    message = (
+        f"budget exhausted: the linear system at rho = {rho} reaches {want}, "
+        f"over {cap} entries (raise max_matrix_entries / --budget-matrix)"
+    )
+    with pytest.raises(BudgetExceededError) as err:
+        search_at_degree(inst, rho, budget=budget)
+    assert str(err.value) == message
 
 
 def _random_on_a_quadric(seed):

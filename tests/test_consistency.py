@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import dense_solve, markowitz_solve
+from oracles import block, dense_solve, markowitz_solve, whole_system
 
 from brisk import certificate, linalg
 from brisk.certificate import MembershipInstance, minimal_degree, search_at_degree
@@ -19,7 +19,7 @@ from brisk.families import cusp, kollar
 from brisk.groebner import Budget, Ideal, buchberger, eliminate
 from brisk.linalg import P, _primes, infeasibility_witness, solve_sparse
 from brisk.orders import lex
-from brisk.polyring import PolyRing
+from brisk.polyring import MultiPoly, PolyRing
 
 R = PolyRing(("z1", "z2"))
 Z1, Z2 = R.gens()
@@ -310,33 +310,32 @@ class TestPrimeFailures:
             infeasibility_witness(rows, [Fraction(1)], 1)
 
 
-def whole_system_route(rows, rhs, ncols):
-    """(solution, witness) from ``linalg._solve`` on the whole integerized
-    system, the witness scaled back to the caller's rows: the answers of
-    a solver that reads every row and column."""
-    irows = [linalg._integerize(row, b) for row, b in zip(rows, rhs)]
-    feasible, value = linalg._solve(irows, ncols, _primes())
-    if feasible:
-        return value, None
-    y = [Fraction(0)] * len(rows)
-    for r, v in value.items():
-        irow, ib = irows[r]
-        c = next(iter(irow), None)
-        s = Fraction(irow[c]) / rows[r][c] if c is not None else Fraction(ib) / rhs[r]
-        y[r] = v * s
-    return None, y
-
-
 class TestBlock:
-    """Only the rows and columns that the nonzero right-hand sides reach
-    are solved, and the answers are those of the whole system."""
+    """A search solves only the block of NF(Phi): the rows and columns
+    that the rows with a nonzero right-hand side reach.  The oracle walks
+    the whole system for that block, whose answers, padded with 0, are
+    the whole system's."""
 
     @staticmethod
     def _same_as_the_whole_system(rows, rhs, ncols):
-        solution, witness = whole_system_route(rows, rhs, ncols)
-        assert solve_sparse(rows, rhs, ncols) == solution
-        assert infeasibility_witness(rows, rhs, ncols) == witness
-        if witness is not None:
+        ris, cols, brows = block(rows, rhs, ncols)
+        brhs = [rhs[ri] for ri in ris]
+        solution = solve_sparse(rows, rhs, ncols)
+        witness = infeasibility_witness(rows, rhs, ncols)
+        on_block = solve_sparse(brows, brhs, len(cols))
+        assert (on_block is None) == (solution is None)
+        if on_block is not None:
+            padded = [Fraction(0)] * ncols
+            for c, v in zip(cols, on_block):
+                padded[c] = v
+            assert padded == solution
+        y = infeasibility_witness(brows, brhs, len(cols))
+        assert (y is None) == (witness is None)
+        if y is not None:
+            padded = [Fraction(0)] * len(rows)
+            for ri, v in zip(ris, y):
+                padded[ri] = v
+            assert padded == witness
             assert_witness(rows, rhs, ncols, witness)
         return solution
 
@@ -415,49 +414,173 @@ class TestBlock:
         monkeypatch.setattr(linalg, "_solve_modular", spy)
         return sizes
 
-    @staticmethod
-    def _whole_system_search(monkeypatch, inst, rho, **kwargs):
-        with monkeypatch.context() as m:
-            m.setattr(
-                certificate,
-                "solve_sparse",
-                lambda rows, rhs, ncols: whole_system_route(rows, rhs, ncols)[0],
-            )
-            return search_at_degree(inst, rho, **kwargs)
-
     def test_kollar_system_is_solved_on_its_block(self, monkeypatch):
         sizes = self._spy(monkeypatch)
         inst = kollar(3, 3, 3).instance
         budget = Budget(max_matrix_entries=10**9)
-        want = self._whole_system_search(monkeypatch, inst, 27, budget=budget)
+        source = certificate._Columns(inst, 27, None, budget)
+        labels, _, rows, rhs = whole_system(source, 27)
+        want = solve_sparse(rows, rhs, len(labels))
         assert sizes == [(4057, 8775)]
         sizes.clear()
         got = search_at_degree(inst, 27, budget=budget)
         assert sizes == [(22, 31)]
-        assert got.cofactors == want.cofactors and got.verified
+        assert got.cofactors == cofactors_of(inst, source, labels, want) and got.verified
+
+    def test_kollar_533_block_at_its_minimal_degree(self, monkeypatch):
+        # the whole system at rho = 125 is 341371 x 907863
+        sizes = self._spy(monkeypatch)
+        cert = search_at_degree(kollar(5, 3, 3).instance, 125, budget=Budget(max_matrix_entries=10**12))
+        assert sizes == [(81, 131)]
+        assert cert.verified and cert.rho == 125
 
     def test_cusp_row_holding_no_column(self, monkeypatch):
         # NF(Phi) = z1, and every column is a multiple of z2 or of z1^2
         sizes = self._spy(monkeypatch)
         inst = cusp(5).instance
-        systems = []
-        solve = certificate.solve_sparse
-
-        def keep(rows, rhs, ncols):
-            systems.append((rows, rhs, ncols))
-            return solve(rows, rhs, ncols)
-
-        monkeypatch.setattr(certificate, "solve_sparse", keep)
         assert search_at_degree(inst, 6) is None
         assert sizes == [(1, 0)]
-        (rows, rhs, ncols), = systems
+        labels, _, rows, rhs = whole_system(certificate._Columns(inst, 6, None, Budget()), 6)
+        ncols = len(labels)
         assert ncols > 0
         r, = (ri for ri, b in enumerate(rhs) if b)
         assert not rows[r]
         y = infeasibility_witness(rows, rhs, ncols)
         assert y == [Fraction(ri == r) for ri in range(len(rows))]
         assert_witness(rows, rhs, ncols, y)
-        assert y == whole_system_route(rows, rhs, ncols)[1]
+        ris, cols, brows = block(rows, rhs, ncols)
+        assert (ris, cols, brows) == ([r], [], [{}])
+        assert infeasibility_witness(brows, [rhs[r]], 0) == [1]
+
+
+def cofactors_of(inst, source, labels, solution):
+    """The cofactors {I: MultiPoly} that ``solution`` gives the columns
+    ``labels``, or None for no solution."""
+    if solution is None:
+        return None
+    terms: dict = {}
+    for (index, shift), c in zip(labels, solution):
+        if c:
+            terms.setdefault(index, {})[source.packing.unpack(shift)] = c
+    return {index: MultiPoly(inst.ring, t) for index, t in terms.items()}
+
+
+def _random_poly(rng, ring, degree, terms, constant=True):
+    exps = [e for e in ring.exponents_up_to(degree) if constant or any(e)]
+    poly = ring.zero()
+    for e in rng.sample(exps, min(terms, len(exps))):
+        poly = poly + ring.monomial(e, Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+    return poly
+
+
+def _search_cases():
+    """(name, instance, rho, caps): random sparse instances over C^N with
+    Fraction coefficients, per-generator caps and power 2, one whose
+    NF(Phi) has a row no column holds, and instances on the cusp and the
+    twisted cubic."""
+    rng = random.Random(3434)
+    cases = []
+    for k in range(24):
+        ring = PolyRing(tuple(f"z{i}" for i in range(1, rng.randint(2, 3) + 1)))
+        gens = tuple(
+            _random_poly(rng, ring, rng.randint(1, 3), rng.randint(1, 3)) or ring.var(0)
+            for _ in range(rng.randint(1, 3))
+        )
+        power = 2 if k % 4 == 3 else 1
+        if k % 2:
+            phi = _random_poly(rng, ring, 3, 3)
+        else:
+            phi = sum(
+                (g * _random_poly(rng, ring, 2, 2) for g in gens), ring.zero()
+            ) ** power or ring.one()
+        caps = None
+        if k % 3 == 1:
+            caps = {j: rng.randint(0, 3) for j in range(len(gens))} if power == 1 else None
+        inst = MembershipInstance(ring, Ideal(ring, []), gens, phi, power)
+        cases.append((f"random{k}", inst, rng.randint(2, 5 + 2 * power), caps))
+    z1, z2 = R.gens()
+    unheld = MembershipInstance(R, Ideal(R, []), (z1**2, z1 * z2), z1 * z2**2 + z2)
+    cases += [("unheld_row", unheld, rho, None) for rho in (1, 3, 4)]
+    S = PolyRing(("z1",))
+    (s,) = S.gens()
+    line = MembershipInstance(S, Ideal(S, []), (s**2 - 1, s**3), s**4 - s**2 + s**3)
+    cases += [("one_variable", line, rho, None) for rho in (2, 3, 4)]
+    cusp_ideal = cusp(5).instance.variety
+    for rho in (3, 6, 10):
+        cases.append(("cusp5", cusp(5).instance, rho, None))
+        cases.append(("cusp3_caps", cusp(3).instance, rho, {0: 2}))
+        gens = (z1 + z2, z2**2 - 1)
+        inst = MembershipInstance(R, cusp_ideal, gens, gens[0] * z1 + gens[1] * z2**2)
+        cases.append(("cusp5_two_gens", inst, rho, None))
+    T = PolyRing(("z1", "z2", "z3"))
+    t1, t2, t3 = T.gens()
+    cubic = Ideal(T, [t2 - t1**2, t3 - t1**3])
+    for phi in (t1, t2 * t3 + t1 - 1, t1 * t3 - t2**2 + t3):
+        inst = MembershipInstance(T, cubic, (t1 - 1, t2 + t3), phi)
+        cases += [("twisted_cubic", inst, rho, None) for rho in (1, 2, 4)]
+    inst = MembershipInstance(T, cubic, (t1, t3 - 1), t1 * t3 + t2, power=2)
+    cases += [("twisted_cubic_power2", inst, rho, None) for rho in (2, 4)]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "name, inst, rho, caps", _search_cases(), ids=lambda v: v if isinstance(v, str) else ""
+)
+def test_search_builds_the_block_of_the_whole_system(name, inst, rho, caps):
+    # the search's block is the oracle's block of the whole system: same
+    # rows, same columns, same order, and the certificate (or None) that
+    # the whole system gives
+    budget = Budget(max_matrix_entries=10**12)
+    source = certificate._Columns(inst, rho, caps, budget)
+    labels, keys, rows, rhs = whole_system(source, rho)
+    ris, cols, brows = block(rows, rhs, len(labels))
+    tops = source.tops(rho)
+    if not tops:
+        assert not labels
+        assert search_at_degree(inst, rho, caps, budget) is None
+        return
+    got_labels, got_rows = certificate._reach(
+        certificate._Columns(inst, rho, caps, budget), rho, tops
+    )
+    assert got_labels == [labels[c] for c in cols]
+    assert list(got_rows) == [keys[ri] for ri in ris]
+    assert [list(row.items()) for row in got_rows.values()] == [list(row.items()) for row in brows]
+    cert = search_at_degree(inst, rho, caps, budget)
+    want = cofactors_of(inst, source, labels, solve_sparse(rows, rhs, len(labels)))
+    assert (cert and cert.cofactors) == want
+
+
+@pytest.mark.parametrize(
+    "inst, rho, caps",
+    [
+        (kollar(3, 2, 2).instance, 9, None),
+        (kollar(2, 3, 3).instance, 8, {0: 3}),
+        (cusp(5).instance, 12, None),
+        (_search_cases()[-1][1], 4, None),  # power 2 on the twisted cubic
+    ],
+    ids=["kollar322", "kollar233_caps", "cusp5", "twisted_cubic_power2"],
+)
+def test_meter_refuses_at_the_first_column_past_the_cap(inst, rho, caps):
+    # the whole system built column by column: after column c the rows
+    # number sizes[c - 1], and a cap refuses at the first c with
+    # sizes[c - 1] * c over it.  Every cap at and below each such
+    # product is tried, so every batch boundary and every column inside
+    # a batch
+    source = certificate._Columns(inst, rho, caps, Budget())
+    rows, sizes = set(source.phi), []
+    for _, col in source.columns(rho):
+        rows.update(col)
+        sizes.append(len(rows))
+    tops = source.tops(rho)
+    products = [n * c for c, n in enumerate(sizes, 1)]
+    for cap in sorted({p - d for p in products for d in (0, 1)}):
+        c = next((c for c, p in enumerate(products, 1) if p > cap), None)
+        if c is None:
+            certificate._meter(source, rho, tops, cap)
+            continue
+        with pytest.raises(BudgetExceededError) as err:
+            certificate._meter(source, rho, tops, cap)
+        assert f"reaches {sizes[c - 1]}x{c}, over {cap} entries" in str(err.value)
 
 
 @st.composite

@@ -232,3 +232,16 @@ def test_syzygies_of_generators_span_the_kernel(name):
     ideal_series = {k: -v for k, v in quotient.items()}
     ideal_series[0] = ideal_series.get(0, 0) + 1
     assert _coker_numerators([syz], False, DEFAULT_BUDGET)[0] == {k: v for k, v in ideal_series.items() if v}
+
+
+def test_golden_module_bases_reduce_only_reducible_tails(module_bases):
+    # at the first lead coefficient other than 1 only the elements whose
+    # tail holds a multiple of another lead are reduced: 18 over the 20
+    # golden resolution cases, where reducing every element took 48
+    for name in sorted(RESOLUTION_CASES):
+        ideal = RESOLUTION_CASES[name]
+        res = minimal_resolution(ideal)
+        bef_codims(res)
+        res.validate(check_exact=True)
+        syzygies(ideal.gens)
+    assert sum(tails for _, _, tails in module_bases) == 18
