@@ -36,23 +36,30 @@ of each reduced column as it caches it.
 The matrix budget caps rows x columns of the whole system, checked as
 if its columns entered one by one in order: rows and columns only grow,
 so the first column that takes rows x columns past the cap refuses the
-system.  The meter reads row keys only.  A row is a term of NF(Phi) or
-a monomial of degree <= rho, so when (|NF(Phi)| + C(n + rho, n)) times
-the number of columns is within the cap nothing is counted; otherwise
-the keys are counted a batch at a time (one per I and degree of alpha
-over C^N, one per column on a variety), and a batch that passes the cap
-is replayed column by column to name the column that refuses.
+system.  A ``minimal_degree`` scan also checks it at the degree that
+its basis refutes, where it builds no system, so a scan refuses what a
+search at that degree would.  The meter reads row keys only.  A row is
+a term of NF(Phi) or a monomial of degree <= rho, so when
+(|NF(Phi)| + C(n + rho, n)) times the number of columns is within the
+cap nothing is counted; otherwise the keys are counted a batch at a time
+(one per I and degree of alpha over C^N, one per column on a variety),
+and a batch that passes the cap is replayed column by column to name the
+column that refuses.
 
 ``minimal_degree`` picks rho_min exactly, from one Groebner basis over Q
 (``_pick_degree``): homogenize with a new last variable h, and rho_min
 is deg NF(Phi) plus the least k with h^k NF(Phi)^h in the ideal K of the
 homogenized F^I and variety basis, read off the basis truncated at
 rho_max.  The columns at rho are among those at rho + 1, so feasibility
-is monotone in rho, and two searches prove the pick: Found at rho_min
-and NotFound at rho_min - 1, or NotFound at rho_max.  So a None, and the
-minimality of rho_min, rest on a witness checked over Q, or on a degree
-with no admissible column.  Per-generator caps do not homogenize, so a
-capped scan searches each degree in turn.
+is monotone in rho, and one degree below the pick proves every lower
+one.  The exact search runs at rho_min only; the degree below it
+(rho_min - 1, or rho_max when the pick names none) is refuted by the
+pick's own truncated basis, checked on integers (``_refutes``): the
+generators of K reduce to 0 by it, its S-pairs up to that degree reduce
+to 0 (Buchberger's criterion truncated there), and h^k NF(Phi)^h does
+not.  So a None, and the minimality of rho_min, rest on that check, or
+on deg NF(Phi) alone, with no tracked cofactors.  Per-generator caps do
+not homogenize, so a capped scan searches each degree in turn.
 
 ``projective_lift`` rechecks a found certificate as the equivalent
 homogeneous identity  sum f^I q_I = z0^(rho - deg Phi) phi  on the
@@ -73,6 +80,7 @@ from .groebner import (
     Budget,
     GroebnerBasis,
     Ideal,
+    _check_pairs,
     _packed_basis,
     buchberger,
     saturate,
@@ -458,11 +466,15 @@ def minimal_degree(
     """(rho_min, certificate) for the smallest feasible degree <= rho_max,
     or None when there is none (NotFound below rho_max).
 
-    Feasibility is monotone in rho, so two exact searches prove the
-    answer of ``_pick_degree``: a Found at rho_min and a NotFound at
-    rho_min - 1, or a NotFound at rho_max.  A search that contradicts the
-    pick is a bug (AssertionError).  Per-generator caps do not
-    homogenize, so a capped scan searches each degree in turn."""
+    Feasibility is monotone in rho, so one degree below the answer of
+    ``_pick_degree`` proves every lower one: rho_min - 1, or rho_max when
+    the pick names none.  The pick's truncated basis refutes that degree
+    (``_refutes``), and the exact search runs only at rho_min.  The
+    matrix budget is still checked at the refuted degree (``_meter``), so
+    a scan refuses the systems that a search there would refuse.  A
+    refutation that fails, or a search that finds nothing at the pick, is
+    a bug (AssertionError).  Per-generator caps do not homogenize, so a
+    capped scan searches each degree in turn."""
     if rho_max < 0:
         raise ValueError("rho_max must be >= 0")
     source = _Columns(inst, rho_max, per_gen_caps, budget)
@@ -478,17 +490,40 @@ def minimal_degree(
             if cert is not None:
                 return rho, cert
         return None
-    rho = _pick_degree(source, rho_max, budget)
-    below = search(rho - 1) if rho else None
-    cert = search(rho_max if rho is None else rho)
-    if below is not None or (cert is None) != (rho is None):
-        raise AssertionError(f"the exact searches contradict the pick rho_min = {rho}")
-    return None if rho is None else (rho, cert)
+    rho, proof = _pick_degree(source, rho_max, budget)
+    below = rho_max if rho is None else rho - 1
+    if below >= 0 and (tops := source.tops(below)):
+        _meter(source, below, tops, budget.max_matrix_entries)
+    if not _refutes(proof, below):
+        raise AssertionError(f"the basis does not refute rho = {below} below the pick {rho}")
+    if rho is None:
+        return None
+    cert = search(rho)
+    if cert is None:
+        raise AssertionError(f"the exact search finds nothing at the pick rho_min = {rho}")
+    return rho, cert
+
+
+@dataclass(frozen=True)
+class _Proof:
+    """What ``_pick_degree`` builds, kept for ``_refutes``: the packing
+    with h last (None when no basis was built), the generators of K and
+    the truncated basis as (primitive integer reducer, degree), h^0 Phi'^h
+    packed on integers, deg Phi', and the budget whose pair cap counts
+    the check's S-pairs."""
+
+    packing: kernel.Packing | None
+    gens: tuple
+    basis: tuple
+    phi: dict
+    degree: int
+    budget: Budget
 
 
 def _pick_degree(source: _Columns, rho_max: int, budget: Budget):
-    """rho_min up to ``rho_max``, or None when no degree up to it has a
-    certificate, from a homogeneous Groebner basis over Q.
+    """(rho_min up to ``rho_max`` or None when no degree up to it has a
+    certificate, the ``_Proof`` of that answer), from a homogeneous
+    Groebner basis over Q.
 
     With a new last variable h, K is generated by each NF(F^I)
     homogenized at deg F^I and the homogenized grevlex basis of the
@@ -497,7 +532,9 @@ def _pick_degree(source: _Columns, rho_max: int, budget: Budget):
     certificate of degree rho homogenizes into h^(rho - deg Phi') Phi'^h
     in K, and h = 1 takes one back: rho_min is deg Phi' plus the least k
     with h^k Phi'^h in K.  The basis stops at degree ``rho_max``
-    (``groebner._packed_basis``), which decides membership up to there."""
+    (``groebner._packed_basis``), which decides membership up to there.
+    The proof keeps the generators, the basis and Phi'^h, so that
+    ``_refutes`` can check the degree below the answer from them alone."""
     nvars = source.inst.ring.nvars
     unpack = source.packing.unpack_terms
 
@@ -508,7 +545,7 @@ def _pick_degree(source: _Columns, rho_max: int, budget: Budget):
     phi = unpack(source.phi)
     deg_phi = max(map(sum, phi))
     if deg_phi > rho_max:
-        return None
+        return None, _Proof(None, (), (), {}, deg_phi, budget)
     gens = [
         (homogenized(unpack(base), degree), degree)
         for index, degree in source.indices()
@@ -523,14 +560,90 @@ def _pick_degree(source: _Columns, rho_max: int, budget: Budget):
     # no element passes degree rho_max, so the fields never overflow
     packing = kernel.packing(grevlex(), nvars + 1, kernel.bits_for(rho_max))
     basis = _packed_basis(gens, packing, None, budget, rho_max)
-    reducers = [kernel.reducer(max(t), t) for t in basis]
-    rest = packing.pack_terms(homogenized(phi, deg_phi))
+    proof = _Proof(
+        packing,
+        tuple((packing.pack_terms(t), degree) for t, degree in gens),
+        tuple((kernel.reducer(max(t), t), sum(packing.unpack(max(t)))) for t in basis),
+        packing.pack_terms(homogenized(phi, deg_phi)),
+        deg_phi,
+        budget,
+    )
+    reducers = [r for r, _ in proof.basis]
+    rest = proof.phi
     for degree in range(deg_phi, rho_max + 1):
         rest = kernel.normal_form(rest, reducers, packing)
         if not rest:
-            return degree
+            return degree, proof
         rest = {k + packing.weights[nvars]: c for k, c in rest.items()}
-    return None
+    return None, proof
+
+
+def _refutes(proof: _Proof, rho: int) -> bool:
+    """Whether ``proof`` shows that no certificate has degree ``rho``,
+    on integers and from its generators, basis and Phi'^h alone.
+
+    No certificate has degree below deg Phi'.  Otherwise, with G the
+    basis elements of degree <= rho, the check is Buchberger's criterion
+    truncated at rho (Becker and Weispfenning, "Groebner Bases", 1993,
+    section 5.5) and one normal form.  The labels are those of a
+    truncated-basis proof; its check (a), that G lies in K, matters only
+    for membership, so a refutation does without it:
+
+    (b) every generator of K of degree <= rho reduces to 0 by G, so K
+        lies in the ideal of G up to degree rho;
+    (c) every S-pair of G with an lcm of degree <= rho reduces to 0 by G,
+        so G is a Groebner basis of its ideal up to degree rho.  A pair
+        with coprime leads is skipped, and so is a pair (i, j) with a
+        lead k that divides lcm(i, j) while lcm(i, k) and lcm(j, k) both
+        differ from it: those lcms strictly divide lcm(i, j), so the
+        rule rests on pairs of smaller lcm and never on itself;
+    (d) h^(rho - deg Phi') Phi'^h does not reduce to 0 by G, so it is
+        not in the ideal of G, nor in K, and no certificate of degree
+        rho homogenizes into it.
+
+    Each S-pair reduced counts against the budget's ``max_pairs``.  The
+    divisor and chain tests read packed leads: a lead divides a packed
+    lcm when their difference sets no guard bit, and the lcm of each
+    pair is packed once."""
+    if rho < proof.degree:
+        return True
+    packing = proof.packing
+    guard = packing.guard
+    kept = [r for r, degree in proof.basis if degree <= rho]
+    if any(kernel.normal_form(t, kept, packing) for t, degree in proof.gens if degree <= rho):
+        return False
+
+    leads = [r[0] for r in kept]
+    exps = [packing.unpack(lead) for lead in leads]
+    degrees = [sum(e) for e in exps]
+    # lcms[i][j], packed, for each pair of lcm degree <= rho; a lead that
+    # divides lcm(i, j) has an lcm with i and with j of no higher degree
+    lcms = [[None] * len(kept) for _ in kept]
+    pairs = []
+    for j, b in enumerate(exps):
+        for i in range(j):
+            e = tuple(map(max, exps[i], b))
+            degree = sum(e)
+            if degree <= rho:
+                lcms[i][j] = lcms[j][i] = t = packing.pack(e)
+                if degree < degrees[i] + degrees[j]:  # else coprime: skipped
+                    pairs.append((i, j, t))
+    taken = 0
+    for i, j, t in pairs:
+        row_i, row_j = lcms[i], lcms[j]
+        # row_j[i] and row_i[j] are t, so k is never i or j
+        for k, lead in enumerate(leads):
+            if not (t - lead) & guard and row_i[k] != t and row_j[k] != t:
+                break  # the chain through k
+        else:
+            taken += 1
+            _check_pairs(taken, proof.budget)
+            s = kernel.s_poly(kept[i], kept[j], t, guard, None)
+            if kernel.normal_form(s, kept, packing):
+                return False
+
+    shift = (rho - proof.degree) * packing.weights[-1]
+    return bool(kernel.normal_form({k + shift: c for k, c in proof.phi.items()}, kept, packing))
 
 
 @dataclass(frozen=True)

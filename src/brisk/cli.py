@@ -72,9 +72,8 @@ def _pipeline_invariants(inst: InstanceFile, budget: Budget, char: int | None):
     var = inst.ring.fresh_name("z0")
     j_x = projective_closure(inst.variety, budget, var)
     work = j_x if char is None else _over_gf(j_x, char)
-    gb = buchberger(work, grevlex(), budget)
-    data = hilbert_data(gb)
     res = minimal_resolution(work, budget)
+    data = hilbert_data(res.gb)
     return {
         "dim": data.proj_dimension(),
         "deg_x": data.proj_degree(),

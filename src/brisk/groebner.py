@@ -136,7 +136,8 @@ class Budget:
     reduction does not count, so a cap of 0 still admits inputs that
     need no S-pair, such as [x, y].  The truncated basis that picks
     a scan's rho_min counts its pairs in the same way, up to the degree
-    where it stops.  ``max_matrix_entries`` caps the
+    where it stops, and the check that refutes the degree below the pick
+    counts each S-pair that it reduces.  ``max_matrix_entries`` caps the
     rows x columns of the linear system of a certificate search; the
     search checks it as each column enters, so a system over the cap is
     refused before it is built whole.  A cap may be 0 but not negative.
@@ -265,29 +266,28 @@ def buchberger(
     def run(bits):
         packing = kernel.packing(order, ring.nvars, bits)
         basis = _packed_basis(gens, packing, modulus, budget)
-        return [MultiPoly(ring, packing.unpack_terms(t)) for t in basis]
+        return [
+            MultiPoly(ring, packing.unpack_terms(kernel.from_ints(t, max(t), modulus)))
+            for t in basis
+        ]
 
     polys = kernel.widening(run, kernel.bits_for(max((d for _, d in gens), default=0)))
     return GroebnerBasis(ring, order, polys)
 
 
 def _packed_basis(gens, packing, modulus: int | None, budget: Budget, stop=None) -> list[dict]:
-    """The reduced basis of integer ``gens`` (terms and sugar) as packed,
-    monic field terms; OverflowError when ``packing`` is too narrow.  With
-    a degree ``stop`` the gens must be homogeneous, and the basis is
-    truncated there.  Grevlex gens no more than the variables take the
-    signature loop, all others the Gebauer-Moeller loop (module
-    docstring)."""
+    """The reduced basis of integer ``gens`` (terms and sugar) as packed
+    integer terms, primitive over Z or monic mod p, in ascending lead
+    order; OverflowError when ``packing`` is too narrow.  With a degree
+    ``stop`` the gens must be homogeneous, and the basis is truncated
+    there.  Grevlex gens no more than the variables take the signature
+    loop, all others the Gebauer-Moeller loop (module docstring)."""
     gens = [(packing.pack_terms(t), d) for t, d in gens]
     if packing.order.kind == GREVLEX and len(gens) <= len(packing.weights):
         loop = _signature_loop(gens, packing, modulus, budget, stop)
     else:
         loop = _basis_loop(gens, packing, modulus, budget, stop)
-    reduced = _reduce_basis(loop, packing, modulus)
-    # free the elements that minimalization dropped, whose tails are not
-    # reduced, before the conversion to field terms sets the peak
-    del loop
-    return [kernel.from_ints(t, max(t), modulus) for t in reduced]
+    return _reduce_basis(loop, packing, modulus)
 
 
 def _check_pairs(taken: int, budget: Budget):

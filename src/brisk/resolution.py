@@ -23,14 +23,14 @@ each codim Ext^j is read off Hilbert series of the dual complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from . import invariants, kernel, modules
 from .errors import BudgetExceededError
-from .groebner import DEFAULT_BUDGET, Budget, Ideal, buchberger
+from .groebner import DEFAULT_BUDGET, Budget, GroebnerBasis, Ideal, buchberger
 from .modules import FreeModule, Layout
 from .orders import grevlex
 from .polyring import MultiPoly, PolyRing
@@ -130,11 +130,13 @@ class FreeResolution:
     """... -> F_2 -> F_1 -> S -> S/J -> 0 as a sequence of steps.
 
     steps[k-1] is the map F_k -> F_{k-1}; an empty tuple resolves S itself
-    (the zero ideal).
+    (the zero ideal).  ``gb`` is the grevlex basis of the ideal that
+    ``minimal_resolution`` computed, None on a resolution built by hand.
     """
 
     ideal: Ideal
     steps: tuple[ResolutionStep, ...]
+    gb: GroebnerBasis | None = field(default=None, compare=False, repr=False)
 
     @property
     def ring(self) -> PolyRing:
@@ -303,9 +305,9 @@ def minimal_resolution(
     ring = ideal.ring
     if not ideal.is_homogeneous():
         raise ValueError("minimal_resolution needs a homogeneous ideal")
-    if ideal.is_zero():
-        return FreeResolution(ideal, ())
     gb = buchberger(ideal, budget=budget)
+    if ideal.is_zero():
+        return FreeResolution(ideal, (), gb)
     if any(g.is_constant() for g in gb):
         raise ValueError("unit ideal has no resolution of S/J (S/J = 0)")
 
@@ -338,7 +340,7 @@ def minimal_resolution(
         return steps
 
     steps = kernel.widening(frame, kernel.MIN_BITS)
-    return FreeResolution(ideal, tuple(_minimalize(ring, steps)))
+    return FreeResolution(ideal, tuple(_minimalize(ring, steps)), gb)
 
 
 def _minimalize(ring: PolyRing, steps: list[ResolutionStep]) -> list[ResolutionStep]:

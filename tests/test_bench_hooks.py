@@ -35,8 +35,11 @@ R = PolyRing(("x", "y", "z", "w"))
 cubic = groebner.Ideal(R, [R.parse(g) for g in ("x*z - y^2", "y*w - z^2", "x*w - y*z")])
 groebner.buchberger(cubic)
 resolution.bef_codims(resolution.minimal_resolution(cubic))
-# Found at rho_min = 4, NotFound at 3
-assert certificate.minimal_degree(families.kollar(2, 2, 2).instance, 6)[0] == 4
+# Found at rho_min = 4, where the scan's one search runs; the search at
+# 3 finds nothing
+kollar = families.kollar(2, 2, 2).instance
+assert certificate.minimal_degree(kollar, 6)[0] == 4
+assert certificate.search_at_degree(kollar, 3) is None
 print(json.dumps({"missing": tracer.missing, "metrics": tracer.metrics()}))
 """
 
@@ -67,7 +70,8 @@ def test_traced_counts_are_recorded(traced):
 
 def test_certificate_hooks_are_recorded(traced):
     # solve_sparse, search_at_degree and verify are patched where the
-    # scan looks them up; a hook that misses reads 0
+    # scan looks them up; a hook that misses reads 0.  The scan searches
+    # once, at rho_min, and the search at 3 adds the infeasible solve
     metrics = traced["metrics"]
     assert metrics["linalg.solves"] == 2
     assert metrics["linalg.infeasible"] == 1

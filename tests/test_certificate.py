@@ -262,9 +262,10 @@ class TestMinimalDegree:
 
 
 class TestDeferredProof:
-    """``minimal_degree`` lifts a witness only at the degree below its
-    exact pick, which proves every lower degree by monotonicity; a pick
-    that the exact searches contradict is a bug."""
+    """``minimal_degree`` searches only at its exact pick, and the pick's
+    truncated basis refutes the degree below it, which proves every lower
+    degree by monotonicity; a pick that the search or the refutation
+    contradicts is a bug."""
 
     SCANS = [(kollar(2, 2, 2).instance, 10, 4), (cusp(5).instance, 12, None)]
 
@@ -298,41 +299,43 @@ class TestDeferredProof:
         monkeypatch.setattr(certificate, "search_at_degree", spy)
         return searched
 
-    @staticmethod
-    def _same(found, want):
-        if want is None:
-            return found is None
-        return found[0] == want[0] and found[1].cofactors == want[1].cofactors
-
     @pytest.mark.parametrize("inst, rho_max, rho_min", SCANS, ids=["kollar222", "cusp5"])
-    def test_a_scan_lifts_at_most_two_systems(self, monkeypatch, inst, rho_max, rho_min):
+    def test_a_scan_lifts_at_most_one_system(self, monkeypatch, inst, rho_max, rho_min):
         lifts = self._spy_lifts(monkeypatch)
         found = minimal_degree(inst, rho_max)
         assert (None if found is None else found[0]) == rho_min
-        # Found: the solution at rho_min and the witness at rho_min - 1;
-        # NotFound: the witness at rho_max
-        kinds = ["solution", "witness"] if rho_min else ["witness"]
-        assert sorted(kind for kind, *_ in lifts) == kinds
+        # Found: the solution at rho_min; NotFound: none, the basis
+        # refutes rho_max
+        kinds = ["solution"] if rho_min else []
+        assert [kind for kind, *_ in lifts] == kinds
         assert all(answer is not None for *_, answer in lifts)
 
     @pytest.mark.parametrize("inst, rho_max, rho_min", SCANS, ids=["kollar222", "cusp5"])
     def test_a_wrong_pick_is_a_bug(self, monkeypatch, inst, rho_max, rho_min):
-        # the pick one degree too low, one too high or none; on a NotFound
-        # scan, the first degree with a column or the last
+        # the pick one degree too low, one too high or none, each with the
+        # real basis; on a NotFound scan, the first degree with a column
+        # or the last
         picks = [rho_min - 1, rho_min + 1, None] if rho_min else [1, rho_max]
+        pick_degree = certificate._pick_degree
         searched = self._spy_searches(monkeypatch)
         for pick in picks:
-            monkeypatch.setattr(certificate, "_pick_degree", lambda *args, pick=pick: pick)
+
+            def wrong(*args, pick=pick):
+                return pick, pick_degree(*args)[1]
+
+            monkeypatch.setattr(certificate, "_pick_degree", wrong)
             searched.clear()
             with pytest.raises(AssertionError):
                 minimal_degree(inst, rho_max)
-            # no degree is searched again
-            assert len(searched) == len(set(searched)) <= 2
+            # no degree below the pick is searched, and none twice
+            assert searched in ([], [pick])
 
     def test_next_prime_proves_after_a_failed_lift(self, monkeypatch):
+        # a scan lifts no witness, so the witness lift is shown on the
+        # search at the scan's rho_max
         lifts = self._spy_lifts(monkeypatch, fail_first_witness=True)
         searched = self._spy_searches(monkeypatch)
-        assert minimal_degree(cusp(5).instance, 12) is None
+        assert certificate.search_at_degree(cusp(5).instance, 12) is None
         (_, p, first, failed), (kind, q, second, answer) = lifts
         assert failed is None and p == linalg.P
         # the same system, proven by a witness mod the next prime
@@ -343,7 +346,7 @@ class TestDeferredProof:
 
     def test_scan_searches_only_at_the_answer(self, monkeypatch):
         searched = self._spy_searches(monkeypatch)
-        for (inst, rho_max, rho_min), want in zip(self.SCANS, ([3, 4], [12])):
+        for (inst, rho_max, rho_min), want in zip(self.SCANS, ([4], [])):
             searched.clear()
             minimal_degree(inst, rho_max)
             assert searched == want
@@ -354,17 +357,19 @@ class TestDeferredProof:
         searched = self._spy_searches(monkeypatch)
         inst = MembershipInstance(R, Ideal(R, []), (linalg.P * Z1 + Z2, Z2), Z1)
         rho, cert = minimal_degree(inst, 3)
-        assert searched == [0, 1]
+        assert searched == [1]
         assert rho == 1 and cert.verified
         assert cert.cofactor(0) == R.one() * Fraction(1, linalg.P)
 
     def test_span_holding_a_non_member_mod_p(self, monkeypatch):
         # z1 + P z2 is z1 mod P, in the span mod P of F = z1 at rho = 1,
-        # but it lies in no degree of (z1) over Q
+        # but it lies in no degree of (z1) over Q: neither the pick and
+        # its refutation nor the exact search is misled by the prime
         searched = self._spy_searches(monkeypatch)
         inst = MembershipInstance(R, Ideal(R, []), (Z1,), Z1 + linalg.P * Z2)
         assert minimal_degree(inst, 3) is None
-        assert searched == [3]
+        assert searched == []
+        assert certificate.search_at_degree(inst, 3) is None
 
     def test_budget_error_at_the_degree_of_the_ascending_scan(self):
         # rho_min is 16; the search at 15 refuses its system while it is
@@ -510,6 +515,146 @@ class TestPickAgainstAscendingScan:
         answers = [ascending_minimal_degree(inst, rho_max) for _, inst, rho_max in self.CORPUS]
         assert sum(a is None for a in answers) == 11
         assert sum(a is not None and a[0] > 0 for a in answers) == len(answers) - 11
+
+
+def _picked(inst, rho_max, budget=Budget()):
+    """(the pick, its proof) for a scan of ``inst`` up to ``rho_max``."""
+    source = certificate._Columns(inst, rho_max, None, budget)
+    return certificate._pick_degree(source, rho_max, budget)
+
+
+def _random_sparse(seed):
+    """A power-2 instance over C^N with sparse Fraction coefficients.  By
+    seed mod 3: the target is a combination of the squares and products
+    of the generators; it is random; or it is 1."""
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[: 2 + seed % 2])
+    kind = seed % 3
+
+    def poly(degree, terms):
+        exps = rng.sample(ring.exponents_up_to(degree), terms)
+        coeff = lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+        return sum((ring.monomial(e, coeff()) for e in exps), ring.zero())
+
+    gens = tuple(poly(rng.randint(1, 2), rng.randint(1, 3)) for _ in range(2))
+    if kind == 0:
+        phi = sum((a * b * poly(1, 2) for a in gens for b in gens), ring.zero()) or ring.one()
+    else:
+        phi = poly(3, 3) if kind == 1 else ring.one()
+    return MembershipInstance(ring, Ideal(ring, []), gens, phi, power=2)
+
+
+def _on_curves():
+    """Instances on the cusp z1^2 = z2^5 and the affine twisted cubic
+    (t, t^2, t^3), with and without certificates."""
+    A = PolyRing(("z1", "z2", "z3"))
+    a1, a2, a3 = A.gens()
+    cubic = Ideal(A, [a2 - a1**2, a3 - a1 * a2])
+    cusp5 = Ideal(R, [Z1**2 - Z2**5])
+    return [
+        ("cubic_t_minus_1", MembershipInstance(A, cubic, (a1 - 1,), a3 - 1), 6),
+        ("cubic_no_common_zero", MembershipInstance(A, cubic, (a2 - 1, a3), A.one()), 8),
+        ("cubic_nonzero_at_origin", MembershipInstance(A, cubic, (a1,), a2 + 1), 6),
+        ("cubic_power", MembershipInstance(A, cubic, (a1, a2), a3, 2), 6),
+        ("cusp_no_common_zero", MembershipInstance(R, cusp5, (Z1, Z2 - 1), R.one()), 12),
+        ("cusp_one_branch", MembershipInstance(R, cusp5, (Z2 - 1,), Z1 - 1), 12),
+    ]
+
+
+REFUTE_EXTRA = [(f"sparse{seed}", _random_sparse(seed), 5) for seed in range(9)] + _on_curves()
+REFUTE_CORPUS = _pick_corpus() + REFUTE_EXTRA
+
+
+class TestRefutation:
+    """``_refutes(proof, D)`` holds at exactly the degrees D <= rho_max
+    where the exact search finds nothing, at every D, not only below the
+    pick."""
+
+    @pytest.mark.parametrize(
+        "inst, rho_max", [c[1:] for c in REFUTE_CORPUS], ids=[c[0] for c in REFUTE_CORPUS]
+    )
+    def test_refutes_exactly_where_the_search_finds_nothing(self, inst, rho_max):
+        _, proof = _picked(inst, rho_max)
+        for rho in range(rho_max + 1):
+            assert certificate._refutes(proof, rho) == (search_at_degree(inst, rho) is None), rho
+
+    def test_the_added_cases_have_both_answers(self):
+        answers = [ascending_minimal_degree(inst, rho_max) for _, inst, rho_max in REFUTE_EXTRA]
+        assert sum(a is None for a in answers) == 7
+        assert sum(a is not None and a[0] > 0 for a in answers) == 7
+
+
+class TestRefutationSoundness:
+    """A set that is not a truncated basis of K, or that misses part of
+    K, refutes nothing."""
+
+    # (instance, rho_max, the refuted degree): below a Found pick on the
+    # plane, and at the cap of a scan that finds none on the cusp, where
+    # z1 - 1 vanishes on one branch over z2 = 1 but not the other
+    CASES = [
+        (kollar(2, 2, 2).instance, 6, 3),
+        (macaulay_generic(2, 2, random.Random(22)).instance, 4, 3),
+        (MembershipInstance(R, Ideal(R, [Z1**2 - Z2**5]), (Z2 - 1,), Z1 - 1), 12, 12),
+    ]
+
+    @pytest.mark.parametrize("inst, rho_max, rho", CASES, ids=["kollar222", "macaulay22", "cusp_one_branch"])
+    def test_a_dropped_element_or_a_changed_coefficient_is_rejected(self, inst, rho_max, rho):
+        _, proof = _picked(inst, rho_max)
+        assert certificate._refutes(proof, rho)
+        low = [i for i, (_, degree) in enumerate(proof.basis) if degree <= rho]
+        assert low
+        for i in low:
+            basis = proof.basis[:i] + proof.basis[i + 1 :]
+            assert not certificate._refutes(replace(proof, basis=basis), rho), i
+        changed = 0
+        for i in low:
+            (lead, lc, tail), degree = proof.basis[i]
+            if not tail:
+                continue
+            (e, c), *rest = tail
+            basis = list(proof.basis)
+            basis[i] = (lead, lc, ((e, c + 1 or 2), *rest)), degree
+            assert not certificate._refutes(replace(proof, basis=tuple(basis)), rho), i
+            changed += 1
+        assert changed
+
+    @staticmethod
+    def _triangle(h_squared):
+        """x y + c h^2, x z, y z in x, y, z, h: three leads with the one
+        lcm x y z, a basis exactly when c = 0; Phi' = h^2."""
+        packing = kernel.packing(grevlex(), 4, 8)
+        polys = [{(1, 1, 0, 0): 1, (0, 0, 0, 2): h_squared}, {(1, 0, 1, 0): 1}, {(0, 1, 1, 0): 1}]
+        polys = [packing.pack_terms({e: c for e, c in t.items() if c}) for t in polys]
+        return certificate._Proof(
+            packing,
+            tuple((t, 2) for t in polys),
+            tuple((kernel.reducer(max(t), t), 2) for t in polys),
+            packing.pack_terms({(0, 0, 0, 2): 1}),
+            2,
+            Budget(),
+        )
+
+    def test_the_chain_rule_is_strict(self, monkeypatch):
+        proof = self._triangle(h_squared=1)
+        leads = [proof.packing.unpack(r[0]) for r, _ in proof.basis]
+        assert len({tuple(map(max, a, b)) for a in leads for b in leads if a != b}) == 1
+        reduced = []
+        s_poly = kernel.s_poly
+        monkeypatch.setattr(kernel, "s_poly", lambda *args: reduced.append(args) or s_poly(*args))
+        # S(x y + h^2, x z) = z h^2, which no lead divides
+        assert not certificate._refutes(proof, 3)
+        assert reduced
+        # the monomials x y, x z, y z are a basis, and h^3 is outside it
+        reduced.clear()
+        assert certificate._refutes(self._triangle(h_squared=0), 3)
+        assert len(reduced) == 3
+
+    def test_the_check_counts_its_pairs(self):
+        proof = replace(self._triangle(h_squared=0), budget=Budget(max_pairs=2))
+        with pytest.raises(BudgetExceededError, match="more than 2 S-pairs"):
+            certificate._refutes(proof, 3)
+        # below the lcm degree no pair is taken
+        assert certificate._refutes(proof, 2)
 
 
 class TestVerify:

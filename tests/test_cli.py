@@ -1,13 +1,16 @@
 """CLI behaviour: commands, exit codes, determinism."""
 
 import re
+from pathlib import Path
 
 import pytest
 
+from brisk import cli, invariants, resolution
+from brisk.certificate import projective_closure
 from brisk.cli import _budget, build_parser, main
 from brisk.errors import BudgetExceededError
 from brisk.groebner import Budget
-from brisk.instances import parse_ideal_file
+from brisk.instances import parse_ideal_file, parse_instance
 from brisk.resolution import bef_codims, minimal_resolution
 
 KOLLAR = """vars: z1, z2
@@ -156,6 +159,25 @@ class TestBounds:
         assert main(["bounds", cusp_file, "--compute-invariants"]) == 0
         out = capsys.readouterr().out
         assert "degX=5" in out and "regX=5" in out and "n=1" in out
+
+    def test_pipeline_computes_the_closure_basis_once(self, monkeypatch, capsys):
+        # the Hilbert data reads the basis that the resolution computed;
+        # the golden of this command pins its stdout
+        path = str(Path(__file__).parent.parent / "instances" / "cusp5.txt")
+        inst = parse_instance(Path(path).read_text(encoding="utf-8"))
+        j_x = projective_closure(inst.variety, Budget(), inst.ring.fresh_name("z0"))
+        ideals = []
+        for module in (cli, resolution, invariants):
+            real = module.buchberger
+
+            def spy(ideal, *args, real=real, **kwargs):
+                ideals.append(ideal)
+                return real(ideal, *args, **kwargs)
+
+            monkeypatch.setattr(module, "buchberger", spy)
+        assert main(["bounds", path, "--compute-invariants"]) == 0
+        assert "degX=5" in capsys.readouterr().out
+        assert [i.gens for i in ideals].count(j_x.gens) == 1
 
     def test_missing_mu0_is_reported(self, cusp_file, tmp_path, capsys):
         text = CUSP.replace("  mu0 = 3\n", "  dim = 1\n  deg_x = 5\n  reg_x = 5\n")
